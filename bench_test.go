@@ -502,23 +502,32 @@ func BenchmarkLinkPacketPath(b *testing.B) {
 func benchNop() {}
 
 // BenchmarkSchedulerChurn pins the slab scheduler's zero-alloc budget on the
-// schedule/cancel/fire mix the transports generate: each op schedules two
-// timers, cancels one (generation-checked lazy deletion) and fires the other.
+// timer mix the transports generate per ACK, among ~1k pending far-future
+// retransmission timers (one per flow): one event fires, one delayed-ACK
+// timer is stopped and replaced, and one flow's retransmission timer is
+// re-armed in place.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	s := sim.New(1)
-	// Warm the slab and free list past the working set.
-	for i := 0; i < 64; i++ {
-		s.After(time.Duration(i)*time.Microsecond, benchNop)
+	rto := make([]sim.Timer, 1024)
+	for i := range rto {
+		rto[i] = s.After(200*time.Millisecond+time.Duration(i)*time.Microsecond, benchNop)
 	}
-	s.Run()
+	delack := s.After(40*time.Millisecond, benchNop)
+	perAck := func(i int) {
+		s.After(time.Microsecond, benchNop)
+		s.Step()
+		delack.Stop()
+		delack = s.After(40*time.Millisecond, benchNop)
+		rto[i%len(rto)].Reset(s.Now() + 200*time.Millisecond)
+	}
+	// Warm the slab, heap and free list past the working set.
+	for i := 0; i < 64; i++ {
+		perAck(i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		keep := s.After(time.Microsecond, benchNop)
-		cancel := s.After(2*time.Microsecond, benchNop)
-		cancel.Stop()
-		_ = keep
-		s.Run()
+		perAck(i)
 	}
 }
 

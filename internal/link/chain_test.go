@@ -1,5 +1,5 @@
-// Chain tests live in an external test package: they drive the chain with
-// real TCP endpoints, and package tcp itself imports link.
+// Multi-hop tests live in an external test package: they drive a chain of
+// links with real TCP endpoints, and package tcp itself imports link.
 package link_test
 
 import (
@@ -18,14 +18,40 @@ func mkData(flow int, seq int64) *packet.Packet {
 	return packet.NewData(flow, seq, packet.MSS, packet.NotECT)
 }
 
+// hop is one link of a test chain; propDelay is the one-way propagation added
+// after it.
+type hop struct {
+	cfg       link.Config
+	propDelay time.Duration
+}
+
+// chain wires links in series: each hop's delivery callback is the next hop's
+// Enqueue, and only the last hop's output reaches deliver. This is the
+// composition the "delivery does not release" ownership rule exists for — a
+// delivered packet is still live, so the next hop may queue it.
+func chain(s *sim.Simulator, hops []hop, deliver func(*packet.Packet)) []*link.Link {
+	links := make([]*link.Link, len(hops))
+	next := deliver
+	for i := len(hops) - 1; i >= 0; i-- {
+		out := next
+		if delay := hops[i].propDelay; delay > 0 {
+			forward := next
+			out = func(p *packet.Packet) { s.After(delay, func() { forward(p) }) }
+		}
+		links[i] = link.New(s, hops[i].cfg, out)
+		next = links[i].Enqueue
+	}
+	return links
+}
+
 func TestChainSerialDelivery(t *testing.T) {
 	s := sim.New(1)
 	var at []time.Duration
-	c := link.NewChain(s, []link.HopSpec{
-		{Config: link.Config{RateBps: 12e6}},                                   // 1 ms/pkt
-		{Config: link.Config{RateBps: 12e6}, PropDelay: 10 * time.Millisecond}, // +1 ms +10 ms
+	c := chain(s, []hop{
+		{cfg: link.Config{RateBps: 12e6}},                                   // 1 ms/pkt
+		{cfg: link.Config{RateBps: 12e6}, propDelay: 10 * time.Millisecond}, // +1 ms +10 ms
 	}, func(p *packet.Packet) { at = append(at, s.Now()) })
-	c.Enqueue(mkData(1, 0))
+	c[0].Enqueue(mkData(1, 0))
 	s.Run()
 	if len(at) != 1 {
 		t.Fatalf("delivered %d", len(at))
@@ -34,7 +60,7 @@ func TestChainSerialDelivery(t *testing.T) {
 	if want := 12 * time.Millisecond; at[0] != want {
 		t.Errorf("delivered at %v, want %v", at[0], want)
 	}
-	if c.Len() != 2 || c.Hop(0).Dequeues() != 1 || c.Hop(1).Dequeues() != 1 {
+	if c[0].Dequeues() != 1 || c[1].Dequeues() != 1 {
 		t.Error("hop accounting")
 	}
 }
@@ -42,31 +68,22 @@ func TestChainSerialDelivery(t *testing.T) {
 func TestChainSlowestHopBottlenecks(t *testing.T) {
 	s := sim.New(1)
 	n := 0
-	c := link.NewChain(s, []link.HopSpec{
-		{Config: link.Config{RateBps: 100e6}},
-		{Config: link.Config{RateBps: 10e6}}, // the bottleneck
-		{Config: link.Config{RateBps: 100e6}},
+	c := chain(s, []hop{
+		{cfg: link.Config{RateBps: 100e6}},
+		{cfg: link.Config{RateBps: 10e6}}, // the bottleneck
+		{cfg: link.Config{RateBps: 100e6}},
 	}, func(*packet.Packet) { n++ })
 	for i := int64(0); i < 100; i++ {
-		c.Enqueue(mkData(1, i))
+		c[0].Enqueue(mkData(1, i))
 	}
 	s.Run()
 	if n != 100 {
 		t.Fatalf("delivered %d", n)
 	}
 	// The middle hop must have accumulated the standing queue.
-	if c.Hop(1).Sojourn.Max() < c.Hop(0).Sojourn.Max() {
+	if c[1].Sojourn.Max() < c[0].Sojourn.Max() {
 		t.Error("bottleneck hop did not dominate queuing")
 	}
-}
-
-func TestChainEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty chain did not panic")
-		}
-	}()
-	link.NewChain(sim.New(1), nil, func(*packet.Packet) {})
 }
 
 // TestChainTwoPI2Bottlenecks runs a flow through two PI2-managed hops of
@@ -78,12 +95,12 @@ func TestChainTwoPI2Bottlenecks(t *testing.T) {
 	mkAQM := func() aqm.AQM {
 		return aqm.NewPI(aqm.PIConfig{Alpha: 0.3125, Beta: 3.125, Target: 20 * time.Millisecond}, rand.New(rand.NewSource(s.RNG().Int63())))
 	}
-	c := link.NewChain(s, []link.HopSpec{
-		{Config: link.Config{RateBps: 10e6, AQM: mkAQM()}},
-		{Config: link.Config{RateBps: 10e6, AQM: mkAQM()}, PropDelay: 0},
+	c := chain(s, []hop{
+		{cfg: link.Config{RateBps: 10e6, AQM: mkAQM()}},
+		{cfg: link.Config{RateBps: 10e6, AQM: mkAQM()}},
 	}, d.Deliver)
 	for id := 1; id <= 5; id++ {
-		ep := tcp.NewWithEnqueuer(s, c.Enqueue, tcp.Config{
+		ep := tcp.NewWithEnqueuer(s, c[0].Enqueue, tcp.Config{
 			ID: id, CC: tcp.Reno{}, BaseRTT: 50 * time.Millisecond,
 		})
 		d.Register(id, ep.DeliverData)
@@ -95,12 +112,12 @@ func TestChainTwoPI2Bottlenecks(t *testing.T) {
 	// arrivals for the second), but both AQMs must keep their queue under
 	// control and no hop's delay may run away.
 	for i := 0; i < 2; i++ {
-		mean := c.Hop(i).Sojourn.Mean()
+		mean := c[i].Sojourn.Mean()
 		if mean > 0.06 {
 			t.Errorf("hop %d mean sojourn %.1f ms, want controlled", i, mean*1e3)
 		}
 	}
-	if u := c.Hop(0).Utilization(); u < 0.85 {
+	if u := c[0].Utilization(); u < 0.85 {
 		t.Errorf("hop 0 utilization %.3f", u)
 	}
 }

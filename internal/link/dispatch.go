@@ -7,32 +7,44 @@ import (
 )
 
 // Dispatcher routes packets leaving the bottleneck to per-flow handlers.
-// It is the delivery callback experiments hand to New.
+// It is the delivery callback experiments hand to New. Flow ids are small
+// dense integers, so the table is a slice indexed by id, not a map.
 type Dispatcher struct {
-	handlers map[int]func(*packet.Packet)
+	handlers []func(*packet.Packet)
 }
 
 // NewDispatcher returns an empty dispatcher.
 func NewDispatcher() *Dispatcher {
-	return &Dispatcher{handlers: make(map[int]func(*packet.Packet))}
+	return &Dispatcher{}
 }
 
 // Register installs the handler for a flow id, replacing any previous one.
 func (d *Dispatcher) Register(flowID int, h func(*packet.Packet)) {
+	if flowID < 0 {
+		panic(fmt.Sprintf("link: negative flow id %d", flowID))
+	}
+	for flowID >= len(d.handlers) {
+		d.handlers = append(d.handlers, nil)
+	}
 	d.handlers[flowID] = h
 }
 
 // Unregister retires a flow: packets still in flight for it are silently
 // discarded rather than treated as a wiring bug.
 func (d *Dispatcher) Unregister(flowID int) {
-	d.handlers[flowID] = func(*packet.Packet) {}
+	d.Register(flowID, discard)
 }
+
+func discard(*packet.Packet) {}
 
 // Deliver routes one packet. Packets for unknown flows panic: in this
 // simulator that is always a wiring bug, never a runtime condition.
 func (d *Dispatcher) Deliver(p *packet.Packet) {
-	h, ok := d.handlers[p.FlowID]
-	if !ok {
+	var h func(*packet.Packet)
+	if uint(p.FlowID) < uint(len(d.handlers)) {
+		h = d.handlers[p.FlowID]
+	}
+	if h == nil {
 		panic(fmt.Sprintf("link: no handler for flow %d", p.FlowID))
 	}
 	h(p)

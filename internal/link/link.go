@@ -29,6 +29,8 @@ const (
 	// The link itself never drops with this reason; it exists so OnDrop
 	// observers and loss statistics can tell injected faults apart.
 	DropFault
+
+	numDropReasons = iota
 )
 
 // Config describes a bottleneck link.
@@ -51,7 +53,8 @@ type Link struct {
 	sim  *sim.Simulator
 	cfg  Config
 	aqm  aqm.AQM
-	rate float64 // current bits/s
+	deq  aqm.DequeueDropper // aqm's dequeue-time half (CoDel); nil for most
+	rate float64            // current bits/s
 
 	queue []*packet.Packet
 	head  int // index of the queue head; avoids O(n) dequeue copies
@@ -68,13 +71,14 @@ type Link struct {
 	txDoneFn sim.Event
 
 	// pool recycles dropped packets (delivered ones are released by their
-	// terminal consumer, which may sit behind further hops — see Chain).
+	// terminal consumer, which may sit behind further hops: in a multi-hop
+	// topology deliver is the next link's Enqueue).
 	pool *packet.Pool
 
 	// Statistics.
 	Sojourn    stats.Quantiler // per-packet queuing delay, seconds
 	Delivered  stats.RateMeter
-	drops      map[DropReason]int
+	drops      [numDropReasons]int
 	marks      int
 	enqueues   int
 	dequeues   int
@@ -112,10 +116,10 @@ func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
 		aqm:     a,
 		rate:    cfg.RateBps,
 		deliver: deliver,
-		drops:   make(map[DropReason]int),
 		pool:    s.PacketPool(),
 		Sojourn: soj,
 	}
+	l.deq, _ = a.(aqm.DequeueDropper)
 	l.txDoneFn = l.txDone
 	if iv := a.UpdateInterval(); iv > 0 {
 		s.Every(iv, func() { a.Update(l, s.Now()) })
@@ -210,8 +214,8 @@ func (l *Link) startTx() {
 			l.head = 0
 		}
 		l.bytes -= p.WireLen
-		if dd, ok := l.aqm.(aqm.DequeueDropper); ok {
-			v := dd.DequeueVerdict(p, l, now)
+		if l.deq != nil {
+			v := l.deq.DequeueVerdict(p, l, now)
 			if v == aqm.Drop {
 				// Head drop: the packet neither departs nor counts
 				// as a dequeue, so enqueues = dequeues + drops +
@@ -314,7 +318,7 @@ func (l *Link) ResetStats() {
 	now := l.sim.Now()
 	l.Sojourn.Reset()
 	l.Delivered.Reset(now)
-	l.drops = make(map[DropReason]int)
+	l.drops = [numDropReasons]int{}
 	l.marks = 0
 	l.enqueues = 0
 	l.dequeues = 0

@@ -15,9 +15,11 @@ import (
 // the ff engine on top of this shift.
 
 // ShiftPending advances the virtual clock by delta and moves every pending
-// event (one-shot and recurring alike) forward by the same amount. A uniform
-// shift preserves the (at, seq) order of the heap, so no re-heapify is
-// needed and the post-shift pop order is exactly the pre-shift pop order.
+// event (one-shot and recurring alike) forward by the same amount. The heap
+// holds exactly the pending events with their keys inline, so this is one
+// pass over one array; a uniform shift preserves the (at, seq) order, so no
+// re-heapify is needed and the post-shift pop order is exactly the pre-shift
+// pop order.
 // It must only be called between Step/RunUntil calls (no event mid-flight);
 // negative deltas would break causality and panic.
 func (s *Simulator) ShiftPending(delta time.Duration) {
@@ -27,10 +29,8 @@ func (s *Simulator) ShiftPending(delta time.Duration) {
 	if delta == 0 {
 		return
 	}
-	// Dead (cancelled) slots still sitting in the heap shift harmlessly;
-	// free-list slots are not in the heap and are never touched.
-	for _, idx := range s.heap {
-		s.slab[idx].at += delta
+	for i := range s.heap {
+		s.heap[i].at += delta
 	}
 	s.now += delta
 	s.nowAtomic.Store(int64(s.now))

@@ -9,9 +9,12 @@
 //
 // The scheduler is allocation-free in steady state: events live in a slab
 // of inline structs with a free list (no container/heap interface boxing,
-// no per-event pointer allocation), the heap orders small slab indices, and
-// Timer is a generation-checked value handle, so scheduling, firing,
-// cancelling and recurring ticks all recycle slots instead of allocating.
+// no per-event pointer allocation), the heap entries carry their (at, seq)
+// ordering key inline next to a small slab index, and Timer is a
+// generation-checked value handle, so scheduling, firing, cancelling,
+// re-arming and recurring ticks all recycle slots instead of allocating.
+// The heap holds exactly the live events: Stop unlinks its entry at once and
+// Reset re-keys it in place, so nothing cancelled is ever sifted or popped.
 // Only slab/heap growth allocates, and that is amortized away once a
 // simulation reaches its peak number of concurrently pending events.
 package sim
@@ -28,27 +31,35 @@ import (
 // Event is a closure to run at a simulated instant.
 type Event func()
 
-// slot is one scheduler entry in the slab. Free slots are tracked by index
-// on the free list; gen is bumped every time a slot is recycled so stale
-// Timer handles (lazy deletion) can never touch the slot's next tenant.
+// slot is one scheduler entry in the slab: what to run, and where its
+// ordering key sits in the heap. Free slots are tracked by index on the free
+// list; gen is bumped every time a slot is recycled so a stale Timer handle
+// can never touch the slot's next tenant.
 type slot struct {
-	at    time.Duration
-	seq   uint64 // tie-break: FIFO among equal timestamps
 	fn    Event
 	every time.Duration // recurring interval (0 = one-shot)
 	gen   uint32
 	pos   int32 // heap position; noPos while executing or free
-	dead  bool  // cancelled
+	dead  bool  // stopped from inside its own callback
+}
+
+// entry is one heap element. The (at, seq) key lives here rather than in the
+// slot, so a comparison reads two adjacent heap entries and never the slab.
+type entry struct {
+	at  time.Duration
+	seq uint64 // tie-break: FIFO among equal timestamps
+	idx int32  // the slot this key belongs to
 }
 
 // noPos marks a slot that is not in the heap (free or currently executing).
 const noPos = -1
 
-// Timer is a handle to a scheduled event; it can be cancelled. It is a
-// small value (not a pointer): copies are interchangeable, and the zero
-// Timer is inert — Stop and Active on it are safe no-ops. A handle whose
-// event already fired (or was stopped) is recognized by its generation and
-// ignored, so holding a Timer past its event's lifetime is always safe.
+// Timer is a handle to a scheduled event; it can be cancelled or re-armed.
+// It is a small value (not a pointer): copies are interchangeable, and the
+// zero Timer is inert — Stop, Reset and Active on it are safe no-ops. A
+// handle whose event already fired (or was stopped) is recognized by its
+// generation and ignored, so holding a Timer past its event's lifetime is
+// always safe.
 type Timer struct {
 	s   *Simulator
 	idx int32
@@ -64,20 +75,44 @@ func (t Timer) Stop() {
 		return
 	}
 	sl := &s.slab[t.idx]
-	if sl.gen != t.gen || sl.dead {
+	if sl.gen != t.gen {
 		return
 	}
-	sl.dead = true
-	// A slot still in the heap (pos >= 0) counts toward live; one that
-	// already popped for execution was decremented in Step.
 	if sl.pos >= 0 {
-		s.live--
-		// Eagerly drain dead slots off the heap top so peek/Step never
-		// accumulate a prefix of cancelled events.
-		for len(s.heap) > 0 && s.slab[s.heap[0]].dead {
-			s.release(s.popTop())
-		}
+		s.unlink(int(sl.pos))
+		s.release(t.idx)
+		return
 	}
+	// The callback is on the stack: Step recycles the slot when it returns,
+	// and dead tells it not to reschedule a recurring tick.
+	sl.dead = true
+}
+
+// Reset moves a pending timer to fire at the absolute time at and reports
+// whether it did. The event is ordered exactly as if it had been stopped and
+// scheduled afresh with At (it takes a new place in the FIFO order among
+// events at the same instant), but it keeps its slot, so the handle stays
+// valid and nothing is allocated or left behind in the heap. A recurring
+// timer keeps its interval. On a timer that is not pending — zero, fired,
+// stopped, or executing its own callback — Reset does nothing and returns
+// false; the caller schedules a new event instead. Like At, it panics when
+// at is before Now.
+func (t Timer) Reset(at time.Duration) bool {
+	s := t.s
+	if s == nil {
+		return false
+	}
+	sl := &s.slab[t.idx]
+	if sl.gen != t.gen || sl.pos < 0 {
+		return false
+	}
+	s.checkNotPast(at)
+	i := int(sl.pos)
+	s.heap[i].at = at
+	s.heap[i].seq = s.seq
+	s.seq++
+	s.fix(i)
+	return true
 }
 
 // Active reports whether the timer's event is still pending or currently
@@ -97,13 +132,10 @@ func (t Timer) Active() bool {
 type Simulator struct {
 	now  time.Duration
 	slab []slot
-	heap []int32 // slab indices ordered as a 4-ary min-heap on (at, seq)
+	heap []entry // 4-ary min-heap on (at, seq); exactly the pending events
 	free []int32 // recycled slab indices, LIFO
 	seq  uint64
 	rng  *rand.Rand
-	// live counts scheduled events that are neither cancelled nor fired,
-	// so Pending is O(1) instead of a heap scan.
-	live int
 
 	// pool recycles this simulation's packets (see packet.Pool); keeping
 	// it on the Simulator gives every component a shared per-run free list
@@ -202,20 +234,23 @@ func (s *Simulator) release(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// schedule allocates, fills and enqueues a slot.
-func (s *Simulator) schedule(at time.Duration, fn Event, every time.Duration) Timer {
+// checkNotPast panics when at is before Now: an event there would break
+// causality.
+func (s *Simulator) checkNotPast(at time.Duration) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
+}
+
+// schedule allocates, fills and enqueues a slot.
+func (s *Simulator) schedule(at time.Duration, fn Event, every time.Duration) Timer {
+	s.checkNotPast(at)
 	idx := s.alloc()
 	sl := &s.slab[idx]
-	sl.at = at
-	sl.seq = s.seq
 	sl.fn = fn
 	sl.every = every
+	s.push(entry{at: at, seq: s.seq, idx: idx})
 	s.seq++
-	s.push(idx)
-	s.live++
 	return Timer{s: s, idx: idx, gen: sl.gen}
 }
 
@@ -246,46 +281,37 @@ func (s *Simulator) Step() bool {
 	if s.canceled.Load() {
 		panic(Canceled{Reason: s.cancelMsg})
 	}
-	for len(s.heap) > 0 {
-		idx := s.popTop()
-		sl := &s.slab[idx]
-		if sl.dead {
-			s.release(idx) // already uncounted by Stop
-			continue
-		}
-		s.live--
-		// Monotone-clock invariant: the heap must never yield an event
-		// before the current time. At() rejects past scheduling, so a
-		// violation here means the event queue itself is corrupted; the
-		// auditor-backed harness relies on this holding unconditionally.
-		if sl.at < s.now {
-			panic(fmt.Sprintf("sim: clock went backwards: next event at %v, now %v", sl.at, s.now))
-		}
-		s.now = sl.at
-		s.nowAtomic.Store(int64(sl.at))
-		s.processed++
-		if s.MaxEvents > 0 && s.processed > s.MaxEvents {
-			panic("sim: MaxEvents exceeded")
-		}
-		sl.fn()
-		// fn may have scheduled events and grown the slab; the old slot
-		// pointer could be stale, so re-derive it before touching it.
-		sl = &s.slab[idx]
-		if sl.every > 0 && !sl.dead {
-			// Recurring tick: reschedule in place. The sequence number is
-			// assigned after fn ran, exactly as if the callback had
-			// re-armed itself, so same-instant ordering is unchanged.
-			sl.at = s.now + sl.every
-			sl.seq = s.seq
-			s.seq++
-			s.push(idx)
-			s.live++
-		} else {
-			s.release(idx)
-		}
-		return true
+	if len(s.heap) == 0 {
+		return false
 	}
-	return false
+	e := s.popTop()
+	// Monotone-clock invariant: the heap must never yield an event before
+	// the current time. At() rejects past scheduling, so a violation here
+	// means the event queue itself is corrupted; the auditor-backed harness
+	// relies on this holding unconditionally.
+	if e.at < s.now {
+		panic(fmt.Sprintf("sim: clock went backwards: next event at %v, now %v", e.at, s.now))
+	}
+	s.now = e.at
+	s.nowAtomic.Store(int64(e.at))
+	s.processed++
+	if s.MaxEvents > 0 && s.processed > s.MaxEvents {
+		panic("sim: MaxEvents exceeded")
+	}
+	s.slab[e.idx].fn()
+	// fn may have scheduled events and grown the slab, so the slot is only
+	// addressed after it returns.
+	sl := &s.slab[e.idx]
+	if sl.every > 0 && !sl.dead {
+		// Recurring tick: reschedule in place. The sequence number is
+		// assigned after fn ran, exactly as if the callback had re-armed
+		// itself, so same-instant ordering is unchanged.
+		s.push(entry{at: s.now + sl.every, seq: s.seq, idx: e.idx})
+		s.seq++
+	} else {
+		s.release(e.idx)
+	}
+	return true
 }
 
 // RunUntil executes events until the virtual clock would pass end, then sets
@@ -329,72 +355,92 @@ func (s *Simulator) Run() {
 	}
 }
 
-// Pending reports the number of live events in the queue in O(1).
-func (s *Simulator) Pending() int { return s.live }
+// Pending reports the number of scheduled events that have neither fired nor
+// been stopped.
+func (s *Simulator) Pending() int { return len(s.heap) }
 
-// peek reports the earliest live event's time, draining dead heap tops.
+// peek reports the earliest pending event's time.
 func (s *Simulator) peek() (time.Duration, bool) {
-	for len(s.heap) > 0 {
-		idx := s.heap[0]
-		if s.slab[idx].dead {
-			s.release(s.popTop())
-			continue
-		}
-		return s.slab[idx].at, true
+	if len(s.heap) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.heap[0].at, true
 }
 
-// --- 4-ary min-heap on (at, seq) over slab indices ---
+// --- 4-ary min-heap on (at, seq) ---
 //
-// A 4-ary layout halves the tree depth of a binary heap; with the hot
-// comparison data inline in the slab (no interface dispatch) the wider
-// node's extra comparisons are cheaper than the extra levels.
+// A 4-ary layout halves the tree depth of a binary heap; with the keys inline
+// in the entries (no interface dispatch, no pointer chase) the wider node's
+// extra comparisons are cheaper than the extra levels.
 
-// less orders two slab indices by (at, seq). seq is unique, so the order
-// is total and pop order is independent of heap arity and layout.
-func (s *Simulator) less(a, b int32) bool {
-	x, y := &s.slab[a], &s.slab[b]
-	if x.at != y.at {
-		return x.at < y.at
+// before orders two entries by (at, seq). seq is unique, so the order is
+// total and pop order is independent of heap arity and layout.
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return x.seq < y.seq
+	return a.seq < b.seq
 }
 
-// push appends a slot index and restores the heap property upward.
-func (s *Simulator) push(idx int32) {
-	i := len(s.heap)
-	s.heap = append(s.heap, idx)
-	for i > 0 {
-		p := (i - 1) / 4
-		if !s.less(idx, s.heap[p]) {
-			break
-		}
-		s.heap[i] = s.heap[p]
-		s.slab[s.heap[i]].pos = int32(i)
-		i = p
-	}
-	s.heap[i] = idx
-	s.slab[idx].pos = int32(i)
+// place writes e at heap position i and records the position in its slot.
+func (s *Simulator) place(i int, e entry) {
+	s.heap[i] = e
+	s.slab[e.idx].pos = int32(i)
 }
 
-// popTop removes and returns the minimum slot index.
-func (s *Simulator) popTop() int32 {
+// push appends an entry and restores the heap property upward.
+func (s *Simulator) push(e entry) {
+	s.heap = append(s.heap, e)
+	s.siftUp(len(s.heap) - 1)
+}
+
+// popTop removes and returns the minimum entry.
+func (s *Simulator) popTop() entry {
 	top := s.heap[0]
-	s.slab[top].pos = noPos
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	if last > 0 {
-		s.siftDown(0)
-	}
+	s.unlink(0)
 	return top
 }
 
-// siftDown restores the heap property downward from position i.
+// unlink removes the entry at position i: the last entry takes its place and
+// is sifted to where it belongs.
+func (s *Simulator) unlink(i int) {
+	s.slab[s.heap[i].idx].pos = noPos
+	last := len(s.heap) - 1
+	moved := s.heap[last]
+	s.heap = s.heap[:last]
+	if i < last {
+		s.heap[i] = moved
+		s.fix(i)
+	}
+}
+
+// fix restores the heap property around position i after its key changed.
+func (s *Simulator) fix(i int) {
+	if i > 0 && s.heap[i].before(&s.heap[(i-1)/4]) {
+		s.siftUp(i)
+	} else {
+		s.siftDown(i)
+	}
+}
+
+// siftUp moves the entry at position i toward the root.
+func (s *Simulator) siftUp(i int) {
+	e := s.heap[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&s.heap[p]) {
+			break
+		}
+		s.place(i, s.heap[p])
+		i = p
+	}
+	s.place(i, e)
+}
+
+// siftDown moves the entry at position i toward the leaves.
 func (s *Simulator) siftDown(i int) {
 	n := len(s.heap)
-	idx := s.heap[i]
+	e := s.heap[i]
 	for {
 		c := 4*i + 1
 		if c >= n {
@@ -406,17 +452,15 @@ func (s *Simulator) siftDown(i int) {
 		}
 		best := c
 		for j := c + 1; j < end; j++ {
-			if s.less(s.heap[j], s.heap[best]) {
+			if s.heap[j].before(&s.heap[best]) {
 				best = j
 			}
 		}
-		if !s.less(s.heap[best], idx) {
+		if !s.heap[best].before(&e) {
 			break
 		}
-		s.heap[i] = s.heap[best]
-		s.slab[s.heap[i]].pos = int32(i)
+		s.place(i, s.heap[best])
 		i = best
 	}
-	s.heap[i] = idx
-	s.slab[idx].pos = int32(i)
+	s.place(i, e)
 }

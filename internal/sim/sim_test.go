@@ -236,10 +236,12 @@ func TestCancelledEventsSkippedByPending(t *testing.T) {
 	if got := s.Pending(); got != 1 {
 		t.Errorf("Pending = %d, want 1", got)
 	}
+	checkHeap(t, s)
 }
 
-// TestPendingCounterTracksLifecycle exercises the O(1) live counter through
-// schedule / cancel / double-cancel / fire / post-fire-cancel transitions.
+// TestPendingCounterTracksLifecycle exercises Pending — the heap's length,
+// since the heap holds exactly the live events — through schedule / cancel /
+// double-cancel / fire / post-fire-cancel transitions.
 func TestPendingCounterTracksLifecycle(t *testing.T) {
 	s := New(1)
 	timers := make([]Timer, 10)
@@ -249,12 +251,13 @@ func TestPendingCounterTracksLifecycle(t *testing.T) {
 	if got := s.Pending(); got != 10 {
 		t.Fatalf("Pending = %d, want 10", got)
 	}
-	timers[0].Stop() // cancel the heap top: must drain eagerly
-	timers[5].Stop()
-	timers[5].Stop() // double-stop must not double-decrement
+	timers[0].Stop() // cancel the heap top
+	timers[5].Stop() // cancel from the middle of the heap
+	timers[5].Stop() // double-stop must not unlink a second entry
 	if got := s.Pending(); got != 8 {
 		t.Fatalf("after stops: Pending = %d, want 8", got)
 	}
+	checkHeap(t, s)
 	for i := 0; i < 3; i++ { // fire three events
 		if !s.Step() {
 			t.Fatal("Step found nothing to run")
@@ -267,6 +270,7 @@ func TestPendingCounterTracksLifecycle(t *testing.T) {
 	if got := s.Pending(); got != 5 {
 		t.Fatalf("after stopping fired timer: Pending = %d, want 5", got)
 	}
+	checkHeap(t, s)
 	s.Run()
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("after Run: Pending = %d, want 0", got)
@@ -336,8 +340,9 @@ func TestEveryStopFromEventAtSameTimestamp(t *testing.T) {
 	}
 }
 
-// TestStopDrainsDeadHeapTop: cancelling the earliest events must not leave
-// dead items at the heap top (the eager-drain path).
+// TestStopDrainsDeadHeapTop: cancelling the earliest events removes them
+// from the heap there and then — nothing dead is left at the top (or anywhere)
+// for Step or peek to skip over.
 func TestStopDrainsDeadHeapTop(t *testing.T) {
 	s := New(1)
 	var head []Timer
@@ -348,12 +353,38 @@ func TestStopDrainsDeadHeapTop(t *testing.T) {
 	s.After(time.Hour, func() { ran = true })
 	for _, tm := range head {
 		tm.Stop()
+		checkHeap(t, s)
 	}
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
+	if got := len(s.heap); got != 1 {
+		t.Fatalf("heap holds %d entries after the stops, want 1", got)
+	}
+	if at, ok := s.peek(); !ok || at != time.Hour {
+		t.Fatalf("peek = %v, %v; want the surviving event", at, ok)
 	}
 	if !s.Step() || !ran {
 		t.Error("surviving event did not run first")
+	}
+}
+
+// TestTimerChurnLeavesNothingBehind: the retransmission-timer pattern — a
+// far-future timer re-armed or replaced on every ACK, almost never fired —
+// must keep heap and slab at the live working set, however long it runs.
+func TestTimerChurnLeavesNothingBehind(t *testing.T) {
+	s := New(1)
+	rto := s.After(200*time.Millisecond, nop)
+	delack := s.After(40*time.Millisecond, nop)
+	for i := 0; i < 10000; i++ {
+		s.After(time.Microsecond, nop)
+		s.Step() // the "ACK"
+		if !rto.Reset(s.Now() + 200*time.Millisecond) {
+			t.Fatal("pending timer was not re-armed")
+		}
+		delack.Stop()
+		delack = s.After(40*time.Millisecond, nop)
+	}
+	checkHeap(t, s)
+	if len(s.heap) != 2 || len(s.slab) > 4 {
+		t.Errorf("after churn: %d heap entries, %d slab slots; want 2 and at most 4", len(s.heap), len(s.slab))
 	}
 }
 

@@ -98,7 +98,7 @@ type Endpoint struct {
 	// Sender state (sequence numbers count whole segments).
 	sndUna     int64
 	sndNxt     int64
-	meta       map[int64]segMeta
+	meta       segRing
 	dupacks    int
 	recover    int64
 	rtoGuard   int64 // RFC 6582: no fast retransmit for pre-RTO dupacks
@@ -156,11 +156,6 @@ type Endpoint struct {
 	completedAt      time.Duration
 }
 
-type segMeta struct {
-	sentAt time.Duration
-	retx   bool
-}
-
 // seqBinder is implemented by congestion controls that track observation
 // windows over sequence space (DCTCP, Prague): the endpoint hands them
 // pointers to its live cumulative-ACK and next-send sequence numbers.
@@ -208,7 +203,6 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 		sim:     s,
 		enqueue: enqueue,
 		cc:      cfg.CC,
-		meta:    make(map[int64]segMeta),
 		pool:    s.PacketPool(),
 	}
 	e.onRTOFn = e.onRTO
@@ -381,8 +375,7 @@ func (e *Endpoint) sendSeg(seq int64, retx bool) {
 		p.Flags |= packet.FlagCWR
 		e.cwrPend = false
 	}
-	m := e.meta[seq]
-	e.meta[seq] = segMeta{sentAt: now, retx: retx || m.retx}
+	e.meta.sent(seq, now, retx)
 	if retx {
 		e.retransmissions++
 	}
@@ -395,11 +388,13 @@ func (e *Endpoint) sendSeg(seq int64, retx bool) {
 	}
 }
 
-// armRTO (re)starts the retransmission timer.
+// armRTO (re)starts the retransmission timer. Nearly every call finds the
+// timer pending (each advancing ACK restarts it), so it is re-armed in place.
 func (e *Endpoint) armRTO() {
-	e.rtoTimer.Stop()
-	d := e.rtoInterval()
-	e.rtoTimer = e.sim.After(d, e.onRTOFn)
+	at := e.sim.Now() + e.rtoInterval()
+	if !e.rtoTimer.Reset(at) {
+		e.rtoTimer = e.sim.At(at, e.onRTOFn)
+	}
 }
 
 func (e *Endpoint) rtoInterval() time.Duration {
@@ -486,9 +481,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 			e.ceAcked += acked
 		}
 		e.sampleRTT(p.Ack-1, now)
-		for s := e.sndUna; s < p.Ack; s++ {
-			delete(e.meta, s)
-		}
+		e.meta.ackTo(p.Ack)
 		if e.sack != nil {
 			e.sack.advance(e.sndUna, p.Ack)
 		}
@@ -561,7 +554,7 @@ func (e *Endpoint) enterRecovery(now time.Duration) {
 }
 
 func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
-	m, ok := e.meta[seq]
+	m, ok := e.meta.get(seq)
 	if !ok || m.retx {
 		return // Karn's algorithm: never sample retransmitted segments
 	}

@@ -75,10 +75,7 @@ func (e *Endpoint) FFShift(delta time.Duration) {
 		return
 	}
 	oldNow := e.sim.Now() - delta
-	for seq, m := range e.meta {
-		m.sentAt += delta
-		e.meta[seq] = m
-	}
+	e.meta.shift(delta)
 	if e.nextSend > oldNow {
 		e.nextSend += delta
 	}

@@ -307,8 +307,9 @@ func TestFFShift(t *testing.T) {
 	})
 	e.started = true
 	e.startedAt = 0
-	e.meta[5] = segMeta{sentAt: 3 * time.Millisecond}
-	e.meta[6] = segMeta{sentAt: 4 * time.Millisecond, retx: true}
+	e.meta.ackTo(5)
+	e.meta.sent(5, 3*time.Millisecond, false)
+	e.meta.sent(6, 4*time.Millisecond, true)
 	e.nextSend = 8 * time.Millisecond
 
 	s.RunUntil(5 * time.Millisecond)
@@ -316,11 +317,11 @@ func TestFFShift(t *testing.T) {
 	s.ShiftPending(delta)
 	e.FFShift(delta)
 
-	if got := e.meta[5].sentAt; got != delta+3*time.Millisecond {
-		t.Fatalf("sentAt = %v", got)
+	if m, ok := e.meta.get(5); !ok || m.sentAt != delta+3*time.Millisecond {
+		t.Fatalf("meta[5] = %+v, %v", m, ok)
 	}
-	if !e.meta[6].retx || e.meta[6].sentAt != delta+4*time.Millisecond {
-		t.Fatalf("retx meta mangled: %+v", e.meta[6])
+	if m, _ := e.meta.get(6); !m.retx || m.sentAt != delta+4*time.Millisecond {
+		t.Fatalf("retx meta mangled: %+v", m)
 	}
 	if e.nextSend != delta+8*time.Millisecond {
 		t.Fatalf("nextSend = %v", e.nextSend)
