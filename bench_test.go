@@ -531,6 +531,45 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkLaneHold pins the lane path's cost and zero-alloc budget on the
+// per-packet event pair of a busy cell, among 1024 pending far-future timers
+// (one retransmission timer per flow): a serializer lane whose completion
+// re-arms itself, and a shared 10 ms delay lane holding ~1.7k in-flight ACKs
+// of which only the head is in the heap. One op is one packet: one txDone
+// and, in steady state, one ACK arrival.
+func BenchmarkLaneHold(b *testing.B) {
+	const (
+		txTime = 6 * time.Microsecond // 1500 B at 2 Gb/s
+		rtt    = 10 * time.Millisecond
+	)
+	s := sim.New(1)
+	for i := 0; i < 1024; i++ {
+		s.After(1000*time.Hour+time.Duration(i)*time.Microsecond, benchNop)
+	}
+	tx, ack := s.NewLane(), s.Lane(rtt)
+	left := 0
+	var txDone sim.Event
+	txDone = func() {
+		ack.After(rtt, benchNop)
+		if left--; left > 0 {
+			tx.After(txTime, txDone)
+		}
+	}
+	serve := func(n int) {
+		left = n
+		tx.After(txTime, txDone)
+		s.RunUntil(s.Now() + time.Duration(n)*txTime)
+	}
+	serve(4096) // fill the pipe and grow its ring past the working set
+	b.ReportAllocs()
+	b.ResetTimer()
+	serve(b.N)
+	b.StopTimer()
+	if got := s.Pending(); got < 1024+1000 {
+		b.Fatalf("%d events pending, want the 1024 timers plus a full pipe", got)
+	}
+}
+
 // BenchmarkPacketRecycle pins the packet free list's zero-alloc budget on a
 // steady-state get→release cycle (one data + one ACK per op, as a segment
 // exchange produces).

@@ -100,11 +100,12 @@ type DualLink struct {
 
 	core aqm.PICore
 
-	// txPkt is the packet currently serializing and txDoneFn the pre-bound
-	// completion callback — one slot instead of a per-packet closure, the
-	// same zero-allocation transmit path as link.Link.
+	// txPkt is the packet currently serializing, txDoneFn the pre-bound
+	// completion callback and txLane the private lane completions are
+	// scheduled on — the same zero-allocation transmit path as link.Link.
 	txPkt    *packet.Packet
 	txDoneFn sim.Event
+	txLane   *sim.Lane
 
 	// pool recycles dropped packets (delivered ones are released by their
 	// terminal consumer downstream).
@@ -142,6 +143,7 @@ func NewDualLink(s *sim.Simulator, rateBps float64, cfg DualConfig, deliver func
 		CSojourn: &stats.Sample{},
 	}
 	d.txDoneFn = d.txDone
+	d.txLane = s.NewLane()
 	d.core = aqm.PICore{
 		Alpha:  cfg.Alpha,
 		Beta:   cfg.Beta,
@@ -275,7 +277,7 @@ func (d *DualLink) startTx() {
 	d.busySince = now
 	d.txPkt = p
 	txTime := time.Duration(float64(p.WireLen*8) / d.rate * float64(time.Second))
-	d.sim.After(txTime, d.txDoneFn)
+	d.txLane.After(txTime, d.txDoneFn)
 }
 
 // txDone completes the in-flight packet's serialization and hands it to the

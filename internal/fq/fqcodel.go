@@ -43,7 +43,6 @@ type flowQueue struct {
 	bytes   int
 	deficit int
 	codel   *aqm.CoDel
-	isNew   bool
 }
 
 func (q *flowQueue) len() int { return len(q.pkts) - q.head }
@@ -67,6 +66,28 @@ func (q *flowQueue) pop() *packet.Packet {
 	return p
 }
 
+// idxFIFO is a round-robin list of queue indices. Popping advances a head
+// index and the live tail is copied down in place now and then, so rotating
+// a queue from the front to the back reuses one backing array instead of
+// sliding a slice window off the end of it.
+type idxFIFO struct {
+	q    []int
+	head int
+}
+
+func (f *idxFIFO) len() int   { return len(f.q) - f.head }
+func (f *idxFIFO) front() int { return f.q[f.head] }
+func (f *idxFIFO) push(i int) { f.q = append(f.q, i) }
+
+func (f *idxFIFO) pop() {
+	f.head++
+	if f.head*2 >= len(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		f.q = f.q[:n]
+		f.head = 0
+	}
+}
+
 // Link is the FQ-CoDel bottleneck. It presents the same Enqueue/deliver
 // shape as link.Link and core.DualLink so endpoints can attach directly.
 type Link struct {
@@ -75,11 +96,18 @@ type Link struct {
 	deliver func(*packet.Packet)
 
 	queues  []*flowQueue
-	newQ    []int // round-robin list of new (priority) queue indices
-	oldQ    []int // round-robin list of old queue indices
+	newQ    idxFIFO // round-robin list of new (priority) queue indices
+	oldQ    idxFIFO // round-robin list of old queue indices
 	inList  []bool
 	backlog int
 	busy    bool
+
+	// txPkt is the packet currently serializing, txDoneFn the pre-bound
+	// completion callback and txLane the private lane completions are
+	// scheduled on — the same zero-allocation transmit path as link.Link.
+	txPkt    *packet.Packet
+	txDoneFn sim.Event
+	txLane   *sim.Lane
 
 	// Statistics.
 	Sojourn   stats.Sample
@@ -113,6 +141,8 @@ func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
 		queues:  make([]*flowQueue, cfg.Queues),
 		inList:  make([]bool, cfg.Queues),
 	}
+	l.txDoneFn = l.txDone
+	l.txLane = s.NewLane()
 	return l
 }
 
@@ -144,9 +174,8 @@ func (l *Link) Enqueue(p *packet.Packet) {
 	if !l.inList[idx] {
 		// A queue becoming active enters the new-flow list with a
 		// fresh quantum (RFC 8290 §4.1).
-		q.isNew = true
 		q.deficit = l.cfg.Quantum
-		l.newQ = append(l.newQ, idx)
+		l.newQ.push(idx)
 		l.inList[idx] = true
 	}
 	if !l.busy {
@@ -158,39 +187,29 @@ func (l *Link) Enqueue(p *packet.Packet) {
 // replenishing deficits DRR-style.
 func (l *Link) nextQueue() (int, *flowQueue) {
 	for {
-		var idx int
-		var fromNew bool
+		var list *idxFIFO
 		switch {
-		case len(l.newQ) > 0:
-			idx = l.newQ[0]
-			fromNew = true
-		case len(l.oldQ) > 0:
-			idx = l.oldQ[0]
+		case l.newQ.len() > 0:
+			list = &l.newQ
+		case l.oldQ.len() > 0:
+			list = &l.oldQ
 		default:
 			return -1, nil
 		}
+		idx := list.front()
 		q := l.queues[idx]
 		if q.len() == 0 {
 			// Queue drained: a new queue leaves the lists entirely;
 			// an old queue also leaves (it re-enters on next packet).
-			if fromNew {
-				l.newQ = l.newQ[1:]
-			} else {
-				l.oldQ = l.oldQ[1:]
-			}
+			list.pop()
 			l.inList[idx] = false
 			continue
 		}
 		if q.deficit <= 0 {
 			// Exhausted quantum: rotate to the old list.
 			q.deficit += l.cfg.Quantum
-			if fromNew {
-				l.newQ = l.newQ[1:]
-				q.isNew = false
-			} else {
-				l.oldQ = l.oldQ[1:]
-			}
-			l.oldQ = append(l.oldQ, idx)
+			list.pop()
+			l.oldQ.push(idx)
 			continue
 		}
 		return idx, q
@@ -223,15 +242,22 @@ func (l *Link) startTx() {
 
 	l.busy = true
 	l.busySince = now
+	l.txPkt = p
 	txTime := time.Duration(float64(p.WireLen*8) / l.cfg.RateBps * float64(time.Second))
-	l.sim.After(txTime, func() {
-		l.busyTotal += l.sim.Now() - l.busySince
-		l.deliver(p)
-		l.busy = false
-		if l.backlog > 0 {
-			l.startTx()
-		}
-	})
+	l.txLane.After(txTime, l.txDoneFn)
+}
+
+// txDone completes the in-flight packet's serialization and hands it to the
+// delivery callback.
+func (l *Link) txDone() {
+	p := l.txPkt
+	l.txPkt = nil
+	l.busyTotal += l.sim.Now() - l.busySince
+	l.deliver(p)
+	l.busy = false
+	if l.backlog > 0 {
+		l.startTx()
+	}
 }
 
 // codelView adapts a flowQueue to aqm.QueueInfo for its CoDel instance.

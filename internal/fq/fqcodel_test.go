@@ -155,3 +155,43 @@ func TestBucketSpreads(t *testing.T) {
 		t.Errorf("32 flows landed in only %d of 64 buckets", len(seen))
 	}
 }
+
+// TestPacketPathDoesNotAllocate pins the transmit path's shape: one packet
+// slot, a pre-bound completion callback on a private lane, and round-robin
+// lists that rotate in place. Both regimes are covered — a sparse flow that
+// re-enters the new-flow list with every packet, and backlogged flows whose
+// quantum runs out (a rotation to the old list) on every packet.
+func TestPacketPathDoesNotAllocate(t *testing.T) {
+	s := sim.New(1)
+	pool := s.PacketPool()
+	l := New(s, Config{RateBps: 1e9}, pool.Release)
+	var seq int64
+	offer := func(flow int) {
+		l.Enqueue(pool.NewData(flow, seq, packet.MSS, packet.ECT0))
+		seq++
+	}
+	sparse := func() {
+		offer(1)
+		s.Run()
+	}
+	backlogged := func() {
+		for flow := 1; flow <= 4; flow++ {
+			offer(flow)
+			offer(flow)
+		}
+		s.Run()
+	}
+	for i := 0; i < 64; i++ { // grow queues, lists, pool and scheduler
+		sparse()
+		backlogged()
+	}
+	if n := testing.AllocsPerRun(200, sparse); n != 0 {
+		t.Errorf("sparse flow: %.2f allocs per packet, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, backlogged); n != 0 {
+		t.Errorf("backlogged flows: %.2f allocs per 8 packets, want 0", n)
+	}
+	if l.Backlog() != 0 || s.Pending() != 0 {
+		t.Errorf("left %d packets queued, %d events pending", l.Backlog(), s.Pending())
+	}
+}

@@ -42,12 +42,13 @@ type Auditor struct {
 	// ECTOffered counts offered packets that were ECN-capable on arrival.
 	ECTOffered int
 
-	// marksByFlow ledgers CE marks per flow ID, allocated lazily on the
-	// first mark (an unmarked run pays nothing). Map writes to existing
-	// keys don't allocate, so the mark path stays on its zero-allocs/op
-	// budget; the per-flow counts are what the accurate-ECN conformance
-	// tests reconcile against each sender's CE-acked ledger.
-	marksByFlow map[int]int
+	// marksByFlow ledgers CE marks per flow: flow ids are small dense
+	// integers, so it is a slice indexed by id (like Dispatcher), grown on
+	// the first mark of a higher id — an unmarked run pays nothing and a
+	// marked one stops allocating once every flow has been marked. The
+	// per-flow counts are what the accurate-ECN conformance tests reconcile
+	// against each sender's CE-acked ledger.
+	marksByFlow []int
 
 	// Drops split by where the packet was when it died: before admission
 	// (AQM enqueue verdict, buffer overflow) or out of the backlog
@@ -144,8 +145,8 @@ func (a *Auditor) DroppedPkt(p *packet.Packet, now time.Duration, fromQueue bool
 // Marked observes a CE mark; p still carries its pre-mark codepoint.
 func (a *Auditor) Marked(p *packet.Packet, now time.Duration) {
 	a.MarkedPackets++
-	if a.marksByFlow == nil {
-		a.marksByFlow = make(map[int]int, 8)
+	for p.FlowID >= len(a.marksByFlow) {
+		a.marksByFlow = append(a.marksByFlow, 0)
 	}
 	a.marksByFlow[p.FlowID]++
 	if !p.ECN.ECNCapable() {
@@ -156,8 +157,14 @@ func (a *Auditor) Marked(p *packet.Packet, now time.Duration) {
 
 // MarksForFlow returns the CE marks this bottleneck applied to one flow's
 // packets — the AQM side of the accurate-ECN conservation identity (the
-// sender side is tcp.Endpoint.CEAcked).
-func (a *Auditor) MarksForFlow(flowID int) int { return a.marksByFlow[flowID] }
+// sender side is tcp.Endpoint.CEAcked). A flow that was never marked, or
+// never seen, has 0.
+func (a *Auditor) MarksForFlow(flowID int) int {
+	if uint(flowID) >= uint(len(a.marksByFlow)) {
+		return 0
+	}
+	return a.marksByFlow[flowID]
+}
 
 // Accepted observes a packet entering the backlog.
 func (a *Auditor) Accepted(p *packet.Packet, now time.Duration) {

@@ -128,3 +128,31 @@ func TestAuditClockMonotone(t *testing.T) {
 		t.Fatalf("backwards clock not flagged: %v", v)
 	}
 }
+
+// TestAuditMarksByFlow: the per-flow mark ledger is indexed by the dense flow
+// id; ids never marked, beyond the table, or negative read 0, and once every
+// flow has been marked the mark path allocates nothing.
+func TestAuditMarksByFlow(t *testing.T) {
+	var a Auditor
+	if got := a.MarksForFlow(3); got != 0 {
+		t.Errorf("empty ledger: flow 3 has %d marks", got)
+	}
+	pkts := map[int]*packet.Packet{}
+	for _, id := range []int{0, 5, 2} {
+		pkts[id] = packet.NewData(id, 0, packet.MSS, packet.ECT1)
+	}
+	for _, id := range []int{5, 0, 5, 2, 5} {
+		a.Marked(pkts[id], 0)
+	}
+	for id, want := range map[int]int{0: 1, 1: 0, 2: 1, 5: 3, 6: 0, 1 << 40: 0, -1: 0} {
+		if got := a.MarksForFlow(id); got != want {
+			t.Errorf("flow %d: %d marks, want %d", id, got, want)
+		}
+	}
+	if a.MarkedPackets != 5 || a.Violations() != nil {
+		t.Errorf("marked %d (want 5), violations %v", a.MarkedPackets, a.Violations())
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Marked(pkts[5], 0) }); n != 0 {
+		t.Errorf("marking a known flow allocates %.1f times", n)
+	}
+}

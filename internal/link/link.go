@@ -66,9 +66,12 @@ type Link struct {
 	// txPkt is the packet currently being serialized and txDoneFn the
 	// pre-bound completion callback; the transmitter serializes one packet
 	// at a time, so a single slot (instead of a per-packet closure) keeps
-	// the serialize→deliver path allocation-free.
+	// the serialize→deliver path allocation-free. Completions never move
+	// backwards in time, so they are scheduled on a private lane: a busy
+	// link's heap entry is re-keyed in place from one packet to the next.
 	txPkt    *packet.Packet
 	txDoneFn sim.Event
+	txLane   *sim.Lane
 
 	// pool recycles dropped packets (delivered ones are released by their
 	// terminal consumer, which may sit behind further hops: in a multi-hop
@@ -121,6 +124,7 @@ func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
 	}
 	l.deq, _ = a.(aqm.DequeueDropper)
 	l.txDoneFn = l.txDone
+	l.txLane = s.NewLane()
 	if iv := a.UpdateInterval(); iv > 0 {
 		s.Every(iv, func() { a.Update(l, s.Now()) })
 	}
@@ -244,7 +248,7 @@ func (l *Link) startTx() {
 	l.busySince = now
 	l.txPkt = p
 	txTime := time.Duration(float64(p.WireLen*8) / l.rate * float64(time.Second))
-	l.sim.After(txTime, l.txDoneFn)
+	l.txLane.After(txTime, l.txDoneFn)
 }
 
 // txDone completes the in-flight packet's serialization and hands it to the

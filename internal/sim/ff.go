@@ -16,8 +16,10 @@ import (
 
 // ShiftPending advances the virtual clock by delta and moves every pending
 // event (one-shot and recurring alike) forward by the same amount. The heap
-// holds exactly the pending events with their keys inline, so this is one
-// pass over one array; a uniform shift preserves the (at, seq) order, so no
+// holds the pending events' keys inline and each lane's ring holds the events
+// queued behind its head, so this is one pass over the heap array plus one
+// over each ring; a uniform shift preserves the (at, seq) order — in the heap,
+// along every ring, and between a lane's heap entry and its ring head — so no
 // re-heapify is needed and the post-shift pop order is exactly the pre-shift
 // pop order.
 // It must only be called between Step/RunUntil calls (no event mid-flight);
@@ -31,6 +33,9 @@ func (s *Simulator) ShiftPending(delta time.Duration) {
 	}
 	for i := range s.heap {
 		s.heap[i].at += delta
+	}
+	for _, ln := range s.lanes {
+		ln.shift(delta)
 	}
 	s.now += delta
 	s.nowAtomic.Store(int64(s.now))

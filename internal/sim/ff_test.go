@@ -22,6 +22,13 @@ func TestShiftPendingPreservesOrder(t *testing.T) {
 			s.At(d, func() { fired = append(fired, fire{i, s.Now()}) })
 		}
 		s.Every(4*time.Millisecond, func() { fired = append(fired, fire{100, s.Now()}) })
+		// A lane whose ring is loaded across the shift: only its head is in
+		// the heap, the rest must move with it.
+		ln := s.NewLane()
+		for i, d := range []time.Duration{3, 3, 8, 15} {
+			i, d := 200+i, time.Duration(d)*time.Millisecond
+			ln.At(d, func() { fired = append(fired, fire{i, s.Now()}) })
+		}
 		s.RunUntil(shiftAt)
 		s.ShiftPending(delta)
 		s.RunUntil(20*time.Millisecond + delta)

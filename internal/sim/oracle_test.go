@@ -15,6 +15,9 @@ import (
 // order, clock, Pending, Processed, Active, Reset's result); the traces must
 // be equal. Scripts are byte strings so the same encoding feeds the seeded
 // table test and the fuzz target.
+//
+// Lanes are invisible to the reference: a Lane.At is a plain At there. That is
+// the contract — a lane changes where an event waits, never when it fires.
 
 // world is what a script can do to a scheduler. Handles are small integers
 // owned by the world; -1 is the zero Timer.
@@ -31,6 +34,10 @@ type world interface {
 	shift(d time.Duration)
 	pending() int
 	processed() uint64
+	// laneAt and laneAfter schedule on lane l (0..oracleLanes-1). Lane events
+	// have no handle.
+	laneAt(l int, t time.Duration, fn func())
+	laneAfter(l int, d time.Duration, fn func())
 }
 
 // --- the real scheduler ---
@@ -39,6 +46,24 @@ type realWorld struct {
 	t      *testing.T
 	s      *Simulator
 	timers []Timer
+	lanes  [oracleLanes]*Lane
+	// stepping is set around Step/RunUntil: a check made meanwhile comes from
+	// inside a callback, which is when the scheduler must report running().
+	stepping bool
+}
+
+// newRealWorld builds the lanes up front: lane 0 is private, lanes 1 and 2 are
+// shared constant-delay lanes (asked for twice, to prove Lane(d) is one lane).
+func newRealWorld(t *testing.T, s *Simulator) *realWorld {
+	w := &realWorld{t: t, s: s}
+	w.lanes[0] = s.NewLane()
+	for l := 1; l < oracleLanes; l++ {
+		w.lanes[l] = s.Lane(laneDelay(l))
+		if s.Lane(laneDelay(l)) != w.lanes[l] {
+			t.Fatalf("Lane(%v) returned two different lanes", laneDelay(l))
+		}
+	}
+	return w
 }
 
 func (w *realWorld) timer(h int) Timer {
@@ -57,27 +82,79 @@ func (w *realWorld) now() time.Duration                    { return w.s.Now() }
 func (w *realWorld) at(t time.Duration, fn func()) int     { return w.keep(w.s.At(t, fn)) }
 func (w *realWorld) after(d time.Duration, fn func()) int  { return w.keep(w.s.After(d, fn)) }
 func (w *realWorld) every(iv time.Duration, fn func()) int { return w.keep(w.s.Every(iv, fn)) }
-func (w *realWorld) stop(h int)                            { w.timer(h).Stop(); checkHeap(w.t, w.s) }
+func (w *realWorld) stop(h int)                            { w.timer(h).Stop(); w.check() }
 func (w *realWorld) active(h int) bool                     { return w.timer(h).Active() }
-func (w *realWorld) step() bool                            { return w.s.Step() }
-func (w *realWorld) runUntil(t time.Duration)              { w.s.RunUntil(t) }
-func (w *realWorld) shift(d time.Duration)                 { w.s.ShiftPending(d) }
+func (w *realWorld) shift(d time.Duration)                 { w.s.ShiftPending(d); w.check() }
 func (w *realWorld) pending() int                          { return w.s.Pending() }
 func (w *realWorld) processed() uint64                     { return w.s.Processed() }
 
-func (w *realWorld) reset(h int, t time.Duration) bool {
-	ok := w.timer(h).Reset(t)
-	checkHeap(w.t, w.s)
+func (w *realWorld) step() bool {
+	w.stepping = true
+	ok := w.s.Step()
+	w.stepping = false
+	w.check()
 	return ok
 }
 
-// checkHeap asserts the scheduler's structural invariant: the heap holds
-// exactly the pending events (nothing cancelled lingers in it), it is
-// ordered, and every entry and its slot point at each other.
+func (w *realWorld) runUntil(t time.Duration) {
+	w.stepping = true
+	w.s.RunUntil(t)
+	w.stepping = false
+	w.check()
+}
+
+func (w *realWorld) reset(h int, t time.Duration) bool {
+	ok := w.timer(h).Reset(t)
+	w.check()
+	return ok
+}
+
+func (w *realWorld) laneAt(l int, t time.Duration, fn func()) {
+	w.lanes[l].At(t, fn)
+	w.check()
+}
+
+func (w *realWorld) laneAfter(l int, d time.Duration, fn func()) {
+	w.lanes[l].After(d, fn)
+	w.check()
+}
+
+// check runs the structural check, and holds running() to what the world
+// knows: a script only ever operates mid-Step from inside a callback.
+func (w *realWorld) check() {
+	w.t.Helper()
+	if w.s.running() != w.stepping {
+		w.t.Fatalf("running() = %v with a callback on the stack = %v", w.s.running(), w.stepping)
+	}
+	checkHeap(w.t, w.s)
+}
+
+// checkHeap asserts the scheduler's structural invariant. The heap plus the
+// events queued behind each lane's head are exactly the pending events
+// (nothing cancelled lingers anywhere); the heap is ordered; every entry and
+// its slot point at each other, except the root while its callback runs
+// (pos is noPos then); and each non-empty lane has exactly one heap entry,
+// keyed to its ring head, over a ring sorted strictly on (at, seq).
 func checkHeap(t *testing.T, s *Simulator) {
 	t.Helper()
-	if len(s.heap) != s.Pending() {
-		t.Fatalf("len(heap) = %d, Pending() = %d", len(s.heap), s.Pending())
+	want, linked := len(s.heap), 0
+	if s.running() {
+		want--
+	}
+	for _, ln := range s.lanes {
+		if n := ln.Len(); n > 0 {
+			want += n - 1
+			linked++
+		}
+		for i := ln.head; i+1 != ln.tail && i != ln.tail; i++ {
+			a, b := &ln.ring[i&ln.mask], &ln.ring[(i+1)&ln.mask]
+			if a.at > b.at || a.seq >= b.seq {
+				t.Fatalf("lane ring out of order: (%v, %d) before (%v, %d)", a.at, a.seq, b.at, b.seq)
+			}
+		}
+	}
+	if want != s.Pending() {
+		t.Fatalf("len(heap) %d + queued behind lane heads = %d, Pending() = %d", len(s.heap), want, s.Pending())
 	}
 	inHeap := 0
 	for i := range s.slab {
@@ -85,20 +162,37 @@ func checkHeap(t *testing.T, s *Simulator) {
 			inHeap++
 		}
 	}
+	if s.running() {
+		inHeap++
+	}
 	if inHeap != len(s.heap) {
 		t.Fatalf("%d slots claim a heap position, heap holds %d", inHeap, len(s.heap))
 	}
 	for i := range s.heap {
 		e := &s.heap[i]
-		if got := s.slab[e.idx].pos; int(got) != i {
+		sl := &s.slab[e.idx]
+		if got := sl.pos; int(got) != i && !(i == 0 && s.running()) {
 			t.Fatalf("heap[%d] is slot %d, whose pos is %d", i, e.idx, got)
 		}
-		if s.slab[e.idx].fn == nil {
+		if sl.lane != 0 {
+			ln := s.lanes[sl.lane-1]
+			if ln.idx != e.idx || ln.Len() == 0 {
+				t.Fatalf("heap[%d] stands for a lane that is empty or owns another slot", i)
+			}
+			// A running lane event keeps its key, so this holds mid-callback too.
+			if head := &ln.ring[ln.head&ln.mask]; head.at != e.at || head.seq != e.seq {
+				t.Fatalf("heap[%d] keyed (%v, %d), its lane's head is (%v, %d)", i, e.at, e.seq, head.at, head.seq)
+			}
+			linked--
+		} else if sl.fn == nil {
 			t.Fatalf("heap[%d] points at a released slot", i)
 		}
 		if i > 0 && e.before(&s.heap[(i-1)/4]) {
 			t.Fatalf("heap[%d] orders before its parent", i)
 		}
+	}
+	if linked != 0 {
+		t.Fatalf("non-empty lanes and lane entries in the heap differ by %d", linked)
 	}
 }
 
@@ -155,7 +249,10 @@ func (w *refWorld) at(t time.Duration, fn func()) int     { return w.schedule(t,
 func (w *refWorld) after(d time.Duration, fn func()) int  { return w.schedule(w.clock+d, 0, fn) }
 func (w *refWorld) every(iv time.Duration, fn func()) int { return w.schedule(w.clock+iv, iv, fn) }
 func (w *refWorld) pending() int                          { return len(w.queue) }
-func (w *refWorld) processed() uint64                     { return w.done }
+
+func (w *refWorld) laneAt(_ int, t time.Duration, fn func())    { w.schedule(t, 0, fn) }
+func (w *refWorld) laneAfter(_ int, d time.Duration, fn func()) { w.schedule(w.clock+d, 0, fn) }
+func (w *refWorld) processed() uint64                           { return w.done }
 
 func (w *refWorld) stop(h int) {
 	if i := w.find(h); i >= 0 {
@@ -219,6 +316,7 @@ func (w *refWorld) shift(d time.Duration) {
 
 const (
 	oracleSlots    = 8   // handle registers a script can address
+	oracleLanes    = 3   // lanes a script can address
 	oracleMaxOps   = 400 // top-level operations per script
 	oracleMaxFires = 3000
 )
@@ -252,6 +350,11 @@ func delay(b int) time.Duration {
 	return time.Duration(b%8) * time.Millisecond
 }
 
+// laneDelay is lane l's own constant delay: scripts that push it keep the
+// lane monotone, so long in-order rings build up; any other delay on the same
+// lane lands in or out of order by chance (the heap fallback).
+func laneDelay(l int) time.Duration { return time.Duration(2*l+1) * time.Millisecond }
+
 func (in *interp) log(vs ...int64) { in.trace = append(in.trace, vs...) }
 
 func b2i(b bool) int64 {
@@ -261,13 +364,24 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+// leaf builds a child event's closure: it only records that it fired.
+func (in *interp) leaf() func() {
+	child := in.events
+	in.events++
+	return func() {
+		in.fires++
+		in.log(-1, int64(child), int64(in.w.now()), int64(in.w.pending()))
+	}
+}
+
 // callback builds an event's closure. What it does when it fires — nothing,
-// Stop or Reset a handle (possibly its own), or schedule a child — is fixed
-// from the script at scheduling time, so both worlds run the same program.
+// Stop or Reset a handle (possibly its own), schedule a child on the heap or
+// on a lane (its own, if it is a lane event of that lane) — is fixed from the
+// script at scheduling time, so both worlds run the same program.
 func (in *interp) callback() func() {
 	id := in.events
 	in.events++
-	kind, slot, arg := in.next()%6, in.next()%oracleSlots, in.next()
+	kind, slot, arg := in.next()%9, in.next()%oracleSlots, in.next()
 	return func() {
 		in.fires++
 		in.log(-1, int64(id), int64(in.w.now()), int64(in.w.pending()))
@@ -278,16 +392,18 @@ func (in *interp) callback() func() {
 		case 2:
 			in.log(b2i(in.w.reset(h, in.w.now()+delay(arg))))
 		case 3:
-			child := in.events
-			in.events++
-			in.slots[slot] = in.w.after(delay(arg), func() {
-				in.fires++
-				in.log(-1, int64(child), int64(in.w.now()), int64(in.w.pending()))
-			})
+			in.slots[slot] = in.w.after(delay(arg), in.leaf())
 		case 4:
 			// Stop then Reset the same handle: once stopped it stays stopped.
 			in.w.stop(h)
 			in.log(b2i(in.w.reset(h, in.w.now()+delay(arg))))
+		case 6:
+			in.w.laneAfter(slot%oracleLanes, delay(arg), in.leaf())
+		case 7:
+			in.w.laneAfter(slot%oracleLanes, laneDelay(slot%oracleLanes), in.leaf())
+		case 8:
+			// Same instant: behind everything already queued for now.
+			in.w.laneAt(slot%oracleLanes, in.w.now(), in.leaf())
 		}
 		in.log(b2i(in.w.active(h)))
 	}
@@ -298,7 +414,7 @@ func (in *interp) run() []int64 {
 		in.slots[i] = -1
 	}
 	for op := 0; op < oracleMaxOps && in.pc < len(in.script) && in.fires < oracleMaxFires; op++ {
-		code, slot := in.next()%10, in.next()%oracleSlots
+		code, slot := in.next()%14, in.next()%oracleSlots
 		switch code {
 		case 0:
 			in.slots[slot] = in.w.at(in.w.now()+delay(in.next()), in.callback())
@@ -318,6 +434,12 @@ func (in *interp) run() []int64 {
 			in.w.runUntil(in.w.now() + delay(in.next()))
 		case 9:
 			in.w.shift(delay(in.next()))
+		case 10:
+			in.w.laneAt(slot%oracleLanes, in.w.now()+delay(in.next()), in.callback())
+		case 11:
+			in.w.laneAfter(slot%oracleLanes, delay(in.next()), in.callback())
+		case 12, 13:
+			in.w.laneAfter(slot%oracleLanes, laneDelay(slot%oracleLanes), in.callback())
 		}
 		in.log(int64(code), int64(in.w.now()), int64(in.w.pending()), int64(in.w.processed()),
 			b2i(in.w.active(in.slots[slot])))
@@ -333,7 +455,7 @@ func (in *interp) run() []int64 {
 func checkScript(t *testing.T, script []byte) {
 	t.Helper()
 	s := New(1)
-	real := (&interp{w: &realWorld{t: t, s: s}, script: script}).run()
+	real := (&interp{w: newRealWorld(t, s), script: script}).run()
 	checkHeap(t, s)
 	ref := (&interp{w: &refWorld{running: -1}, script: script}).run()
 	if len(real) != len(ref) {
@@ -359,10 +481,14 @@ func TestSchedulerMatchesReference(t *testing.T) {
 
 // TestOracleScriptsExerciseEveryPath guards the oracle itself: over the
 // table, scripts must actually hit in-place re-arms (both directions),
-// mid-heap unlinks, self-stops and stale-handle no-ops — otherwise equal
-// traces would prove nothing.
+// mid-heap unlinks, self-stops and stale-handle no-ops, and every lane path —
+// joining a ring behind its head, the out-of-order fallback, a lane event
+// pushing onto its own lane and onto another, a lane draining while it owns
+// the root, a shift over a loaded ring — otherwise equal traces would prove
+// nothing.
 func TestOracleScriptsExerciseEveryPath(t *testing.T) {
 	var resetOK, resetNo, fires int64
+	var lanes laneCounts
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 30+rng.Intn(300))
@@ -372,10 +498,17 @@ func TestOracleScriptsExerciseEveryPath(t *testing.T) {
 		resetOK += w.resetOK
 		resetNo += w.resetNo
 		fires += int64(w.done)
+		lw := &laneCountingWorld{realWorld: newRealWorld(t, New(1)), n: &lanes}
+		(&interp{w: lw, script: script}).run()
 	}
 	if resetOK < 500 || resetNo < 500 || fires < 5000 {
 		t.Fatalf("oracle scripts too tame: %d resets moved a timer, %d were no-ops, %d events fired",
 			resetOK, resetNo, fires)
+	}
+	t.Logf("lane paths: %+v", lanes)
+	if lanes.joined < 500 || lanes.fellBack < 200 || lanes.ontoSelf < 50 || lanes.ontoOther < 50 ||
+		lanes.drainedAtRoot < 200 || lanes.shiftedQueued < 200 || lanes.deepest < 8 {
+		t.Fatalf("oracle scripts too tame for lanes: %+v", lanes)
 	}
 }
 
@@ -392,6 +525,68 @@ func (w *countingWorld) reset(h int, t time.Duration) bool {
 		w.resetNo++
 	}
 	return ok
+}
+
+// laneCounts is how often a batch of scripts took each lane path.
+type laneCounts struct {
+	joined        int // queued behind a non-empty lane's head
+	fellBack      int // below the lane's tail: went to the heap
+	ontoSelf      int // a lane event pushed onto its own lane
+	ontoOther     int // a lane event pushed onto another lane
+	drainedAtRoot int // a lane's last event fired and its entry was unlinked
+	shiftedQueued int // events sitting in rings across a ShiftPending
+	deepest       int // longest ring seen
+}
+
+// laneCountingWorld classifies lane operations by looking at the real
+// scheduler's state just before each one.
+type laneCountingWorld struct {
+	*realWorld
+	n *laneCounts
+}
+
+func (w *laneCountingWorld) laneAt(l int, t time.Duration, fn func()) {
+	ln, s := w.lanes[l], w.s
+	switch q := ln.Len(); {
+	case q > 0 && t < ln.ring[(ln.tail-1)&ln.mask].at:
+		w.n.fellBack++
+	case q > 0:
+		w.n.joined++
+	}
+	if s.running() {
+		if running := s.slab[s.heap[0].idx].lane; running == s.slab[ln.idx].lane {
+			w.n.ontoSelf++
+		} else if running != 0 {
+			w.n.ontoOther++
+		}
+	}
+	w.realWorld.laneAt(l, t, fn)
+	w.n.deepest = max(w.n.deepest, ln.Len())
+}
+
+func (w *laneCountingWorld) laneAfter(l int, d time.Duration, fn func()) {
+	w.laneAt(l, w.s.Now()+d, fn)
+}
+
+func (w *laneCountingWorld) step() bool {
+	var last *Lane
+	if s := w.s; len(s.heap) > 0 {
+		if li := s.slab[s.heap[0].idx].lane; li != 0 && s.lanes[li-1].Len() == 1 {
+			last = s.lanes[li-1]
+		}
+	}
+	ok := w.realWorld.step()
+	if last != nil && last.Len() == 0 {
+		w.n.drainedAtRoot++
+	}
+	return ok
+}
+
+func (w *laneCountingWorld) shift(d time.Duration) {
+	for _, ln := range w.lanes {
+		w.n.shiftedQueued += ln.Len()
+	}
+	w.realWorld.shift(d)
 }
 
 // FuzzSchedulerMatchesReference feeds arbitrary scripts through the same

@@ -15,6 +15,9 @@
 // re-arming and recurring ticks all recycle slots instead of allocating.
 // The heap holds exactly the live events: Stop unlinks its entry at once and
 // Reset re-keys it in place, so nothing cancelled is ever sifted or popped.
+// Sources whose firing times never decrease (a link serializer, a constant
+// delay pipe) schedule through a Lane: a FIFO ring that keeps only its head
+// in the heap (see lane.go).
 // Only slab/heap growth allocates, and that is amortized away once a
 // simulation reaches its peak number of concurrently pending events.
 package sim
@@ -40,6 +43,7 @@ type slot struct {
 	every time.Duration // recurring interval (0 = one-shot)
 	gen   uint32
 	pos   int32 // heap position; noPos while executing or free
+	lane  int32 // 1-based index into Simulator.lanes; 0 = an ordinary event
 	dead  bool  // stopped from inside its own callback
 }
 
@@ -136,6 +140,11 @@ type Simulator struct {
 	free []int32 // recycled slab indices, LIFO
 	seq  uint64
 	rng  *rand.Rand
+
+	// lanes holds every FIFO lane; delayLanes finds the shared lane of a
+	// constant delay (see lane.go).
+	lanes      []*Lane
+	delayLanes map[time.Duration]*Lane
 
 	// pool recycles this simulation's packets (see packet.Pool); keeping
 	// it on the Simulator gives every component a shared per-run free list
@@ -277,6 +286,12 @@ func (s *Simulator) Every(interval time.Duration, fn Event) Timer {
 }
 
 // Step executes the next pending event, if any, and reports whether one ran.
+//
+// The event's entry stays at the root of the heap while its callback runs:
+// the callback can only schedule at or after Now with a later seq, so nothing
+// it does can order before the root, and every sift it causes stops below it.
+// Afterwards the root is re-keyed in place (a lane's next event, a recurring
+// tick's next firing) with one siftDown, or unlinked if it has no successor.
 func (s *Simulator) Step() bool {
 	if s.canceled.Load() {
 		panic(Canceled{Reason: s.cancelMsg})
@@ -284,7 +299,10 @@ func (s *Simulator) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	e := s.popTop()
+	if s.running() {
+		panic("sim: Step called from inside an event callback")
+	}
+	e := s.heap[0]
 	// Monotone-clock invariant: the heap must never yield an event before
 	// the current time. At() rejects past scheduling, so a violation here
 	// means the event queue itself is corrupted; the auditor-backed harness
@@ -298,17 +316,38 @@ func (s *Simulator) Step() bool {
 	if s.MaxEvents > 0 && s.processed > s.MaxEvents {
 		panic("sim: MaxEvents exceeded")
 	}
-	s.slab[e.idx].fn()
-	// fn may have scheduled events and grown the slab, so the slot is only
-	// addressed after it returns.
 	sl := &s.slab[e.idx]
-	if sl.every > 0 && !sl.dead {
-		// Recurring tick: reschedule in place. The sequence number is
-		// assigned after fn ran, exactly as if the callback had re-armed
-		// itself, so same-instant ordering is unchanged.
-		s.push(entry{at: s.now + sl.every, seq: s.seq, idx: e.idx})
+	sl.pos = noPos // executing: Stop marks it dead, Reset refuses
+	fn := sl.fn
+	var ln *Lane
+	if sl.lane != 0 {
+		ln = s.lanes[sl.lane-1]
+		fn = ln.ring[ln.head&ln.mask].fn
+	}
+	fn()
+	// fn may have scheduled events and grown the slab (or the lane's ring),
+	// so both are only addressed again after it returns.
+	sl = &s.slab[e.idx]
+	switch {
+	case ln != nil:
+		ln.ring[ln.head&ln.mask].fn = nil
+		ln.head++
+		if ln.head == ln.tail {
+			s.unlink(0)
+			break
+		}
+		next := &ln.ring[ln.head&ln.mask]
+		s.heap[0].at, s.heap[0].seq = next.at, next.seq
+		s.siftDown(0)
+	case sl.every > 0 && !sl.dead:
+		// Recurring tick: re-key in place. The sequence number is assigned
+		// after fn ran, exactly as if the callback had re-armed itself, so
+		// same-instant ordering is unchanged.
+		s.heap[0].at, s.heap[0].seq = s.now+sl.every, s.seq
 		s.seq++
-	} else {
+		s.siftDown(0)
+	default:
+		s.unlink(0)
 		s.release(e.idx)
 	}
 	return true
@@ -356,8 +395,27 @@ func (s *Simulator) Run() {
 }
 
 // Pending reports the number of scheduled events that have neither fired nor
-// been stopped.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// been stopped: the heap's entries (less the one whose callback is running,
+// if any) plus the events queued behind each lane's head.
+func (s *Simulator) Pending() int {
+	n := len(s.heap)
+	if s.running() {
+		n--
+	}
+	for _, ln := range s.lanes {
+		if q := ln.Len(); q > 1 {
+			n += q - 1
+		}
+	}
+	return n
+}
+
+// running reports whether an event's callback is on the stack: its entry is
+// still heap[0] then, and its slot is the only linked one without a position
+// (see Step).
+func (s *Simulator) running() bool {
+	return len(s.heap) > 0 && s.slab[s.heap[0].idx].pos == noPos
+}
 
 // peek reports the earliest pending event's time.
 func (s *Simulator) peek() (time.Duration, bool) {
@@ -392,13 +450,6 @@ func (s *Simulator) place(i int, e entry) {
 func (s *Simulator) push(e entry) {
 	s.heap = append(s.heap, e)
 	s.siftUp(len(s.heap) - 1)
-}
-
-// popTop removes and returns the minimum entry.
-func (s *Simulator) popTop() entry {
-	top := s.heap[0]
-	s.unlink(0)
-	return top
 }
 
 // unlink removes the entry at position i: the last entry takes its place and

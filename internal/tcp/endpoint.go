@@ -124,11 +124,16 @@ type Endpoint struct {
 	ackArriveFn  sim.Event
 
 	// ackQ holds in-flight ACKs (sent, not yet arrived at the sender) in
-	// FIFO order. The reverse path is a fixed BaseRTT delay, so arrival
-	// order equals send order and one pre-bound callback can pop the front
-	// instead of each ACK capturing itself in a closure.
-	ackQ    []*packet.Packet
-	ackHead int
+	// FIFO order. The reverse path is a fixed delay, so arrival order equals
+	// send order and one pre-bound callback can pop the front instead of each
+	// ACK capturing itself in a closure. For the same reason the arrivals of
+	// every flow with that delay are scheduled on one shared lane: ackDelay
+	// is the whole BaseRTT classically, or zero under SplitPropagation (both
+	// one-way legs are then charged on the cross-domain wires).
+	ackQ     []*packet.Packet
+	ackHead  int
+	ackDelay time.Duration
+	ackLane  *sim.Lane
 
 	// SACK scoreboard (nil unless Config.SACK).
 	sack *sackState
@@ -209,6 +214,10 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 	e.paceFireFn = e.paceFire
 	e.delAckFireFn = e.delAckFire
 	e.ackArriveFn = e.ackArrive
+	if !cfg.SplitPropagation {
+		e.ackDelay = cfg.BaseRTT
+	}
+	e.ackLane = s.Lane(e.ackDelay)
 	if cfg.SACK {
 		e.sack = newSackState()
 	}
@@ -719,15 +728,9 @@ func (e *Endpoint) sendAckNow(ce bool) {
 	}
 	// The reverse path is a constant delay, so ACKs arrive in send order:
 	// push onto the FIFO ring and let the pre-bound arrival callback pop
-	// the front, instead of allocating a closure per ACK. The delay is the
-	// whole BaseRTT classically, or zero under SplitPropagation (both
-	// one-way legs are then charged on the cross-domain wires).
-	delay := e.cfg.BaseRTT
-	if e.cfg.SplitPropagation {
-		delay = 0
-	}
+	// the front, instead of allocating a closure per ACK.
 	e.ackQ = append(e.ackQ, ack)
-	e.sim.After(delay, e.ackArriveFn)
+	e.ackLane.After(e.ackDelay, e.ackArriveFn)
 }
 
 // ackArrive delivers the oldest in-flight ACK to the sender and recycles it.
