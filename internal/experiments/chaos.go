@@ -9,10 +9,7 @@ import (
 	"pi2/internal/campaign"
 	"pi2/internal/core"
 	"pi2/internal/faults"
-	"pi2/internal/link"
-	"pi2/internal/sim"
 	"pi2/internal/stats"
-	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -201,76 +198,27 @@ func runChaosCell(o Options, tc *campaign.TaskCtx, scenario, aqmName string) Cha
 	}
 }
 
-// runChaosDual is the DualPI2 cell, hand-wired around core.DualLink with the
-// same impairment placement as the scenario runner: the injector wraps the
-// delivery callback after the bottleneck, and the rate schedule drives the
-// dual link's capacity.
+// runChaosDual is the DualPI2 cell, under the same impairment config and
+// placement as the scenario runner.
 func runChaosDual(o Options, tc *campaign.TaskCtx, scenario string) ChaosPoint {
 	dur := chaosDuration(o)
-	warm := dur / 4
-
-	s := sim.New(tc.Seed)
-	tc.Watch(s)
-	d := link.NewDispatcher()
-	cfg := chaosImpair(scenario, o)
-	deliver := d.Deliver
-	var inj *faults.Injector
-	if cfg.Active() {
-		inj = faults.NewInjector(s, *cfg, d.Deliver)
-		deliver = inj.Deliver
-	}
-	dual := core.NewDualLink(s, chaosLinkBps, core.DualConfig{}, deliver)
-	if cfg.Rate != nil {
-		cfg.Rate.Apply(s, dual)
-	}
 	soj := &stats.Sample{}
-	dual.LSojourn = soj
-	dual.CSojourn = soj
-
-	var flows []*tcp.Endpoint
-	id := 1
-	mk := func(cc tcp.CongestionControl, mode tcp.ECNMode) {
-		ep := tcp.NewWithEnqueuer(s, dual.Enqueue, tcp.Config{
-			ID: id, CC: cc, ECN: mode, BaseRTT: chaosRTT,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		flows = append(flows, ep)
-	}
-	for i := 0; i < 4; i++ {
-		mk(&tcp.Cubic{}, tcp.ECNOff)
-	}
-	for i := 0; i < 4; i++ {
-		mk(&tcp.DCTCP{}, tcp.ECNScalable)
-	}
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range flows {
-			ep.Goodput.Reset(now)
-		}
-		soj.Reset()
-	})
-	s.RunUntil(dur)
-	if msg := dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
-	now := s.Now()
-	rates := make([]float64, 0, len(flows))
-	for _, ep := range flows {
-		rates = append(rates, ep.Goodput.RateBps(now))
-	}
+	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, warm: dur / 4, dur: dur,
+		mix: []traffic.BulkFlowSpec{
+			{CC: "cubic", Count: 4, RTT: chaosRTT},
+			{CC: "dctcp", Count: 4, RTT: chaosRTT},
+		}}, chaosLinkBps, core.DualConfig{}, chaosImpair(scenario, o), soj)
 	pt := ChaosPoint{
 		Scenario: scenario,
 		AQM:      "dualpi2",
-		Jain:     stats.JainIndex(rates),
+		Jain:     stats.JainIndex(cell.rates()),
 		QMeanMs:  soj.Mean() * 1e3,
 		QP99Ms:   soj.Percentile(99) * 1e3,
-		Util:     dual.Utilization(),
-		Events:   s.Processed(),
+		Util:     cell.dual.Utilization(),
+		Events:   cell.s.Processed(),
 	}
-	if inj != nil {
-		pt.FaultDrops = inj.Dropped
+	if cell.inj != nil {
+		pt.FaultDrops = cell.inj.Dropped
 	}
 	return pt
 }

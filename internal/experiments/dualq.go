@@ -8,7 +8,7 @@ import (
 	"pi2/internal/campaign"
 	"pi2/internal/core"
 	"pi2/internal/fq"
-	"pi2/internal/link"
+	"pi2/internal/packet"
 	"pi2/internal/sim"
 	"pi2/internal/stats"
 	"pi2/internal/tcp"
@@ -111,73 +111,39 @@ func dualQSingleArm(o Options, tc *campaign.TaskCtx, na, nb int) dualArm {
 	}
 }
 
-// dualQDualArm is the DualPI2 arrangement: custom wiring around core.DualLink.
+// dualQDualArm is the DualPI2 arrangement, with per-queue sojourn collectors.
 func dualQDualArm(o Options, tc *campaign.TaskCtx, na, nb int) dualArm {
-	const (
-		rate = 40e6
-		rtt  = 10 * time.Millisecond
-	)
 	dur := o.scale(100 * time.Second)
-	warm := dur * 2 / 5
+	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
+		warm: dur * 2 / 5, dur: dur}, 40e6, core.DualConfig{}, nil, nil)
+	rates := cell.rates()
+	arm := dualArm{
+		Jain:     stats.JainIndex(rates),
+		LDelayMs: scaleQ(quantiles(cell.dual.LSojourn), 1e3),
+		CDelayMs: scaleQ(quantiles(cell.dual.CSojourn), 1e3),
+		Util:     cell.dual.Utilization(),
+	}
+	arm.Ratio = classRatio(rates, na)
+	return arm
+}
 
-	s := sim.New(tc.Seed)
-	tc.Watch(s)
-	d := link.NewDispatcher()
-	dual := core.NewDualLink(s, rate, core.DualConfig{}, d.Deliver)
-	var cubics, dctcps []*tcp.Endpoint
-	id := 1
-	mk := func(cc tcp.CongestionControl, mode tcp.ECNMode) *tcp.Endpoint {
-		ep := tcp.NewWithEnqueuer(s, dual.Enqueue, tcp.Config{
-			ID: id, CC: cc, ECN: mode, BaseRTT: rtt,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		return ep
-	}
-	for i := 0; i < na; i++ {
-		cubics = append(cubics, mk(&tcp.Cubic{}, tcp.ECNOff))
-	}
-	for i := 0; i < nb; i++ {
-		dctcps = append(dctcps, mk(&tcp.DCTCP{}, tcp.ECNScalable))
-	}
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-			ep.Goodput.Reset(now)
-		}
-		dual.LSojourn.Reset()
-		dual.CSojourn.Reset()
-	})
-	s.RunUntil(dur)
-	if msg := dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
-	now := s.Now()
-	mean := func(eps []*tcp.Endpoint) float64 {
-		if len(eps) == 0 {
+// classRatio is the mean Classic rate (the first na flows of a bulkPair
+// mix) over the mean Scalable rate; 0 when the Scalable side is empty or idle.
+func classRatio(rates []float64, na int) float64 {
+	mean := func(xs []float64) float64 {
+		if len(xs) == 0 {
 			return 0
 		}
 		var sum float64
-		for _, ep := range eps {
-			sum += ep.Goodput.RateBps(now)
+		for _, x := range xs {
+			sum += x
 		}
-		return sum / float64(len(eps))
+		return sum / float64(len(xs))
 	}
-	arm := dualArm{
-		LDelayMs: scaleQ(quantiles(dual.LSojourn), 1e3),
-		CDelayMs: scaleQ(quantiles(dual.CSojourn), 1e3),
-		Util:     dual.Utilization(),
+	if d := mean(rates[na:]); d > 0 {
+		return mean(rates[:na]) / d
 	}
-	if d := mean(dctcps); d > 0 {
-		arm.Ratio = mean(cubics) / d
-	}
-	var rates []float64
-	for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-		rates = append(rates, ep.Goodput.RateBps(now))
-	}
-	arm.Jain = stats.JainIndex(rates)
-	return arm
+	return 0
 }
 
 func bulkPair(na, nb int, rtt time.Duration) []traffic.BulkFlowSpec {
@@ -253,63 +219,20 @@ func fqTasks(o Options, na, nb int) []campaign.Task {
 }
 
 func fqArrangementArm(o Options, tc *campaign.TaskCtx, na, nb int) FQRow {
-	const (
-		rate = 40e6
-		rtt  = 10 * time.Millisecond
-	)
 	dur := o.scale(100 * time.Second)
-	warm := dur * 2 / 5
-
-	s := sim.New(tc.Seed)
-	tc.Watch(s)
-	d := link.NewDispatcher()
-	l := fq.New(s, fq.Config{RateBps: rate}, d.Deliver)
-	var cubics, dctcps []*tcp.Endpoint
-	id := 1
-	mk := func(cc tcp.CongestionControl, mode tcp.ECNMode) *tcp.Endpoint {
-		ep := tcp.NewWithEnqueuer(s, l.Enqueue, tcp.Config{
-			ID: id, CC: cc, ECN: mode, BaseRTT: rtt,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		return ep
-	}
-	for i := 0; i < na; i++ {
-		cubics = append(cubics, mk(&tcp.Cubic{}, tcp.ECNOff))
-	}
-	for i := 0; i < nb; i++ {
-		dctcps = append(dctcps, mk(&tcp.DCTCP{}, tcp.ECNScalable))
-	}
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-			ep.Goodput.Reset(now)
-		}
-		l.Sojourn = stats.Sample{}
+	var l *fq.Link
+	cell := runWired(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
+		warm: dur * 2 / 5, dur: dur}, func(s *sim.Simulator, deliver func(*packet.Packet)) (tcp.Enqueuer, func()) {
+		l = fq.New(s, fq.Config{RateBps: 40e6}, deliver)
+		return l.Enqueue, func() { l.Sojourn = stats.Sample{} }
 	})
-	s.RunUntil(dur)
-	now := s.Now()
-	mean := func(eps []*tcp.Endpoint) float64 {
-		if len(eps) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, ep := range eps {
-			sum += ep.Goodput.RateBps(now)
-		}
-		return sum / float64(len(eps))
+	rates := cell.rates()
+	row := FQRow{
+		Jain:    stats.JainIndex(rates),
+		DelayMs: scaleQ(quantiles(&l.Sojourn), 1e3),
+		Util:    l.Utilization(),
 	}
-	row := FQRow{Util: l.Utilization()}
-	if d := mean(dctcps); d > 0 {
-		row.Ratio = mean(cubics) / d
-	}
-	row.DelayMs = scaleQ(quantiles(&l.Sojourn), 1e3)
-	var rates []float64
-	for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-		rates = append(rates, ep.Goodput.RateBps(now))
-	}
-	row.Jain = stats.JainIndex(rates)
+	row.Ratio = classRatio(rates, na)
 	return row
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"pi2/internal/ff"
 	"pi2/internal/link"
 	"pi2/internal/tcp"
@@ -64,12 +62,11 @@ func newFFEngine(sc Scenario, clock ff.Clock, l *link.Link, flows []*tcp.Endpoin
 // loop invokes warmReset itself the moment the clock reaches the boundary
 // (the runner does not schedule it as an event in fast-forward mode, since
 // ShiftPending would translate it along with the frozen packet processes).
-func runFastForward(eng *ff.Engine, now func() time.Duration,
-	runUntil func(time.Duration), sc Scenario, warmReset func()) {
+func runFastForward(eng *ff.Engine, loop driver, sc Scenario, warmReset func()) {
 	chunk := 4 * eng.Tupdate()
 	warmed := false
 	for {
-		t := now()
+		t := loop.Now()
 		if !warmed && t >= sc.WarmUp {
 			warmReset()
 			warmed = true
@@ -82,18 +79,18 @@ func runFastForward(eng *ff.Engine, now func() time.Duration,
 			barrier = sc.WarmUp
 		}
 		eng.TryAdvance(barrier)
-		if !warmed && now() >= sc.WarmUp {
+		if !warmed && loop.Now() >= sc.WarmUp {
 			warmReset()
 			warmed = true
 		}
-		next := now() + chunk
+		next := loop.Now() + chunk
 		if !warmed && next > sc.WarmUp {
 			next = sc.WarmUp
 		}
 		if next > sc.Duration {
 			next = sc.Duration
 		}
-		runUntil(next)
+		loop.RunUntil(next)
 	}
 }
 

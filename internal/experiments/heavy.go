@@ -10,11 +10,8 @@ import (
 
 	"pi2/internal/campaign"
 	"pi2/internal/core"
-	"pi2/internal/link"
 	"pi2/internal/packet"
-	"pi2/internal/sim"
 	"pi2/internal/stats"
-	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -339,67 +336,29 @@ func runHeavyCell(o Options, tc *campaign.TaskCtx, n int, aqmName string) HeavyP
 	return p
 }
 
-// runHeavyDual is the DualPI2 cell: hand-wired around core.DualLink (the
-// scenario runner drives single-queue links only), with both per-queue
-// sojourn collectors pointed at one shared histogram so the cell reports a
-// combined queue-delay distribution in constant memory.
+// runHeavyDual is the DualPI2 cell (the scenario runner drives single-queue
+// links only), with both per-queue sojourn collectors pointed at one shared
+// histogram so the cell reports a combined queue-delay distribution in
+// constant memory.
 func runHeavyDual(o Options, tc *campaign.TaskCtx, n int) HeavyPoint {
 	dur := heavyDuration(o)
-	warm := dur * 2 / 5
 	reno, cubic, dctcp := heavyMix(n)
-
-	s := sim.New(tc.Seed)
-	tc.Watch(s)
-	d := link.NewDispatcher()
-	dual := core.NewDualLink(s, heavyPerFlowBps*float64(n), core.DualConfig{}, d.Deliver)
 	soj := stats.NewDelayHistogram()
-	dual.LSojourn = soj
-	dual.CSojourn = soj
-
-	flows := make([]*tcp.Endpoint, 0, n)
-	id := 1
-	mk := func(cc tcp.CongestionControl, mode tcp.ECNMode) {
-		ep := tcp.NewWithEnqueuer(s, dual.Enqueue, tcp.Config{
-			ID: id, CC: cc, ECN: mode, BaseRTT: heavyRTT,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		flows = append(flows, ep)
-	}
-	for i := 0; i < reno; i++ {
-		mk(&tcp.Reno{}, tcp.ECNOff)
-	}
-	for i := 0; i < cubic; i++ {
-		mk(&tcp.Cubic{}, tcp.ECNOff)
-	}
-	for i := 0; i < dctcp; i++ {
-		mk(&tcp.DCTCP{}, tcp.ECNScalable)
-	}
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range flows {
-			ep.Goodput.Reset(now)
-		}
-		soj.Reset()
-	})
-	s.RunUntil(dur)
-	if msg := dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
-	now := s.Now()
-	rates := make([]float64, 0, len(flows))
-	for _, ep := range flows {
-		rates = append(rates, ep.Goodput.RateBps(now))
-	}
+	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, warm: dur * 2 / 5, dur: dur,
+		mix: []traffic.BulkFlowSpec{
+			{CC: "reno", Count: reno, RTT: heavyRTT},
+			{CC: "cubic", Count: cubic, RTT: heavyRTT},
+			{CC: "dctcp", Count: dctcp, RTT: heavyRTT},
+		}}, heavyPerFlowBps*float64(n), core.DualConfig{}, nil, soj)
+	rates := cell.rates()
 	p := HeavyPoint{
 		Flows:   n,
 		AQM:     "dualpi2",
 		Jain:    stats.JainIndex(rates),
 		QMeanMs: soj.Mean() * 1e3,
 		QP99Ms:  soj.Percentile(99) * 1e3,
-		Util:    dual.Utilization(),
-		Events:  s.Processed(),
+		Util:    cell.dual.Utilization(),
+		Events:  cell.s.Processed(),
 		Soj:     soj,
 	}
 	for _, r := range rates {

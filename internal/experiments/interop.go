@@ -8,10 +8,7 @@ import (
 
 	"pi2/internal/campaign"
 	"pi2/internal/core"
-	"pi2/internal/link"
-	"pi2/internal/sim"
 	"pi2/internal/stats"
-	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -201,90 +198,34 @@ func InteropCell(o Options, seed int64, watch func(campaign.Canceler), cc, fb, a
 	return p
 }
 
-// runInteropDual is the DualPI2 cell, hand-wired around core.DualLink (the
-// scenario runner drives single-queue AQMs only), mirroring runChaosDual's
-// placement of warm-up resets and audits.
+// runInteropDual is the DualPI2 cell. Marks and drops count from the warm-up
+// boundary, where the scenario runner resets its link's counters: the paired
+// pi2/dualpi2 columns must cover the same measurement window.
 func runInteropDual(o Options, seed int64, watch func(campaign.Canceler), cc, fb string) InteropPoint {
 	dur := interopDuration(o)
-	warm := dur / 4
-
-	s := sim.New(seed)
-	if watch != nil {
-		watch(s)
-	}
-	d := link.NewDispatcher()
-	dual := core.NewDualLink(s, interopLinkBps, core.DualConfig{
+	soj := &stats.Sample{}
+	cell := runDual(cellSpec{seed: seed, watch: watch, warm: dur / 4, dur: dur,
+		mix: []traffic.BulkFlowSpec{
+			{CC: cc, Feedback: fb, Count: 2, RTT: interopRTT},
+			{CC: "cubic", Count: 2, RTT: interopRTT},
+		}}, interopLinkBps, core.DualConfig{
 		Config:        core.Config{Target: o.target()},
 		BufferPackets: interopBuffer,
-	}, d.Deliver)
-	soj := &stats.Sample{}
-	dual.LSojourn = soj
-	dual.CSojourn = soj
-
-	var test, ref []*tcp.Endpoint
-	id := 1
-	mk := func(ccImpl tcp.CongestionControl, mode tcp.ECNMode) *tcp.Endpoint {
-		ep := tcp.NewWithEnqueuer(s, dual.Enqueue, tcp.Config{
-			ID: id, CC: ccImpl, ECN: mode, BaseRTT: interopRTT,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		return ep
-	}
-	for i := 0; i < 2; i++ {
-		ccImpl, mode, err := tcp.NewCCFeedback(cc, fb)
-		if err != nil {
-			panic(err)
-		}
-		test = append(test, mk(ccImpl, mode))
-	}
-	for i := 0; i < 2; i++ {
-		ref = append(ref, mk(&tcp.Cubic{}, tcp.ECNOff))
-	}
-	// Marks/drops baselines taken at the warm boundary: the scenario runner
-	// resets the link counters there, and the paired pi2/dualpi2 columns
-	// must count over the same measurement window to be comparable.
-	var lMarks0, cMarks0, drops0 int
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range test {
-			ep.Goodput.Reset(now)
-		}
-		for _, ep := range ref {
-			ep.Goodput.Reset(now)
-		}
-		soj.Reset()
-		lMarks0, cMarks0 = dual.Marks()
-		drops0 = dual.Drops()
-	})
-	s.RunUntil(dur)
-	if msg := dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
-	now := s.Now()
-	sum := func(eps []*tcp.Endpoint) (tot float64, rates []float64) {
-		for _, ep := range eps {
-			r := ep.Goodput.RateBps(now)
-			tot += r
-			rates = append(rates, r)
-		}
-		return
-	}
-	testTot, testRates := sum(test)
-	refTot, refRates := sum(ref)
-	lMarks, cMarks := dual.Marks()
+	}, nil, soj)
+	rates := cell.rates()
+	testTot, refTot := rates[0]+rates[1], rates[2]+rates[3]
+	lMarks, cMarks := cell.dual.Marks()
 	p := InteropPoint{
 		CC:       cc,
 		Feedback: fb,
 		AQM:      "dualpi2",
-		Marks:    lMarks + cMarks - lMarks0 - cMarks0,
-		Drops:    dual.Drops() - drops0,
+		Marks:    lMarks + cMarks - cell.warmMarks,
+		Drops:    cell.dual.Drops() - cell.warmDrops,
 		QMeanMs:  soj.Mean() * 1e3,
 		QP99Ms:   soj.Percentile(99) * 1e3,
-		Util:     dual.Utilization(),
-		Jain:     stats.JainIndex(append(testRates, refRates...)),
-		Events:   s.Processed(),
+		Util:     cell.dual.Utilization(),
+		Jain:     stats.JainIndex(rates),
+		Events:   cell.s.Processed(),
 	}
 	if tot := testTot + refTot; tot > 0 {
 		p.TestShare = testTot / tot

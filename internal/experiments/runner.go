@@ -11,7 +11,9 @@ import (
 	"pi2/internal/aqm"
 	"pi2/internal/campaign"
 	"pi2/internal/faults"
+	"pi2/internal/ff"
 	"pi2/internal/link"
+	"pi2/internal/packet"
 	"pi2/internal/sim"
 	"pi2/internal/stats"
 	"pi2/internal/tcp"
@@ -229,38 +231,93 @@ func emptyResult() *Result {
 	}
 }
 
+// driver is the event loop a scenario runs on: one simulator, or the
+// conservative-PDES coordinator over several.
+type driver interface {
+	campaign.Canceler
+	ff.Clock
+	RunUntil(end time.Duration)
+	Processed() uint64
+}
+
+// substrate says where a scenario's pieces live. Loop 0 hosts the link, its
+// AQM, the impairment layer and every co-located workload (staged, UDP, web);
+// bulk flows sit wherever place puts them. One loop is the classic
+// single-simulator run, several are the sharded one (sharded.go) — Run itself
+// does not know which it got.
+type substrate struct {
+	loop driver
+	// sims and flows are indexed by loop: each loop resets and samples only
+	// the long-lived flows it owns.
+	sims  []*sim.Simulator
+	flows [][]*tcp.Endpoint
+	// egress is the link's delivery callback.
+	egress func(*packet.Packet)
+	// place wires one bulk flow (ids run 1..nBulk in creation order) in
+	// front of the link's ingress and returns it with its loop.
+	place func(id int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) (*tcp.Endpoint, int)
+	// wires audits cross-loop traffic (nil on one loop).
+	wires *link.WireAuditor
+}
+
+// newSubstrate picks the substrate for a scenario; shardable is the only
+// selector.
+func newSubstrate(sc Scenario, d *link.Dispatcher, nBulk int) substrate {
+	if shardable(sc) {
+		return shardedSubstrate(sc, d, nBulk)
+	}
+	s := sim.New(sc.Seed)
+	return substrate{
+		loop:   s,
+		sims:   []*sim.Simulator{s},
+		flows:  [][]*tcp.Endpoint{make([]*tcp.Endpoint, 0, nBulk)},
+		egress: d.Deliver,
+		place: func(id int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) (*tcp.Endpoint, int) {
+			ep := traffic.NewBulk(s, linkEnq, id, spec, false)
+			d.Register(id, ep.DeliverData)
+			return ep, 0
+		},
+	}
+}
+
 // Run executes a scenario to completion.
 func Run(sc Scenario) *Result {
 	if sc.SampleEvery == 0 {
 		sc.SampleEvery = time.Second
 	}
-	if shardable(sc) {
-		return runSharded(sc)
-	}
-	s := sim.New(sc.Seed)
-	if sc.Watch != nil {
-		sc.Watch(s)
+	nBulk := 0
+	for _, b := range sc.Bulk {
+		nBulk += b.Count
 	}
 	d := link.NewDispatcher()
-	// The impairment layer wraps the delivery callback *after* the link,
-	// so the link auditor's conservation identities hold unchanged with
-	// faults active. It is only constructed when impairments are
-	// configured: an unimpaired run draws no extra RNG stream.
-	deliver := d.Deliver
+	sub := newSubstrate(sc, d, nBulk)
+	if sc.Watch != nil {
+		sc.Watch(sub.loop)
+	}
+	ls := sub.sims[0]
+	// The impairment layer wraps the delivery callback *after* the link
+	// (and, when sharded, before the wire), so the link auditor's
+	// conservation identities hold unchanged with faults active. It is only
+	// constructed when impairments are configured: an unimpaired run draws
+	// no extra RNG stream.
+	deliver := sub.egress
 	var inj *faults.Injector
 	if sc.Impair != nil && sc.Impair.Active() {
-		inj = faults.NewInjector(s, *sc.Impair, d.Deliver)
+		inj = faults.NewInjector(ls, *sc.Impair, deliver)
 		deliver = inj.Deliver
 	}
-	l := link.New(s, link.Config{
+	l := link.New(ls, link.Config{
 		RateBps:       sc.LinkRateBps,
 		BufferPackets: sc.BufferPackets,
-		AQM:           sc.NewAQM(s.RNG()),
+		AQM:           sc.NewAQM(ls.RNG()),
 		Sojourn:       newQuantiler(sc.CompactMetrics),
 	}, deliver)
 	if sc.Impair != nil && sc.Impair.Rate != nil {
-		sc.Impair.Rate.Apply(s, l)
+		sc.Impair.Rate.Apply(ls, l)
 	}
+	// Bound once per cell: l.Enqueue written per flow (or per packet, at a
+	// wire's Send site) would materialize a fresh method value each time.
+	linkEnq := tcp.Enqueuer(l.Enqueue)
 
 	res := &Result{
 		DelaySeries:   stats.TimeSeries{Interval: sc.SampleEvery},
@@ -272,8 +329,11 @@ func Run(sc Scenario) *Result {
 		WebFCT:        newQuantiler(sc.CompactMetrics),
 	}
 
+	// Bulk flows in creation order (group after group): the order of flow
+	// IDs, of the per-group results and of the fast-forward engine's RNG
+	// draws, whatever loop each flow lands on.
 	nextID := 1
-	var groups []*traffic.BulkGroup
+	bulk := make([]*tcp.Endpoint, 0, nBulk)
 	for _, spec := range sc.Bulk {
 		if sc.SACK {
 			spec.SACK = true
@@ -281,23 +341,31 @@ func Run(sc Scenario) *Result {
 		if spec.AckEvery == 0 {
 			spec.AckEvery = sc.AckEvery
 		}
-		g, id := traffic.StartBulk(s, l, d, nextID, spec)
-		groups = append(groups, g)
-		nextID = id
+		for i := 0; i < spec.Count; i++ {
+			ep, k := sub.place(nextID, spec, linkEnq)
+			sub.sims[k].At(spec.StartAt, ep.Start)
+			if spec.StopAt > spec.StartAt {
+				sub.sims[k].At(spec.StopAt, ep.Stop)
+			}
+			bulk = append(bulk, ep)
+			sub.flows[k] = append(sub.flows[k], ep)
+			nextID++
+		}
 	}
-	var staged []*tcp.Endpoint
 	if sc.Staged != nil {
-		staged, nextID = traffic.StagedCounts(s, l, d, nextID,
+		var staged []*tcp.Endpoint
+		staged, nextID = traffic.StagedCounts(ls, l, d, nextID,
 			sc.Staged.CC, sc.Staged.RTT, sc.Staged.Counts, sc.Staged.StageLen)
+		sub.flows[0] = append(sub.flows[0], staged...)
 	}
 	var udps []*traffic.UDPSource
 	for _, spec := range sc.UDP {
-		udps = append(udps, traffic.StartUDP(s, l, d, nextID, spec))
+		udps = append(udps, traffic.StartUDP(ls, l, d, nextID, spec))
 		nextID++
 	}
 	var webs []*traffic.WebWorkload
 	for _, spec := range sc.Web {
-		w := traffic.StartWeb(s, l, d, &nextID, spec)
+		w := traffic.StartWeb(ls, l, d, &nextID, spec)
 		if sc.CompactMetrics {
 			// Short flows complete directly into the shared histogram;
 			// no per-flow sample storage, no merge at collection time.
@@ -307,71 +375,80 @@ func Run(sc Scenario) *Result {
 	}
 	for _, rc := range sc.RateChanges {
 		rate := rc.RateBps
-		s.At(rc.At, func() { l.SetRateBps(rate) })
+		ls.At(rc.At, func() { l.SetRateBps(rate) })
 	}
 
-	// Every long-lived flow, flattened once: the samplers below run every
-	// SampleEvery tick, and rebuilding this slice per tick was an
-	// O(flows) allocation that dominated at thousand-flow scale.
-	nFlows := len(staged)
-	for _, g := range groups {
-		nFlows += len(g.Flows)
-	}
-	flows := make([]*tcp.Endpoint, 0, nFlows)
-	for _, g := range groups {
-		flows = append(flows, g.Flows...)
-	}
-	flows = append(flows, staged...)
-
-	// Warm-up boundary: restart every steady-state statistic. In
-	// fast-forward mode the hybrid loop invokes the reset at the exact
-	// boundary instead of scheduling it: ShiftPending translates every
-	// pending event when an epoch commits — right for frozen packet
-	// processes, wrong for an absolute-calendar event like this one.
-	warmReset := func() {
-		l.ResetStats()
-		now := s.Now()
-		for _, f := range flows {
+	// Warm-up boundary: every loop restarts its own flows' meters, on the
+	// goroutine that owns them; loop 0 also restarts the link and UDP
+	// meters. In fast-forward mode the hybrid loop invokes the reset for all
+	// loops at the exact boundary instead of scheduling it (it runs on the
+	// driving thread, between windows, with every loop parked): ShiftPending
+	// translates every pending event when an epoch commits — right for
+	// frozen packet processes, wrong for an absolute-calendar event like
+	// this one.
+	warmReset := func(k int) {
+		now := sub.sims[k].Now()
+		for _, f := range sub.flows[k] {
 			f.Goodput.Reset(now)
 		}
-		for _, u := range udps {
-			u.ResetStats(now)
+		if k == 0 {
+			l.ResetStats()
+			for _, u := range udps {
+				u.ResetStats(now)
+			}
 		}
 	}
-	eng := newFFEngine(sc, s, l, flows)
+	eng := newFFEngine(sc, sub.loop, l, bulk)
 	if eng == nil {
-		s.At(sc.WarmUp, warmReset)
+		for k, es := range sub.sims {
+			k := k
+			es.At(sc.WarmUp, func() { warmReset(k) })
+		}
 	}
 
-	// Coarse sampler: queue delay, total goodput, per-interval utilization.
-	var lastGoodput, lastDelivered int64
-	s.Every(sc.SampleEvery, func() {
-		now := s.Now()
-		res.DelaySeries.Record(now, l.QueueDelayNow().Seconds())
-		var total int64
-		for _, f := range flows {
-			total += f.Goodput.Bytes()
+	// Coarse sampler, one per loop: each loop reads only its own flows'
+	// goodput. Loop 0 records straight into the result (the other loops'
+	// series are added in after the run) and also samples the link's queue
+	// delay and per-interval utilization.
+	remote := make([]stats.TimeSeries, len(sub.sims)-1)
+	var lastDelivered int64
+	for k, es := range sub.sims {
+		k, es, fl, series := k, es, sub.flows[k], &res.GoodputSeries
+		if k > 0 {
+			series = &remote[k-1]
+			series.Interval = sc.SampleEvery
 		}
-		rate := float64(total-lastGoodput) * 8 / sc.SampleEvery.Seconds()
-		lastGoodput = total
-		res.GoodputSeries.Record(now, rate)
-		delivered := l.Delivered.Bytes()
-		// The meter is reset at the warm-up boundary; skip the sample
-		// whose interval straddles the reset.
-		if now > sc.WarmUp && delivered >= lastDelivered {
-			util := float64(delivered-lastDelivered) * 8 /
-				(sc.SampleEvery.Seconds() * l.RateBps())
-			if util > 1 {
-				util = 1
+		var last int64
+		es.Every(sc.SampleEvery, func() {
+			now := es.Now()
+			var total int64
+			for _, f := range fl {
+				total += f.Goodput.Bytes()
 			}
-			res.UtilSeries.Add(util)
-		}
-		lastDelivered = delivered
-	})
+			series.Record(now, float64(total-last)*8/sc.SampleEvery.Seconds())
+			last = total
+			if k > 0 {
+				return
+			}
+			res.DelaySeries.Record(now, l.QueueDelayNow().Seconds())
+			delivered := l.Delivered.Bytes()
+			// The meter is reset at the warm-up boundary; skip the sample
+			// whose interval straddles the reset.
+			if now > sc.WarmUp && delivered >= lastDelivered {
+				util := float64(delivered-lastDelivered) * 8 /
+					(sc.SampleEvery.Seconds() * l.RateBps())
+				if util > 1 {
+					util = 1
+				}
+				res.UtilSeries.Add(util)
+			}
+			lastDelivered = delivered
+		})
+	}
 
 	// Fine sampler: 100 ms queue delay + probability samples.
-	s.Every(100*time.Millisecond, func() {
-		now := s.Now()
+	ls.Every(100*time.Millisecond, func() {
+		now := ls.Now()
 		res.DelayFine.Record(now, l.QueueDelayNow().Seconds())
 		if now <= sc.WarmUp {
 			return
@@ -385,33 +462,44 @@ func Run(sc Scenario) *Result {
 	})
 
 	if eng != nil {
-		runFastForward(eng, s.Now, s.RunUntil, sc, warmReset)
+		runFastForward(eng, sub.loop, sc, func() {
+			for k := range sub.sims {
+				warmReset(k)
+			}
+		})
 		ffCollect(res, eng)
 	} else {
-		s.RunUntil(sc.Duration)
+		sub.loop.RunUntil(sc.Duration)
 	}
 
-	// Collect.
-	now := s.Now()
+	// Collect. Every loop's clock sits at sc.Duration after the run.
+	now := sub.loop.Now()
 	res.Sojourn = l.Sojourn
 	res.Utilization = l.Utilization()
 	res.DropsAQM = l.Drops(link.DropAQM)
 	res.DropsOverflow = l.Drops(link.DropOverflow)
 	res.Marks = l.Marks()
-	res.Events = s.Processed()
-	for _, g := range groups {
-		label := g.Spec.Label
-		if label == "" {
-			label = g.Spec.CC
+	res.Events = sub.loop.Processed()
+	for _, series := range remote {
+		for i, v := range series.Values {
+			res.GoodputSeries.Values[i] += v
 		}
-		gr := GroupResult{Label: label, CC: g.Spec.CC,
-			FlowRates: make([]float64, 0, len(g.Flows))}
-		for _, f := range g.Flows {
+	}
+	group := bulk
+	for _, spec := range sc.Bulk {
+		label := spec.Label
+		if label == "" {
+			label = spec.CC
+		}
+		gr := GroupResult{Label: label, CC: spec.CC,
+			FlowRates: make([]float64, 0, spec.Count)}
+		for _, f := range group[:spec.Count] {
 			gr.FlowRates = append(gr.FlowRates, f.Goodput.RateBps(now))
 			gr.Marks += f.MarksSeen()
 			gr.CongestionEvents += f.CongestionEvents()
 			gr.Retransmissions += f.Retransmissions()
 		}
+		group = group[spec.Count:]
 		res.Groups = append(res.Groups, gr)
 	}
 	if !sc.CompactMetrics {
@@ -442,11 +530,17 @@ func Run(sc Scenario) *Result {
 		res.FaultDups = inj.Duplicated
 		res.FaultReorders = inj.Reordered
 	}
+	// A violated invariant — in the link, or in the wires between loops —
+	// means the run's numbers cannot be trusted; panic so the campaign
+	// engine fails this cell with the full report (which invariant, where)
+	// instead of recording bogus metrics.
 	if msg := l.Audit().Err("bottleneck link"); msg != "" {
-		// A violated invariant means the run's numbers cannot be trusted;
-		// panic so the campaign engine fails this cell with the full report
-		// (which invariant, where) instead of recording bogus metrics.
 		panic(msg)
+	}
+	if sub.wires != nil {
+		if msg := sub.wires.Err("cross-domain wires"); msg != "" {
+			panic(msg)
+		}
 	}
 	return res
 }

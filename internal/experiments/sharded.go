@@ -3,21 +3,17 @@ package experiments
 import (
 	"time"
 
-	"pi2/internal/aqm"
-	"pi2/internal/faults"
 	"pi2/internal/link"
 	"pi2/internal/packet"
 	"pi2/internal/sim"
-	"pi2/internal/stats"
 	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
-// This file is the sharded twin of Run (runner.go): the same scenario
-// semantics executed on the conservative-PDES coordinator. Domain 0 owns
-// the bottleneck link, its AQM, the impairment layer and every co-located
-// workload (staged, UDP, web — their handoffs stay direct calls exactly as
-// in the single-simulator path); bulk flows are partitioned round-robin
+// This file is the sharded substrate of Run (runner.go): the same scenario
+// on the conservative-PDES coordinator. Domain 0 is loop 0 (the bottleneck
+// link, its AQM, the impairment layer and every co-located workload, whose
+// handoffs stay direct calls); bulk flows are partitioned round-robin
 // across domains 1..N-1. Propagation splits onto the wires: the
 // sender→link mailbox edge carries RTT/2, the link→receiver edge carries
 // the remaining RTT−RTT/2, and the endpoint's internal ACK path becomes
@@ -68,362 +64,67 @@ func shardLookahead(sc Scenario) time.Duration {
 }
 
 // shardRouting maps bulk flow IDs to their owning domain and the
-// link→receiver wire parameters. Flow IDs are assigned sequentially, so
-// plain slices (not maps) keep the delivery hot path allocation- and
-// hash-free. IDs beyond the table (staged, UDP, web) are link-local and
-// fall through to the dispatcher.
+// link→receiver wire parameters. Bulk IDs are 1..nBulk, so plain slices
+// (not maps) keep the delivery hot path allocation- and hash-free. IDs
+// beyond the table (staged, UDP, web) are link-local and fall through to
+// the dispatcher.
 type shardRouting struct {
 	owner []int32
 	dlv   []time.Duration
 	hand  []func(*packet.Packet)
 }
 
-func (rt *shardRouting) add(id int, dom int32, dlv time.Duration, hand func(*packet.Packet)) {
-	for len(rt.owner) <= id {
-		rt.owner = append(rt.owner, 0)
-		rt.dlv = append(rt.dlv, 0)
-		rt.hand = append(rt.hand, nil)
-	}
-	rt.owner[id] = dom
-	rt.dlv[id] = dlv
-	rt.hand[id] = hand
-}
-
-// runSharded executes a shardable scenario on the coordinator. The caller
-// (Run) has already defaulted SampleEvery.
-func runSharded(sc Scenario) *Result {
-	totalBulk := 0
-	for _, b := range sc.Bulk {
-		totalBulk += b.Count
-	}
+// shardedSubstrate places a shardable scenario on the coordinator.
+func shardedSubstrate(sc Scenario, d *link.Dispatcher, nBulk int) substrate {
 	// Every endpoint domain must own at least one flow; cap the shard
 	// count rather than spin up empty domains.
 	nE := sc.Shards - 1
-	if nE > totalBulk {
-		nE = totalBulk
+	if nE > nBulk {
+		nE = nBulk
 	}
-	nDom := nE + 1
-
-	co := sim.NewCoordinator(sc.Seed, nDom, shardLookahead(sc))
+	co := sim.NewCoordinator(sc.Seed, nE+1, shardLookahead(sc))
 	co.DropCrossHook = shardDropCross
-	if sc.Watch != nil {
-		sc.Watch(co)
+	wires := &link.WireAuditor{}
+	co.SetWireAudit(wires)
+	sims := make([]*sim.Simulator, nE+1)
+	flows := make([][]*tcp.Endpoint, nE+1)
+	for k := range sims {
+		sims[k] = co.Domain(k).Sim()
+		if k > 0 {
+			flows[k] = make([]*tcp.Endpoint, 0, (nBulk+nE-1)/nE)
+		}
 	}
 	linkDom := co.Domain(0)
-	ls := linkDom.Sim()
-	d := link.NewDispatcher()
-	wireAud := &link.WireAuditor{}
-	co.SetWireAudit(wireAud)
-
-	// route is the link's delivery callback: partitioned flows leave on
-	// their link→receiver wire; everything else (staged, UDP, web) is a
-	// direct dispatcher call, exactly as in the single-simulator path.
-	rt := &shardRouting{}
-	route := func(p *packet.Packet) {
-		if id := p.FlowID; id < len(rt.owner) && rt.owner[id] != 0 {
-			linkDom.Send(int(rt.owner[id]), rt.dlv[id], p, rt.hand[id])
-			return
-		}
-		d.Deliver(p)
+	rt := shardRouting{
+		owner: make([]int32, nBulk+1),
+		dlv:   make([]time.Duration, nBulk+1),
+		hand:  make([]func(*packet.Packet), nBulk+1),
 	}
-	// The impairment layer wraps delivery after the link, before the wire:
-	// injected loss/reordering applies at the bottleneck egress as in the
-	// unsharded runner (reorder delays only push arrivals later, so the
-	// lookahead bound is untouched).
-	deliver := route
-	var inj *faults.Injector
-	if sc.Impair != nil && sc.Impair.Active() {
-		inj = faults.NewInjector(ls, *sc.Impair, route)
-		deliver = inj.Deliver
-	}
-	l := link.New(ls, link.Config{
-		RateBps:       sc.LinkRateBps,
-		BufferPackets: sc.BufferPackets,
-		AQM:           sc.NewAQM(ls.RNG()),
-		Sojourn:       newQuantiler(sc.CompactMetrics),
-	}, deliver)
-	if sc.Impair != nil && sc.Impair.Rate != nil {
-		sc.Impair.Rate.Apply(ls, l)
-	}
-	// Hoisted once: writing l.Enqueue at a Send call site would materialize
-	// a fresh method value per packet on the hot path.
-	linkEnq := l.Enqueue
-
-	res := &Result{
-		DelaySeries:   stats.TimeSeries{Interval: sc.SampleEvery},
-		DelayFine:     stats.TimeSeries{Interval: 100 * time.Millisecond},
-		GoodputSeries: stats.TimeSeries{Interval: sc.SampleEvery},
-		ClassicProb:   newQuantiler(sc.CompactMetrics),
-		ScalableProb:  newQuantiler(sc.CompactMetrics),
-		UtilSeries:    newQuantiler(sc.CompactMetrics),
-		WebFCT:        newQuantiler(sc.CompactMetrics),
-	}
-
-	// Bulk flows, round-robin over endpoint domains in creation order so
-	// the partition is a pure function of the scenario.
-	nextID := 1
-	fIdx := 0
-	var groups []*traffic.BulkGroup
-	var allBulk []*tcp.Endpoint
-	domFlows := make([][]*tcp.Endpoint, nDom)
-	for _, spec := range sc.Bulk {
-		if sc.SACK {
-			spec.SACK = true
-		}
-		if spec.AckEvery == 0 {
-			spec.AckEvery = sc.AckEvery
-		}
-		g := &traffic.BulkGroup{Spec: spec, Flows: make([]*tcp.Endpoint, 0, spec.Count)}
-		for i := 0; i < spec.Count; i++ {
-			domID := int32(1 + fIdx%nE)
-			dom := co.Domain(int(domID))
-			es := dom.Sim()
-			cc, mode, err := tcp.NewCCFeedback(spec.CC, spec.Feedback)
-			if err != nil {
-				panic(err)
+	return substrate{
+		loop:  co,
+		sims:  sims,
+		flows: flows,
+		wires: wires,
+		// Partitioned flows leave on their link→receiver wire; everything
+		// else (staged, UDP, web) is a direct dispatcher call. Reorder
+		// delays from the impairment layer in front of this only push
+		// arrivals later, so the lookahead bound is untouched.
+		egress: func(p *packet.Packet) {
+			if id := p.FlowID; id < len(rt.owner) && rt.owner[id] != 0 {
+				linkDom.Send(int(rt.owner[id]), rt.dlv[id], p, rt.hand[id])
+				return
 			}
-			id := nextID
-			nextID++
-			fwd := spec.RTT / 2          // sender→link wire
-			dlv := spec.RTT - spec.RTT/2 // link→receiver wire
-			enq := func(p *packet.Packet) { dom.Send(0, fwd, p, linkEnq) }
-			ep := tcp.NewWithEnqueuer(es, enq, tcp.Config{
-				ID:               id,
-				CC:               cc,
-				ECN:              mode,
-				BaseRTT:          spec.RTT,
-				SACK:             spec.SACK,
-				AckEvery:         spec.AckEvery,
-				SplitPropagation: true,
-			})
-			rt.add(id, domID, dlv, ep.DeliverData)
-			es.At(spec.StartAt, ep.Start)
-			if spec.StopAt > spec.StartAt {
-				es.At(spec.StopAt, ep.Stop)
-			}
-			g.Flows = append(g.Flows, ep)
-			allBulk = append(allBulk, ep)
-			domFlows[domID] = append(domFlows[domID], ep)
-			fIdx++
-		}
-		groups = append(groups, g)
+			d.Deliver(p)
+		},
+		// Round-robin in creation order, so the partition is a pure
+		// function of the scenario.
+		place: func(id int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) (*tcp.Endpoint, int) {
+			k := 1 + (id-1)%nE
+			dom := co.Domain(k)
+			fwd := spec.RTT / 2 // sender→link wire; the rest is link→receiver
+			ep := traffic.NewBulk(sims[k], func(p *packet.Packet) { dom.Send(0, fwd, p, linkEnq) }, id, spec, true)
+			rt.owner[id], rt.dlv[id], rt.hand[id] = int32(k), spec.RTT-fwd, ep.DeliverData
+			return ep, k
+		},
 	}
-
-	// Co-located workloads live in the link domain with direct wiring —
-	// their semantics (and RNG draws) match the single-simulator runner.
-	var staged []*tcp.Endpoint
-	if sc.Staged != nil {
-		staged, nextID = traffic.StagedCounts(ls, l, d, nextID,
-			sc.Staged.CC, sc.Staged.RTT, sc.Staged.Counts, sc.Staged.StageLen)
-	}
-	domFlows[0] = append(domFlows[0], staged...)
-	var udps []*traffic.UDPSource
-	for _, spec := range sc.UDP {
-		udps = append(udps, traffic.StartUDP(ls, l, d, nextID, spec))
-		nextID++
-	}
-	var webs []*traffic.WebWorkload
-	for _, spec := range sc.Web {
-		w := traffic.StartWeb(ls, l, d, &nextID, spec)
-		if sc.CompactMetrics {
-			w.FCT = res.WebFCT
-		}
-		webs = append(webs, w)
-	}
-	for _, rc := range sc.RateChanges {
-		rate := rc.RateBps
-		ls.At(rc.At, func() { l.SetRateBps(rate) })
-	}
-
-	// Warm-up boundary: each domain resets its own flows' meters; the link
-	// domain also resets the link and UDP meters. Per-domain scheduling
-	// keeps the reset on the goroutine that owns the state. In fast-forward
-	// mode the hybrid loop (running on this coordinator thread while every
-	// domain is parked at the window edge) performs the reset for all
-	// domains at the exact boundary instead — ShiftPending would carry a
-	// scheduled reset along with the frozen packet processes.
-	warmReset := func() {
-		l.ResetStats()
-		now := ls.Now()
-		for i := 0; i < nDom; i++ {
-			for _, f := range domFlows[i] {
-				f.Goodput.Reset(now)
-			}
-		}
-		for _, u := range udps {
-			u.ResetStats(now)
-		}
-	}
-	eng := newFFEngine(sc, co, l, allBulk)
-	if eng == nil {
-		ls.At(sc.WarmUp, func() {
-			l.ResetStats()
-			now := ls.Now()
-			for _, f := range domFlows[0] {
-				f.Goodput.Reset(now)
-			}
-			for _, u := range udps {
-				u.ResetStats(now)
-			}
-		})
-		for i := 1; i < nDom; i++ {
-			es := co.Domain(i).Sim()
-			fl := domFlows[i]
-			es.At(sc.WarmUp, func() {
-				now := es.Now()
-				for _, f := range fl {
-					f.Goodput.Reset(now)
-				}
-			})
-		}
-	}
-
-	// Goodput is sampled per domain (each domain reads only its own flows)
-	// and the per-domain series are summed after the run; link-local series
-	// (queue delay, utilization, probabilities) stay in the link domain.
-	perDom := make([]stats.TimeSeries, nDom)
-	for i := range perDom {
-		perDom[i].Interval = sc.SampleEvery
-	}
-	var lastGoodput0, lastDelivered int64
-	ls.Every(sc.SampleEvery, func() {
-		now := ls.Now()
-		res.DelaySeries.Record(now, l.QueueDelayNow().Seconds())
-		var total int64
-		for _, f := range domFlows[0] {
-			total += f.Goodput.Bytes()
-		}
-		rate := float64(total-lastGoodput0) * 8 / sc.SampleEvery.Seconds()
-		lastGoodput0 = total
-		perDom[0].Record(now, rate)
-		delivered := l.Delivered.Bytes()
-		if now > sc.WarmUp && delivered >= lastDelivered {
-			util := float64(delivered-lastDelivered) * 8 /
-				(sc.SampleEvery.Seconds() * l.RateBps())
-			if util > 1 {
-				util = 1
-			}
-			res.UtilSeries.Add(util)
-		}
-		lastDelivered = delivered
-	})
-	for i := 1; i < nDom; i++ {
-		i := i
-		es := co.Domain(i).Sim()
-		fl := domFlows[i]
-		var last int64
-		es.Every(sc.SampleEvery, func() {
-			var total int64
-			for _, f := range fl {
-				total += f.Goodput.Bytes()
-			}
-			rate := float64(total-last) * 8 / sc.SampleEvery.Seconds()
-			last = total
-			perDom[i].Record(es.Now(), rate)
-		})
-	}
-
-	// Fine sampler: link-domain state only.
-	ls.Every(100*time.Millisecond, func() {
-		now := ls.Now()
-		res.DelayFine.Record(now, l.QueueDelayNow().Seconds())
-		if now <= sc.WarmUp {
-			return
-		}
-		if pr, ok := l.AQM().(aqm.ProbabilityReporter); ok {
-			res.ClassicProb.Add(pr.DropProbability())
-		}
-		if sr, ok := l.AQM().(aqm.ScalableReporter); ok {
-			res.ScalableProb.Add(sr.ScalableProbability())
-		}
-	})
-
-	// The fast-forward engine runs on this (coordinator) thread between
-	// barrier windows, when every domain goroutine is parked at the window
-	// edge — flow and link state is safe to read and mutate, and
-	// Coordinator.ShiftPending translates all domain clocks and in-flight
-	// wire traffic together. Flow order is creation order, so the RNG draw
-	// sequence matches the unsharded engine exactly.
-	if eng != nil {
-		runFastForward(eng, co.Now, co.RunUntil, sc, warmReset)
-		ffCollect(res, eng)
-	} else {
-		co.RunUntil(sc.Duration)
-	}
-
-	// Collect — same reductions as the single-simulator path. All domain
-	// clocks sit at sc.Duration after RunUntil.
-	now := sc.Duration
-	res.Sojourn = l.Sojourn
-	res.Utilization = l.Utilization()
-	res.DropsAQM = l.Drops(link.DropAQM)
-	res.DropsOverflow = l.Drops(link.DropOverflow)
-	res.Marks = l.Marks()
-	res.Events = co.Processed()
-	for _, g := range groups {
-		label := g.Spec.Label
-		if label == "" {
-			label = g.Spec.CC
-		}
-		gr := GroupResult{Label: label, CC: g.Spec.CC,
-			FlowRates: make([]float64, 0, len(g.Flows))}
-		for _, f := range g.Flows {
-			gr.FlowRates = append(gr.FlowRates, f.Goodput.RateBps(now))
-			gr.Marks += f.MarksSeen()
-			gr.CongestionEvents += f.CongestionEvents()
-			gr.Retransmissions += f.Retransmissions()
-		}
-		res.Groups = append(res.Groups, gr)
-	}
-	// Sum the per-domain goodput series index-wise; every domain ticks at
-	// the same instants, so the series align (defensively truncated to the
-	// shortest).
-	n := len(perDom[0].Times)
-	for i := 1; i < nDom; i++ {
-		if len(perDom[i].Times) < n {
-			n = len(perDom[i].Times)
-		}
-	}
-	for k := 0; k < n; k++ {
-		var sum float64
-		for i := 0; i < nDom; i++ {
-			sum += perDom[i].Values[k]
-		}
-		res.GoodputSeries.Record(perDom[0].Times[k], sum)
-	}
-	if !sc.CompactMetrics {
-		for _, w := range webs {
-			res.WebFCT.(*stats.Sample).Merge(w.FCT.(*stats.Sample))
-		}
-	}
-	for _, u := range udps {
-		ur := UDPResult{
-			RateBps:        u.Spec.RateBps,
-			SentBytes:      u.Sent.Bytes(),
-			DeliveredBytes: u.Received.Bytes(),
-			DeliveredBps:   u.Received.RateBps(now),
-		}
-		ur.LostBytes = ur.SentBytes - ur.DeliveredBytes
-		if ur.LostBytes < 0 {
-			ur.LostBytes = 0
-		}
-		if ur.SentBytes > 0 {
-			ur.LossRatio = float64(ur.LostBytes) / float64(ur.SentBytes)
-		}
-		res.UDP = append(res.UDP, ur)
-	}
-	if inj != nil {
-		res.FaultDrops = inj.Dropped
-		res.FaultDups = inj.Duplicated
-		res.FaultReorders = inj.Reordered
-	}
-	if msg := l.Audit().Err("bottleneck link"); msg != "" {
-		panic(msg)
-	}
-	if msg := wireAud.Err("cross-domain wires"); msg != "" {
-		// The mailbox fabric lost, duplicated or invented traffic: the
-		// run's numbers cannot be trusted, so fail the cell loudly.
-		panic(msg)
-	}
-	return res
 }

@@ -70,6 +70,39 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestShardedSubstrateEdges pins the two corners of the sharded substrate
+// nothing else reaches. A shard count beyond one domain per flow is capped,
+// not padded with empty domains: on the 6-flow scenario Shards 64 is the
+// Shards 7 run exactly. And every loop's goodput series lines up with the
+// link's own samplers, tick for tick, at the single-loop run's length — with
+// a staged schedule so that loop 0 contributes flows of its own to the sum.
+func TestShardedSubstrateEdges(t *testing.T) {
+	run := func(shards int) *Result {
+		sc := shardedScenario(42, shards)
+		sc.Staged = &StagedSpec{CC: "reno", RTT: 10 * time.Millisecond,
+			Counts: []int{1, 2, 1}, StageLen: 2 * time.Second}
+		return Run(sc)
+	}
+	single, capped := run(0), run(7)
+	for _, tc := range []struct {
+		shards     int
+		wantCapped bool
+	}{{2, false}, {4, false}, {7, true}, {64, true}} {
+		r := run(tc.shards)
+		n := len(r.GoodputSeries.Values)
+		if n != len(r.DelaySeries.Values) || n != len(single.GoodputSeries.Values) || n == 0 {
+			t.Errorf("shards=%d: %d goodput samples, %d delay samples, single loop has %d",
+				tc.shards, n, len(r.DelaySeries.Values), len(single.GoodputSeries.Values))
+		}
+		if !reflect.DeepEqual(r.GoodputSeries.Times, r.DelaySeries.Times) {
+			t.Errorf("shards=%d: goodput and delay series tick at different instants", tc.shards)
+		}
+		if tc.wantCapped && !reflect.DeepEqual(r, capped) {
+			t.Errorf("shards=%d differs from shards=7: the domain cap is not one domain per flow", tc.shards)
+		}
+	}
+}
+
 // TestShardedPhysicsMatchesUnsharded: sharding redistributes where propagation
 // is modeled but not how much of it there is, so aggregate physics — link
 // utilization and total goodput — must land close to the classic path.

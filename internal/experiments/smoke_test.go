@@ -91,3 +91,55 @@ func TestSmokeCoexistence(t *testing.T) {
 		t.Errorf("cubic/dctcp ratio = %.2f, want within [1/3, 3]", ratio)
 	}
 }
+
+// TestRunAssignsBulkIDs: every flow of every bulk group gets its own flow
+// id, group after group, and co-located sources take the ids after them. A
+// collision would route two flows' data to one receiver and starve the
+// other, so every flow — and the UDP source behind them — must deliver.
+func TestRunAssignsBulkIDs(t *testing.T) {
+	res := Run(Scenario{
+		Seed:        1,
+		LinkRateBps: 10e6,
+		NewAQM:      PI2Factory(20 * time.Millisecond),
+		Bulk: []traffic.BulkFlowSpec{
+			{CC: "reno", Count: 3, RTT: 10 * time.Millisecond},
+			{CC: "cubic", Count: 0, RTT: 10 * time.Millisecond},
+			{CC: "dctcp", Count: 2, RTT: 10 * time.Millisecond, Label: "B"},
+		},
+		UDP:      []traffic.UDPSpec{{RateBps: 1e6}},
+		Duration: 2 * time.Second,
+	})
+	if len(res.Groups) != 3 {
+		t.Fatalf("groups = %d, want 3", len(res.Groups))
+	}
+	for gi, want := range []struct {
+		label string
+		n     int
+	}{{"reno", 3}, {"cubic", 0}, {"B", 2}} {
+		g := res.Groups[gi]
+		if g.Label != want.label || len(g.FlowRates) != want.n {
+			t.Errorf("group %d = %q with %d flows, want %q with %d", gi, g.Label, len(g.FlowRates), want.label, want.n)
+		}
+		for fi, r := range g.FlowRates {
+			if r <= 0 {
+				t.Errorf("group %d flow %d delivered nothing", gi, fi)
+			}
+		}
+	}
+	if res.UDP[0].DeliveredBytes == 0 {
+		t.Error("UDP source behind the bulk flows delivered nothing")
+	}
+}
+
+func TestRunUnknownCCPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown CC did not panic")
+		}
+	}()
+	Run(Scenario{
+		LinkRateBps: 10e6,
+		NewAQM:      PI2Factory(20 * time.Millisecond),
+		Bulk:        []traffic.BulkFlowSpec{{CC: "nope", Count: 1}},
+	})
+}

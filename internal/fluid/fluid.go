@@ -103,6 +103,8 @@ func (m Margins) Stable() bool { return m.GainMarginDB > 0 && m.PhaseMarginDeg >
 
 // ComputeMargins extracts Bode margins by sweeping ω logarithmically over
 // [1e-4, 1e5] rad/s with phase unwrapping, then bisecting each crossing.
+// Inside a bracket the phase is unwrapped against the sweep's own value at
+// the bracket's left edge: one sweep step never turns the phase by 180°.
 func ComputeMargins(l Loop) Margins {
 	const (
 		wMin   = 1e-4
@@ -132,12 +134,12 @@ func ComputeMargins(l Loop) Margins {
 		if !foundPM && prevMag >= 1 && mag < 1 {
 			wc := bisect(prevW, w, func(x float64) float64 { return cmplx.Abs(l(x)) - 1 })
 			m.OmegaC = wc
-			m.PhaseMarginDeg = 180 + unwrappedPhaseAt(l, wMin, wc)
+			m.PhaseMarginDeg = 180 + unwrap(phaseDeg(l(wc)), prevPhase)
 			foundPM = true
 		}
 		if !foundGM && prevPhase > -180 && ph <= -180 {
 			w180 := bisect(prevW, w, func(x float64) float64 {
-				return unwrappedPhaseAt(l, wMin, x) + 180
+				return unwrap(phaseDeg(l(x)), prevPhase) + 180
 			})
 			m.Omega180 = w180
 			m.GainMarginDB = -20 * math.Log10(cmplx.Abs(l(w180)))
@@ -163,18 +165,6 @@ func unwrap(ph, prev float64) float64 {
 		ph += 360
 	}
 	return ph
-}
-
-// unwrappedPhaseAt walks from wStart to w accumulating continuous phase.
-func unwrappedPhaseAt(l Loop, wStart, w float64) float64 {
-	const steps = 400
-	prev := phaseDeg(l(wStart))
-	logA, logB := math.Log10(wStart), math.Log10(w)
-	for i := 1; i <= steps; i++ {
-		x := math.Pow(10, logA+(logB-logA)*float64(i)/steps)
-		prev = unwrap(phaseDeg(l(x)), prev)
-	}
-	return prev
 }
 
 // bisect finds a zero of f in [a, b] (f must change sign there).

@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"testing"
 	"time"
+
+	"pi2/internal/aqm"
 )
 
 var std = LoopParams{AlphaHz: 0.3125, BetaHz: 3.125, T: 32 * time.Millisecond, R0: 100 * time.Millisecond}
@@ -244,4 +246,63 @@ func TestMaxStableGainScale(t *testing.T) {
 		t.Errorf("fixed-gain PI on p stable at scale %.2f over the full range; Figure 4 says it must not be", mPIE)
 	}
 	t.Logf("max stable gain scale: pi2=%.2f direct-p=%.2f", mPI2, mPIE)
+}
+
+// TestCrossoversLieOnTheLoop holds the reported crossover frequencies to the
+// loop itself, over the operating points of Figures 4 and 7: the gain is 1
+// at ωc, and the phase — unwrapped here by an independent dense walk up from
+// the sweep's start — is −180° at ω180 (not −540°: it is the first crossing).
+func TestCrossoversLieOnTheLoop(t *testing.T) {
+	const (
+		T  = 32 * time.Millisecond
+		R0 = 100 * time.Millisecond
+	)
+	pie := func(tune func(float64) float64) func(float64) Loop {
+		return func(p float64) Loop {
+			return RenoPIE(LoopParams{AlphaHz: 0.125 * tune(p), BetaHz: 1.25 * tune(p), T: T, R0: R0}, p)
+		}
+	}
+	fixed := func(x float64) func(float64) float64 { return func(float64) float64 { return x } }
+	for _, fam := range []struct {
+		name string
+		lo   float64
+		mk   func(p float64) Loop
+	}{
+		{"fig4 tune=auto", 1e-6, pie(aqm.AutoTuneFactor)},
+		{"fig4 tune=1", 1e-6, pie(fixed(1))},
+		{"fig4 tune=1/2", 1e-6, pie(fixed(0.5))},
+		{"fig4 tune=1/8", 1e-6, pie(fixed(0.125))},
+		{"fig7 reno pie", 1e-3, func(pp float64) Loop { return pie(aqm.AutoTuneFactor)(pp * pp) }},
+		{"fig7 reno pi2", 1e-3, func(pp float64) Loop {
+			return RenoPI2(LoopParams{AlphaHz: 0.3125, BetaHz: 3.125, T: T, R0: R0}, pp)
+		}},
+		{"fig7 scal pi", 1e-3, func(pp float64) Loop {
+			return ScalPI(LoopParams{AlphaHz: 0.625, BetaHz: 6.25, T: T, R0: R0}, pp)
+		}},
+	} {
+		gain, phase := 0, 0
+		for _, p := range logspace(fam.lo, 1, 25) {
+			l := fam.mk(p)
+			m := ComputeMargins(l)
+			if m.OmegaC > 0 {
+				gain++
+				if mag := cmplx.Abs(l(m.OmegaC)); math.Abs(mag-1) > 1e-9 {
+					t.Errorf("%s p=%g: |L(jωc)| = %.12f at ωc=%g, want 1", fam.name, p, mag, m.OmegaC)
+				}
+			}
+			if m.Omega180 > 0 {
+				phase++
+				ph := phaseDeg(l(1e-4))
+				for _, w := range logspace(1e-4, m.Omega180, 20000)[1:] {
+					ph = unwrap(phaseDeg(l(w)), ph)
+				}
+				if math.Abs(ph+180) > 1e-9 {
+					t.Errorf("%s p=%g: phase at ω180=%g is %.12f°, want -180", fam.name, p, m.Omega180, ph)
+				}
+			}
+		}
+		if gain < 20 || phase < 20 {
+			t.Errorf("%s: only %d gain and %d phase crossovers found over 25 points; the check is near-vacuous", fam.name, gain, phase)
+		}
+	}
 }

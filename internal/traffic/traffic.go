@@ -98,49 +98,24 @@ func (u *UDPSource) ResetStats(now time.Duration) {
 	u.Received.Reset(now)
 }
 
-// BulkGroup is a group of running bulk flows sharing a spec.
-type BulkGroup struct {
-	Spec  BulkFlowSpec
-	Flows []*tcp.Endpoint
-}
-
-// Goodput returns the group's aggregate goodput in bits/s at the given time.
-func (g *BulkGroup) Goodput(now time.Duration) float64 {
-	var sum float64
-	for _, f := range g.Flows {
-		sum += f.Goodput.RateBps(now)
+// NewBulk builds flow id of a bulk group on simulator s, sending through enq.
+// It is the one place a BulkFlowSpec becomes a tcp.Config and an endpoint;
+// the caller registers the delivery path and starts the flow. split moves
+// propagation onto the caller's wires (tcp.Config.SplitPropagation).
+func NewBulk(s *sim.Simulator, enq tcp.Enqueuer, id int, spec BulkFlowSpec, split bool) *tcp.Endpoint {
+	cc, mode, err := tcp.NewCCFeedback(spec.CC, spec.Feedback)
+	if err != nil {
+		panic(err)
 	}
-	return sum
-}
-
-// StartBulk creates, registers and schedules a group of bulk TCP flows.
-// Flow IDs are assigned sequentially from firstID; the next free ID is
-// returned.
-func StartBulk(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID int, spec BulkFlowSpec) (*BulkGroup, int) {
-	g := &BulkGroup{Spec: spec, Flows: make([]*tcp.Endpoint, 0, spec.Count)}
-	id := firstID
-	for i := 0; i < spec.Count; i++ {
-		cc, mode, err := tcp.NewCCFeedback(spec.CC, spec.Feedback)
-		if err != nil {
-			panic(err)
-		}
-		ep := tcp.New(s, l, tcp.Config{
-			ID:       id,
-			CC:       cc,
-			ECN:      mode,
-			BaseRTT:  spec.RTT,
-			SACK:     spec.SACK,
-			AckEvery: spec.AckEvery,
-		})
-		d.Register(id, ep.DeliverData)
-		s.At(spec.StartAt, ep.Start)
-		if spec.StopAt > spec.StartAt {
-			s.At(spec.StopAt, ep.Stop)
-		}
-		g.Flows = append(g.Flows, ep)
-		id++
-	}
-	return g, id
+	return tcp.NewWithEnqueuer(s, enq, tcp.Config{
+		ID:               id,
+		CC:               cc,
+		ECN:              mode,
+		BaseRTT:          spec.RTT,
+		SACK:             spec.SACK,
+		AckEvery:         spec.AckEvery,
+		SplitPropagation: split,
+	})
 }
 
 // StagedCounts builds the paper's varying-intensity schedule: counts[i]
@@ -159,6 +134,8 @@ func StagedCounts(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID in
 	}
 	id := firstID
 	var eps []*tcp.Endpoint
+	spec := BulkFlowSpec{CC: cc, RTT: rtt}
+	enq := tcp.Enqueuer(l.Enqueue)
 	// Flow with rank r (0-based) is active during every stage with
 	// count > r. Because the paper's schedules are unimodal, each rank is
 	// active over one contiguous interval [firstStage, lastStage].
@@ -175,11 +152,7 @@ func StagedCounts(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID in
 		if first < 0 {
 			continue
 		}
-		ccImpl, mode, err := tcp.NewCC(cc)
-		if err != nil {
-			panic(err)
-		}
-		ep := tcp.New(s, l, tcp.Config{ID: id, CC: ccImpl, ECN: mode, BaseRTT: rtt})
+		ep := NewBulk(s, enq, id, spec, false)
 		d.Register(id, ep.DeliverData)
 		s.At(time.Duration(first)*stageLen, ep.Start)
 		stop := time.Duration(last+1) * stageLen
@@ -221,7 +194,7 @@ type WebWorkload struct {
 	Started, Finished int
 
 	s      *sim.Simulator
-	l      *link.Link
+	enq    tcp.Enqueuer
 	d      *link.Dispatcher
 	nextID *int
 }
@@ -238,7 +211,7 @@ func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, s
 	if spec.MaxSegs == 0 {
 		spec.MaxSegs = 2000
 	}
-	w := &WebWorkload{Spec: spec, FCT: &stats.Sample{}, s: s, l: l, d: d, nextID: nextID}
+	w := &WebWorkload{Spec: spec, FCT: &stats.Sample{}, s: s, enq: l.Enqueue, d: d, nextID: nextID}
 	rng := s.RNG()
 	var arrive func()
 	arrive = func() {
@@ -262,7 +235,7 @@ func (w *WebWorkload) launch(u float64) {
 	id := *w.nextID
 	*w.nextID = id + 1
 	started := w.s.Now()
-	ep := tcp.New(w.s, w.l, tcp.Config{
+	ep := tcp.NewWithEnqueuer(w.s, w.enq, tcp.Config{
 		ID:       id,
 		CC:       cc,
 		ECN:      mode,

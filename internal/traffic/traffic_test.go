@@ -48,36 +48,6 @@ func TestUDPStartStop(t *testing.T) {
 	}
 }
 
-func TestStartBulkAssignsIDs(t *testing.T) {
-	s, l, d := newNet(1, 10e6)
-	g, next := StartBulk(s, l, d, 5, BulkFlowSpec{CC: "reno", Count: 3, RTT: 10 * time.Millisecond})
-	if next != 8 {
-		t.Errorf("next id = %d, want 8", next)
-	}
-	if len(g.Flows) != 3 {
-		t.Fatalf("flows = %d", len(g.Flows))
-	}
-	for i, f := range g.Flows {
-		if f.ID() != 5+i {
-			t.Errorf("flow %d has id %d", i, f.ID())
-		}
-	}
-	s.RunUntil(2 * time.Second)
-	if g.Goodput(s.Now()) == 0 {
-		t.Error("no goodput")
-	}
-}
-
-func TestStartBulkUnknownCCPanics(t *testing.T) {
-	s, l, d := newNet(1, 10e6)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown CC did not panic")
-		}
-	}()
-	StartBulk(s, l, d, 1, BulkFlowSpec{CC: "nope", Count: 1})
-}
-
 func TestStagedCountsSchedule(t *testing.T) {
 	// A small buffer keeps tail-drop queuing delay bounded so late-stage
 	// flows get ACKs promptly (no AQM in this unit test).
