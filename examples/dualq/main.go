@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("  C-queue delay: mean %.3f ms, p99 %.3f ms\n",
 		dual.CSojourn.Mean()*1e3, dual.CSojourn.Percentile(99)*1e3)
 	fmt.Printf("  marks: L=%d C=%d drops=%d utilization=%.1f %%\n",
-		lMarks, cMarks, dual.Drops(), dual.Utilization()*100)
+		lMarks, cMarks, dual.TotalDrops(), dual.Utilization()*100)
 	fmt.Println("\nThe Scalable flow keeps its throughput share at a fraction of the")
 	fmt.Println("Classic queuing delay — the step the single-queue paper points toward.")
 }

@@ -14,11 +14,12 @@ import (
 	"pi2/internal/traffic"
 )
 
-// The DualPI2 and FQ-CoDel arms do not go through Run: their bottleneck is
-// not a link.Link, and they share a leaner cell shape — flows started inline
-// rather than by a scheduled event, goodput reset at warm-up, no samplers.
-// The goldens pin each cell's `events`, so that shape is part of the
-// recorded experiment; wiredCell is its one assembler.
+// The DualPI2 and FQ-CoDel arms do not go through Run: they share a leaner
+// cell shape — flows started inline rather than by a scheduled event,
+// goodput reset at warm-up, no samplers, and no link.ResetStats, so their
+// Utilization covers the whole run. The goldens pin each cell's `events`,
+// so that shape is part of the recorded experiment; runWired is its one
+// assembler.
 
 // cellSpec is what every wired cell needs besides its bottleneck.
 type cellSpec struct {
@@ -35,15 +36,17 @@ type wiredCell struct {
 }
 
 // runWired assembles one cell around bottleneck and runs it to completion.
-// bottleneck builds the queue on the cell's simulator in front of deliver
-// and returns its ingress plus what to reset at the warm-up boundary.
-func runWired(c cellSpec, bottleneck func(s *sim.Simulator, deliver func(*packet.Packet)) (enq tcp.Enqueuer, atWarm func())) wiredCell {
+// bottleneck builds the link on the cell's simulator in front of deliver
+// and returns it plus what to reset at the warm-up boundary. A violated
+// link invariant panics, failing the cell as Run does.
+func runWired(c cellSpec, bottleneck func(s *sim.Simulator, deliver func(*packet.Packet)) (l *link.Link, atWarm func())) wiredCell {
 	s := sim.New(c.seed)
 	if c.watch != nil {
 		c.watch(s)
 	}
 	d := link.NewDispatcher()
-	enq, atWarm := bottleneck(s, d.Deliver)
+	l, atWarm := bottleneck(s, d.Deliver)
+	enq := l.Enqueue
 	n := 0
 	for _, m := range c.mix {
 		n += m.Count
@@ -66,6 +69,9 @@ func runWired(c cellSpec, bottleneck func(s *sim.Simulator, deliver func(*packet
 		atWarm()
 	})
 	s.RunUntil(c.dur)
+	if msg := l.Audit().Err("bottleneck"); msg != "" {
+		panic(msg)
+	}
 	return wiredCell{s: s, flows: flows}
 }
 
@@ -96,10 +102,9 @@ type dualCell struct {
 // impairment placement: the injector wraps the delivery callback after the
 // bottleneck and the rate schedule drives the dual link's capacity. shared,
 // when non-nil, collects both queues' sojourn times into one distribution.
-// A violated link invariant panics, failing the cell as Run does.
 func runDual(c cellSpec, rateBps float64, cfg core.DualConfig, impair *faults.Config, shared stats.Quantiler) *dualCell {
 	dc := &dualCell{}
-	dc.wiredCell = runWired(c, func(s *sim.Simulator, deliver func(*packet.Packet)) (tcp.Enqueuer, func()) {
+	dc.wiredCell = runWired(c, func(s *sim.Simulator, deliver func(*packet.Packet)) (*link.Link, func()) {
 		if impair != nil && impair.Active() {
 			dc.inj = faults.NewInjector(s, *impair, deliver)
 			deliver = dc.inj.Deliver
@@ -112,15 +117,11 @@ func runDual(c cellSpec, rateBps float64, cfg core.DualConfig, impair *faults.Co
 			dual.LSojourn, dual.CSojourn = shared, shared
 		}
 		dc.dual = dual
-		return dual.Enqueue, func() {
+		return dual.Link, func() {
 			dual.LSojourn.Reset()
 			dual.CSojourn.Reset()
-			l, c := dual.Marks()
-			dc.warmMarks, dc.warmDrops = l+c, dual.Drops()
+			dc.warmMarks, dc.warmDrops = dual.Link.Marks(), dual.TotalDrops()
 		}
 	})
-	if msg := dc.dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
 	return dc
 }

@@ -8,10 +8,10 @@ import (
 	"pi2/internal/campaign"
 	"pi2/internal/core"
 	"pi2/internal/fq"
+	"pi2/internal/link"
 	"pi2/internal/packet"
 	"pi2/internal/sim"
 	"pi2/internal/stats"
-	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -222,14 +222,14 @@ func fqArrangementArm(o Options, tc *campaign.TaskCtx, na, nb int) FQRow {
 	dur := o.scale(100 * time.Second)
 	var l *fq.Link
 	cell := runWired(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
-		warm: dur * 2 / 5, dur: dur}, func(s *sim.Simulator, deliver func(*packet.Packet)) (tcp.Enqueuer, func()) {
+		warm: dur * 2 / 5, dur: dur}, func(s *sim.Simulator, deliver func(*packet.Packet)) (*link.Link, func()) {
 		l = fq.New(s, fq.Config{RateBps: 40e6}, deliver)
-		return l.Enqueue, func() { l.Sojourn = stats.Sample{} }
+		return l.Link, l.Sojourn.Reset
 	})
 	rates := cell.rates()
 	row := FQRow{
 		Jain:    stats.JainIndex(rates),
-		DelayMs: scaleQ(quantiles(&l.Sojourn), 1e3),
+		DelayMs: scaleQ(quantiles(l.Sojourn), 1e3),
 		Util:    l.Utilization(),
 	}
 	row.Ratio = classRatio(rates, na)

@@ -214,13 +214,12 @@ func runInteropDual(o Options, seed int64, watch func(campaign.Canceler), cc, fb
 	}, nil, soj)
 	rates := cell.rates()
 	testTot, refTot := rates[0]+rates[1], rates[2]+rates[3]
-	lMarks, cMarks := cell.dual.Marks()
 	p := InteropPoint{
 		CC:       cc,
 		Feedback: fb,
 		AQM:      "dualpi2",
-		Marks:    lMarks + cMarks - cell.warmMarks,
-		Drops:    cell.dual.Drops() - cell.warmDrops,
+		Marks:    cell.dual.Link.Marks() - cell.warmMarks,
+		Drops:    cell.dual.TotalDrops() - cell.warmDrops,
 		QMeanMs:  soj.Mean() * 1e3,
 		QP99Ms:   soj.Percentile(99) * 1e3,
 		Util:     cell.dual.Utilization(),

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"pi2/internal/aqm"
+	"pi2/internal/link"
 	"pi2/internal/packet"
 	"pi2/internal/sim"
-	"pi2/internal/stats"
 )
 
 // Config parametrizes the FQ-CoDel bottleneck.
@@ -37,49 +37,33 @@ type Config struct {
 	BufferPackets int
 }
 
+// flowQueue is one hash bucket's queue. It is its own CoDel's
+// aqm.QueueInfo: CoDel sees this queue's backlog, not the link's.
 type flowQueue struct {
-	pkts    []*packet.Packet
-	head    int
-	bytes   int
+	link.Ring
 	deficit int
+	inList  bool // on the new or old round-robin list
 	codel   *aqm.CoDel
 }
 
-func (q *flowQueue) len() int { return len(q.pkts) - q.head }
+func (q *flowQueue) BacklogBytes() int    { return q.Bytes() }
+func (q *flowQueue) BacklogPackets() int  { return q.Len() }
+func (q *flowQueue) CapacityBps() float64 { return 0 }
 
-func (q *flowQueue) push(p *packet.Packet) {
-	q.pkts = append(q.pkts, p)
-	q.bytes += p.WireLen
-}
-
-func (q *flowQueue) pop() *packet.Packet {
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	if q.head > 256 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		clear(q.pkts[n:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
-	q.bytes -= p.WireLen
-	return p
-}
-
-// idxFIFO is a round-robin list of queue indices. Popping advances a head
+// rrList is a round-robin list of flow queues. Popping advances a head
 // index and the live tail is copied down in place now and then, so rotating
 // a queue from the front to the back reuses one backing array instead of
 // sliding a slice window off the end of it.
-type idxFIFO struct {
-	q    []int
+type rrList struct {
+	q    []*flowQueue
 	head int
 }
 
-func (f *idxFIFO) len() int   { return len(f.q) - f.head }
-func (f *idxFIFO) front() int { return f.q[f.head] }
-func (f *idxFIFO) push(i int) { f.q = append(f.q, i) }
+func (f *rrList) len() int          { return len(f.q) - f.head }
+func (f *rrList) front() *flowQueue { return f.q[f.head] }
+func (f *rrList) push(q *flowQueue) { f.q = append(f.q, q) }
 
-func (f *idxFIFO) pop() {
+func (f *rrList) pop() {
 	f.head++
 	if f.head*2 >= len(f.q) {
 		n := copy(f.q, f.q[f.head:])
@@ -88,34 +72,25 @@ func (f *idxFIFO) pop() {
 	}
 }
 
-// Link is the FQ-CoDel bottleneck. It presents the same Enqueue/deliver
-// shape as link.Link and core.DualLink so endpoints can attach directly.
+// Link is the FQ-CoDel bottleneck. The embedded link.Link owns the
+// transmitter, buffer bound, counters, drops and auditor, and records the
+// sojourn of every served packet in its Sojourn; Link is only the
+// discipline: flow queues under DRR with new-flow priority. CoDel's head
+// drops are the link's Drops(link.DropAQM).
 type Link struct {
-	sim     *sim.Simulator
+	*link.Link
+
 	cfg     Config
-	deliver func(*packet.Packet)
-
 	queues  []*flowQueue
-	newQ    idxFIFO // round-robin list of new (priority) queue indices
-	oldQ    idxFIFO // round-robin list of old queue indices
-	inList  []bool
+	newQ    rrList // round-robin list of new (priority) queues
+	oldQ    rrList // round-robin list of old queues
 	backlog int
-	busy    bool
-
-	// txPkt is the packet currently serializing, txDoneFn the pre-bound
-	// completion callback and txLane the private lane completions are
-	// scheduled on — the same zero-allocation transmit path as link.Link.
-	txPkt    *packet.Packet
-	txDoneFn sim.Event
-	txLane   *sim.Lane
-
-	// Statistics.
-	Sojourn   stats.Sample
-	drops     int
-	codelDrop int
-	busySince time.Duration
-	busyTotal time.Duration
+	bytes   int
 }
+
+// flows is Link seen as its link.Queue; a distinct type keeps the
+// discipline's methods off Link's exported method set.
+type flows Link
 
 // New creates an FQ-CoDel bottleneck.
 func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
@@ -135,14 +110,11 @@ func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
 		cfg.BufferPackets = 10240
 	}
 	l := &Link{
-		sim:     s,
-		cfg:     cfg,
-		deliver: deliver,
-		queues:  make([]*flowQueue, cfg.Queues),
-		inList:  make([]bool, cfg.Queues),
+		cfg:    cfg,
+		queues: make([]*flowQueue, cfg.Queues),
 	}
-	l.txDoneFn = l.txDone
-	l.txLane = s.NewLane()
+	l.Link = link.NewWithQueue(s, link.Config{RateBps: cfg.RateBps, BufferPackets: cfg.BufferPackets},
+		(*flows)(l), deliver)
 	return l
 }
 
@@ -153,144 +125,96 @@ func (l *Link) bucket(flowID int) int {
 	return int(h % uint64(l.cfg.Queues))
 }
 
-// Enqueue classifies the packet into its flow queue.
-func (l *Link) Enqueue(p *packet.Packet) {
-	now := l.sim.Now()
-	if l.backlog >= l.cfg.BufferPackets {
-		l.drops++
-		return
-	}
-	idx := l.bucket(p.FlowID)
-	q := l.queues[idx]
+// Admit classifies the packet into its flow queue.
+func (f *flows) Admit(_ *link.Link, p *packet.Packet, _ time.Duration) aqm.Verdict {
+	idx := (*Link)(f).bucket(p.FlowID)
+	q := f.queues[idx]
 	if q == nil {
 		q = &flowQueue{codel: aqm.NewCoDel(aqm.CoDelConfig{
-			Target: l.cfg.Target, Interval: l.cfg.Interval, ECN: true,
+			Target: f.cfg.Target, Interval: f.cfg.Interval, ECN: true,
 		})}
-		l.queues[idx] = q
+		f.queues[idx] = q
 	}
-	p.EnqueuedAt = now
-	q.push(p)
-	l.backlog++
-	if !l.inList[idx] {
+	q.Push(p)
+	f.backlog++
+	f.bytes += p.WireLen
+	if !q.inList {
 		// A queue becoming active enters the new-flow list with a
 		// fresh quantum (RFC 8290 §4.1).
-		q.deficit = l.cfg.Quantum
-		l.newQ.push(idx)
-		l.inList[idx] = true
+		q.deficit = f.cfg.Quantum
+		f.newQ.push(q)
+		q.inList = true
 	}
-	if !l.busy {
-		l.startTx()
-	}
+	return aqm.Accept
 }
 
 // nextQueue picks the queue to serve: new flows first, then old flows,
 // replenishing deficits DRR-style.
-func (l *Link) nextQueue() (int, *flowQueue) {
+func (f *flows) nextQueue() *flowQueue {
 	for {
-		var list *idxFIFO
+		var list *rrList
 		switch {
-		case l.newQ.len() > 0:
-			list = &l.newQ
-		case l.oldQ.len() > 0:
-			list = &l.oldQ
+		case f.newQ.len() > 0:
+			list = &f.newQ
+		case f.oldQ.len() > 0:
+			list = &f.oldQ
 		default:
-			return -1, nil
+			return nil
 		}
-		idx := list.front()
-		q := l.queues[idx]
-		if q.len() == 0 {
+		q := list.front()
+		if q.Len() == 0 {
 			// Queue drained: a new queue leaves the lists entirely;
 			// an old queue also leaves (it re-enters on next packet).
 			list.pop()
-			l.inList[idx] = false
+			q.inList = false
 			continue
 		}
 		if q.deficit <= 0 {
 			// Exhausted quantum: rotate to the old list.
-			q.deficit += l.cfg.Quantum
+			q.deficit += f.cfg.Quantum
 			list.pop()
-			l.oldQ.push(idx)
+			f.oldQ.push(q)
 			continue
 		}
-		return idx, q
+		return q
 	}
 }
 
-func (l *Link) startTx() {
-	now := l.sim.Now()
-	var p *packet.Packet
-	for {
-		_, q := l.nextQueue()
-		if q == nil {
-			return
-		}
-		cand := q.pop()
-		l.backlog--
-		switch q.codel.DequeueVerdict(cand, codelView{q}, now) {
-		case aqm.Drop:
-			l.drops++
-			l.codelDrop++
-			continue
-		case aqm.Mark:
-			cand.ECN = packet.CE
-		}
-		q.deficit -= cand.WireLen
-		p = cand
-		break
+// Next serves the DRR-chosen queue's head through that queue's CoDel.
+func (f *flows) Next(l *link.Link, now time.Duration) (*packet.Packet, aqm.Verdict) {
+	q := f.nextQueue()
+	p := q.Pop()
+	f.backlog--
+	f.bytes -= p.WireLen
+	v := q.codel.DequeueVerdict(p, q, now)
+	if v == aqm.Drop {
+		return p, v
 	}
+	q.deficit -= p.WireLen
 	l.Sojourn.Add((now - p.EnqueuedAt).Seconds())
-
-	l.busy = true
-	l.busySince = now
-	l.txPkt = p
-	txTime := time.Duration(float64(p.WireLen*8) / l.cfg.RateBps * float64(time.Second))
-	l.txLane.After(txTime, l.txDoneFn)
+	return p, v
 }
 
-// txDone completes the in-flight packet's serialization and hands it to the
-// delivery callback.
-func (l *Link) txDone() {
-	p := l.txPkt
-	l.txPkt = nil
-	l.busyTotal += l.sim.Now() - l.busySince
-	l.deliver(p)
-	l.busy = false
-	if l.backlog > 0 {
-		l.startTx()
+func (f *flows) Len() int   { return f.backlog }
+func (f *flows) Bytes() int { return f.bytes }
+
+// HeadSojourn is the oldest flow-queue head's sojourn.
+func (f *flows) HeadSojourn(now time.Duration) time.Duration {
+	var oldest time.Duration
+	for _, q := range f.queues {
+		if q != nil {
+			oldest = max(oldest, q.HeadSojourn(now))
+		}
 	}
+	return oldest
 }
 
-// codelView adapts a flowQueue to aqm.QueueInfo for its CoDel instance.
-type codelView struct{ q *flowQueue }
-
-func (v codelView) BacklogBytes() int   { return v.q.bytes }
-func (v codelView) BacklogPackets() int { return v.q.len() }
-func (v codelView) HeadSojourn(now time.Duration) time.Duration {
-	if v.q.len() == 0 {
-		return 0
+// Shift moves the queued packets' timestamps; CoDel's own clocks are not
+// shifted (no AQM here is fast-forwarded).
+func (f *flows) Shift(delta time.Duration) {
+	for _, q := range f.queues {
+		if q != nil {
+			q.Shift(delta)
+		}
 	}
-	return now - v.q.pkts[v.q.head].EnqueuedAt
-}
-func (v codelView) CapacityBps() float64 { return 0 }
-
-// Drops returns total drops (overflow + CoDel).
-func (l *Link) Drops() int { return l.drops }
-
-// CoDelDrops returns only the CoDel-decided drops.
-func (l *Link) CoDelDrops() int { return l.codelDrop }
-
-// Backlog returns the total queued packet count.
-func (l *Link) Backlog() int { return l.backlog }
-
-// Utilization returns the busy fraction since simulation start.
-func (l *Link) Utilization() float64 {
-	now := l.sim.Now()
-	busy := l.busyTotal
-	if l.busy {
-		busy += now - l.busySince
-	}
-	if now <= 0 {
-		return 0
-	}
-	return float64(busy) / float64(now)
 }

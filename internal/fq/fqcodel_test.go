@@ -22,8 +22,8 @@ func TestSingleFlowDrains(t *testing.T) {
 	if n != 20 {
 		t.Errorf("delivered %d, want 20", n)
 	}
-	if l.Backlog() != 0 {
-		t.Errorf("backlog %d", l.Backlog())
+	if l.BacklogPackets() != 0 {
+		t.Errorf("backlog %d", l.BacklogPackets())
 	}
 }
 
@@ -82,7 +82,7 @@ func TestOverflowDrops(t *testing.T) {
 	for i := int64(0); i < 30; i++ {
 		l.Enqueue(packet.NewData(1, i, packet.MSS, packet.NotECT))
 	}
-	if l.Drops() == 0 {
+	if l.TotalDrops() == 0 {
 		t.Error("no overflow drops")
 	}
 	s.RunUntil(time.Second)
@@ -99,7 +99,7 @@ func TestCoDelEngagesPerQueue(t *testing.T) {
 	ep.Start()
 	s.RunUntil(30 * time.Second)
 	// CoDel ECN-marks the flow (ECN off here → drops) and keeps sojourn low.
-	if l.CoDelDrops() == 0 {
+	if l.Drops(link.DropAQM) == 0 {
 		t.Error("CoDel never engaged")
 	}
 	mean := l.Sojourn.Mean()
@@ -156,42 +156,32 @@ func TestBucketSpreads(t *testing.T) {
 	}
 }
 
-// TestPacketPathDoesNotAllocate pins the transmit path's shape: one packet
-// slot, a pre-bound completion callback on a private lane, and round-robin
-// lists that rotate in place. Both regimes are covered — a sparse flow that
-// re-enters the new-flow list with every packet, and backlogged flows whose
-// quantum runs out (a rotation to the old list) on every packet.
-func TestPacketPathDoesNotAllocate(t *testing.T) {
+// TestDropsTakeTheLinkDropPath: overflow and CoDel head drops both go
+// through the link's one drop path — counted, audited and recycled to the
+// pool.
+func TestDropsTakeTheLinkDropPath(t *testing.T) {
 	s := sim.New(1)
 	pool := s.PacketPool()
-	l := New(s, Config{RateBps: 1e9}, pool.Release)
-	var seq int64
-	offer := func(flow int) {
-		l.Enqueue(pool.NewData(flow, seq, packet.MSS, packet.ECT0))
-		seq++
+	delivered := 0
+	l := New(s, Config{RateBps: 1e6, BufferPackets: 20, Target: time.Millisecond, Interval: 10 * time.Millisecond},
+		func(*packet.Packet) { delivered++ })
+	for i := 0; i < 400; i++ {
+		seq := int64(i)
+		s.At(time.Duration(i)*2*time.Millisecond, func() { // 6x overload
+			l.Enqueue(pool.NewData(1+int(seq%3), seq, packet.MSS, packet.NotECT))
+		})
 	}
-	sparse := func() {
-		offer(1)
-		s.Run()
+	s.Run()
+	if l.Drops(link.DropOverflow) == 0 || l.Drops(link.DropAQM) == 0 {
+		t.Fatalf("want both kinds of drop: overflow %d, codel %d", l.Drops(link.DropOverflow), l.Drops(link.DropAQM))
 	}
-	backlogged := func() {
-		for flow := 1; flow <= 4; flow++ {
-			offer(flow)
-			offer(flow)
-		}
-		s.Run()
+	if msg := l.Audit().Err("fq-codel"); msg != "" {
+		t.Fatal(msg)
 	}
-	for i := 0; i < 64; i++ { // grow queues, lists, pool and scheduler
-		sparse()
-		backlogged()
+	if got := pool.Stats().Released; got != uint64(l.TotalDrops()) {
+		t.Errorf("pool saw %d releases, want %d (one per drop)", got, l.TotalDrops())
 	}
-	if n := testing.AllocsPerRun(200, sparse); n != 0 {
-		t.Errorf("sparse flow: %.2f allocs per packet, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, backlogged); n != 0 {
-		t.Errorf("backlogged flows: %.2f allocs per 8 packets, want 0", n)
-	}
-	if l.Backlog() != 0 || s.Pending() != 0 {
-		t.Errorf("left %d packets queued, %d events pending", l.Backlog(), s.Pending())
+	if delivered+l.TotalDrops() != 400 {
+		t.Errorf("delivered %d + dropped %d != 400 offered", delivered, l.TotalDrops())
 	}
 }

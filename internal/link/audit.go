@@ -86,12 +86,12 @@ func (a *Auditor) clock(now time.Duration) {
 	a.lastEvent = now
 }
 
-// Conserve asserts the continuous conservation identities against the
-// queue's live occupancy. The observation methods below are exported so
-// other bottleneck implementations (core.DualLink) can wire the same
-// auditor into their data paths; within a single simulation they are only
-// ever called from that simulation's goroutine.
-func (a *Auditor) Conserve(now time.Duration, backlogPackets, backlogBytes int) {
+// conserve asserts the continuous conservation identities against the
+// occupancy the queue discipline itself reports (Queue.Len/Bytes), so a
+// discipline that loses or invents a packet is caught whatever the link's
+// own counters say. Only the Link calls the observation methods below,
+// always from its simulation's goroutine.
+func (a *Auditor) conserve(now time.Duration, backlogPackets, backlogBytes int) {
 	if backlogPackets < 0 || backlogBytes < 0 {
 		a.violate(now, "negative occupancy: backlog %d packets / %d bytes",
 			backlogPackets, backlogBytes)
@@ -118,8 +118,8 @@ func (a *Auditor) Conserve(now time.Duration, backlogPackets, backlogBytes int) 
 	}
 }
 
-// Offered observes a packet arriving at the queue, before any verdict.
-func (a *Auditor) Offered(p *packet.Packet, now time.Duration) {
+// offered observes a packet arriving at the queue, before any verdict.
+func (a *Auditor) offered(p *packet.Packet, now time.Duration) {
 	a.clock(now)
 	a.OfferedPackets++
 	a.OfferedBytes += int64(p.WireLen)
@@ -128,9 +128,9 @@ func (a *Auditor) Offered(p *packet.Packet, now time.Duration) {
 	}
 }
 
-// DroppedPkt observes a drop. fromQueue distinguishes a head drop (the
+// droppedPkt observes a drop. fromQueue distinguishes a head drop (the
 // packet was already accepted into the backlog) from an enqueue-time drop.
-func (a *Auditor) DroppedPkt(p *packet.Packet, now time.Duration, fromQueue bool) {
+func (a *Auditor) droppedPkt(p *packet.Packet, fromQueue bool) {
 	a.DroppedPackets++
 	a.DroppedBytes += int64(p.WireLen)
 	if fromQueue {
@@ -142,8 +142,8 @@ func (a *Auditor) DroppedPkt(p *packet.Packet, now time.Duration, fromQueue bool
 	}
 }
 
-// Marked observes a CE mark; p still carries its pre-mark codepoint.
-func (a *Auditor) Marked(p *packet.Packet, now time.Duration) {
+// marked observes a CE mark; p still carries its pre-mark codepoint.
+func (a *Auditor) marked(p *packet.Packet, now time.Duration) {
 	a.MarkedPackets++
 	for p.FlowID >= len(a.marksByFlow) {
 		a.marksByFlow = append(a.marksByFlow, 0)
@@ -166,21 +166,21 @@ func (a *Auditor) MarksForFlow(flowID int) int {
 	return a.marksByFlow[flowID]
 }
 
-// Accepted observes a packet entering the backlog.
-func (a *Auditor) Accepted(p *packet.Packet, now time.Duration) {
+// accepted observes a packet entering the backlog.
+func (a *Auditor) accepted(p *packet.Packet) {
 	a.AcceptedPackets++
 	a.AcceptedBytes += int64(p.WireLen)
 }
 
-// Dequeued observes a packet leaving the backlog for the transmitter.
-func (a *Auditor) Dequeued(p *packet.Packet, now time.Duration) {
+// dequeued observes a packet leaving the backlog for the transmitter.
+func (a *Auditor) dequeued(p *packet.Packet, now time.Duration) {
 	a.clock(now)
 	a.DequeuedPackets++
 	a.DequeuedBytes += int64(p.WireLen)
 }
 
-// Delivered observes a packet completing serialization.
-func (a *Auditor) Delivered(p *packet.Packet, now time.Duration) {
+// delivered observes a packet completing serialization.
+func (a *Auditor) delivered(p *packet.Packet, now time.Duration) {
 	a.clock(now)
 	a.DeliveredPackets++
 	a.DeliveredBytes += int64(p.WireLen)

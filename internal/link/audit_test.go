@@ -104,7 +104,7 @@ func TestAuditViolationCap(t *testing.T) {
 	var a Auditor
 	p := packet.NewData(1, 0, packet.MSS, packet.NotECT)
 	for i := 0; i < 100; i++ {
-		a.Marked(p, time.Duration(i))
+		a.marked(p, time.Duration(i))
 	}
 	v := a.Violations()
 	if len(v) > maxViolations+1 {
@@ -121,8 +121,8 @@ func TestAuditViolationCap(t *testing.T) {
 func TestAuditClockMonotone(t *testing.T) {
 	var a Auditor
 	p := packet.NewData(1, 0, packet.MSS, packet.ECT0)
-	a.Offered(p, 5*time.Millisecond)
-	a.Offered(p, 3*time.Millisecond)
+	a.offered(p, 5*time.Millisecond)
+	a.offered(p, 3*time.Millisecond)
 	v := a.Violations()
 	if len(v) != 1 || !strings.Contains(v[0], "monotone clock") {
 		t.Fatalf("backwards clock not flagged: %v", v)
@@ -142,7 +142,7 @@ func TestAuditMarksByFlow(t *testing.T) {
 		pkts[id] = packet.NewData(id, 0, packet.MSS, packet.ECT1)
 	}
 	for _, id := range []int{5, 0, 5, 2, 5} {
-		a.Marked(pkts[id], 0)
+		a.marked(pkts[id], 0)
 	}
 	for id, want := range map[int]int{0: 1, 1: 0, 2: 1, 5: 3, 6: 0, 1 << 40: 0, -1: 0} {
 		if got := a.MarksForFlow(id); got != want {
@@ -152,7 +152,7 @@ func TestAuditMarksByFlow(t *testing.T) {
 	if a.MarkedPackets != 5 || a.Violations() != nil {
 		t.Errorf("marked %d (want 5), violations %v", a.MarkedPackets, a.Violations())
 	}
-	if n := testing.AllocsPerRun(100, func() { a.Marked(pkts[5], 0) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { a.marked(pkts[5], 0) }); n != 0 {
 		t.Errorf("marking a known flow allocates %.1f times", n)
 	}
 }

@@ -17,21 +17,15 @@ import (
 // virtually accepted packet as also virtually drained within the epoch (the
 // fluid backlog excursion lives only inside the engine).
 
-// FFShift translates the queued packets' enqueue timestamps and the AQM's
-// internal clocks by delta when the simulator jumps over an epoch, so
-// post-epoch sojourn measurements are not inflated by the jump. The busy
-// accounting is intentionally NOT shifted: the stay-in-epoch band guarantees
-// a backlogged link, so the epoch counts as busy time — the in-flight
-// packet's (shifted) completion absorbs delta into busyTotal.
+// FFShift translates the queued packets' enqueue timestamps and the
+// discipline's internal clocks by delta when the simulator jumps over an
+// epoch, so post-epoch sojourn measurements are not inflated by the jump.
+// The busy accounting is intentionally NOT shifted: the stay-in-epoch band
+// guarantees a backlogged link, so the epoch counts as busy time — the
+// in-flight packet's (shifted) completion absorbs delta into busyTotal.
 func (l *Link) FFShift(delta time.Duration) {
-	if delta <= 0 {
-		return
-	}
-	for i := l.head; i < len(l.queue); i++ {
-		l.queue[i].EnqueuedAt += delta
-	}
-	if ffa, ok := l.aqm.(aqm.FastForwarder); ok {
-		ffa.FFShift(delta)
+	if delta > 0 {
+		l.q.Shift(delta)
 	}
 }
 
@@ -59,7 +53,7 @@ func (l *Link) FFApply(accepted, marked, dropped int, qdelay time.Duration) {
 
 // FFAQM returns the attached AQM's fast-forward interface, if it has one.
 func (l *Link) FFAQM() (aqm.FastForwarder, bool) {
-	ffa, ok := l.aqm.(aqm.FastForwarder)
+	ffa, ok := l.AQM().(aqm.FastForwarder)
 	return ffa, ok
 }
 

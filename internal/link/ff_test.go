@@ -56,14 +56,14 @@ func TestLinkFFShift(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Enqueue(s.PacketPool().NewData(1, int64(i), packet.MSS, packet.NotECT))
 	}
-	head := l.queue[l.head].EnqueuedAt
+	head := l.q.(*fifo).buf[l.q.(*fifo).head].EnqueuedAt
 	soj := l.HeadSojourn(s.Now())
 
 	const delta = 3 * time.Second
 	s.ShiftPending(delta)
 	l.FFShift(delta)
 
-	if got := l.queue[l.head].EnqueuedAt; got != head+delta {
+	if got := l.q.(*fifo).buf[l.q.(*fifo).head].EnqueuedAt; got != head+delta {
 		t.Fatalf("head EnqueuedAt = %v, want %v", got, head+delta)
 	}
 	if got := l.HeadSojourn(s.Now()); got != soj {

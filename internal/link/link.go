@@ -1,5 +1,6 @@
-// Package link models the bottleneck: a FIFO buffer managed by an AQM,
-// drained by a serializing transmitter at a configurable bit rate.
+// Package link models the bottleneck: a buffer whose queue discipline (FIFO
+// + AQM by default) decides admission and service order, drained by one
+// serializing transmitter at a configurable bit rate.
 //
 // The topology in this repository mirrors the paper's dumbbell: senders
 // enqueue into one bottleneck; dequeued packets are handed to a delivery
@@ -40,7 +41,7 @@ type Config struct {
 	// BufferPackets bounds the queue length (tail-drop beyond it).
 	// The paper's Table 1 uses 40000 packets.
 	BufferPackets int
-	// AQM manages the queue; nil means pure tail-drop.
+	// AQM manages New's FIFO queue; nil means pure tail-drop.
 	AQM aqm.AQM
 	// Sojourn, if set, collects the per-packet queuing delay; nil uses the
 	// exact stats.Sample. The heavy many-flow tier passes a constant-memory
@@ -48,18 +49,18 @@ type Config struct {
 	Sojourn stats.Quantiler
 }
 
-// Link is the bottleneck queue + transmitter.
+// Link is the bottleneck: a queue discipline plus the one transmitter.
 type Link struct {
 	sim  *sim.Simulator
 	cfg  Config
-	aqm  aqm.AQM
-	deq  aqm.DequeueDropper // aqm's dequeue-time half (CoDel); nil for most
-	rate float64            // current bits/s
+	q    Queue
+	rate float64 // current bits/s
 
-	queue []*packet.Packet
-	head  int // index of the queue head; avoids O(n) dequeue copies
-	bytes int
-	busy  bool
+	// n and bytes mirror q's occupancy for the buffer bound, QueueDelayNow
+	// and the transmitter's re-arm. The AQM and the auditor read q itself:
+	// inside Next, q already excludes the packet being popped.
+	n, bytes int
+	busy     bool
 
 	deliver func(*packet.Packet)
 
@@ -78,7 +79,9 @@ type Link struct {
 	// topology deliver is the next link's Enqueue).
 	pool *packet.Pool
 
-	// Statistics.
+	// Statistics. Sojourn is filled by the discipline (New's FIFO and
+	// FQ-CoDel use it; DualPI2 splits sojourn into its own L and C
+	// collectors).
 	Sojourn    stats.Quantiler // per-packet queuing delay, seconds
 	Delivered  stats.RateMeter
 	drops      [numDropReasons]int
@@ -99,15 +102,27 @@ type Link struct {
 	aud Auditor
 }
 
-// New creates a link attached to the simulator and wires the AQM's periodic
+// New creates a FIFO link managed by cfg.AQM and wires the AQM's periodic
 // timer. deliver receives every packet that completes serialization.
 func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
-	if cfg.BufferPackets <= 0 {
-		cfg.BufferPackets = 40000 // Table 1 default
-	}
 	a := cfg.AQM
 	if a == nil {
 		a = aqm.TailDrop{}
+	}
+	f := &fifo{aqm: a}
+	f.deq, _ = a.(aqm.DequeueDropper)
+	l := NewWithQueue(s, cfg, f, deliver)
+	if iv := a.UpdateInterval(); iv > 0 {
+		s.Every(iv, func() { a.Update(l, s.Now()) })
+	}
+	return l
+}
+
+// NewWithQueue creates a link draining the discipline q; cfg.AQM is unused
+// (q is the policy). The discipline wires any periodic timer of its own.
+func NewWithQueue(s *sim.Simulator, cfg Config, q Queue, deliver func(*packet.Packet)) *Link {
+	if cfg.BufferPackets <= 0 {
+		cfg.BufferPackets = 40000 // Table 1 default
 	}
 	soj := cfg.Sojourn
 	if soj == nil {
@@ -116,79 +131,75 @@ func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
 	l := &Link{
 		sim:     s,
 		cfg:     cfg,
-		aqm:     a,
+		q:       q,
 		rate:    cfg.RateBps,
 		deliver: deliver,
 		pool:    s.PacketPool(),
 		Sojourn: soj,
 	}
-	l.deq, _ = a.(aqm.DequeueDropper)
 	l.txDoneFn = l.txDone
 	l.txLane = s.NewLane()
-	if iv := a.UpdateInterval(); iv > 0 {
-		s.Every(iv, func() { a.Update(l, s.Now()) })
-	}
 	return l
 }
 
 // --- aqm.QueueInfo ---
 
 // BacklogBytes implements aqm.QueueInfo.
-func (l *Link) BacklogBytes() int { return l.bytes }
+func (l *Link) BacklogBytes() int { return l.q.Bytes() }
 
 // BacklogPackets implements aqm.QueueInfo.
-func (l *Link) BacklogPackets() int { return len(l.queue) - l.head }
+func (l *Link) BacklogPackets() int { return l.q.Len() }
 
 // HeadSojourn implements aqm.QueueInfo.
-func (l *Link) HeadSojourn(now time.Duration) time.Duration {
-	if l.head == len(l.queue) {
-		return 0
-	}
-	return now - l.queue[l.head].EnqueuedAt
-}
+func (l *Link) HeadSojourn(now time.Duration) time.Duration { return l.q.HeadSojourn(now) }
 
 // CapacityBps implements aqm.QueueInfo.
 func (l *Link) CapacityBps() float64 { return l.rate }
 
 // --- data path ---
 
-// Enqueue submits a packet to the bottleneck. The AQM and buffer limit are
-// applied here; accepted packets are serialized in FIFO order.
+// Enqueue submits a packet to the bottleneck. The buffer limit and the
+// discipline's admission verdict are applied here; accepted packets are
+// serialized in the order the discipline hands them out.
 func (l *Link) Enqueue(p *packet.Packet) {
 	if p.Released() {
 		panic("link: enqueued a packet that was already released to the pool")
 	}
 	now := l.sim.Now()
 	l.enqueues++
-	l.aud.Offered(p, now)
-	if len(l.queue)-l.head >= l.cfg.BufferPackets {
+	l.aud.offered(p, now)
+	if l.n >= l.cfg.BufferPackets {
 		l.drop(p, DropOverflow, false)
 		return
 	}
-	switch l.aqm.Enqueue(p, l, now) {
+	switch l.q.Admit(l, p, now) {
 	case aqm.Drop:
 		l.drop(p, DropAQM, false)
 		return
 	case aqm.Mark:
-		l.aud.Marked(p, now)
-		p.ECN = packet.CE
-		l.marks++
+		l.mark(p, now)
 	}
 	p.EnqueuedAt = now
-	l.queue = append(l.queue, p)
+	l.n++
 	l.bytes += p.WireLen
-	l.aud.Accepted(p, now)
-	l.aud.Conserve(now, len(l.queue)-l.head, l.bytes)
+	l.aud.accepted(p)
+	l.aud.conserve(now, l.q.Len(), l.q.Bytes())
 	if !l.busy {
 		l.startTx()
 	}
+}
+
+func (l *Link) mark(p *packet.Packet, now time.Duration) {
+	l.aud.marked(p, now)
+	p.ECN = packet.CE
+	l.marks++
 }
 
 // drop records a dropped packet; fromQueue marks a head drop of an
 // already-accepted packet (the auditor's conservation split needs it).
 func (l *Link) drop(p *packet.Packet, r DropReason, fromQueue bool) {
 	now := l.sim.Now()
-	l.aud.DroppedPkt(p, now, fromQueue)
+	l.aud.droppedPkt(p, fromQueue)
 	l.drops[r]++
 	if l.OnDrop != nil {
 		l.OnDrop(p, r)
@@ -198,71 +209,56 @@ func (l *Link) drop(p *packet.Packet, r DropReason, fromQueue bool) {
 		// ownership because tests retain dropped packets for inspection.)
 		l.pool.Release(p)
 	}
-	l.aud.Conserve(now, len(l.queue)-l.head, l.bytes)
+	l.aud.conserve(now, l.q.Len(), l.q.Bytes())
 }
 
-// startTx pops the head of the queue and begins serializing it. Dequeue-time
-// AQMs (CoDel) may head-drop; in that case the next packet is tried. The
+// startTx takes the discipline's next packet and begins serializing it. A
+// head drop (CoDel) discards the packet and the next one is tried. The
 // caller guarantees l.busy is false and at least one packet is queued.
 func (l *Link) startTx() {
 	now := l.sim.Now()
-	var p *packet.Packet
 	for {
-		p = l.queue[l.head]
-		l.queue[l.head] = nil
-		l.head++
-		if l.head > 1024 && l.head*2 >= len(l.queue) {
-			n := copy(l.queue, l.queue[l.head:])
-			clear(l.queue[n:])
-			l.queue = l.queue[:n]
-			l.head = 0
-		}
+		p, v := l.q.Next(l, now)
+		l.n--
 		l.bytes -= p.WireLen
-		if l.deq != nil {
-			v := l.deq.DequeueVerdict(p, l, now)
-			if v == aqm.Drop {
-				// Head drop: the packet neither departs nor counts
-				// as a dequeue, so enqueues = dequeues + drops +
-				// backlog stays exact.
-				l.drop(p, DropAQM, true)
-				if len(l.queue)-l.head == 0 {
-					return // dropped the whole backlog; link stays idle
-				}
-				continue
+		if v == aqm.Drop {
+			// Head drop: the packet neither departs nor counts as a
+			// dequeue, so enqueues = dequeues + drops + backlog stays
+			// exact.
+			l.drop(p, DropAQM, true)
+			if l.n == 0 {
+				return // dropped the whole backlog; link stays idle
 			}
-			if v == aqm.Mark {
-				l.aud.Marked(p, now)
-				p.ECN = packet.CE
-				l.marks++
-			}
+			continue
+		}
+		if v == aqm.Mark {
+			l.mark(p, now)
 		}
 		l.dequeues++
-		l.aud.Dequeued(p, now)
-		l.aud.Conserve(now, len(l.queue)-l.head, l.bytes)
-		l.aqm.Dequeue(p, l, now)
-		break
-	}
-	l.Sojourn.Add((now - p.EnqueuedAt).Seconds())
+		l.aud.dequeued(p, now)
+		l.aud.conserve(now, l.q.Len(), l.q.Bytes())
 
-	l.busy = true
-	l.busySince = now
-	l.txPkt = p
-	txTime := time.Duration(float64(p.WireLen*8) / l.rate * float64(time.Second))
-	l.txLane.After(txTime, l.txDoneFn)
+		l.busy = true
+		l.busySince = now
+		l.txPkt = p
+		txTime := time.Duration(float64(p.WireLen*8) / l.rate * float64(time.Second))
+		l.txLane.After(txTime, l.txDoneFn)
+		return
+	}
 }
 
 // txDone completes the in-flight packet's serialization and hands it to the
-// delivery callback. It is pre-bound once in New so serializing a packet
-// schedules a plain method value, not a fresh closure.
+// delivery callback. It is pre-bound once in NewWithQueue so serializing a
+// packet schedules a plain method value, not a fresh closure.
 func (l *Link) txDone() {
 	p := l.txPkt
 	l.txPkt = nil
 	l.busyTotal += l.sim.Now() - l.busySince
 	l.Delivered.Add(p.WireLen)
-	l.aud.Delivered(p, l.sim.Now())
+	l.aud.delivered(p, l.sim.Now())
 	l.deliver(p)
 	l.busy = false
-	if len(l.queue)-l.head > 0 {
+	if l.n > 0 {
 		l.startTx()
 	}
 }
@@ -333,5 +329,11 @@ func (l *Link) ResetStats() {
 	}
 }
 
-// AQM returns the attached queue manager.
-func (l *Link) AQM() aqm.AQM { return l.aqm }
+// AQM returns the queue manager of a link built by New (nil for a link
+// built over another discipline).
+func (l *Link) AQM() aqm.AQM {
+	if f, ok := l.q.(*fifo); ok {
+		return f.aqm
+	}
+	return nil
+}

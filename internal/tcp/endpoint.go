@@ -181,8 +181,7 @@ func BindSeq(cc CongestionControl, sndUna, sndNxt *int64) bool {
 }
 
 // Enqueuer is the bottleneck's ingress: it takes ownership of the packet.
-// *link.Link's Enqueue method and *core.DualLink's Enqueue method both
-// satisfy it.
+// (*link.Link).Enqueue satisfies it, whatever the link's queue discipline.
 type Enqueuer func(*packet.Packet)
 
 // NewWithEnqueuer creates an endpoint that transmits through an arbitrary

@@ -68,7 +68,7 @@ func (c *laneCell) fingerprint() string {
 			c.l.Marks(), c.l.TotalDrops(), c.l.BacklogPackets(), c.l.Sojourn.Mean())
 	} else {
 		lm, cm := c.dual.Marks()
-		out += fmt.Sprintf(" lmarks=%d cmarks=%d drops=%d soj=%v/%v", lm, cm, c.dual.Drops(),
+		out += fmt.Sprintf(" lmarks=%d cmarks=%d drops=%d soj=%v/%v", lm, cm, c.dual.TotalDrops(),
 			c.dual.LSojourn.Mean(), c.dual.CSojourn.Mean())
 	}
 	for _, e := range c.flows {
