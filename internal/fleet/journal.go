@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"pi2/internal/campaign"
@@ -34,6 +35,22 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // maxFrame bounds a frame read during replay so a corrupt length prefix
 // (garbage tail) fails fast instead of attempting a GiB allocation.
 const maxFrame = 1 << 28
+
+// readPayload reads an n-byte frame payload, growing its buffer only as
+// bytes arrive (64 KiB, then doubling): a bit-flipped length under
+// maxFrame in a torn tail costs what the file holds, not what it claims.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), 64<<10))
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+step]
+	}
+	return buf, nil
+}
 
 type journalEntry struct {
 	// Segment header fields; Family != "" marks a header.
@@ -177,8 +194,8 @@ func LoadResume(path string) (*ResumeSet, ReplayStats, error) {
 			torn = true
 			break
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload, err := readPayload(br, int(n))
+		if err != nil {
 			torn = true
 			break
 		}

@@ -1,9 +1,11 @@
 package fleet_test
 
 import (
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -184,4 +186,42 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 		t.Fatalf("resumed run executed %d cells, want 2 (cells 1 and 3)", got)
 	}
 	sameRecords(t, first, second, true)
+}
+
+// TestJournalOversizedLengthIsTorn ends a journal with a frame header that
+// claims 200 MiB, as a bit-flipped length in a torn tail would: replay must
+// cut the header as torn without allocating the claimed length.
+func TestJournalOversizedLengthIsTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	j, err := fleet.OpenJournal(path, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.BeginSegment("fleettest", []byte("spec"), 1)
+	j.Record(campaign.RunRecord{Name: "fleettest", Index: 0, Result: fleetRes{}})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[:], 200<<20)
+	f.Write(hdr[:])
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rs, stats, err := fleet.LoadResume(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Truncated != int64(len(hdr)) || rs.Len() != 1 {
+		t.Fatalf("stats = %+v with %d cell(s); want the %d-byte header cut and 1 cell kept", stats, rs.Len(), len(hdr))
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("replay allocated %d bytes for a 200 MiB claim followed by EOF", d)
+	}
 }
