@@ -18,23 +18,20 @@
 //
 // -workers N dispatches grid cells across N worker processes instead of
 // in-process goroutines (see the fleet architecture in DESIGN.md): the
-// binary re-executes itself with -worker and speaks a line-delimited
-// protocol over the worker's stdin/stdout. Tables, goldens and -json
+// binary re-executes itself with -worker and speaks a framed gob protocol
+// over the worker's stdin/stdout. Tables, goldens and -json
 // records stay byte-identical to any -jobs run; a killed worker's cells
 // are re-dispatched to the survivors.
 //
 // The fleet also crosses machines: `pi2bench -serve :9000` turns a host
 // into a worker host, and a coordinator started with -hosts <file> (lines:
-// `addr [workers=N] [shards=K] [ff=bool]`) dials them over TCP instead of
-// spawning local processes. The handshake rejects drifted binaries
-// explicitly; heartbeats let the coordinator kill and re-dispatch cells
-// from wedged-but-alive workers; broken links reconnect with capped
-// backoff. Inventories without per-host overrides keep the byte-identity
-// contract. -journal <file> appends every final record to a crash-safe
-// journal, and -resume replays it, skipping completed cells, so a killed
-// coordinator loses at most its in-flight cells. -fleet-chaos N injects
-// seeded connection faults (drops, stalls, truncated frames) for testing
-// the fault paths.
+// `addr [workers=N]`) dials them over TCP instead of spawning local
+// processes, keeping the byte-identity contract. The handshake rejects
+// drifted binaries explicitly; heartbeats let the coordinator kill and
+// re-dispatch cells from wedged-but-alive workers; broken links reconnect
+// with capped backoff. -journal <file> appends every final record to a
+// crash-safe journal, and -resume replays it, skipping completed cells, so
+// a killed coordinator loses at most its in-flight cells.
 //
 // -shards N partitions each cell's simulation across N event-loop domains
 // (conservative PDES with propagation-delay lookahead; see DESIGN.md). The
@@ -84,10 +81,9 @@ func main() {
 	workers := flag.Int("workers", 0, "dispatch grid cells across N worker processes (0 = in-process -jobs pool); output is byte-identical either way")
 	workerMode := flag.Bool("worker", false, "serve the fleet worker protocol on stdin/stdout (spawned by -workers; not for interactive use)")
 	serveAddr := flag.String("serve", "", "run a fleet worker host listening on this TCP address (e.g. :9000; :0 picks a port, printed on stdout)")
-	hostsPath := flag.String("hosts", "", "dispatch grid cells to the worker hosts in this inventory file (lines: addr [workers=N] [shards=K] [ff=bool])")
+	hostsPath := flag.String("hosts", "", "dispatch grid cells to the worker hosts in this inventory file (lines: addr [workers=N])")
 	journalPath := flag.String("journal", "", "append every final run record to this crash-safe journal file")
 	resume := flag.Bool("resume", false, "replay -journal before running, skipping already-completed cells")
-	fleetChaos := flag.Int64("fleet-chaos", 0, "inject seeded connection faults into every fleet link (testing; 0 = off)")
 	shards := flag.Int("shards", 1, "event-loop domains per simulation (conservative PDES); 1 = classic single loop")
 	fastForward := flag.Bool("ff", false, "fast-forward quiescent congestion-avoidance epochs analytically (hybrid fluid/packet); also enables the 10k/50k heavy cells")
 	reps := flag.Int("reps", 1, "repeat heavy/sweep cells N times with perturbed seeds and print ± confidence bands")
@@ -159,10 +155,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pi2bench: %s: %v\n", *hostsPath, err)
 			os.Exit(1)
 		}
-		pool = fleet.NewPool(fleet.Config{Hosts: hosts, ChaosSeed: *fleetChaos})
+		pool = fleet.NewPool(fleet.Config{Hosts: hosts})
 		dispatch = pool
-	} else if *workers > 0 || *fleetChaos != 0 {
-		pool = fleet.NewPool(fleet.Config{Workers: *workers, ChaosSeed: *fleetChaos})
+	} else if *workers > 0 {
+		pool = fleet.NewPool(fleet.Config{Workers: *workers})
 		dispatch = pool
 	}
 	var journal *fleet.Journal

@@ -70,8 +70,9 @@ func fleetBenchGrid(b *testing.B, n int) ([]campaign.Task, campaign.ExecOptions)
 }
 
 // BenchmarkFleetDispatchOverhead prices the fleet protocol per cell: one
-// campaign of b.N empty cells through a single worker process (JSON
-// envelope + gob record round trip over pipes) against the same campaign
+// campaign of b.N empty cells through a single worker process (run and
+// record messages, one CRC frame each on the connection's gob stream,
+// round-tripped over pipes) against the same campaign
 // through the in-process pool. The difference is the floor a cell's
 // simulation work must dominate for -workers to pay off; BENCH_hotpath.json
 // budgets both so a protocol regression fails the bench gate.

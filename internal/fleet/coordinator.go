@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,72 +25,43 @@ type Config struct {
 	Env []string
 	// Hosts, when non-empty, replaces local workers with TCP connections
 	// to `pi2bench -serve` hosts: each Host contributes Host.Workers
-	// slots, with its composition overrides applied to their init.
+	// slots.
 	Hosts []Host
 	// Stderr receives the workers' stderr, each line prefixed [w<pid>]
 	// (default os.Stderr): cell panics are caught inside the worker, so
 	// anything here is diagnostic.
 	Stderr io.Writer
-	// OnSpawn, if set, observes each worker process ID as its connection
+}
+
+// hooks are the knobs only tests set (export_test.go).
+type hooks struct {
+	// Heartbeat is the interval workers emit liveness messages at while a
+	// cell runs; the coordinator declares a worker dead after
+	// hbReadFactor silent intervals (default 1s, so detection within 4s).
+	// ReconnectBase is the first backoff step between redials (100ms).
+	Heartbeat, ReconnectBase time.Duration
+	// OnSpawn observes each worker process ID as its connection
 	// handshakes — the crash-recovery tests use it to aim their signals.
 	OnSpawn func(pid int)
-
-	// Heartbeat is the interval workers emit liveness envelopes at while
-	// a cell runs; the coordinator declares a worker dead after
-	// hbReadFactor silent intervals (default 1s, so detection within 4s).
-	Heartbeat time.Duration
-	// HandshakeTimeout bounds the hello and ready reads (default 10s).
-	HandshakeTimeout time.Duration
-	// ReconnectAttempts is how many times a broken redialable link is
-	// re-established before its slot is abandoned (default 6).
-	ReconnectAttempts int
-	// ReconnectBase and ReconnectCap shape the exponential backoff
-	// between attempts: base<<attempt, capped, ±50% jitter (defaults
-	// 100ms and 3s).
-	ReconnectBase, ReconnectCap time.Duration
-
-	// ChaosSeed, when non-zero, wraps every dialed connection in a seeded
-	// flakyConn (drops, stalls, partial writes, truncated frames) to
-	// prove records survive connection chaos byte-identically. The crash
-	// budget is raised to chaosCrashBudget so injected faults don't
-	// exhaust a real campaign's Retries+1.
-	ChaosSeed int64
-	// Chaos tunes the injected fault mix (zero value = defaults).
-	Chaos ChaosProfile
+	// Wrap, if set, wraps each dialed connection; dial counts the slot's
+	// dials from 1. The connection-chaos tests inject faults there and
+	// raise CrashBudget, the floor on the per-cell crash budget, so the
+	// injected faults don't exhaust a campaign's Retries+1.
+	Wrap        func(c Conn, slot, dial int) Conn
+	CrashBudget int
 }
 
-func (c Config) heartbeat() time.Duration {
-	if c.Heartbeat > 0 {
-		return c.Heartbeat
-	}
-	return defaultHeartbeat
-}
+const (
+	handshakeTimeout  = 10 * time.Second // bounds the hello and ready reads
+	reconnectAttempts = 6                // redials of a broken link before its slot is dismissed
+	reconnectCap      = 3 * time.Second  // cap on the exponential backoff between redials
 
-func (c Config) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
-	}
-	return 10 * time.Second
-}
-
-func (c Config) reconnectAttempts() int {
-	if c.ReconnectAttempts > 0 {
-		return c.ReconnectAttempts
-	}
-	return 6
-}
-
-// chaosCrashBudget replaces Retries+1 as the per-cell crash budget under
-// -fleet-chaos: injected connection faults charge the same ledger as real
-// worker deaths, and the default budget would starve real campaigns' cells
-// long before the chaos proves anything.
-const chaosCrashBudget = 63
-
-// deadlineMargin pads the coordinator's total-cell deadline past the
-// worker-side watchdog budget (Timeout+Grace): the worker's own watchdog
-// must get every fair chance to return a TimedOut record before the
-// coordinator declares the worker itself wedged.
-const deadlineMargin = 10 * time.Second
+	// deadlineMargin pads the coordinator's total-cell deadline past the
+	// worker-side watchdog budget (Timeout+Grace): the worker's own
+	// watchdog must get every fair chance to return a TimedOut record
+	// before the coordinator declares the worker itself wedged.
+	deadlineMargin = 10 * time.Second
+)
 
 // Pool is a fleet coordinator: it implements campaign.Dispatcher over a
 // set of persistent worker links — spawned child processes (stdio) or
@@ -100,7 +70,8 @@ const deadlineMargin = 10 * time.Second
 // subsequent matrix, so a multi-experiment invocation pays connection
 // setup once.
 type Pool struct {
-	cfg Config
+	cfg   Config
+	hooks hooks
 
 	mu      sync.Mutex
 	workers []*worker
@@ -111,12 +82,10 @@ type Pool struct {
 // the goroutine driving it during a Dispatch; dead transitions once.
 type worker struct {
 	tr   Transport
-	over Overrides
 	slot int
 
 	conn  Conn
-	enc   *json.Encoder
-	dec   *json.Decoder
+	c     *wire
 	pid   int
 	dials int
 	dead  bool
@@ -130,7 +99,7 @@ func NewPool(cfg Config) *Pool {
 	if cfg.Stderr == nil {
 		cfg.Stderr = os.Stderr
 	}
-	return &Pool{cfg: cfg}
+	return &Pool{cfg: cfg, hooks: hooks{Heartbeat: defaultHeartbeat, ReconnectBase: 100 * time.Millisecond}}
 }
 
 // Close severs every link. For local workers, closing stdin asks for a
@@ -160,7 +129,7 @@ func (p *Pool) buildSlotsLocked() {
 		for _, h := range p.cfg.Hosts {
 			for i := 0; i < h.Workers; i++ {
 				p.workers = append(p.workers, &worker{
-					tr: &tcpTransport{addr: h.Addr}, over: h.Over, slot: slot,
+					tr: &tcpTransport{addr: h.Addr}, slot: slot,
 				})
 				slot++
 			}
@@ -189,11 +158,6 @@ func (p *Pool) buildSlotsLocked() {
 // permanently are dismissed without burning reconnect attempts.
 type permErr struct{ error }
 
-func permanent(err error) bool {
-	var p permErr
-	return errors.As(err, &p)
-}
-
 // establish dials the slot's transport and performs the connection
 // handshake: the worker speaks first with hello{proto, fingerprint, pid},
 // and a drifted binary is rejected here — explicitly, before any matrix
@@ -204,56 +168,59 @@ func (p *Pool) establish(w *worker) error {
 		return fmt.Errorf("dial: %w", err)
 	}
 	w.dials++
-	if p.cfg.ChaosSeed != 0 {
-		seed := p.cfg.ChaosSeed ^ int64(uint64(w.slot)*0x9E3779B97F4A7C15) ^ int64(w.dials)<<32
-		conn = newFlakyConn(conn, seed, p.cfg.Chaos)
+	if p.hooks.Wrap != nil {
+		conn = p.hooks.Wrap(conn, w.slot, w.dials)
 	}
-	dec := json.NewDecoder(conn)
-	conn.SetReadDeadline(time.Now().Add(p.cfg.handshakeTimeout()))
-	var hello envelope
-	if err := dec.Decode(&hello); err != nil {
+	c := newWire(conn)
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	hello, err := c.recv()
+	switch {
+	case errors.Is(err, errFrameSize):
+		err = permErr{fmt.Errorf("protocol drift: worker hello is no v%d frame (%v); a pre-v%d worker speaks NDJSON — rebuild and redeploy one binary",
+			ProtoVersion, err, ProtoVersion)}
+	case err != nil:
+		err = fmt.Errorf("read hello: %w", err)
+	case hello.Type != "hello":
+		err = permErr{fmt.Errorf("handshake: got %q, want hello (pre-handshake worker?)", hello.Type)}
+	default:
+		if d := drift("worker", "coordinator", hello.Proto, hello.FP); d != "" {
+			err = permErr{errors.New(d)}
+		}
+	}
+	if err != nil {
 		conn.Close()
-		return fmt.Errorf("read hello: %w", err)
+		return err
 	}
 	conn.SetReadDeadline(time.Time{})
-	if hello.Type != "hello" {
-		conn.Close()
-		return permErr{fmt.Errorf("handshake: got %q, want hello (pre-handshake worker?)", hello.Type)}
-	}
-	if hello.Proto != ProtoVersion {
-		conn.Close()
-		return permErr{fmt.Errorf("protocol drift: worker speaks v%d, coordinator v%d — rebuild and redeploy one binary",
-			hello.Proto, ProtoVersion)}
-	}
-	if hello.FP != Fingerprint() {
-		conn.Close()
-		return permErr{fmt.Errorf("binary drift: worker fingerprint %.12s… != coordinator %.12s… — deploy the same build everywhere",
-			hello.FP, Fingerprint())}
-	}
-	w.conn, w.dec, w.enc, w.pid = conn, dec, json.NewEncoder(conn), hello.Pid
-	if p.cfg.OnSpawn != nil {
-		p.cfg.OnSpawn(hello.Pid)
+	w.conn, w.c, w.pid = conn, c, hello.Pid
+	if p.hooks.OnSpawn != nil {
+		p.hooks.OnSpawn(hello.Pid)
 	}
 	return nil
 }
 
 // tryInit (re)establishes the link if needed and initializes the worker
-// for this matrix, applying the slot's composition overrides.
+// for this matrix.
 func (p *Pool) tryInit(w *worker, tasks []campaign.Task, opt campaign.ExecOptions) error {
 	if w.conn == nil {
 		if err := p.establish(w); err != nil {
 			return err
 		}
 	}
-	init := initEnvelope(opt, w.over, p.cfg.heartbeat().Nanoseconds())
-	if err := w.enc.Encode(init); err != nil {
+	if err := w.c.send(msg{
+		Type: "init", Proto: ProtoVersion, FP: Fingerprint(),
+		Family: opt.Family, Spec: opt.Spec, BaseSeed: opt.BaseSeed,
+		Shards: opt.Shards, FastForward: opt.FastForward,
+		Retries: opt.Retries, RetryBackoff: opt.RetryBackoff,
+		Watchdog: opt.Watchdog, Heartbeat: p.hooks.Heartbeat,
+	}); err != nil {
 		return fmt.Errorf("init write: %w", err)
 	}
 	// Matrix building is cheap (a registered source decoding a small
 	// spec); a generous multiple of the handshake budget bounds it.
-	w.conn.SetReadDeadline(time.Now().Add(3 * p.cfg.handshakeTimeout()))
-	var ready envelope
-	if err := w.dec.Decode(&ready); err != nil {
+	w.conn.SetReadDeadline(time.Now().Add(3 * handshakeTimeout))
+	ready, err := w.c.recv()
+	if err != nil {
 		return fmt.Errorf("init read: %w", err)
 	}
 	w.conn.SetReadDeadline(time.Time{})
@@ -273,35 +240,34 @@ func (p *Pool) tryInit(w *worker, tasks []campaign.Task, opt campaign.ExecOption
 // with ±50% jitter, so a rebooting host isn't hammered in lockstep by
 // every slot that lost a connection to it.
 func (p *Pool) backoff(attempt int) time.Duration {
-	base := p.cfg.ReconnectBase
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	max := p.cfg.ReconnectCap
-	if max <= 0 {
-		max = 3 * time.Second
-	}
-	d := base << attempt
-	if d <= 0 || d > max {
-		d = max
+	d := p.hooks.ReconnectBase << attempt
+	if d <= 0 || d > reconnectCap {
+		d = reconnectCap
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// initWorker brings one slot to a ready state for this matrix, redialing
-// through backoff when the transport supports it. Returns false when the
-// slot should sit the campaign out.
-func (p *Pool) initWorker(w *worker, tasks []campaign.Task, opt campaign.ExecOptions) bool {
+// connect brings one slot to a ready state for this matrix: it dials if
+// the link is down, handshakes and inits. A failed attempt redials with
+// capped backoff + jitter while the transport supports it; connect gives
+// up, reporting why, when the failure is permanent (drift), the attempts
+// are exhausted, or done closes while it waits (the grid drained: nothing
+// left to rejoin for).
+func (p *Pool) connect(w *worker, tasks []campaign.Task, opt campaign.ExecOptions, done <-chan struct{}) error {
 	for attempt := 0; ; attempt++ {
 		err := p.tryInit(w, tasks, opt)
 		if err == nil {
-			return true
+			return nil
 		}
 		p.disconnect(w, fmt.Sprintf("init: %v", err))
-		if permanent(err) || !w.tr.Redial() || attempt >= p.cfg.reconnectAttempts() {
-			return false
+		if errors.As(err, new(permErr)) || !w.tr.Redial() || attempt >= reconnectAttempts {
+			return err
 		}
-		time.Sleep(p.backoff(attempt))
+		select {
+		case <-done:
+			return errors.New("grid drained while reconnecting")
+		case <-time.After(p.backoff(attempt)):
+		}
 	}
 }
 
@@ -365,16 +331,6 @@ func (s *dispatchState) finish() {
 	s.mu.Unlock()
 }
 
-// drained reports whether every cell has its final record.
-func (s *dispatchState) drained() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // crashCount reports how many worker deaths cell i has survived.
 func (s *dispatchState) crashCount(i int) int {
 	s.mu.Lock()
@@ -402,8 +358,8 @@ func (s *dispatchState) crashed(i, budget int) (requeue bool, n int) {
 	return false, n
 }
 
-// remaining returns the unfinished cells in index order (only non-empty
-// when every worker died) and unblocks any future waiters.
+// remaining returns the unfinished cells in dispatch order (only
+// non-empty when every worker died).
 func (s *dispatchState) remaining() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -459,10 +415,10 @@ func (p *Pool) initWorkers(tasks []campaign.Task, opt campaign.ExecOptions) []*w
 		if w.dead {
 			continue
 		}
-		if p.initWorker(w, tasks, opt) {
-			live = append(live, w)
+		if err := p.connect(w, tasks, opt, nil); err != nil {
+			p.killSlot(w, err)
 		} else {
-			p.killSlot(w)
+			live = append(live, w)
 		}
 	}
 	return live
@@ -470,15 +426,12 @@ func (p *Pool) initWorkers(tasks []campaign.Task, opt campaign.ExecOptions) []*w
 
 // drive runs one worker's request/response loop until the queue drains or
 // the worker dies. A connection failure requeues the in-flight cell (or —
-// past the crash budget — records it failed), then the link is re-dialed
-// with backoff when the transport supports it; only when reconnection is
-// impossible or exhausted does the driver exit and the slot die.
+// past the crash budget — records it failed), then the link reconnects
+// when the transport supports it; only when reconnection is impossible or
+// exhausted does the driver exit and the slot die.
 func (p *Pool) drive(w *worker, tasks []campaign.Task, opt campaign.ExecOptions,
 	st *dispatchState, emit func(campaign.RunRecord)) {
-	budget := opt.Retries
-	if p.cfg.ChaosSeed != 0 && budget < chaosCrashBudget {
-		budget = chaosCrashBudget
-	}
+	budget := max(opt.Retries, p.hooks.CrashBudget)
 	for {
 		i, ok := st.take()
 		if !ok {
@@ -507,41 +460,16 @@ func (p *Pool) drive(w *worker, tasks []campaign.Task, opt campaign.ExecOptions,
 			})
 			st.finish()
 		}
-		if !p.reestablish(w, tasks, opt, st) {
-			p.killSlot(w)
+		if !w.tr.Redial() {
+			p.killSlot(w, errors.New("transport does not redial"))
 			return
 		}
-	}
-}
-
-// reestablish re-dials a broken link mid-campaign with capped backoff +
-// jitter, re-handshakes and re-inits so the slot rejoins the steal pool.
-// It gives up — reporting false — when the transport cannot redial, the
-// failure is permanent (drift), the attempts are exhausted, or the grid
-// drains while waiting (nothing left to rejoin for).
-func (p *Pool) reestablish(w *worker, tasks []campaign.Task, opt campaign.ExecOptions,
-	st *dispatchState) bool {
-	if !w.tr.Redial() {
-		return false
-	}
-	for attempt := 0; attempt < p.cfg.reconnectAttempts(); attempt++ {
-		select {
-		case <-st.done:
-			return false
-		case <-time.After(p.backoff(attempt)):
+		if err := p.connect(w, tasks, opt, st.done); err != nil {
+			p.killSlot(w, err)
+			return
 		}
-		err := p.tryInit(w, tasks, opt)
-		if err == nil {
-			fmt.Fprintf(p.cfg.Stderr, "fleet: worker %d (%s) reconnected after %d attempt(s)\n",
-				w.pid, w.tr, attempt+1)
-			return true
-		}
-		p.disconnect(w, fmt.Sprintf("reconnect %d/%d: %v", attempt+1, p.cfg.reconnectAttempts(), err))
-		if permanent(err) {
-			return false
-		}
+		fmt.Fprintf(p.cfg.Stderr, "fleet: worker %d (%s) reconnected\n", w.pid, w.tr)
 	}
-	return false
 }
 
 // runCell sends one run request and reads heartbeats until the record
@@ -554,7 +482,7 @@ func (p *Pool) reestablish(w *worker, tasks []campaign.Task, opt campaign.ExecOp
 // protocol is strictly serial, so a partial read has no recovery point.
 func (p *Pool) runCell(w *worker, i int, opt campaign.ExecOptions) (campaign.RunRecord, error) {
 	var rec campaign.RunRecord
-	if err := w.enc.Encode(envelope{Type: "run", Index: i}); err != nil {
+	if err := w.c.send(msg{Type: "run", Index: i}); err != nil {
 		return rec, fmt.Errorf("write: %w", err)
 	}
 	var total time.Time
@@ -565,43 +493,38 @@ func (p *Pool) runCell(w *worker, i int, opt campaign.ExecOptions) (campaign.Run
 		}
 		total = time.Now().Add(t + grace + deadlineMargin)
 	}
-	deadlines := true
 	for {
-		if deadlines {
-			d := time.Now().Add(hbReadFactor * p.cfg.heartbeat())
-			if !total.IsZero() && total.Before(d) {
-				d = total
-			}
-			if err := w.conn.SetReadDeadline(d); err != nil {
-				deadlines = false // transport can't enforce them; fall back to blocking reads
-			}
+		d := time.Now().Add(hbReadFactor * p.hooks.Heartbeat)
+		if !total.IsZero() && total.Before(d) {
+			d = total
 		}
-		var env envelope
-		if err := w.dec.Decode(&env); err != nil {
+		if err := w.conn.SetReadDeadline(d); err != nil {
+			return rec, fmt.Errorf("arm liveness deadline: %w", err)
+		}
+		m, err := w.c.recv()
+		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				return rec, fmt.Errorf("liveness: no heartbeat within %v (worker wedged, not slow)",
-					hbReadFactor*p.cfg.heartbeat())
+					hbReadFactor*p.hooks.Heartbeat)
 			}
 			return rec, fmt.Errorf("read: %w", err)
 		}
-		switch env.Type {
+		switch m.Type {
 		case "hb":
-			if env.Index != i {
-				return rec, fmt.Errorf("protocol: heartbeat for cell %d while running %d", env.Index, i)
+			if m.Index != i {
+				return rec, fmt.Errorf("protocol: heartbeat for cell %d while running %d", m.Index, i)
 			}
 		case "record":
-			if deadlines {
-				w.conn.SetReadDeadline(time.Time{})
+			w.conn.SetReadDeadline(time.Time{})
+			if m.Index != i {
+				return rec, fmt.Errorf("protocol: record for index %d, want %d", m.Index, i)
 			}
-			if env.Index != i {
-				return rec, fmt.Errorf("protocol: record for index %d, want %d", env.Index, i)
+			if m.Err != "" {
+				return rec, fmt.Errorf("worker: %s", m.Err)
 			}
-			if env.Err != "" {
-				return rec, fmt.Errorf("worker: %s", env.Err)
-			}
-			return campaign.DecodeRecord(env.Rec)
+			return m.Rec, nil
 		default:
-			return rec, fmt.Errorf("protocol: got %q for index %d, want record", env.Type, env.Index)
+			return rec, fmt.Errorf("protocol: got %q for index %d, want record", m.Type, m.Index)
 		}
 	}
 }
@@ -615,18 +538,12 @@ func (p *Pool) disconnect(w *worker, why string) {
 	}
 	fmt.Fprintf(p.cfg.Stderr, "fleet: worker %d (%s) link lost (%s)\n", w.pid, w.tr, why)
 	w.conn.Close()
-	w.conn, w.enc, w.dec = nil, nil, nil
+	w.conn, w.c = nil, nil
 }
 
-// killSlot marks a slot permanently dead for this pool.
-func (p *Pool) killSlot(w *worker) {
-	if w.dead {
-		return
-	}
+// killSlot marks a slot, whose link is already down, permanently dead for
+// this pool.
+func (p *Pool) killSlot(w *worker, why error) {
 	w.dead = true
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn, w.enc, w.dec = nil, nil, nil
-	}
-	fmt.Fprintf(p.cfg.Stderr, "fleet: worker slot %d (%s) dismissed\n", w.slot, w.tr)
+	fmt.Fprintf(p.cfg.Stderr, "fleet: worker slot %d (%s) dismissed: %v\n", w.slot, w.tr, why)
 }

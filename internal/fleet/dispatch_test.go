@@ -7,6 +7,16 @@ import (
 	"time"
 )
 
+// drained reports whether every cell has its final record.
+func (s *dispatchState) drained() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // TestDispatchStateLastWorkerDeath pins the edge the cond-var queue makes
 // easy to get wrong: the last live worker dies holding a cell while the
 // queue is non-empty. Nobody is left to take() — the requeued cell must be

@@ -43,7 +43,27 @@ type testSpec struct {
 	Poison  int `json:"poison"`
 }
 
+// wrapper is a registered result type whose field may hold an unregistered
+// one: gob defines wrapper on the stream, then fails on Inner.
+type wrapper struct{ Inner any }
+
+type unregistered struct{ X int }
+
 func init() {
+	campaign.RegisterWireType(wrapper{})
+	campaign.RegisterSource("fleetwrap", func([]byte) ([]campaign.Task, error) {
+		tasks := make([]campaign.Task, 4)
+		for i := range tasks {
+			i := i
+			tasks[i] = campaign.Task{Name: "fleetwrap", SeedIndex: i, Run: func(*campaign.TaskCtx) any {
+				if i == 0 {
+					return wrapper{Inner: unregistered{X: 1}}
+				}
+				return wrapper{Inner: fleetRes{Index: i}}
+			}}
+		}
+		return tasks, nil
+	})
 	campaign.RegisterWireType(fleetRes{})
 	campaign.RegisterSource("fleettest", func(raw []byte) ([]campaign.Task, error) {
 		var sp testSpec
@@ -98,12 +118,11 @@ func newTestPool(t *testing.T, workers int, onSpawn func(int)) *fleet.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := fleet.NewPool(fleet.Config{
+	pool := fleet.NewHookedPool(fleet.Config{
 		Workers: workers,
 		Command: []string{exe},
 		Env:     []string{workerEnv + "=1"},
-		OnSpawn: onSpawn,
-	})
+	}, func(h *fleet.Hooks) { h.OnSpawn = onSpawn })
 	t.Cleanup(pool.Close)
 	return pool
 }
@@ -239,5 +258,37 @@ func TestFleetCrashBudgetWithRetries(t *testing.T) {
 	}
 	if recs[poisonIdx].Attempts <= 1 {
 		t.Errorf("poison cell: Attempts = %d, want > 1 (crashes recorded)", recs[poisonIdx].Attempts)
+	}
+}
+
+// TestFleetUnencodableResult sends a result gob cannot encode mid-stream.
+// The worker must report that cell FAILED and keep the link: cells after
+// it decode on the same connection, which needs the worker's encoder and
+// the coordinator's decoder both reset (the empty frame) — gob has already
+// marked wrapper's definition as sent in the failed message.
+func TestFleetUnencodableResult(t *testing.T) {
+	src, _ := campaign.LookupSource("fleetwrap")
+	tasks, err := src(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errlog syncBuf
+	pool := newPoolWith(t, fleet.Config{Workers: 1, Stderr: &errlog}, func(*fleet.Hooks) {})
+	recs := campaign.Execute(tasks, campaign.ExecOptions{
+		Jobs: 1, BaseSeed: 1, Family: "fleetwrap", Dispatch: pool,
+	})
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 4", len(recs))
+	}
+	if !strings.Contains(recs[0].Err, "not wire-encodable") || recs[0].Result != nil {
+		t.Errorf("cell 0: Err %q, Result %v; want a stripped not-wire-encodable failure", recs[0].Err, recs[0].Result)
+	}
+	for _, rec := range recs[1:] {
+		if want := (wrapper{Inner: fleetRes{Index: rec.Index}}); rec.Err != "" || rec.Result != want {
+			t.Errorf("cell %d: Err %q, Result %+v; want %+v", rec.Index, rec.Err, rec.Result, want)
+		}
+	}
+	if log := errlog.String(); strings.Contains(log, "link lost") {
+		t.Errorf("the link dropped over an unencodable result:\n%s", log)
 	}
 }

@@ -8,23 +8,8 @@ import (
 	"strings"
 )
 
-// Overrides are the per-host composition knobs a -hosts inventory line may
-// set. They override the coordinator's campaign-wide -shards/-ff for cells
-// dispatched to that host — a 64-core host can shard deeper than a 4-core
-// one — at a cost the operator must opt into knowingly: shard count and
-// fast-forward change a cell's (deterministic but distinct) event
-// interleaving, so a fleet with overrides is no longer byte-identical to
-// `-jobs 1`. Inventories without overrides keep the identity contract.
-type Overrides struct {
-	Shards    int
-	ShardsSet bool
-	FF        bool
-	FFSet     bool
-}
-
 // Host is one line of a -hosts inventory: a worker host (started with
-// `pi2bench -serve`) plus how many connections to open to it and its
-// composition overrides.
+// `pi2bench -serve`) plus how many connections to open to it.
 type Host struct {
 	// Addr is the host's listen address (host:port).
 	Addr string
@@ -32,18 +17,18 @@ type Host struct {
 	// independent worker slot running one cell at a time, so it is the
 	// host's cell-level parallelism. Default 1.
 	Workers int
-	// Overrides are the host's composition knobs.
-	Over Overrides
 }
 
 // ParseHosts reads a host inventory: one host per line,
 //
-//	addr [workers=N] [shards=K] [ff=true|false]
+//	addr [workers=N]
 //
-// with '#' comments and blank lines ignored. Example:
+// with '#' comments and blank lines ignored. Every host runs cells with
+// the coordinator's own -shards/-ff, so a fleet's records stay
+// byte-identical to `-jobs 1`. Example:
 //
-//	# big box takes 8 cells at a time, 4-way sharded each
-//	10.0.0.7:9000  workers=8 shards=4
+//	# big box takes 8 cells at a time
+//	10.0.0.7:9000  workers=8
 //	10.0.0.9:9000  workers=2
 func ParseHosts(r io.Reader) ([]Host, error) {
 	var hosts []Host
@@ -65,28 +50,14 @@ func ParseHosts(r io.Reader) ([]Host, error) {
 			if !ok {
 				return nil, fmt.Errorf("hosts line %d: %q is not key=value", line, f)
 			}
-			switch k {
-			case "workers":
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("hosts line %d: workers=%q (want a positive integer)", line, v)
-				}
-				h.Workers = n
-			case "shards":
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("hosts line %d: shards=%q (want a positive integer)", line, v)
-				}
-				h.Over.Shards, h.Over.ShardsSet = n, true
-			case "ff":
-				b, err := strconv.ParseBool(v)
-				if err != nil {
-					return nil, fmt.Errorf("hosts line %d: ff=%q (want a bool)", line, v)
-				}
-				h.Over.FF, h.Over.FFSet = b, true
-			default:
-				return nil, fmt.Errorf("hosts line %d: unknown key %q (want workers, shards or ff)", line, k)
+			if k != "workers" {
+				return nil, fmt.Errorf("hosts line %d: unknown key %q (want workers)", line, k)
 			}
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 1 {
+				return nil, fmt.Errorf("hosts line %d: workers=%q (want a positive integer)", line, v)
+			}
+			h.Workers = n
 		}
 		hosts = append(hosts, h)
 	}

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,43 +11,36 @@ import (
 func TestParseHosts(t *testing.T) {
 	inv := `
 # production fleet
-10.0.0.7:9000  workers=8 shards=4
-10.0.0.9:9000  workers=2 ff=true   # trailing comment
+10.0.0.7:9000  workers=8
+10.0.0.9:9000  workers=2   # trailing comment
 10.0.0.11:9000
 `
 	hosts, err := fleet.ParseHosts(strings.NewReader(inv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hosts) != 3 {
-		t.Fatalf("parsed %d hosts, want 3", len(hosts))
-	}
-	h := hosts[0]
-	if h.Addr != "10.0.0.7:9000" || h.Workers != 8 || !h.Over.ShardsSet || h.Over.Shards != 4 || h.Over.FFSet {
-		t.Errorf("host 0 = %+v", h)
-	}
-	h = hosts[1]
-	if h.Addr != "10.0.0.9:9000" || h.Workers != 2 || !h.Over.FFSet || !h.Over.FF || h.Over.ShardsSet {
-		t.Errorf("host 1 = %+v", h)
-	}
-	h = hosts[2]
-	if h.Addr != "10.0.0.11:9000" || h.Workers != 1 || h.Over.ShardsSet || h.Over.FFSet {
-		t.Errorf("host 2 = %+v (workers should default to 1, no overrides)", h)
+	want := []fleet.Host{{"10.0.0.7:9000", 8}, {"10.0.0.9:9000", 2}, {"10.0.0.11:9000", 1}}
+	if !slices.Equal(hosts, want) {
+		t.Errorf("parsed %+v, want %+v (workers defaults to 1)", hosts, want)
 	}
 }
 
+// TestParseHostsErrors includes the per-host shards=/ff= overrides that
+// earlier inventories allowed: every host now runs the coordinator's
+// composition, so they are unknown keys.
 func TestParseHostsErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "# only comments\n\n",
-		"bad pair":    "h:1 workers\n",
-		"bad workers": "h:1 workers=0\n",
-		"bad shards":  "h:1 shards=-2\n",
-		"bad ff":      "h:1 ff=maybe\n",
-		"unknown key": "h:1 retries=3\n",
+	cases := map[string]struct{ inv, want string }{
+		"empty":       {"# only comments\n\n", "empty"},
+		"bad pair":    {"h:1 workers\n", "not key=value"},
+		"bad workers": {"h:1 workers=0\n", "positive integer"},
+		"shards":      {"h:1 workers=2 shards=4\n", `unknown key "shards"`},
+		"ff":          {"h:1 ff=true\n", `unknown key "ff"`},
+		"unknown key": {"h:1 retries=3\n", `unknown key "retries"`},
 	}
-	for name, inv := range cases {
-		if _, err := fleet.ParseHosts(strings.NewReader(inv)); err == nil {
-			t.Errorf("%s: inventory %q parsed without error", name, inv)
+	for name, c := range cases {
+		_, err := fleet.ParseHosts(strings.NewReader(c.inv))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: inventory %q: err = %v, want one naming %q", name, c.inv, err, c.want)
 		}
 	}
 }

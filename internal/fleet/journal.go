@@ -4,13 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 	"sync"
 
 	"pi2/internal/campaign"
@@ -22,35 +19,14 @@ import (
 // (truncating a torn tail — a frame half-written when the process died),
 // skips the journaled cells, and finishes only the remainder.
 //
-// Frame layout: u32le payload length | u32le CRC-32C of payload | payload.
-// The payload is a gob journalEntry: either a segment header — naming the
-// (family, SHA-256(spec), cell count) of the matrix whose records follow —
-// or one cell's record. Keying segments on the spec hash (not invocation
-// order) means a resumed run matches cells by matrix identity: a resume
-// with different flags simply misses and re-runs everything, it never
-// replays a record into the wrong grid.
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// maxFrame bounds a frame read during replay so a corrupt length prefix
-// (garbage tail) fails fast instead of attempting a GiB allocation.
-const maxFrame = 1 << 28
-
-// readPayload reads an n-byte frame payload, growing its buffer only as
-// bytes arrive (64 KiB, then doubling): a bit-flipped length under
-// maxFrame in a torn tail costs what the file holds, not what it claims.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, 64<<10))
-	for len(buf) < n {
-		step := min(n-len(buf), max(len(buf), 64<<10))
-		buf = slices.Grow(buf, step)
-		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
-			return nil, err
-		}
-		buf = buf[:len(buf)+step]
-	}
-	return buf, nil
-}
+// Each entry is one frame (frame.go) whose payload is a self-contained
+// gob journalEntry — a fresh gob stream per frame, because appends span
+// processes: either a segment header — naming the (family, SHA-256(spec),
+// cell count) of the matrix whose records follow — or one cell's record.
+// Keying segments on the spec hash (not invocation order) means a resumed
+// run matches cells by matrix identity: a resume with different flags
+// simply misses and re-runs everything, it never replays a record into
+// the wrong grid.
 
 type journalEntry struct {
 	// Segment header fields; Family != "" marks a header.
@@ -69,6 +45,7 @@ type journalEntry struct {
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
+	fw     frameWriter
 	errw   io.Writer
 	broken bool
 	cur    journalEntry // current segment header (Family == "" before the first)
@@ -80,7 +57,7 @@ func OpenJournal(path string, errw io.Writer) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: open journal: %w", err)
 	}
-	return &Journal{f: f, errw: errw}, nil
+	return &Journal{f: f, fw: frameWriter{w: f}, errw: errw}, nil
 }
 
 // BeginSegment implements campaign.JournalSink. The header is written
@@ -126,20 +103,17 @@ func (j *Journal) fail(err error) {
 }
 
 func (j *Journal) appendLocked(e journalEntry) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&e); err != nil {
+	if err := gob.NewEncoder(&j.fw).Encode(&e); err != nil {
+		j.fw.discard()
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload.Bytes(), crcTable))
-	if _, err := j.f.Write(append(hdr[:], payload.Bytes()...)); err != nil {
+	if err := j.fw.flush(); err != nil {
 		return err
 	}
 	return j.f.Sync()
 }
 
-// Close flushes and closes the journal file.
+// Close closes the journal file; every append is already synced.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -176,31 +150,16 @@ func LoadResume(path string) (*ResumeSet, ReplayStats, error) {
 	}
 	defer f.Close()
 
-	br := bufio.NewReader(f)
+	fr := frameReader{r: bufio.NewReader(f)}
 	var (
 		valid int64 // offset past the last whole valid frame
 		seg   string
 		torn  bool
 	)
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			torn = err != io.EOF
-			break
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxFrame {
-			torn = true
-			break
-		}
-		payload, err := readPayload(br, int(n))
+		payload, err := fr.next()
 		if err != nil {
-			torn = true
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			torn = true
+			torn = err != io.EOF
 			break
 		}
 		var e journalEntry
@@ -208,7 +167,13 @@ func LoadResume(path string) (*ResumeSet, ReplayStats, error) {
 			torn = true
 			break
 		}
-		valid += 8 + int64(n)
+		if e.Family == "" && seg == "" {
+			// A record before any header is a journal from a different
+			// layout; treat it as tail damage.
+			torn = true
+			break
+		}
+		valid += 8 + int64(len(payload))
 		if e.Family != "" {
 			seg = segKey(e.Family, e.SpecSHA)
 			if rs.segs[seg] == nil {
@@ -216,13 +181,6 @@ func LoadResume(path string) (*ResumeSet, ReplayStats, error) {
 			}
 			stats.Segments++
 			continue
-		}
-		if seg == "" {
-			// A record before any header is a journal from a different
-			// layout; treat it as tail damage.
-			torn = true
-			valid -= 8 + int64(n)
-			break
 		}
 		rs.segs[seg][e.Index] = e.Rec
 		stats.Records++

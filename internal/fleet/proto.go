@@ -1,12 +1,12 @@
 // Package fleet shards a campaign across worker processes — local children
-// or remote hosts. The coordinator (Pool) speaks a newline-delimited JSON
-// protocol over a Transport (stdio pipes to a spawned `pi2bench -worker`,
-// or TCP to a `pi2bench -serve` host) and pull-dispatches cells one at a
-// time — a worker asks for work implicitly by finishing its previous cell,
-// so slow cells never straggle a whole worker's queue (work-stealing
-// degenerates to "steal everything not yet started"). Records stream back
-// to the engine's emit funnel as they arrive; nothing grid-sized
-// accumulates here.
+// or remote hosts. The coordinator (Pool) speaks gob messages in CRC-checked
+// frames (frame.go) over a Transport (stdio pipes to a spawned `pi2bench
+// -worker`, or TCP to a `pi2bench -serve` host) and pull-dispatches cells
+// one at a time — a worker asks for work implicitly by finishing its
+// previous cell, so slow cells never straggle a whole worker's queue
+// (work-stealing degenerates to "steal everything not yet started").
+// Records stream back to the engine's emit funnel as they arrive; nothing
+// grid-sized accumulates here.
 //
 // Determinism: a worker rebuilds the identical task matrix from the
 // (family, spec) pair via campaign.RegisterSource and runs each dispatched
@@ -30,66 +30,64 @@ package fleet
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"pi2/internal/campaign"
 )
 
 // ProtoVersion is the fleet wire-protocol generation. A coordinator and
 // worker disagreeing on it are rejected at handshake, before any cell
-// runs. v1 was the PR 9 stdio protocol (init/hello, no handshake, no
-// heartbeats); v2 added hello-first handshake with build fingerprints,
-// heartbeat envelopes, and per-slot composition overrides.
-const ProtoVersion = 2
+// runs. v1 was the first stdio protocol (init/hello, no handshake, no
+// heartbeats); v2 added hello-first handshake with build fingerprints and
+// heartbeats; v3 replaced v2's NDJSON envelopes with one gob stream per
+// connection in the journal's CRC-32C frames (frame.go).
+const ProtoVersion = 3
 
-// envelope is one protocol message. Type discriminates; unused fields stay
-// at their zero values and are omitted from the wire.
-type envelope struct {
-	Type string `json:"t"`
+// msg is one protocol message. Type discriminates; each type uses a few
+// fields and leaves the rest at their zero values, which gob omits.
+type msg struct {
+	Type string
 
 	// hello (worker → coordinator, once per connection, worker speaks
 	// first) and init (coordinator → worker): Proto and FP carry each
 	// side's protocol version and build fingerprint; either side rejects
 	// a mismatch explicitly instead of trusting matrix-size luck.
-	Proto int    `json:"proto,omitempty"`
-	FP    string `json:"fp,omitempty"`
-	Pid   int    `json:"pid,omitempty"`
+	Proto int
+	FP    string
+	Pid   int
 
 	// init (coordinator → worker): identifies the matrix and carries the
 	// execution knobs that must match the in-process pool for records to
-	// be bit-identical. Shards/FastForward may be overridden per host by
-	// a -hosts inventory line (see Host).
-	Family         string `json:"family,omitempty"`
-	Spec           []byte `json:"spec,omitempty"`
-	BaseSeed       int64  `json:"base_seed,omitempty"`
-	Shards         int    `json:"shards,omitempty"`
-	FastForward    bool   `json:"ff,omitempty"`
-	Retries        int    `json:"retries,omitempty"`
-	RetryBackoffNs int64  `json:"retry_backoff_ns,omitempty"`
-	WDTimeoutNs    int64  `json:"wd_timeout_ns,omitempty"`
-	WDStallNs      int64  `json:"wd_stall_ns,omitempty"`
-	WDPollNs       int64  `json:"wd_poll_ns,omitempty"`
-	WDGraceNs      int64  `json:"wd_grace_ns,omitempty"`
-	// HbNs is the coordinator-chosen heartbeat interval: while a cell
-	// runs, the worker emits one hb envelope per interval and the
-	// coordinator treats hbReadFactor missed intervals as a dead worker.
-	HbNs int64 `json:"hb_ns,omitempty"`
+	// be bit-identical. Heartbeat is the coordinator-chosen interval:
+	// while a cell runs, the worker emits one hb message per interval and
+	// the coordinator treats hbReadFactor missed intervals as a dead
+	// worker.
+	Family       string
+	Spec         []byte
+	BaseSeed     int64
+	Shards       int
+	FastForward  bool
+	Retries      int
+	RetryBackoff time.Duration
+	Watchdog     campaign.Watchdog
+	Heartbeat    time.Duration
 
 	// ready (worker → coordinator): init acknowledgement. Tasks echoes
 	// the rebuilt matrix size — with fingerprints equal a mismatch should
 	// be impossible, but it stays as a belt-and-braces spec-drift check;
 	// Err reports a worker-side init failure.
-	Tasks int    `json:"tasks,omitempty"`
-	Err   string `json:"err,omitempty"`
+	Tasks int
+	Err   string
 
 	// run (coordinator → worker), hb and record (worker → coordinator).
-	Index int `json:"index"`
-	// Rec is the gob-encoded RunRecord (campaign.EncodeRecord); JSON
-	// base64s it. Gob, not JSON, because Result/Params hold typed values
-	// that must round-trip exactly (see internal/campaign/wire.go).
-	Rec []byte `json:"rec,omitempty"`
+	// Rec travels as gob, not JSON, because Result/Params hold typed
+	// values that must round-trip exactly (see internal/campaign/wire.go).
+	Index int
+	Rec   campaign.RunRecord
 }
 
 // hbReadFactor is how many heartbeat intervals of silence the coordinator
@@ -97,81 +95,40 @@ type envelope struct {
 // between the worker's ticker and the coordinator's read deadline.
 const hbReadFactor = 4
 
-// fingerprint identifies this build: the SHA-256 of the executable file
-// itself. Two binaries built from drifted sources cannot share it, and a
-// binary copied to another host keeps it — exactly the equality the
-// multi-host fleet needs. Computed once; errors degrade to a sentinel
-// that only matches itself on the same failure mode.
-var (
-	fpOnce sync.Once
-	fpVal  string
-)
-
-// Fingerprint returns this process's build fingerprint.
-func Fingerprint() string {
-	fpOnce.Do(func() {
-		fpVal = "unknown"
-		exe, err := os.Executable()
-		if err != nil {
-			return
-		}
-		f, err := os.Open(exe)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			return
-		}
-		fpVal = hex.EncodeToString(h.Sum(nil))
-	})
-	return fpVal
+// drift names a mismatch between this process's protocol version and
+// build fingerprint and a peer's, or returns "" when both match.
+func drift(peer, self string, proto int, fp string) string {
+	if proto != ProtoVersion {
+		return fmt.Sprintf("protocol drift: %s speaks v%d, %s v%d — rebuild and redeploy one binary",
+			peer, proto, self, ProtoVersion)
+	}
+	if fp != Fingerprint() {
+		return fmt.Sprintf("binary drift: %s fingerprint %.12s… != %s %.12s… — deploy the same build everywhere",
+			peer, fp, self, Fingerprint())
+	}
+	return ""
 }
 
-// initEnvelope builds the init message for one Dispatch call, with the
-// slot's per-host composition overrides applied.
-func initEnvelope(opt campaign.ExecOptions, over Overrides, hbNs int64) envelope {
-	shards, ff := opt.Shards, opt.FastForward
-	if over.ShardsSet {
-		shards = over.Shards
-	}
-	if over.FFSet {
-		ff = over.FF
-	}
-	return envelope{
-		Type:           "init",
-		Proto:          ProtoVersion,
-		FP:             Fingerprint(),
-		Family:         opt.Family,
-		Spec:           opt.Spec,
-		BaseSeed:       opt.BaseSeed,
-		Shards:         shards,
-		FastForward:    ff,
-		Retries:        opt.Retries,
-		RetryBackoffNs: opt.RetryBackoff.Nanoseconds(),
-		WDTimeoutNs:    opt.Watchdog.Timeout.Nanoseconds(),
-		WDStallNs:      opt.Watchdog.Stall.Nanoseconds(),
-		WDPollNs:       opt.Watchdog.Poll.Nanoseconds(),
-		WDGraceNs:      opt.Watchdog.Grace.Nanoseconds(),
-		HbNs:           hbNs,
-	}
-}
+// Fingerprint returns this process's build fingerprint: the SHA-256 of
+// the executable file itself. Two binaries built from drifted sources
+// cannot share it, and a binary copied to another host keeps it — exactly
+// the equality the multi-host fleet needs. Computed once; errors degrade
+// to a sentinel that only matches itself on the same failure mode.
+func Fingerprint() string { return fingerprint() }
 
-// execOptions reverses initEnvelope on the worker side. Progress,
-// Collector and Dispatch stay nil: a worker is a leaf.
-func (e envelope) execOptions() campaign.ExecOptions {
-	return campaign.ExecOptions{
-		BaseSeed:     e.BaseSeed,
-		Shards:       e.Shards,
-		FastForward:  e.FastForward,
-		Retries:      e.Retries,
-		RetryBackoff: durationNs(e.RetryBackoffNs),
-		Watchdog: campaign.Watchdog{
-			Timeout: durationNs(e.WDTimeoutNs),
-			Stall:   durationNs(e.WDStallNs),
-			Poll:    durationNs(e.WDPollNs),
-			Grace:   durationNs(e.WDGraceNs),
-		},
+var fingerprint = sync.OnceValue(func() string {
+	exe, err := os.Executable()
+	if err != nil {
+		return "unknown"
 	}
-}
+	f, err := os.Open(exe)
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "unknown"
+	}
+	return hex.EncodeToString(h.Sum(nil))
+})

@@ -86,13 +86,10 @@ func TestFleetTCPChaosByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := fleet.NewPool(fleet.Config{
-			Hosts:         hosts,
-			Stderr:        io.Discard,
-			ChaosSeed:     seed,
-			Chaos:         fleet.ChaosProfile{FailEvery: 20, Stall: 400 * time.Millisecond},
-			Heartbeat:     50 * time.Millisecond,
-			ReconnectBase: 10 * time.Millisecond,
+		pool := fleet.NewHookedPool(fleet.Config{Hosts: hosts, Stderr: io.Discard}, func(h *fleet.Hooks) {
+			h.Chaos(seed, fleet.ChaosProfile{FailEvery: 20, Stall: 400 * time.Millisecond})
+			h.Heartbeat = 50 * time.Millisecond
+			h.ReconnectBase = 10 * time.Millisecond
 		})
 		opt := opt
 		opt.Dispatch = pool
@@ -129,11 +126,9 @@ func TestFleetDetectsWedgedWorker(t *testing.T) {
 
 	var errlog syncBuf
 	pids := make(chan int, 2)
-	pool := newPoolWith(t, fleet.Config{
-		Workers:   2,
-		Heartbeat: 50 * time.Millisecond, // wedge detected within 200 ms
-		Stderr:    &errlog,
-		OnSpawn:   func(pid int) { pids <- pid },
+	pool := newPoolWith(t, fleet.Config{Workers: 2, Stderr: &errlog}, func(h *fleet.Hooks) {
+		h.Heartbeat = 50 * time.Millisecond // wedge detected within 200 ms
+		h.OnSpawn = func(pid int) { pids <- pid }
 	})
 	opt.Dispatch = pool
 
@@ -174,8 +169,8 @@ func TestFleetDetectsWedgedWorker(t *testing.T) {
 }
 
 // newPoolWith builds a pool over this test binary's worker mode with an
-// arbitrary config (Command/Env filled in unless Hosts is set).
-func newPoolWith(t *testing.T, cfg fleet.Config) *fleet.Pool {
+// arbitrary config (Command/Env filled in unless Hosts is set) and hooks.
+func newPoolWith(t *testing.T, cfg fleet.Config, set func(*fleet.Hooks)) *fleet.Pool {
 	t.Helper()
 	if len(cfg.Hosts) == 0 && len(cfg.Command) == 0 {
 		exe, err := os.Executable()
@@ -185,17 +180,14 @@ func newPoolWith(t *testing.T, cfg fleet.Config) *fleet.Pool {
 		cfg.Command = []string{exe}
 		cfg.Env = []string{workerEnv + "=1"}
 	}
-	pool := fleet.NewPool(cfg)
+	pool := fleet.NewHookedPool(cfg, set)
 	t.Cleanup(pool.Close)
 	return pool
 }
 
 func newChaosPool(t *testing.T, workers int, seed int64) *fleet.Pool {
 	t.Helper()
-	return newPoolWith(t, fleet.Config{
-		Workers:   workers,
-		Stderr:    io.Discard,
-		ChaosSeed: seed,
-		Chaos:     fleet.ChaosProfile{FailEvery: 25},
+	return newPoolWith(t, fleet.Config{Workers: workers, Stderr: io.Discard}, func(h *fleet.Hooks) {
+		h.Chaos(seed, fleet.ChaosProfile{FailEvery: 25})
 	})
 }

@@ -17,8 +17,6 @@ import (
 type Conn interface {
 	io.ReadWriteCloser
 	// SetReadDeadline bounds subsequent Reads; the zero time clears it.
-	// Implementations that cannot enforce deadlines return an error and
-	// the coordinator falls back to deadline-free reads.
 	SetReadDeadline(t time.Time) error
 }
 
@@ -71,10 +69,7 @@ func (t *procTransport) Dial() (Conn, error) {
 		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		in.Close()
-		out.Close()
-		errPipe.Close()
-		return nil, err
+		return nil, err // Start closes the pipes when it fails
 	}
 	// Tee the worker's stderr line by line, each line prefixed with the
 	// worker pid, so multi-worker crash diagnostics are attributable
@@ -112,8 +107,7 @@ func (c *procConn) Write(p []byte) (int, error) { return c.in.Write(p) }
 
 func (c *procConn) SetReadDeadline(t time.Time) error {
 	// exec.Cmd.StdoutPipe is an *os.File pipe; on Linux the runtime poller
-	// enforces deadlines on it. The assertion guards against a future
-	// stdlib change, degrading to deadline-free reads.
+	// enforces deadlines on it.
 	if f, ok := c.out.(*os.File); ok {
 		return f.SetReadDeadline(t)
 	}
@@ -129,9 +123,6 @@ func (c *procConn) Close() error {
 	return nil
 }
 
-// Pid reports the child's process ID (for OnSpawn and kill-aiming tests).
-func (c *procConn) Pid() int { return c.cmd.Process.Pid }
-
 // tcpTransport dials a worker host started with `pi2bench -serve`.
 type tcpTransport struct {
 	addr string
@@ -145,14 +136,18 @@ func (t *tcpTransport) Dial() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	tuneTCP(nc)
+	return nc.(Conn), nil
+}
+
+// tuneTCP sets both ends of a fleet link. Cells are latency-insensitive
+// but a message per cell is small: disable Nagle so run/record round
+// trips don't stack delayed ACKs, and arm keep-alive so a vanished peer
+// (host power-off, no FIN) eventually errors instead of wedging the link.
+func tuneTCP(nc net.Conn) {
 	if tc, ok := nc.(*net.TCPConn); ok {
-		// Cells are latency-insensitive but envelope-per-cell small;
-		// disable Nagle so run/record round trips don't stack delayed
-		// ACKs, and arm keep-alive so a vanished peer (host power-off, no
-		// FIN) eventually errors instead of wedging the link forever.
 		tc.SetNoDelay(true)
 		tc.SetKeepAlive(true)
 		tc.SetKeepAlivePeriod(30 * time.Second)
 	}
-	return nc.(Conn), nil
 }

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,10 +11,8 @@ import (
 	"pi2/internal/campaign"
 )
 
-func durationNs(ns int64) time.Duration { return time.Duration(ns) }
-
 // defaultHeartbeat is the heartbeat interval used when the coordinator's
-// init doesn't choose one (and the coordinator-side default in Config).
+// init doesn't choose one, and the coordinator's own default.
 const defaultHeartbeat = time.Second
 
 // Serve runs the worker side of the fleet protocol until the coordinator
@@ -46,11 +44,7 @@ func ServeTCP(addr string, out, errw io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("fleet: accept: %w", err)
 		}
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-			tc.SetKeepAlive(true)
-			tc.SetKeepAlivePeriod(30 * time.Second)
-		}
+		tuneTCP(nc)
 		go func(c net.Conn) {
 			defer c.Close()
 			fmt.Fprintf(errw, "fleet: coordinator %s connected\n", c.RemoteAddr())
@@ -68,53 +62,50 @@ func ServeTCP(addr string, out, errw io.Writer) error {
 // then init/run cycles until EOF. The message loop is strictly serial from
 // the coordinator's point of view — one cell at a time, the record sent
 // before the next message is read — but while a cell runs on its own
-// goroutine the loop emits heartbeat envelopes, which is what lets the
+// goroutine the loop emits heartbeats, which is what lets the
 // coordinator's read deadlines tell a wedged worker from a slow cell.
 func serveConn(conn io.ReadWriter) error {
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(envelope{
-		Type: "hello", Proto: ProtoVersion, FP: Fingerprint(), Pid: os.Getpid(),
-	}); err != nil {
+	c := newWire(conn)
+	if err := c.send(msg{Type: "hello", Proto: ProtoVersion, FP: Fingerprint(), Pid: os.Getpid()}); err != nil {
 		return fmt.Errorf("fleet worker: write hello: %w", err)
 	}
 	var tasks []campaign.Task
 	var opt campaign.ExecOptions
 	hb := defaultHeartbeat
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		m, err := c.recv()
+		if err != nil {
 			if err == io.EOF {
 				return nil
 			}
 			return fmt.Errorf("fleet worker: read: %w", err)
 		}
-		switch env.Type {
+		switch m.Type {
 		case "init":
-			tasks, opt = nil, env.execOptions()
-			if env.HbNs > 0 {
-				hb = durationNs(env.HbNs)
+			// Progress, Collector and Dispatch stay nil: a worker is a leaf.
+			tasks, opt = nil, campaign.ExecOptions{
+				BaseSeed: m.BaseSeed, Shards: m.Shards, FastForward: m.FastForward,
+				Retries: m.Retries, RetryBackoff: m.RetryBackoff, Watchdog: m.Watchdog,
 			}
-			reply := envelope{Type: "ready"}
-			if env.Proto != ProtoVersion {
-				reply.Err = fmt.Sprintf("protocol drift: coordinator speaks v%d, worker v%d — rebuild and redeploy one binary",
-					env.Proto, ProtoVersion)
-			} else if env.FP != Fingerprint() {
-				reply.Err = fmt.Sprintf("binary drift: coordinator fingerprint %.12s… != worker %.12s… — deploy the same build everywhere",
-					env.FP, Fingerprint())
-			} else if src, ok := campaign.LookupSource(env.Family); !ok {
-				reply.Err = fmt.Sprintf("unknown task source %q", env.Family)
-			} else if built, err := src(env.Spec); err != nil {
-				reply.Err = fmt.Sprintf("task source %q: %v", env.Family, err)
+			if m.Heartbeat > 0 {
+				hb = m.Heartbeat
+			}
+			reply := msg{Type: "ready"}
+			if d := drift("coordinator", "worker", m.Proto, m.FP); d != "" {
+				reply.Err = d
+			} else if src, ok := campaign.LookupSource(m.Family); !ok {
+				reply.Err = fmt.Sprintf("unknown task source %q", m.Family)
+			} else if built, err := src(m.Spec); err != nil {
+				reply.Err = fmt.Sprintf("task source %q: %v", m.Family, err)
 			} else {
 				tasks = built
 				reply.Tasks = len(built)
 			}
-			if err := enc.Encode(reply); err != nil {
+			if err := c.send(reply); err != nil {
 				return fmt.Errorf("fleet worker: write ready: %w", err)
 			}
 		case "run":
-			if err := runWithHeartbeats(enc, tasks, opt, env.Index, hb); err != nil {
+			if err := runWithHeartbeats(c, tasks, opt, m.Index, hb); err != nil {
 				return err
 			}
 		default:
@@ -125,52 +116,45 @@ func serveConn(conn io.ReadWriter) error {
 }
 
 // runWithHeartbeats executes one cell on its own goroutine while the
-// connection goroutine ticks hb envelopes, then sends the record. A write
+// connection goroutine ticks hb messages, then sends the record. A write
 // error on either means the coordinator is gone; the cell goroutine is
 // left to finish into a buffered channel (its result is discarded — the
 // coordinator has already requeued the cell elsewhere).
-func runWithHeartbeats(enc *json.Encoder, tasks []campaign.Task,
+func runWithHeartbeats(c *wire, tasks []campaign.Task,
 	opt campaign.ExecOptions, index int, hb time.Duration) error {
-	done := make(chan envelope, 1)
-	go func() { done <- runEnvelope(tasks, opt, index) }()
+	done := make(chan msg, 1)
+	go func() { done <- runRecord(tasks, opt, index) }()
 	ticker := time.NewTicker(hb)
 	defer ticker.Stop()
 	for {
 		select {
 		case reply := <-done:
-			if err := enc.Encode(reply); err != nil {
+			err := c.send(reply)
+			if errors.Is(err, errUnencodable) {
+				// An unregistered result type can't cross the wire; strip
+				// it and surface the failure in the record so the table
+				// prints FAILED instead of the campaign wedging.
+				reply.Rec.Result = nil
+				reply.Rec.Err = "fleet: result " + err.Error()
+				err = c.send(reply)
+			}
+			if err != nil {
 				return fmt.Errorf("fleet worker: write record: %w", err)
 			}
 			return nil
 		case <-ticker.C:
-			if err := enc.Encode(envelope{Type: "hb", Index: index}); err != nil {
+			if err := c.send(msg{Type: "hb", Index: index}); err != nil {
 				return fmt.Errorf("fleet worker: write heartbeat: %w", err)
 			}
 		}
 	}
 }
 
-// runEnvelope runs one dispatched cell and packages its record.
-func runEnvelope(tasks []campaign.Task, opt campaign.ExecOptions, index int) envelope {
-	reply := envelope{Type: "record", Index: index}
+// runRecord runs one dispatched cell and packages its record.
+func runRecord(tasks []campaign.Task, opt campaign.ExecOptions, index int) msg {
 	if index < 0 || index >= len(tasks) {
-		reply.Err = fmt.Sprintf("index %d outside matrix of %d", index, len(tasks))
-		return reply
+		return msg{Type: "record", Index: index,
+			Err: fmt.Sprintf("index %d outside matrix of %d", index, len(tasks))}
 	}
-	rec := campaign.RunOne(tasks[index], index, opt)
-	b, err := campaign.EncodeRecord(&rec)
-	if err != nil {
-		// An unregistered result type can't cross the wire; strip it and
-		// surface the failure in the record so the table prints FAILED
-		// instead of the campaign wedging.
-		rec.Result = nil
-		rec.Err = fmt.Sprintf("fleet: result not wire-encodable: %v", err)
-		b, err = campaign.EncodeRecord(&rec)
-	}
-	if err != nil {
-		reply.Err = fmt.Sprintf("encode record %d: %v", index, err)
-	} else {
-		reply.Rec = b
-	}
-	return reply
+	return msg{Type: "record", Index: index, Rec: campaign.RunOne(tasks[index], index, opt)}
 }
