@@ -204,13 +204,13 @@ func (pi *PI) DropProbability() float64 { return pi.core.P() }
 // logic lives in FFDecide so packet mode and fast-forward mode share one
 // RNG discipline.
 func (pi *PI) Enqueue(p *packet.Packet, _ QueueInfo, _ time.Duration) Verdict {
-	return pi.FFDecide(p.ECN, p.WireLen, 0)
+	return pi.FFDecide(p.ECN, int(p.WireLen), 0)
 }
 
 // Dequeue implements AQM.
 func (pi *PI) Dequeue(p *packet.Packet, q QueueInfo, now time.Duration) {
 	if pi.cfg.Estimator == EstimateByRate {
-		pi.rate.OnDequeue(p.WireLen, q.BacklogBytes(), now)
+		pi.rate.OnDequeue(int(p.WireLen), q.BacklogBytes(), now)
 	}
 }
 

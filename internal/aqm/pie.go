@@ -182,7 +182,7 @@ func (pe *PIE) QDelay() time.Duration { return pe.qdelay }
 // lives in FFDecide so packet mode and fast-forward mode share one RNG
 // discipline.
 func (pe *PIE) Enqueue(p *packet.Packet, q QueueInfo, now time.Duration) Verdict {
-	return pe.FFDecide(p.ECN, p.WireLen, q.BacklogBytes())
+	return pe.FFDecide(p.ECN, int(p.WireLen), q.BacklogBytes())
 }
 
 // signal picks mark vs drop for a packet that lost the probability draw.
@@ -198,7 +198,7 @@ func (pe *PIE) signal(ecn packet.ECN) Verdict {
 // Dequeue implements AQM; it feeds the departure-rate estimator.
 func (pe *PIE) Dequeue(p *packet.Packet, q QueueInfo, now time.Duration) {
 	if pe.cfg.Estimator == EstimateByRate {
-		pe.rate.OnDequeue(p.WireLen, q.BacklogBytes(), now)
+		pe.rate.OnDequeue(int(p.WireLen), q.BacklogBytes(), now)
 	}
 }
 

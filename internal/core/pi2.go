@@ -127,7 +127,7 @@ func (q2 *PI2) ScalableProbability() float64 {
 // The decision logic lives in FFDecide so packet mode and fast-forward mode
 // share one RNG discipline.
 func (q2 *PI2) Enqueue(p *packet.Packet, _ aqm.QueueInfo, _ time.Duration) Verdict {
-	return q2.FFDecide(p.ECN, p.WireLen, 0)
+	return q2.FFDecide(p.ECN, int(p.WireLen), 0)
 }
 
 // squaredHit draws the squared-probability decision: either one uniform
@@ -146,7 +146,7 @@ type Verdict = aqm.Verdict
 // Dequeue implements aqm.AQM.
 func (q2 *PI2) Dequeue(p *packet.Packet, q aqm.QueueInfo, now time.Duration) {
 	if q2.cfg.Estimator == aqm.EstimateByRate {
-		q2.rate.OnDequeue(p.WireLen, q.BacklogBytes(), now)
+		q2.rate.OnDequeue(int(p.WireLen), q.BacklogBytes(), now)
 	}
 }
 

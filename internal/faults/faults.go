@@ -121,12 +121,13 @@ func (inj *Injector) forward(p *packet.Packet) {
 }
 
 // clone deep-copies a packet out of the pool. SACK is the packet's only
-// pointer-carrying field, so one slice copy makes the clone independent.
+// pointer-carrying field, so copying its blocks makes the clone independent.
 func (inj *Injector) clone(p *packet.Packet) *packet.Packet {
 	cp := inj.pool.Get()
 	*cp = *p
 	if p.SACK != nil {
-		cp.SACK = append([][2]int64(nil), p.SACK...)
+		sb := *p.SACK
+		cp.SACK = &sb
 	}
 	return cp
 }

@@ -257,3 +257,38 @@ type recordingSetter struct {
 
 func (r *recordingSetter) SetRateBps(v float64) { r.rate = v; r.sets = append(r.sets, v) }
 func (r *recordingSetter) RateBps() float64     { return r.rate }
+
+// TestCloneOwnsItsSACKBlocks: a duplicate must not share the original's
+// SACK blocks. The original is released and its pool slot reused by an ACK
+// whose blocks are written into the storage the slot last carried; the
+// clone must keep the blocks it was given.
+func TestCloneOwnsItsSACKBlocks(t *testing.T) {
+	s := sim.New(5)
+	inj := NewInjector(s, Config{}, func(*packet.Packet) {})
+	pool := s.PacketPool()
+	ack := pool.NewAck(1, 100)
+	ack.SACK = &packet.SACKBlocks{N: 2, Blocks: [packet.MaxSACKBlocks][2]int64{{3, 5}, {7, 9}}}
+	want := *ack.SACK
+	cp := inj.clone(ack)
+	if cp == ack || cp.FlowID != 1 || cp.Ack != 100 || !cp.Flags.Has(packet.FlagACK) {
+		t.Fatalf("clone = %v, want a distinct copy of %v", cp, ack)
+	}
+
+	blocks := ack.SACK
+	pool.Release(ack)
+	reuse := pool.NewAck(2, 200)
+	if reuse != ack {
+		t.Fatal("pool did not hand the released slot out again")
+	}
+	reuse.SACK = blocks
+	reuse.SACK.N = 1
+	reuse.SACK.Blocks[0] = [2]int64{40, 41}
+
+	if *cp.SACK != want {
+		t.Errorf("clone's SACK blocks changed with the original's slot: %v, want %v",
+			cp.SACK.Ranges(), want.Ranges())
+	}
+	if cp.FlowID != 1 || cp.Ack != 100 {
+		t.Errorf("clone's header changed with the original's slot: %v", cp)
+	}
+}

@@ -137,7 +137,7 @@ func (f *flows) Admit(_ *link.Link, p *packet.Packet, _ time.Duration) aqm.Verdi
 	}
 	q.Push(p)
 	f.backlog++
-	f.bytes += p.WireLen
+	f.bytes += int(p.WireLen)
 	if !q.inList {
 		// A queue becoming active enters the new-flow list with a
 		// fresh quantum (RFC 8290 §4.1).
@@ -185,12 +185,12 @@ func (f *flows) Next(l *link.Link, now time.Duration) (*packet.Packet, aqm.Verdi
 	q := f.nextQueue()
 	p := q.Pop()
 	f.backlog--
-	f.bytes -= p.WireLen
+	f.bytes -= int(p.WireLen)
 	v := q.codel.DequeueVerdict(p, q, now)
 	if v == aqm.Drop {
 		return p, v
 	}
-	q.deficit -= p.WireLen
+	q.deficit -= int(p.WireLen)
 	l.Sojourn.Add((now - p.EnqueuedAt).Seconds())
 	return p, v
 }

@@ -181,7 +181,7 @@ func (l *Link) Enqueue(p *packet.Packet) {
 	}
 	p.EnqueuedAt = now
 	l.n++
-	l.bytes += p.WireLen
+	l.bytes += int(p.WireLen)
 	l.aud.accepted(p)
 	l.aud.conserve(now, l.q.Len(), l.q.Bytes())
 	if !l.busy {
@@ -220,7 +220,7 @@ func (l *Link) startTx() {
 	for {
 		p, v := l.q.Next(l, now)
 		l.n--
-		l.bytes -= p.WireLen
+		l.bytes -= int(p.WireLen)
 		if v == aqm.Drop {
 			// Head drop: the packet neither departs nor counts as a
 			// dequeue, so enqueues = dequeues + drops + backlog stays
@@ -241,7 +241,7 @@ func (l *Link) startTx() {
 		l.busy = true
 		l.busySince = now
 		l.txPkt = p
-		txTime := time.Duration(float64(p.WireLen*8) / l.rate * float64(time.Second))
+		txTime := time.Duration(float64(p.WireLen) * 8 / l.rate * float64(time.Second))
 		l.txLane.After(txTime, l.txDoneFn)
 		return
 	}
@@ -254,7 +254,7 @@ func (l *Link) txDone() {
 	p := l.txPkt
 	l.txPkt = nil
 	l.busyTotal += l.sim.Now() - l.busySince
-	l.Delivered.Add(p.WireLen)
+	l.Delivered.Add(int(p.WireLen))
 	l.aud.delivered(p, l.sim.Now())
 	l.deliver(p)
 	l.busy = false

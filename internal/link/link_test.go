@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -411,4 +412,29 @@ func TestRingCompaction(t *testing.T) {
 	if n != 5000 {
 		t.Errorf("delivered %d, want 5000", n)
 	}
+}
+
+// TestPoisonedPacketBreaksSerialization: a queued packet released behind
+// the link's back must not be serialized. Poison gives it a negative wire
+// length, so its transmission delay is negative and scheduling it panics;
+// the bit count must not wrap to a plausible (zero) delay in int32.
+func TestPoisonedPacketBreaksSerialization(t *testing.T) {
+	s := sim.New(1)
+	pool := s.PacketPool()
+	pool.Poison = true
+	l := New(s, Config{RateBps: 12e6}, pool.Release)
+	l.Enqueue(pool.NewData(1, 0, packet.MSS, packet.NotECT)) // serializing
+	p := pool.NewData(1, 1, packet.MSS, packet.NotECT)
+	l.Enqueue(p)    // queued behind it
+	pool.Release(p) // use-after-release: the link still holds p
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("link serialized a poisoned packet")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "before now") {
+			t.Fatalf("want a negative-delay panic, got: %v", msg)
+		}
+	}()
+	s.Run()
 }

@@ -59,7 +59,7 @@ func (r *Ring) Push(p *packet.Packet) {
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
-	r.bytes += p.WireLen
+	r.bytes += int(p.WireLen)
 }
 
 // Pop removes and returns the head packet; the ring must not be empty.
@@ -68,7 +68,7 @@ func (r *Ring) Pop() *packet.Packet {
 	r.buf[r.head] = nil
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	r.bytes -= p.WireLen
+	r.bytes -= int(p.WireLen)
 	return p
 }
 

@@ -78,6 +78,12 @@ func (f Flags) Has(f2 Flags) bool { return f&f2 == f2 }
 // locking is needed (the simulator is single-threaded anyway). The terminal
 // owner — the receiver for delivered packets, the link for dropped ones —
 // returns the packet to the simulation's Pool for recycling.
+//
+// A Packet is exactly 64 bytes, so a Pool chunk lays packets out one per
+// cache line (TestPacketIsOneCacheLine pins the size). The 8-byte fields
+// come first, the two 4-byte lengths next, and the single-byte fields share
+// the last word; a new field must fit in its 3 spare bytes or move a cold
+// field behind a pointer, as SACK is.
 type Packet struct {
 	// FlowID identifies the transport connection.
 	FlowID int
@@ -87,11 +93,20 @@ type Packet struct {
 	// Ack is the cumulative acknowledgment (next expected byte);
 	// meaningful when FlagACK is set.
 	Ack int64
+	// SentAt is the time the sender transmitted the packet (for RTT
+	// sampling); EnqueuedAt is stamped by the queue for sojourn time.
+	SentAt     time.Duration
+	EnqueuedAt time.Duration
+	// SACK carries the selective-acknowledgment ranges of an ACK (nil
+	// when the flow does not use SACK or nothing is out of order). Code
+	// that copies a packet copies the blocks too, so no two packets share
+	// them.
+	SACK *SACKBlocks
 	// PayloadLen is the TCP payload in bytes (0 for pure ACKs).
-	PayloadLen int
+	PayloadLen int32
 	// WireLen is the size on the wire, headers included. The bottleneck
 	// serializes WireLen bytes.
-	WireLen int
+	WireLen int32
 	// ECN is the current IP ECN codepoint; the AQM may rewrite it to CE.
 	ECN ECN
 	// Flags carries TCP flags.
@@ -100,20 +115,31 @@ type Packet struct {
 	// acknowledged arrived CE-marked. This models DCTCP-style accurate
 	// per-packet feedback (the simulator does not use delayed ACKs).
 	AckedCE bool
-	// SACK carries up to four selective-acknowledgment ranges
-	// [start, end) in segment numbers, lowest first (nil when the flow
-	// does not use SACK or nothing is out of order).
-	SACK [][2]int64
-	// SentAt is the time the sender transmitted the packet (for RTT
-	// sampling); EnqueuedAt is stamped by the queue for sojourn time.
-	SentAt     time.Duration
-	EnqueuedAt time.Duration
 	// Retransmit marks retransmitted data segments (diagnostics only).
 	Retransmit bool
 
 	// released is set while the packet sits in a Pool's free list; the
 	// data path asserts it is false to catch use-after-release.
 	released bool
+}
+
+// MaxSACKBlocks is the number of ranges one ACK reports, as TCP option
+// space limits it to in practice.
+const MaxSACKBlocks = 4
+
+// SACKBlocks is up to MaxSACKBlocks selective-acknowledgment ranges
+// [start, end) in segment numbers, in the order the receiver reports them.
+type SACKBlocks struct {
+	N      int
+	Blocks [MaxSACKBlocks][2]int64
+}
+
+// Ranges returns the reported ranges; it is nil for a nil receiver.
+func (s *SACKBlocks) Ranges() [][2]int64 {
+	if s == nil {
+		return nil
+	}
+	return s.Blocks[:s.N:s.N]
 }
 
 // Common wire sizes. MSS is the data payload per segment; HeaderLen covers
@@ -131,8 +157,8 @@ func NewData(flowID int, seq int64, payload int, ecn ECN) *Packet {
 	return &Packet{
 		FlowID:     flowID,
 		Seq:        seq,
-		PayloadLen: payload,
-		WireLen:    payload + HeaderLen,
+		PayloadLen: int32(payload),
+		WireLen:    int32(payload + HeaderLen),
 		ECN:        ecn,
 	}
 }

@@ -9,6 +9,12 @@ package packet
 // exactly one pool (via sim.Simulator.PacketPool), so pools need no locking
 // and parallel campaign runs never share one.
 //
+// When the free list is empty, Get carves the next packet from a per-pool
+// []Packet chunk instead of allocating it alone, so a cell's packets cost a
+// handful of heap objects and sit one per cache line. Chunks grow with the
+// pool (minChunk to maxChunk packets, about as many as it already holds), so
+// the unused tail is at most one chunk per simulation.
+//
 // The zero value is ready to use. Releasing a packet that was allocated
 // outside the pool simply adopts it.
 type Pool struct {
@@ -20,7 +26,8 @@ type Pool struct {
 	// is off in normal runs.
 	Poison bool
 
-	free []*Packet
+	free  []*Packet
+	chunk []Packet // packets not yet handed out
 
 	news     uint64
 	reuses   uint64
@@ -34,7 +41,8 @@ var PoisonFreed bool
 
 // PoolStats reports a pool's traffic for diagnostics and tests.
 type PoolStats struct {
-	// Allocated counts packets that had to come from the heap.
+	// Allocated counts packets that had to come from the heap (carved
+	// from a chunk), not the chunks themselves.
 	Allocated uint64
 	// Reused counts packets served from the free list.
 	Reused uint64
@@ -57,9 +65,20 @@ func (pl *Pool) Get() *Packet {
 		*p = Packet{}
 		return p
 	}
+	if len(pl.chunk) == 0 {
+		pl.chunk = make([]Packet, min(maxChunk, max(minChunk, int(pl.news))))
+	}
+	p := &pl.chunk[0]
+	pl.chunk = pl.chunk[1:]
 	pl.news++
-	return &Packet{}
+	return p
 }
+
+// Chunk size bounds, in packets: 16 packets are one kilobyte, 256 are 16 KiB.
+const (
+	minChunk = 16
+	maxChunk = 256
+)
 
 // Release returns a packet to the pool. Only the packet's terminal owner may
 // call it; releasing the same packet twice panics, because a double release
@@ -84,8 +103,8 @@ func (pl *Pool) NewData(flowID int, seq int64, payload int, ecn ECN) *Packet {
 	p := pl.Get()
 	p.FlowID = flowID
 	p.Seq = seq
-	p.PayloadLen = payload
-	p.WireLen = payload + HeaderLen
+	p.PayloadLen = int32(payload)
+	p.WireLen = int32(payload + HeaderLen)
 	p.ECN = ecn
 	return p
 }
@@ -107,6 +126,10 @@ func (p *Packet) Released() bool { return p.released }
 // poisonSeq is a recognizable marker in panic output and traces.
 const poisonSeq = -0x7ea9_f4ee
 
+// poisonWireLen is negative and stays negative when multiplied by 8 in
+// int32 arithmetic, so a poisoned packet's bit count cannot wrap to zero.
+const poisonWireLen = -1 << 27
+
 // poisonFields scrambles a released packet: the negative wire length breaks
 // the link auditor's byte conservation and makes any serialization attempt
 // panic (negative tx delay), and the flow id has no registered handler.
@@ -115,7 +138,7 @@ func (p *Packet) poisonFields() {
 	p.Seq = poisonSeq
 	p.Ack = poisonSeq
 	p.PayloadLen = -1
-	p.WireLen = -1 << 30
+	p.WireLen = poisonWireLen
 	p.ECN = ECN(0xff)
 	p.Flags = 0
 	p.SACK = nil

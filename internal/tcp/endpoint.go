@@ -654,7 +654,7 @@ func (e *Endpoint) receiveData(p *packet.Packet) {
 	switch {
 	case inOrder:
 		e.rcvNxt++
-		e.Goodput.Add(p.PayloadLen)
+		e.Goodput.Add(int(p.PayloadLen))
 		// Consume the now-in-order prefix, then compact by copying down:
 		// reslicing the front (oooSorted[1:]) would slide the capacity
 		// window forward and force insertOOO to reallocate on every

@@ -163,7 +163,7 @@ func max64(a, b int64) int64 {
 // with more than four holes would only ever report its lowest blocks and
 // the sender's scoreboard could never complete (recovery would deadlock
 // until the RTO). Pass recentSeq < 0 for timer-triggered ACKs.
-func sackBlocks(sorted []int64, recentSeq int64) [][2]int64 {
+func sackBlocks(sorted []int64, recentSeq int64) *packet.SACKBlocks {
 	if len(sorted) == 0 {
 		return nil
 	}
@@ -190,15 +190,11 @@ func sackBlocks(sorted []int64, recentSeq int64) [][2]int64 {
 			}
 		}
 	}
-	n := len(runs)
-	if n > 4 {
-		n = 4
+	sb := &packet.SACKBlocks{N: min(len(runs), packet.MaxSACKBlocks)}
+	for i := range sb.N {
+		sb.Blocks[i] = runs[(first+i)%len(runs)]
 	}
-	blocks := make([][2]int64, 0, n)
-	for i := 0; i < n; i++ {
-		blocks = append(blocks, runs[(first+i)%len(runs)])
-	}
-	return blocks
+	return sb
 }
 
 // --- endpoint integration ---
@@ -207,7 +203,7 @@ func sackBlocks(sorted []int64, recentSeq int64) [][2]int64 {
 // recovery should be (or remain) active, i.e. there are inferred losses.
 func (e *Endpoint) processSACK(p *packet.Packet) {
 	ss := e.sack
-	ss.record(p.SACK, e.sndUna)
+	ss.record(p.SACK.Ranges(), e.sndUna)
 	ss.inferLosses(e.sndUna)
 	if !e.state.InRecovery && ss.cntLostUnretx > 0 && e.sndUna >= e.rtoGuard {
 		now := e.sim.Now()

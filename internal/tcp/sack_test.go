@@ -28,7 +28,7 @@ func TestSackBlocks(t *testing.T) {
 		{[]int64{5, 7, 8, 12}, 8, [][2]int64{{7, 9}, {12, 13}, {5, 6}}},
 	}
 	for _, c := range cases {
-		if got := sackBlocks(c.in, c.recent); !reflect.DeepEqual(got, c.want) {
+		if got := sackBlocks(c.in, c.recent).Ranges(); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("sackBlocks(%v, %d) = %v, want %v", c.in, c.recent, got, c.want)
 		}
 	}

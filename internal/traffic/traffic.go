@@ -67,7 +67,7 @@ func StartUDP(s *sim.Simulator, l *link.Link, d *link.Dispatcher, flowID int, sp
 	}
 	u := &UDPSource{Spec: spec, flowID: flowID, simr: s, link: l, pool: s.PacketPool()}
 	d.Register(flowID, func(p *packet.Packet) {
-		u.Received.Add(p.WireLen)
+		u.Received.Add(int(p.WireLen))
 		u.pool.Release(p) // UDP sink: terminal owner of delivered packets
 	})
 	interval := time.Duration(float64(spec.PacketLen*8) / spec.RateBps * float64(time.Second))
@@ -85,9 +85,9 @@ func StartUDP(s *sim.Simulator, l *link.Link, d *link.Dispatcher, flowID int, sp
 func (u *UDPSource) emit() {
 	p := u.pool.Get()
 	p.FlowID = u.flowID
-	p.WireLen = u.Spec.PacketLen
+	p.WireLen = int32(u.Spec.PacketLen)
 	p.ECN = packet.NotECT
-	u.Sent.Add(p.WireLen)
+	u.Sent.Add(u.Spec.PacketLen)
 	u.link.Enqueue(p)
 }
 
