@@ -12,6 +12,7 @@ package pi2bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -495,6 +496,24 @@ func BenchmarkLinkPacketPath(b *testing.B) {
 	s.Run()
 	if delivered == 0 {
 		b.Fatal("nothing delivered")
+	}
+}
+
+// BenchmarkDelayHistogramAdd prices one per-packet observation into the
+// heavy tier's constant-memory sojourn collector: exact moments and
+// extremes, plus the bin found from the geometry's shared edge table.
+// Delays are log-uniform over 1 µs to 1 s so every bin path is taken.
+func BenchmarkDelayHistogramAdd(b *testing.B) {
+	h := stats.NewDelayHistogram()
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]float64, 1024)
+	for i := range delays {
+		delays[i] = math.Exp(math.Log(1e-6) + rng.Float64()*math.Log(1e6))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(delays[i%len(delays)])
 	}
 }
 

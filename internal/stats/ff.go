@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // This file holds the bulk-insert fast paths the fast-forward engine uses:
 // an analytically advanced epoch contributes thousands of equal-valued
 // observations (e.g. "the queue delay held at 21 ms while 40k packets
@@ -44,14 +42,7 @@ func (h *LogHistogram) AddN(x float64, n int64) {
 	}
 	h.n += n
 	h.w.AddN(x, n)
-	idx := 0
-	if x >= h.floor {
-		idx = 1 + int((math.Log(x)-h.logFloor)*h.invWidth)
-		if idx >= len(h.bins) {
-			idx = len(h.bins) - 1
-		}
-	}
-	h.bins[idx] += n
+	h.bins[h.binOf(x)] += n
 }
 
 // AddN records n observations of x on the exact collector. Unlike the

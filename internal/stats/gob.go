@@ -42,9 +42,15 @@ type sampleWire struct {
 }
 
 // GobEncode implements gob.GobEncoder. Observation order is preserved so a
-// post-transfer Merge accumulates in the same order as in-process.
+// post-transfer Merge accumulates in the same order as in-process. The
+// value receiver cannot flatten in place, so chunked observations are
+// copied after the flattened ones.
 func (s Sample) GobEncode() ([]byte, error) {
-	return gobBytes(sampleWire{Xs: s.xs, Sorted: s.sorted, W: s.w})
+	xs := s.xs
+	if s.live > 0 {
+		xs = s.appendChunks(append(make([]float64, 0, len(s.xs)+s.pending()), s.xs...))
+	}
+	return gobBytes(sampleWire{Xs: xs, Sorted: s.sorted, W: s.w})
 }
 
 // GobDecode implements gob.GobDecoder.
@@ -53,7 +59,7 @@ func (s *Sample) GobDecode(data []byte) error {
 	if err := gobValue(data, &v); err != nil {
 		return err
 	}
-	s.xs, s.sorted, s.w = v.Xs, v.Sorted, v.W
+	*s = Sample{xs: v.Xs, sorted: v.Sorted, w: v.W}
 	return nil
 }
 
@@ -82,6 +88,7 @@ func (h *LogHistogram) GobDecode(data []byte) error {
 	}
 	h.floor, h.logFloor, h.logWidth, h.invWidth = v.Floor, v.LogFloor, v.LogWidth, v.InvWidth
 	h.bins, h.n, h.min, h.max, h.w = v.Bins, v.N, v.Min, v.Max, v.W
+	h.tab = tableFor(h.geometry())
 	return nil
 }
 

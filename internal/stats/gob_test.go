@@ -65,6 +65,9 @@ func TestLogHistogramGobRoundTrip(t *testing.T) {
 	}
 	var got LogHistogram
 	gobRoundTrip(t, h, &got)
+	if got.tab != h.tab {
+		t.Fatalf("decoded histogram did not pick up its geometry's shared edge table")
+	}
 	if got.N() != h.N() || got.Mean() != h.Mean() || got.Min() != h.Min() || got.Max() != h.Max() {
 		t.Fatalf("summary changed after round trip")
 	}

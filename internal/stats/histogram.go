@@ -57,6 +57,7 @@ type LogHistogram struct {
 	// [floor·g^(i-1), floor·g^i) with g = 1+relWidth. The last bin also
 	// absorbs overflow.
 	bins []int64
+	tab  *binTable // shared edge table of this geometry; nil keeps the formula
 
 	n        int64
 	min, max float64
@@ -73,13 +74,15 @@ func NewLogHistogram(floor, ceil, relWidth float64) *LogHistogram {
 	}
 	logWidth := math.Log1p(relWidth)
 	nBins := int(math.Ceil(math.Log(ceil/floor)/logWidth)) + 1
-	return &LogHistogram{
+	h := &LogHistogram{
 		floor:    floor,
 		logFloor: math.Log(floor),
 		logWidth: logWidth,
 		invWidth: 1 / logWidth,
 		bins:     make([]int64, 1+nBins),
 	}
+	h.tab = tableFor(h.geometry())
+	return h
 }
 
 // NewDelayHistogram builds the collector the heavy-traffic tier uses for
@@ -89,7 +92,9 @@ func NewDelayHistogram() *LogHistogram {
 	return NewLogHistogram(1e-6, 1e4, 0.02)
 }
 
-// Add records one observation. It never allocates.
+// Add records one observation. It never allocates and takes no logarithm:
+// the bin comes from the geometry's shared edge table. +Inf counts in the
+// last (overflow) bin.
 func (h *LogHistogram) Add(x float64) {
 	if h.n == 0 || x < h.min {
 		h.min = x
@@ -99,14 +104,23 @@ func (h *LogHistogram) Add(x float64) {
 	}
 	h.n++
 	h.w.Add(x)
-	idx := 0
-	if x >= h.floor {
-		idx = 1 + int((math.Log(x)-h.logFloor)*h.invWidth)
-		if idx >= len(h.bins) {
-			idx = len(h.bins) - 1
-		}
+	h.bins[h.binOf(x)]++
+}
+
+func (h *LogHistogram) geometry() binGeometry {
+	return binGeometry{floor: h.floor, logFloor: h.logFloor, invWidth: h.invWidth, bins: len(h.bins)}
+}
+
+// binOf returns the bin of x: the underflow bin below the floor (and for
+// NaN), else the edge table's bin, which is the formula's bin exactly.
+func (h *LogHistogram) binOf(x float64) int {
+	if !(x >= h.floor) {
+		return 0
 	}
-	h.bins[idx]++
+	if h.tab != nil {
+		return h.tab.bin(x)
+	}
+	return h.geometry().formulaBin(x)
 }
 
 // N returns the number of observations.

@@ -283,3 +283,24 @@ func TestLogHistogramMergeGeometryMismatchPanics(t *testing.T) {
 	}()
 	NewLogHistogram(1e-6, 1e4, 0.02).Merge(NewLogHistogram(1e-6, 1e4, 0.05))
 }
+
+// TestLogHistogramAddInf pins +Inf to the overflow bin (the bare formula's
+// int(+Inf) indexed out of range) and NaN to the underflow bin, where the
+// formula's x >= floor test has always sent it.
+func TestLogHistogramAddInf(t *testing.T) {
+	h := NewDelayHistogram()
+	h.Add(math.Inf(1))
+	h.AddN(math.Inf(1), 2)
+	h.Add(math.NaN())
+	if last := len(h.bins) - 1; h.bins[last] != 3 || h.bins[0] != 1 {
+		t.Fatalf("overflow bin %d, underflow bin %d; want 3 and 1", h.bins[last], h.bins[0])
+	}
+	if h.N() != 4 || !math.IsInf(h.Max(), 1) {
+		t.Fatalf("N = %d, Max = %v", h.N(), h.Max())
+	}
+	g := h.geometry()
+	g.bins = maxTableBins + 1 // too fine to tabulate: the formula path
+	if got := g.formulaBin(math.Inf(1)); got != g.bins-1 {
+		t.Fatalf("formula files +Inf in bin %d, want %d", got, g.bins-1)
+	}
+}

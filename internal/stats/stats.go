@@ -63,21 +63,55 @@ func (w *Welford) Merge(o Welford) {
 
 // Sample collects raw observations for exact percentiles.
 // The zero value is ready to use.
+//
+// Add fills fixed chunks (64 floats, doubling to 8192): a chunk is never
+// copied while it fills, where a plain append would copy every observation
+// about five times on its way to a per-packet sojourn sample's final size.
+// The first ordered read (Percentile, Percentiles, CDF, Values, Merge as
+// the source) flattens the chunks once, in insertion order, onto xs, and
+// the chunks are released; the observations' order, and so every sort and
+// merge result, is exactly that of one appended slice. N, Mean and Stddev
+// never flatten.
 type Sample struct {
-	xs     []float64
+	xs     []float64   // flattened observations, in order (sorted if sorted)
+	chunks [][]float64 // storage for later observations, each at full length
+	live   int         // chunks in use: chunks[:live-1] full, then tail
+	tail   []float64   // the filling chunk, chunks[live-1][:len(tail)]
 	sorted bool
 	w      Welford
 }
 
+const (
+	firstChunk = 64
+	maxChunk   = 8192 // 64 KB
+)
+
 // Add records one observation.
 func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
+	if len(s.tail) == cap(s.tail) {
+		s.nextChunk()
+	}
+	s.tail = append(s.tail, x)
 	s.sorted = false
 	s.w.Add(x)
 }
 
+// nextChunk makes the next chunk the filling one: a chunk kept from before
+// a Reset if there is one, else a new chunk twice the last one's size.
+func (s *Sample) nextChunk() {
+	if s.live == len(s.chunks) {
+		size := firstChunk
+		if s.live > 0 {
+			size = min(2*len(s.chunks[s.live-1]), maxChunk)
+		}
+		s.chunks = append(s.chunks, make([]float64, size))
+	}
+	s.tail = s.chunks[s.live][:0]
+	s.live++
+}
+
 // N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int { return int(s.w.N()) }
 
 // Mean returns the mean of all observations (0 if empty).
 func (s *Sample) Mean() float64 { return s.w.Mean() }
@@ -85,10 +119,46 @@ func (s *Sample) Mean() float64 { return s.w.Mean() }
 // Stddev returns the sample standard deviation.
 func (s *Sample) Stddev() float64 { return s.w.Stddev() }
 
+// pending counts the observations not yet flattened onto xs.
+func (s *Sample) pending() int {
+	if s.live == 0 {
+		return 0
+	}
+	n := len(s.tail)
+	for _, c := range s.chunks[:s.live-1] {
+		n += len(c)
+	}
+	return n
+}
+
+// appendChunks appends the observations not yet flattened, in order.
+func (s *Sample) appendChunks(dst []float64) []float64 {
+	if s.live == 0 {
+		return dst
+	}
+	for _, c := range s.chunks[:s.live-1] {
+		dst = append(dst, c...)
+	}
+	return append(dst, s.tail...)
+}
+
+// flatten moves the chunked observations onto xs, growing xs to exactly
+// the length needed, and releases the chunks.
+func (s *Sample) flatten() {
+	if s.live == 0 {
+		return
+	}
+	if need := len(s.xs) + s.pending(); cap(s.xs) < need {
+		s.xs = append(make([]float64, 0, need), s.xs...)
+	}
+	s.xs = s.appendChunks(s.xs)
+	s.chunks, s.live, s.tail = nil, 0, nil
+}
+
 // Percentile returns the q-th percentile (q in [0,100]) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Percentile(q float64) float64 {
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
 	s.sort()
@@ -113,7 +183,7 @@ func (s *Sample) Percentile(q float64) float64 {
 // guarantees the one-sort cost for reporting helpers).
 func (s *Sample) Percentiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return out
 	}
 	s.sort()
@@ -123,10 +193,11 @@ func (s *Sample) Percentiles(qs ...float64) []float64 {
 	return out
 }
 
-// Reset discards every observation but keeps the backing array, so
-// warm-up boundaries don't reallocate collectors mid-run.
+// Reset discards every observation but keeps the chunks and the flattened
+// array, so warm-up boundaries don't reallocate collectors mid-run.
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
+	s.live, s.tail = 0, nil
 	s.sorted = false
 	s.w = Welford{}
 }
@@ -137,8 +208,9 @@ func (s *Sample) Min() float64 { return s.Percentile(0) }
 // Max returns the largest observation (0 if empty).
 func (s *Sample) Max() float64 { return s.Percentile(100) }
 
-// Merge incorporates every observation of other into s.
+// Merge incorporates every observation of other into s, in other's order.
 func (s *Sample) Merge(other *Sample) {
+	other.flatten()
 	for _, x := range other.xs {
 		s.Add(x)
 	}
@@ -147,12 +219,14 @@ func (s *Sample) Merge(other *Sample) {
 // Values returns a copy of the raw observations in insertion-or-sorted
 // order (unspecified); callers must not rely on ordering.
 func (s *Sample) Values() []float64 {
+	s.flatten()
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
 }
 
 func (s *Sample) sort() {
+	s.flatten()
 	if !s.sorted {
 		sort.Float64s(s.xs)
 		s.sorted = true
@@ -161,7 +235,7 @@ func (s *Sample) sort() {
 
 // CDF returns up to points (x, F(x)) pairs describing the empirical CDF.
 func (s *Sample) CDF(points int) []CDFPoint {
-	if len(s.xs) == 0 || points <= 0 {
+	if s.N() == 0 || points <= 0 {
 		return nil
 	}
 	s.sort()

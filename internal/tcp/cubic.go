@@ -73,10 +73,12 @@ func (c *Cubic) OnAck(s *State, acked int, _ bool, now time.Duration) {
 	if rtt <= 0 {
 		rtt = 100 * time.Millisecond
 	}
-	t := (now - c.epochStart).Seconds()
+	// Cubic growth toward (and past) wMax. The target depends only on the
+	// epoch and the RTT, so one value serves every segment of the ACK; d³
+	// as d*d*d is bit-identical to math.Pow(d, 3) without Pow's general path.
+	d := (now - c.epochStart).Seconds() + rtt.Seconds() - c.k
+	target := c.wMax + c.C*(d*d*d)
 	for i := 0; i < acked; i++ {
-		// Cubic growth toward (and past) wMax.
-		target := c.wMax + c.C*math.Pow(t+rtt.Seconds()-c.k, 3)
 		// Reno-friendly estimate (RFC 8312 §4.2).
 		c.ackCount++
 		c.wEst += 3 * (1 - c.Beta) / (1 + c.Beta) / s.Cwnd
