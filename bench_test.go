@@ -31,10 +31,10 @@ import (
 	"pi2/internal/traffic"
 )
 
-func quickOpts(i int) experiments.Options {
+func quickOpts(i int) campaign.Options {
 	// Vary the seed per iteration so repeated benchmark iterations are
 	// not byte-identical cached work.
-	return experiments.Options{Quick: true, Seed: int64(i + 1)}
+	return campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: int64(i + 1)}
 }
 
 // --- analytic figures (Appendix B fluid model) ---
@@ -188,7 +188,7 @@ func BenchmarkFig18Utilization(b *testing.B) {
 	b.ReportMetric(pt.Util.P1*100, "util-p1-pct")
 }
 
-func sweepCell(o experiments.Options, aqmName, pair string) experiments.SweepPoint {
+func sweepCell(o campaign.Options, aqmName, pair string) experiments.SweepPoint {
 	pts := experiments.CoexistenceSweep(o)
 	for _, p := range pts {
 		if p.LinkMbps == 40 && p.RTT == 10*time.Millisecond && p.AQM == aqmName && p.Pair == pair {

@@ -50,7 +50,10 @@
 // -check and -update-golden run the golden-regression harness instead:
 // every named experiment (default "all" plus every registered name with a
 // baseline) is captured at golden scale and compared against — or written
-// to — the checked-in fingerprints (see internal/golden).
+// to — the checked-in fingerprints (see internal/golden). Captures run at a
+// fixed scale and seed and write no records, so the flags that would change
+// either (-quick, -timediv, -seed, -shards, -ff, -reps, -target, the
+// watchdog and retry flags, -json, -v) are rejected there.
 //
 // -cpuprofile, -memprofile and -trace capture pprof/execution-trace data
 // over whatever workload the other flags select (see the profiling workflow
@@ -59,12 +62,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strconv"
+	"strings"
+	"time"
 
 	"pi2/internal/campaign"
 	_ "pi2/internal/experiments" // registers every experiment
@@ -74,28 +81,32 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run scaled-down experiments (~5x shorter)")
-	timeDiv := flag.Int("timediv", 0, "divide experiment durations by N (overrides -quick's 5x; 0 = off)")
-	seed := flag.Int64("seed", 1, "campaign base seed")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation runs")
+	// Every campaign knob binds straight onto the one Options value the
+	// experiments receive; the remaining flags pick a mode or build the
+	// sinks and dispatcher that Options points at.
+	var o campaign.Options
+	flag.BoolVar(&o.Quick, "quick", false, "run scaled-down experiments (~5x shorter)")
+	flag.IntVar(&o.TimeDiv, "timediv", 0, "divide experiment durations by N (overrides -quick's 5x; 0 = off)")
+	flag.Int64Var(&o.Seed, "seed", 1, "campaign base seed")
+	flag.IntVar(&o.Jobs, "jobs", runtime.GOMAXPROCS(0), "parallel simulation runs")
 	workers := flag.Int("workers", 0, "dispatch grid cells across N worker processes (0 = in-process -jobs pool); output is byte-identical either way")
 	workerMode := flag.Bool("worker", false, "serve the fleet worker protocol on stdin/stdout (spawned by -workers; not for interactive use)")
 	serveAddr := flag.String("serve", "", "run a fleet worker host listening on this TCP address (e.g. :9000; :0 picks a port, printed on stdout)")
 	hostsPath := flag.String("hosts", "", "dispatch grid cells to the worker hosts in this inventory file (lines: addr [workers=N])")
 	journalPath := flag.String("journal", "", "append every final run record to this crash-safe journal file")
 	resume := flag.Bool("resume", false, "replay -journal before running, skipping already-completed cells")
-	shards := flag.Int("shards", 1, "event-loop domains per simulation (conservative PDES); 1 = classic single loop")
-	fastForward := flag.Bool("ff", false, "fast-forward quiescent congestion-avoidance epochs analytically (hybrid fluid/packet); also enables the 10k/50k heavy cells")
-	reps := flag.Int("reps", 1, "repeat heavy/sweep cells N times with perturbed seeds and print ± confidence bands")
-	targetMs := flag.Int("target", 0, "AQM target delay in ms for heavy/sweep/chaos (0 = the paper's 20; Briscoe's PI2 Parameters report suggests 15)")
+	flag.IntVar(&o.Shards, "shards", 1, "event-loop domains per simulation (conservative PDES); 1 = classic single loop")
+	flag.BoolVar(&o.FF, "ff", false, "fast-forward quiescent congestion-avoidance epochs analytically (hybrid fluid/packet); also enables the 10k/50k heavy cells")
+	flag.IntVar(&o.Reps, "reps", 1, "repeat heavy/sweep cells N times with perturbed seeds and print ± confidence bands")
+	flag.Var(millis{&o.Target}, "target", "AQM target delay in `ms` for heavy/sweep/chaos (0 = the paper's 20; Briscoe's PI2 Parameters report suggests 15)")
 	jsonPath := flag.String("json", "", "write per-run records (params, timing, events/sec) to this file")
 	verbose := flag.Bool("v", false, "report each run's completion on stderr")
 	check := flag.Bool("check", false, "compare golden-scale fingerprints against the checked-in baselines")
 	update := flag.Bool("update-golden", false, "regenerate the checked-in golden fingerprints")
 	goldenDir := flag.String("golden-dir", "", "golden directory for -check/-update-golden (default: embedded baselines for -check, "+golden.DefaultDir+" for -update-golden)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock watchdog per grid cell (0 = off)")
-	cellStall := flag.Duration("cell-stall", 0, "kill a cell whose simulated clock stops advancing for this long (0 = off)")
-	retries := flag.Int("retries", 0, "re-run a failed or killed cell up to N times with a perturbed seed")
+	flag.DurationVar(&o.Watchdog.Timeout, "cell-timeout", 0, "wall-clock watchdog per grid cell (0 = off)")
+	flag.DurationVar(&o.Watchdog.Stall, "cell-stall", 0, "kill a cell whose simulated clock stops advancing for this long (0 = off)")
+	flag.IntVar(&o.Retries, "retries", 0, "re-run a failed or killed cell up to N times with a perturbed seed")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -119,6 +130,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  * = included in \"all\"\n")
 	}
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, *check || *update, o.Target); err != nil {
+		fmt.Fprintf(os.Stderr, "pi2bench: %v\n", err)
+		os.Exit(2)
+	}
 	if *workerMode {
 		if err := fleet.Serve(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "pi2bench: worker: %v\n", err)
@@ -142,7 +159,6 @@ func main() {
 		os.Exit(1)
 	}
 	var pool *fleet.Pool
-	var dispatch campaign.Dispatcher
 	if *hostsPath != "" {
 		f, err := os.Open(*hostsPath)
 		if err != nil {
@@ -156,13 +172,12 @@ func main() {
 			os.Exit(1)
 		}
 		pool = fleet.NewPool(fleet.Config{Hosts: hosts})
-		dispatch = pool
+		o.Dispatch = pool
 	} else if *workers > 0 {
 		pool = fleet.NewPool(fleet.Config{Workers: *workers})
-		dispatch = pool
+		o.Dispatch = pool
 	}
 	var journal *fleet.Journal
-	var resumeSet *fleet.ResumeSet
 	if *resume {
 		if *journalPath == "" {
 			fmt.Fprintln(os.Stderr, "pi2bench: -resume needs -journal (the file to replay)")
@@ -173,7 +188,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pi2bench: %v\n", err)
 			os.Exit(1)
 		}
-		resumeSet = rs
+		o.Resume = rs
 		fmt.Fprintf(os.Stderr, "pi2bench: resume: replayed %d record(s) in %d segment(s)",
 			stats.Records, stats.Segments)
 		if stats.Truncated > 0 {
@@ -188,6 +203,7 @@ func main() {
 			os.Exit(1)
 		}
 		journal = j
+		o.Journal = j
 	}
 	// Route every exit through here so profiles are flushed (and workers
 	// reaped) even when a golden check fails or an experiment errors.
@@ -207,14 +223,8 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	ex := golden.Exec{Jobs: *jobs, Dispatch: dispatch}
-	if journal != nil {
-		ex.Journal = journal
-	}
-	if resumeSet != nil {
-		ex.Resume = resumeSet
-	}
 	if *check || *update {
+		ex := golden.Exec{Jobs: o.Jobs, Dispatch: o.Dispatch, Journal: o.Journal, Resume: o.Resume}
 		exit(goldenMode(*check, *update, *goldenDir, ex, flag.Args()))
 	}
 	if flag.NArg() == 0 {
@@ -222,15 +232,6 @@ func main() {
 		exit(2)
 	}
 
-	ctx := &campaign.Context{
-		Quick: *quick, TimeDiv: *timeDiv, Seed: *seed, Jobs: *jobs,
-		Shards: *shards, FastForward: *fastForward, Reps: *reps, TargetMs: *targetMs,
-		Watchdog: campaign.Watchdog{Timeout: *cellTimeout, Stall: *cellStall},
-		Retries:  *retries,
-		Dispatch: dispatch,
-		Journal:  ex.Journal,
-		Resume:   ex.Resume,
-	}
 	var jsonFile *os.File
 	if *jsonPath != "" {
 		// Stream records to disk as cells complete instead of retaining
@@ -242,10 +243,10 @@ func main() {
 			exit(1)
 		}
 		jsonFile = f
-		ctx.Collector = campaign.NewStreamingCollector(f)
+		o.Collector = campaign.NewStreamingCollector(f)
 	}
 	if *verbose {
-		ctx.Progress = func(done, total int, rec campaign.RunRecord) {
+		o.Progress = func(done, total int, rec campaign.RunRecord) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%.1fs, %.0f events/s)\n",
 				done, total, rec.Name, rec.WallMs/1e3, rec.EventsPerSec)
 		}
@@ -276,14 +277,14 @@ func main() {
 
 	for _, name := range names {
 		e, _ := campaign.Lookup(name)
-		if err := e.Run(ctx, os.Stdout); err != nil {
+		if err := e.Run(&o, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "pi2bench: %s: %v\n", name, err)
 			exit(1)
 		}
 	}
 
 	if jsonFile != nil {
-		if err := ctx.Collector.Close(); err == nil {
+		if err := o.Collector.Close(); err == nil {
 			err = jsonFile.Close()
 		} else {
 			jsonFile.Close()
@@ -294,6 +295,56 @@ func main() {
 		}
 	}
 	exit(0)
+}
+
+// goldenIgnored lists the flags -check and -update-golden do not honour:
+// a golden capture runs at a fixed scale and seed and writes no records.
+var goldenIgnored = []string{"quick", "timediv", "seed", "shards", "ff", "reps", "target",
+	"cell-timeout", "cell-stall", "retries", "json", "v"}
+
+// checkFlags rejects flag inputs that would otherwise be silently ignored or
+// overridden. set names every flag given on the command line, golden says
+// whether -check or -update-golden was requested, and target is -target's
+// value.
+func checkFlags(set map[string]bool, golden bool, target time.Duration) error {
+	if golden {
+		var ignored []string
+		for _, name := range goldenIgnored {
+			if set[name] {
+				ignored = append(ignored, "-"+name)
+			}
+		}
+		if len(ignored) > 0 {
+			return fmt.Errorf("-check and -update-golden run at golden scale and ignore %s", strings.Join(ignored, " "))
+		}
+	}
+	if set["hosts"] && set["workers"] {
+		return errors.New("-hosts and -workers are exclusive: the hosts file sets each host's worker count")
+	}
+	if target < 0 {
+		return fmt.Errorf("-target %d: the target delay cannot be negative", target/time.Millisecond)
+	}
+	return nil
+}
+
+// millis binds a flag given in whole milliseconds (-target 15) to a
+// time.Duration.
+type millis struct{ d *time.Duration }
+
+func (m millis) String() string {
+	if m.d == nil {
+		return "0"
+	}
+	return strconv.FormatInt(int64(*m.d/time.Millisecond), 10)
+}
+
+func (m millis) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return err.(*strconv.NumError).Err
+	}
+	*m.d = time.Duration(n) * time.Millisecond
+	return nil
 }
 
 // startProfiling begins CPU profiling and execution tracing as requested and

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 type countedResult struct {
@@ -163,7 +164,7 @@ func TestExecutePairedSeedIndex(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	run := func(ctx *Context, w io.Writer) error { return nil }
+	run := func(o *Options, w io.Writer) error { return nil }
 	Register(Experiment{Name: "test-exp-a", InAll: true, Run: run})
 	Register(Experiment{Name: "test-exp-b", Run: run})
 
@@ -198,16 +199,31 @@ func TestRegistry(t *testing.T) {
 	Register(Experiment{Name: "test-exp-a", Run: run})
 }
 
-func TestContextMemo(t *testing.T) {
-	ctx := &Context{}
+func TestOptionsMemo(t *testing.T) {
+	o := &Options{}
 	n := 0
 	for i := 0; i < 3; i++ {
-		v := ctx.Memo("k", func() any { n++; return 42 })
+		v := o.Memo("k", func() any { n++; return 42 })
 		if v.(int) != 42 {
 			t.Fatalf("memo value %v", v)
 		}
 	}
 	if n != 1 {
 		t.Errorf("compute ran %d times, want 1", n)
+	}
+}
+
+func TestGridDefaults(t *testing.T) {
+	var zero Grid
+	if zero.RepCount() != 1 || zero.TargetDelay() != 20*time.Millisecond || zero.Scale(time.Second) != time.Second {
+		t.Errorf("zero grid: reps %d target %v scale %v", zero.RepCount(), zero.TargetDelay(), zero.Scale(time.Second))
+	}
+	g := Grid{Quick: true, Reps: 3, Target: 15 * time.Millisecond}
+	if g.RepCount() != 3 || g.TargetDelay() != 15*time.Millisecond || g.Scale(time.Second) != 200*time.Millisecond {
+		t.Errorf("quick grid: reps %d target %v scale %v", g.RepCount(), g.TargetDelay(), g.Scale(time.Second))
+	}
+	// TimeDiv wins over Quick's fixed 5x.
+	if g.TimeDiv = 20; g.Scale(time.Second) != 50*time.Millisecond {
+		t.Errorf("timediv 20: scale %v", g.Scale(time.Second))
 	}
 }

@@ -3,7 +3,6 @@ package campaign
 import (
 	"io"
 	"sync"
-	"time"
 )
 
 // Experiment is a named, self-printing experiment — one table or figure of
@@ -18,7 +17,7 @@ type Experiment struct {
 	// shared grid (fig15–fig18 are all printed by "sweep") leave it false.
 	InAll bool
 	// Run executes the experiment and writes its tables to w.
-	Run func(ctx *Context, w io.Writer) error
+	Run func(o *Options, w io.Writer) error
 }
 
 var (
@@ -69,74 +68,4 @@ func AllNames() []string {
 		}
 	}
 	return out
-}
-
-// Context carries one invocation's knobs to every experiment it runs, plus
-// a memo table so experiments sharing a grid (fig15–fig18 all consume the
-// coexistence sweep) compute it once per invocation.
-type Context struct {
-	// Quick scales experiment durations down (~5x), as in the drivers.
-	Quick bool
-	// TimeDiv, when > 0, divides experiment durations by this factor
-	// instead of Quick's fixed 5x — the golden-regression harness runs
-	// every experiment at a deeper reduction (still deterministic).
-	TimeDiv int
-	// Seed is the campaign base seed; per-run seeds derive from it.
-	Seed int64
-	// Jobs is the worker-pool width passed to Execute.
-	Jobs int
-	// Shards is the per-cell simulation shard count passed through
-	// ExecOptions to every TaskCtx (0/1 = classic single event loop).
-	Shards int
-	// FastForward passes the hybrid fluid/packet switch through
-	// ExecOptions to every TaskCtx (the CLI's -ff flag).
-	FastForward bool
-	// Reps repeats each table cell with perturbed seeds and reports
-	// cross-seed confidence bands; 0/1 keeps the single-run tables.
-	Reps int
-	// TargetMs overrides the AQM target delay (milliseconds) in the
-	// experiments that default to the paper's 20 ms; 0 keeps the default.
-	TargetMs int
-	// Progress, if set, observes every completed run.
-	Progress ProgressFunc
-	// Collector, if set, accumulates every RunRecord for -json output.
-	Collector *Collector
-	// Watchdog bounds each cell's attempts (zero = unsupervised).
-	Watchdog Watchdog
-	// Retries re-runs failed cells with perturbed seeds; RetryBackoff is
-	// the doubling wait between attempts.
-	Retries      int
-	RetryBackoff time.Duration
-	// Dispatch, if set, routes every family with a registered task source
-	// through a fleet of worker processes (the CLI's -workers flag).
-	Dispatch Dispatcher
-	// Journal, if set, records every fresh final RunRecord so a crashed
-	// invocation can be resumed (the CLI's -journal flag).
-	Journal JournalSink
-	// Resume, if set, replays a previous journal's completed cells
-	// instead of re-running them (the CLI's -resume flag).
-	Resume ResumeSet
-
-	mu   sync.Mutex
-	memo map[string]any
-}
-
-// Memo returns the cached value for key, computing and caching it on first
-// use. compute runs outside the lock; experiments within one invocation run
-// sequentially, so a key is never computed twice.
-func (c *Context) Memo(key string, compute func() any) any {
-	c.mu.Lock()
-	if v, ok := c.memo[key]; ok {
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-	v := compute()
-	c.mu.Lock()
-	if c.memo == nil {
-		c.memo = make(map[string]any)
-	}
-	c.memo[key] = v
-	c.mu.Unlock()
-	return v
 }

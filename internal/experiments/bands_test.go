@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pi2/internal/campaign"
 	"pi2/internal/stats"
 )
 
@@ -60,7 +61,7 @@ func TestSweepRepsBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	pts := CoexistenceSweep(Options{Quick: true, TimeDiv: 40, Reps: 2, Jobs: 4})
+	pts := CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40, Reps: 2}, Jobs: 4})
 	if len(pts) == 0 {
 		t.Fatal("no sweep points")
 	}
@@ -85,7 +86,7 @@ func TestSweepRepsBands(t *testing.T) {
 		t.Error("PrintFig16 did not switch to the banded layout")
 	}
 	// And at reps=1 the printers keep the historical header exactly.
-	single := CoexistenceSweep(Options{Quick: true, TimeDiv: 40, Jobs: 4})
+	single := CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, Jobs: 4})
 	var s15 strings.Builder
 	PrintFig15(&s15, single)
 	if strings.Contains(s15.String(), "ratio_ci") {
@@ -99,7 +100,7 @@ func TestHeavyRepsBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	pts, err := Heavy(Options{Quick: true, TimeDiv: 40, Reps: 2, Jobs: 4})
+	pts, err := Heavy(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40, Reps: 2}, Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

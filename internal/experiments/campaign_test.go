@@ -59,8 +59,8 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	serial := CoexistenceSweep(Options{Quick: true, Jobs: 1})
-	wide := CoexistenceSweep(Options{Quick: true, Jobs: 8})
+	serial := CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 1})
+	wide := CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 8})
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatal("sweep points differ between jobs=1 and jobs=8")
 	}
@@ -105,8 +105,8 @@ func TestRunRecordsIdenticalAcrossJobs(t *testing.T) {
 			t.Fatal("fig12 not registered")
 		}
 		col := &campaign.Collector{}
-		ctx := &campaign.Context{Quick: true, TimeDiv: 20, Seed: 1, Jobs: jobs, Collector: col}
-		if err := exp.Run(ctx, discard{}); err != nil {
+		o := &campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 20}, Seed: 1, Jobs: jobs, Collector: col}
+		if err := exp.Run(o, discard{}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		recs := col.Records()
@@ -216,9 +216,9 @@ func TestChaosDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	o := Options{Quick: true, TimeDiv: 40}
-	serial, failedS, errS := Chaos(Options{Quick: o.Quick, TimeDiv: o.TimeDiv, Jobs: 1})
-	wide, failedW, errW := Chaos(Options{Quick: o.Quick, TimeDiv: o.TimeDiv, Jobs: 8})
+	o := campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}}
+	serial, failedS, errS := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 1})
+	wide, failedW, errW := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 8})
 	if errS != nil || errW != nil {
 		t.Fatalf("chaos cells failed: %v / %v (%v %v)", errS, errW, failedS, failedW)
 	}

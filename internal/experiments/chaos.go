@@ -34,7 +34,7 @@ var ChaosAQMs = []string{"pie", "pi2", "dualpi2"}
 // value per cell matters: loss models are stateful (the Gilbert–Elliott
 // chain remembers its state), so sharing one across parallel cells would
 // leak fault state between runs.
-func chaosImpair(scenario string, o Options) *faults.Config {
+func chaosImpair(scenario string, o campaign.Options) *faults.Config {
 	// ~0.8% stationary loss in bursts of mean length 4 packets.
 	ge := func() *faults.GilbertElliott {
 		return &faults.GilbertElliott{PGB: 0.002, PBG: 0.25, LossBad: 1}
@@ -43,7 +43,7 @@ func chaosImpair(scenario string, o Options) *faults.Config {
 		return faults.Square{
 			HighBps: chaosLinkBps,
 			LowBps:  chaosLinkBps * 3 / 8, // 40 -> 15 Mb/s
-			Period:  o.scale(20 * time.Second),
+			Period:  o.Scale(20 * time.Second),
 		}
 	}
 	switch scenario {
@@ -105,14 +105,14 @@ func (p ChaosPoint) Metrics() map[string]float64 {
 // non-nil error names every failed cell (CI smoke exits nonzero) while the
 // returned points still cover the cells that completed; failed cells appear
 // with Failed-style zero metrics in the table via PrintChaos.
-func Chaos(o Options) ([]ChaosPoint, []string, error) {
+func Chaos(o campaign.Options) ([]ChaosPoint, []string, error) {
 	tasks := chaosTasks(o)
 	out := make([]ChaosPoint, len(tasks))
 	bad := make([]bool, len(tasks))
 	// Records stream and fold by index as they arrive; the failure list is
 	// assembled in matrix order afterwards so tables and errors stay
 	// deterministic under any completion order.
-	campaign.ExecuteStream(tasks, o.execFor("chaos", gridSpec{}), func(rec campaign.RunRecord) {
+	campaign.ExecuteStream(tasks, execFor(o, "chaos", gridSpec{}), func(rec campaign.RunRecord) {
 		scn, _ := rec.Params["scenario"].(string)
 		aqmName, _ := rec.Params["aqm"].(string)
 		p, ok := rec.Result.(ChaosPoint)
@@ -137,7 +137,7 @@ func Chaos(o Options) ([]ChaosPoint, []string, error) {
 
 // chaosTasks builds the scenario × AQM matrix; AQM arms of one scenario
 // share a seed index so they face identical traffic and fault randomness.
-func chaosTasks(o Options) []campaign.Task {
+func chaosTasks(o campaign.Options) []campaign.Task {
 	var tasks []campaign.Task
 	for si, scn := range ChaosScenarios {
 		for _, aqmName := range ChaosAQMs {
@@ -158,14 +158,14 @@ func chaosTasks(o Options) []campaign.Task {
 	return tasks
 }
 
-func chaosDuration(o Options) time.Duration {
-	return o.scale(60 * time.Second)
+func chaosDuration(o campaign.Options) time.Duration {
+	return o.Scale(60 * time.Second)
 }
 
 // runChaosCell is a single-queue cell (PIE or PI2) through the scenario
 // runner with the cell's own impairment config.
-func runChaosCell(o Options, tc *campaign.TaskCtx, scenario, aqmName string) ChaosPoint {
-	target := o.target()
+func runChaosCell(o campaign.Options, tc *campaign.TaskCtx, scenario, aqmName string) ChaosPoint {
+	target := o.TargetDelay()
 	factory, ok := FactoryByName(aqmName, target)
 	if !ok {
 		panic("unknown AQM " + aqmName)
@@ -200,7 +200,7 @@ func runChaosCell(o Options, tc *campaign.TaskCtx, scenario, aqmName string) Cha
 
 // runChaosDual is the DualPI2 cell, under the same impairment config and
 // placement as the scenario runner.
-func runChaosDual(o Options, tc *campaign.TaskCtx, scenario string) ChaosPoint {
+func runChaosDual(o campaign.Options, tc *campaign.TaskCtx, scenario string) ChaosPoint {
 	dur := chaosDuration(o)
 	soj := &stats.Sample{}
 	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, warm: dur / 4, dur: dur,

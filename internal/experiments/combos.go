@@ -44,9 +44,9 @@ func DefaultCombos() [][2]int {
 // FlowCombos runs the Figures 19–20 experiment: the given (NA, NB) splits
 // for each pair (Cubic vs DCTCP, Cubic vs ECN-Cubic) and AQM (PIE, PI2) at
 // 40 Mb/s, 10 ms RTT.
-func FlowCombos(o Options, combos [][2]int) []ComboPoint {
+func FlowCombos(o campaign.Options, combos [][2]int) []ComboPoint {
 	tasks := combosTasks(o, combos)
-	recs := campaign.Execute(tasks, o.execFor("combos", gridSpec{Combos: combos}))
+	recs := campaign.Execute(tasks, execFor(o, "combos", gridSpec{Combos: combos}))
 	out := make([]ComboPoint, len(recs))
 	for i, rec := range recs {
 		if p, ok := rec.Result.(ComboPoint); ok {
@@ -60,7 +60,7 @@ func FlowCombos(o Options, combos [][2]int) []ComboPoint {
 // selects the defaults; both that resolution and the quick override run
 // inside the builder so coordinator and worker derive the same matrix
 // from the same spec.
-func combosTasks(o Options, combos [][2]int) []campaign.Task {
+func combosTasks(o campaign.Options, combos [][2]int) []campaign.Task {
 	if combos == nil {
 		combos = DefaultCombos()
 	}
@@ -88,10 +88,10 @@ func combosTasks(o Options, combos [][2]int) []campaign.Task {
 	return tasks
 }
 
-func runCombo(o Options, tc *campaign.TaskCtx, na, nb int, aqmName, pair string) ComboPoint {
+func runCombo(o campaign.Options, tc *campaign.TaskCtx, na, nb int, aqmName, pair string) ComboPoint {
 	target := 20 * time.Millisecond
 	factory, _ := FactoryByName(aqmName, target)
-	dur := o.scale(60 * time.Second)
+	dur := o.Scale(60 * time.Second)
 	const (
 		linkBps = 40e6
 		rtt     = 10 * time.Millisecond

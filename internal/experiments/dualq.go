@@ -46,8 +46,8 @@ type dualArm struct {
 // PI2 and (b) DualPI2, at 40 Mb/s and 10 ms RTT. Both arms share one seed
 // (SeedIndex 0) so they see identical traffic randomness; they run as two
 // engine tasks and so in parallel when o.Jobs > 1.
-func DualQ(o Options, na, nb int) *DualQResult {
-	recs := campaign.Execute(dualqTasks(o, na, nb), o.execFor("dualq", gridSpec{NA: na, NB: nb}))
+func DualQ(o campaign.Options, na, nb int) *DualQResult {
+	recs := campaign.Execute(dualqTasks(o, na, nb), execFor(o, "dualq", gridSpec{NA: na, NB: nb}))
 	res := &DualQResult{}
 	if a, ok := recs[0].Result.(dualArm); ok {
 		res.SingleRatio = a.Ratio
@@ -67,7 +67,7 @@ func DualQ(o Options, na, nb int) *DualQResult {
 }
 
 // dualqTasks builds the paired single-queue/dual-queue arms.
-func dualqTasks(o Options, na, nb int) []campaign.Task {
+func dualqTasks(o campaign.Options, na, nb int) []campaign.Task {
 	return []campaign.Task{
 		{
 			Name: "dualq/single", SeedIndex: 0,
@@ -85,12 +85,12 @@ func dualqTasks(o Options, na, nb int) []campaign.Task {
 // dualQSingleArm is the single shared queue: per-class delay comes from the
 // per-packet sample split by ECN — approximate with the shared-queue sample
 // for both classes (that is the point: in a single queue they are identical).
-func dualQSingleArm(o Options, tc *campaign.TaskCtx, na, nb int) dualArm {
+func dualQSingleArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) dualArm {
 	const (
 		rate = 40e6
 		rtt  = 10 * time.Millisecond
 	)
-	dur := o.scale(100 * time.Second)
+	dur := o.Scale(100 * time.Second)
 	sc := Scenario{
 		Seed:        tc.Seed,
 		Watch:       tc.Watch,
@@ -112,8 +112,8 @@ func dualQSingleArm(o Options, tc *campaign.TaskCtx, na, nb int) dualArm {
 }
 
 // dualQDualArm is the DualPI2 arrangement, with per-queue sojourn collectors.
-func dualQDualArm(o Options, tc *campaign.TaskCtx, na, nb int) dualArm {
-	dur := o.scale(100 * time.Second)
+func dualQDualArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) dualArm {
+	dur := o.Scale(100 * time.Second)
 	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
 		warm: dur * 2 / 5, dur: dur}, 40e6, core.DualConfig{}, nil, nil)
 	rates := cell.rates()
@@ -203,14 +203,14 @@ type FQRow struct {
 // flows their fair share with low delay, at the cost of per-flow state
 // and transport-header inspection in the network. It runs as one engine
 // task with SeedIndex 0, so it sees the same traffic seed as DualQ's arms.
-func FQArrangement(o Options, na, nb int) FQRow {
-	recs := campaign.Execute(fqTasks(o, na, nb), o.execFor("dualq-fq", gridSpec{NA: na, NB: nb}))
+func FQArrangement(o campaign.Options, na, nb int) FQRow {
+	recs := campaign.Execute(fqTasks(o, na, nb), execFor(o, "dualq-fq", gridSpec{NA: na, NB: nb}))
 	row, _ := recs[0].Result.(FQRow)
 	return row
 }
 
 // fqTasks builds the FQ-CoDel arrangement's single-cell matrix.
-func fqTasks(o Options, na, nb int) []campaign.Task {
+func fqTasks(o campaign.Options, na, nb int) []campaign.Task {
 	return []campaign.Task{{
 		Name: "dualq/fq-codel", SeedIndex: 0,
 		Params: map[string]any{"na": na, "nb": nb},
@@ -218,8 +218,8 @@ func fqTasks(o Options, na, nb int) []campaign.Task {
 	}}
 }
 
-func fqArrangementArm(o Options, tc *campaign.TaskCtx, na, nb int) FQRow {
-	dur := o.scale(100 * time.Second)
+func fqArrangementArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) FQRow {
+	dur := o.Scale(100 * time.Second)
 	var l *fq.Link
 	cell := runWired(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
 		warm: dur * 2 / 5, dur: dur}, func(s *sim.Simulator, deliver func(*packet.Packet)) (*link.Link, func()) {

@@ -1,12 +1,16 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"pi2/internal/campaign"
+)
 
 // TestDualQBeatsSingleQueueOnLatency is the extension's headline: the L
 // queue's delay must be at least an order of magnitude below the shared
 // single-queue delay, with rate balance and utilization preserved.
 func TestDualQBeatsSingleQueueOnLatency(t *testing.T) {
-	r := DualQ(Options{Quick: true}, 1, 1)
+	r := DualQ(campaign.Options{Grid: campaign.Grid{Quick: true}}, 1, 1)
 	t.Logf("single: ratio=%.2f L=%.2fms | dual: ratio=%.2f L=%.3fms C=%.2fms util=%.3f",
 		r.SingleRatio, r.SingleLDelayMs.Mean, r.DualRatio, r.DualLDelayMs.Mean, r.DualCDelayMs.Mean, r.DualUtil)
 	if r.DualLDelayMs.Mean > r.SingleLDelayMs.Mean/10 {
@@ -33,7 +37,7 @@ func TestDualQBeatsSingleQueueOnLatency(t *testing.T) {
 //   - fq-codel:   perfect isolation and low delay for both, bought with
 //     per-flow state the paper's designs avoid
 func TestArrangementsComparison(t *testing.T) {
-	o := Options{Quick: true}
+	o := campaign.Options{Grid: campaign.Grid{Quick: true}}
 	dq := DualQ(o, 1, 1)
 	fqr := FQArrangement(o, 1, 1)
 
@@ -60,7 +64,7 @@ func TestArrangementsComparison(t *testing.T) {
 // the Classic flow has the much longer RTT it loses ground but must not be
 // starved outright.
 func TestRTTFairSweepShape(t *testing.T) {
-	pts := RTTFairSweep(Options{Quick: true})
+	pts := RTTFairSweep(campaign.Options{Grid: campaign.Grid{Quick: true}})
 	for _, p := range pts {
 		if p.RTTA == p.RTTB && (p.Ratio < 0.3 || p.Ratio > 3) {
 			t.Errorf("equal-RTT cell %v: ratio %.3f, want near 1", p.RTTA, p.Ratio)

@@ -9,118 +9,6 @@ import (
 	"pi2/internal/traffic"
 )
 
-// Options tune how the figure drivers run.
-type Options struct {
-	// Quick scales durations down (for benchmarks and CI).
-	Quick bool
-	// TimeDiv, when > 0, divides durations by this factor instead of
-	// Quick's fixed 5x. The golden harness captures fingerprints with
-	// Quick grids and a deeper TimeDiv so the whole registry stays cheap.
-	TimeDiv int
-	// Seed is the campaign base seed (default 1); each run in a grid
-	// executes with campaign.DeriveSeed(Seed, its seed index).
-	Seed int64
-	// Jobs is the worker-pool width for grid drivers. 0 or 1 runs
-	// serially; either way the output is bit-identical, because per-run
-	// seeds depend only on the run's index in the matrix.
-	Jobs int
-	// Progress, if set, observes every completed run.
-	Progress campaign.ProgressFunc
-	// Collect, if set, receives every RunRecord (the CLIs' -json sink).
-	Collect *campaign.Collector
-	// Watchdog bounds each cell's attempts (zero = unsupervised).
-	Watchdog campaign.Watchdog
-	// Retries re-runs failed cells with perturbed seeds; RetryBackoff is
-	// the doubling wait between attempts.
-	Retries      int
-	RetryBackoff time.Duration
-	// Shards partitions each cell's simulation across this many event-loop
-	// domains (conservative PDES); 0/1 keeps the classic single loop.
-	// Scenarios that cannot shard (too few flows, no propagation delay)
-	// ignore it.
-	Shards int
-	// FastForward turns on the hybrid fluid/packet engine for eligible
-	// cells (steady bulk population, FastForwarder AQM); ineligible cells
-	// silently run per-packet. It also extends the heavy tier with the
-	// 10000- and 50000-flow cells that are only tractable analytically.
-	FastForward bool
-	// Reps repeats each heavy/sweep cell with perturbed seeds and reports
-	// cross-seed confidence bands; 0/1 keeps the single-run tables
-	// (byte-identical to builds without the knob).
-	Reps int
-	// Target overrides the AQM target delay in the drivers that default
-	// to the paper's 20 ms (heavy, sweep, chaos). 0 keeps 20 ms. Briscoe's
-	// "PI2 Parameters" follow-up recommends 15 ms for the Linux dualpi2
-	// default; goldens pin 20 ms, so overrides never regress them.
-	Target time.Duration
-	// Dispatch, if set, routes every grid with a registered task source
-	// through a fleet of worker processes (the CLI's -workers flag);
-	// records and tables stay byte-identical to in-process runs.
-	Dispatch campaign.Dispatcher
-	// Journal, if set, receives every final record of every grid with a
-	// registered task source (the CLI's -journal flag); Resume replays a
-	// previous journal, skipping already-completed cells (-resume). Both
-	// key on the same (family, spec) identity the dispatcher uses.
-	Journal campaign.JournalSink
-	Resume  campaign.ResumeSet
-}
-
-func (o Options) seed() int64 {
-	if o.Seed == 0 {
-		return 1
-	}
-	return o.Seed
-}
-
-// reps returns the effective repetition count (at least 1).
-func (o Options) reps() int {
-	if o.Reps < 1 {
-		return 1
-	}
-	return o.Reps
-}
-
-// target returns the effective AQM target delay: the paper's 20 ms unless
-// overridden.
-func (o Options) target() time.Duration {
-	if o.Target > 0 {
-		return o.Target
-	}
-	return 20 * time.Millisecond
-}
-
-// exec assembles the campaign executor options for a grid driver.
-func (o Options) exec() campaign.ExecOptions {
-	jobs := o.Jobs
-	if jobs <= 0 {
-		jobs = 1
-	}
-	return campaign.ExecOptions{
-		Jobs:         jobs,
-		Shards:       o.Shards,
-		FastForward:  o.FastForward,
-		BaseSeed:     o.seed(),
-		Progress:     o.Progress,
-		Collector:    o.Collect,
-		Watchdog:     o.Watchdog,
-		Retries:      o.Retries,
-		RetryBackoff: o.RetryBackoff,
-		Journal:      o.Journal,
-		Resume:       o.Resume,
-	}
-}
-
-// scale shortens a duration in quick mode (or by an explicit TimeDiv).
-func (o Options) scale(d time.Duration) time.Duration {
-	if o.TimeDiv > 0 {
-		return d / time.Duration(o.TimeDiv)
-	}
-	if o.Quick {
-		return d / 5
-	}
-	return d
-}
-
 // resultOf extracts a run's *Result, mapping a failed (panicked) cell to an
 // empty Result so one bad cell cannot take down a whole table.
 func resultOf(rec campaign.RunRecord) *Result {
@@ -143,8 +31,8 @@ var fig6Counts = []int{10, 30, 50, 30, 10}
 // fig6Tasks builds the Figure 6 matrix: both arms share seed index 0 so
 // they see identical traffic schedules — the comparison is paired, exactly
 // as on a testbed.
-func fig6Tasks(o Options) []campaign.Task {
-	stageLen := o.scale(50 * time.Second)
+func fig6Tasks(o campaign.Options) []campaign.Task {
+	stageLen := o.Scale(50 * time.Second)
 	base := Scenario{
 		LinkRateBps: 100e6,
 		Staged: &StagedSpec{
@@ -166,8 +54,8 @@ func fig6Tasks(o Options) []campaign.Task {
 // Fig6 runs the Figure 6 experiment: 10:30:50:30:10 Reno flows over 50 s
 // stages, link 100 Mb/s, RTT 10 ms, α_PI = 0.125, β_PI = 1.25,
 // α_PI2 = 0.3125, β_PI2 = 3.125, T = 32 ms, target 20 ms.
-func Fig6(o Options) *Fig6Result {
-	recs := campaign.Execute(fig6Tasks(o), o.execFor("fig6", gridSpec{}))
+func Fig6(o campaign.Options) *Fig6Result {
+	recs := campaign.Execute(fig6Tasks(o), execFor(o, "fig6", gridSpec{}))
 	return &Fig6Result{PI: resultOf(recs[0]), PI2: resultOf(recs[1]), Stages: fig6Counts}
 }
 
@@ -212,8 +100,8 @@ type fig11Case struct {
 	sc   Scenario
 }
 
-func fig11Cases(o Options) []fig11Case {
-	dur := o.scale(100 * time.Second)
+func fig11Cases(o campaign.Options) []fig11Case {
+	dur := o.Scale(100 * time.Second)
 	warm := dur / 4
 	mkBase := func(tcpFlows int, udp bool) Scenario {
 		sc := Scenario{
@@ -240,7 +128,7 @@ func fig11Cases(o Options) []fig11Case {
 
 // fig11Tasks builds the load × variant matrix; the two variants of one
 // load share a seed index (paired comparison on identical traffic).
-func fig11Tasks(o Options) []campaign.Task {
+func fig11Tasks(o campaign.Options) []campaign.Task {
 	target := 20 * time.Millisecond
 	var tasks []campaign.Task
 	for i, c := range fig11Cases(o) {
@@ -253,13 +141,13 @@ func fig11Tasks(o Options) []campaign.Task {
 
 // Fig11 runs Figure 11: queuing latency and total throughput for
 // a) 5 TCP, b) 50 TCP, c) 5 TCP + 2×6 Mb/s UDP; link 10 Mb/s, RTT 100 ms.
-func Fig11(o Options) *Fig11Result {
+func Fig11(o campaign.Options) *Fig11Result {
 	cases := fig11Cases(o)
 	res := &Fig11Result{
 		Loads: []string{"5 TCP", "50 TCP", "5 TCP + 2 UDP"},
 		Runs:  make(map[string]map[string]*Result),
 	}
-	recs := campaign.Execute(fig11Tasks(o), o.execFor("fig11", gridSpec{}))
+	recs := campaign.Execute(fig11Tasks(o), execFor(o, "fig11", gridSpec{}))
 	for i, c := range cases {
 		res.Runs[c.load] = map[string]*Result{
 			"pie": resultOf(recs[2*i]),
@@ -310,8 +198,8 @@ type Fig12Result struct {
 // Fig12 runs Figure 12: link capacity 100:20:100 Mb/s over 50 s stages,
 // 20 Reno flows, RTT 100 ms. The capacity drop at 50 s forces the queue to
 // spike; PI2's higher gain drains it faster with less oscillation.
-func fig12Tasks(o Options) []campaign.Task {
-	stage := o.scale(50 * time.Second)
+func fig12Tasks(o campaign.Options) []campaign.Task {
+	stage := o.Scale(50 * time.Second)
 	target := 20 * time.Millisecond
 	base := Scenario{
 		LinkRateBps: 100e6,
@@ -331,9 +219,9 @@ func fig12Tasks(o Options) []campaign.Task {
 	}
 }
 
-func Fig12(o Options) *Fig12Result {
-	stage := o.scale(50 * time.Second)
-	recs := campaign.Execute(fig12Tasks(o), o.execFor("fig12", gridSpec{}))
+func Fig12(o campaign.Options) *Fig12Result {
+	stage := o.Scale(50 * time.Second)
+	recs := campaign.Execute(fig12Tasks(o), execFor(o, "fig12", gridSpec{}))
 	r := &Fig12Result{PIE: resultOf(recs[0]), PI2: resultOf(recs[1])}
 	// Peak in the window following the capacity drop.
 	r.PeakPIEms = peakBetween(r.PIE, stage, stage+stage/2) * 1e3
@@ -368,8 +256,8 @@ type Fig13Result struct {
 
 // Fig13 runs Figure 13: the 10:30:50:30:10 staged schedule at 10 Mb/s,
 // RTT 100 ms, comparing PIE and PI2.
-func fig13Tasks(o Options) []campaign.Task {
-	stageLen := o.scale(50 * time.Second)
+func fig13Tasks(o campaign.Options) []campaign.Task {
+	stageLen := o.Scale(50 * time.Second)
 	target := 20 * time.Millisecond
 	base := Scenario{
 		LinkRateBps: 10e6,
@@ -388,8 +276,8 @@ func fig13Tasks(o Options) []campaign.Task {
 	}
 }
 
-func Fig13(o Options) *Fig13Result {
-	recs := campaign.Execute(fig13Tasks(o), o.execFor("fig13", gridSpec{}))
+func Fig13(o campaign.Options) *Fig13Result {
+	recs := campaign.Execute(fig13Tasks(o), execFor(o, "fig13", gridSpec{}))
 	return &Fig13Result{PIE: resultOf(recs[0]), PI2: resultOf(recs[1])}
 }
 
@@ -429,8 +317,8 @@ func fig14Cases() []Fig14Case {
 	return cases
 }
 
-func fig14Tasks(o Options) []campaign.Task {
-	dur := o.scale(100 * time.Second)
+func fig14Tasks(o campaign.Options) []campaign.Task {
+	dur := o.Scale(100 * time.Second)
 	warm := dur / 4
 	var tasks []campaign.Task
 	for cell, c := range fig14Cases() {
@@ -455,9 +343,9 @@ func fig14Tasks(o Options) []campaign.Task {
 	return tasks
 }
 
-func Fig14(o Options) *Fig14Result {
+func Fig14(o campaign.Options) *Fig14Result {
 	res := &Fig14Result{Cases: fig14Cases()}
-	recs := campaign.Execute(fig14Tasks(o), o.execFor("fig14", gridSpec{}))
+	recs := campaign.Execute(fig14Tasks(o), execFor(o, "fig14", gridSpec{}))
 	for i := range res.Cases {
 		res.Cases[i].PIE = resultOf(recs[2*i])
 		res.Cases[i].PI2 = resultOf(recs[2*i+1])

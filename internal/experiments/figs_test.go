@@ -8,7 +8,7 @@ import (
 	"pi2/internal/campaign"
 )
 
-var quick = Options{Quick: true}
+var quick = campaign.Options{Grid: campaign.Grid{Quick: true}}
 
 func TestFig6PIOvershootsMoreThanPI2(t *testing.T) {
 	r := Fig6(quick)
@@ -113,9 +113,9 @@ func TestCoexistenceHeadline(t *testing.T) {
 	// The paper's core coexistence claim at the 40 Mb/s / 10 ms center of
 	// the grid: under PIE, DCTCP starves Cubic (ratio ~0.1); under PI2
 	// the ratio is near 1. Run at full length for fidelity.
-	o := Options{}
-	pie := runSweepPoint(o, &campaign.TaskCtx{Seed: o.seed()}, 40, 10*time.Millisecond, "pie", "dctcp")
-	pi2 := runSweepPoint(o, &campaign.TaskCtx{Seed: o.seed()}, 40, 10*time.Millisecond, "pi2", "dctcp")
+	o := campaign.Options{}
+	pie := runSweepPoint(o, &campaign.TaskCtx{Seed: 1}, 40, 10*time.Millisecond, "pie", "dctcp")
+	pi2 := runSweepPoint(o, &campaign.TaskCtx{Seed: 1}, 40, 10*time.Millisecond, "pi2", "dctcp")
 	t.Logf("pie ratio=%.3f pi2 ratio=%.3f", pie.Ratio, pi2.Ratio)
 	if pie.Ratio > 0.3 {
 		t.Errorf("PIE ratio %.3f: DCTCP should starve Cubic", pie.Ratio)
@@ -131,9 +131,9 @@ func TestCoexistenceHeadline(t *testing.T) {
 func TestCoexistenceControlPair(t *testing.T) {
 	// Control case: Cubic vs ECN-Cubic behaves similarly under both AQMs
 	// (Figure 15's black series).
-	o := Options{Quick: true}
-	pie := runSweepPoint(o, &campaign.TaskCtx{Seed: o.seed()}, 40, 10*time.Millisecond, "pie", "ecn-cubic")
-	pi2 := runSweepPoint(o, &campaign.TaskCtx{Seed: o.seed()}, 40, 10*time.Millisecond, "pi2", "ecn-cubic")
+	o := campaign.Options{Grid: campaign.Grid{Quick: true}}
+	pie := runSweepPoint(o, &campaign.TaskCtx{Seed: 1}, 40, 10*time.Millisecond, "pie", "ecn-cubic")
+	pi2 := runSweepPoint(o, &campaign.TaskCtx{Seed: 1}, 40, 10*time.Millisecond, "pi2", "ecn-cubic")
 	t.Logf("pie=%.3f pi2=%.3f", pie.Ratio, pi2.Ratio)
 	for _, p := range []SweepPoint{pie, pi2} {
 		if p.Ratio < 0.3 || p.Ratio > 3 {
@@ -145,8 +145,8 @@ func TestCoexistenceControlPair(t *testing.T) {
 func TestSweepProbabilityCoupling(t *testing.T) {
 	// Under PI2, the scalable marking probability must exceed the classic
 	// probability (ps = 2·√pc > pc), visible in the Figure 17 data.
-	o := Options{Quick: true}
-	pt := runSweepPoint(o, &campaign.TaskCtx{Seed: o.seed()}, 40, 10*time.Millisecond, "pi2", "dctcp")
+	o := campaign.Options{Grid: campaign.Grid{Quick: true}}
+	pt := runSweepPoint(o, &campaign.TaskCtx{Seed: 1}, 40, 10*time.Millisecond, "pi2", "dctcp")
 	if pt.ProbB.Mean <= pt.ProbA.Mean {
 		t.Errorf("scalable prob %.4f <= classic prob %.4f", pt.ProbB.Mean, pt.ProbA.Mean)
 	}
@@ -156,7 +156,7 @@ func TestSweepProbabilityCoupling(t *testing.T) {
 }
 
 func TestFlowCombosBalanced(t *testing.T) {
-	pts := FlowCombos(Options{Quick: true}, nil)
+	pts := FlowCombos(campaign.Options{Grid: campaign.Grid{Quick: true}}, nil)
 	if len(pts) == 0 {
 		t.Fatal("no points")
 	}
@@ -217,7 +217,7 @@ func TestFactoryByName(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() float64 {
-		r := Fig13(Options{Quick: true, Seed: 77})
+		r := Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 77})
 		return r.PI2.Sojourn.Mean()
 	}
 	if a, b := run(), run(); a != b {
@@ -226,8 +226,8 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunDifferentSeedsDiffer(t *testing.T) {
-	a := Fig13(Options{Quick: true, Seed: 1}).PI2.Sojourn.Mean()
-	b := Fig13(Options{Quick: true, Seed: 2}).PI2.Sojourn.Mean()
+	a := Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 1}).PI2.Sojourn.Mean()
+	b := Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 2}).PI2.Sojourn.Mean()
 	if a == b {
 		t.Error("different seeds produced identical results (suspicious)")
 	}

@@ -114,16 +114,16 @@ func heavyMix(n int) (reno, cubic, dctcp int) {
 // heavyTasks builds the AQM × flow-count (× rep) matrix. The rep loop is
 // innermost with SeedIndex = len(tasks), so at reps=1 the cell→seed
 // mapping is exactly the historical one and the table stays byte-identical.
-func heavyTasks(o Options) []campaign.Task {
+func heavyTasks(o campaign.Options) []campaign.Task {
 	counts := HeavyFlowCounts
 	if o.Quick {
 		counts = []int{10, 100}
 	}
-	reps := o.reps()
+	reps := o.RepCount()
 	var tasks []campaign.Task
 	for _, aqmName := range HeavyAQMs {
 		cs := counts
-		if o.FastForward && !o.Quick && aqmName != "dualpi2" {
+		if o.FF && !o.Quick && aqmName != "dualpi2" {
 			cs = append(append([]int{}, counts...), HeavyFFFlowCounts...)
 		}
 		for _, n := range cs {
@@ -154,9 +154,9 @@ func heavyTasks(o Options) []campaign.Task {
 // the group completes — full RunRecords are dropped on the spot, so peak
 // memory holds one aggregated point per group plus the in-flight window,
 // not the whole grid.
-func Heavy(o Options) ([]HeavyPoint, error) {
+func Heavy(o campaign.Options) ([]HeavyPoint, error) {
 	tasks := heavyTasks(o)
-	reps := o.reps()
+	reps := o.RepCount()
 	nGroups := len(tasks) / reps
 	type heavyGroup struct {
 		ok bool
@@ -164,7 +164,7 @@ func Heavy(o Options) ([]HeavyPoint, error) {
 	}
 	groups := make([]heavyGroup, nGroups)
 	groupFails := make([][]string, nGroups)
-	groupFold(tasks, o.execFor("heavy", gridSpec{}), reps, func(group int, recs []campaign.RunRecord) {
+	groupFold(tasks, execFor(o, "heavy", gridSpec{}), reps, func(group int, recs []campaign.RunRecord) {
 		var pts []HeavyPoint
 		var wallMs float64
 		var events uint64
@@ -269,14 +269,14 @@ func ci95(w stats.Welford) float64 {
 	return 1.96 * w.Stddev() / math.Sqrt(float64(w.N()))
 }
 
-func heavyDuration(o Options) time.Duration {
-	return o.scale(20 * time.Second)
+func heavyDuration(o campaign.Options) time.Duration {
+	return o.Scale(20 * time.Second)
 }
 
 // runHeavyCell is a single-queue cell (PIE or PI2) through the standard
 // scenario runner with compact collectors.
-func runHeavyCell(o Options, tc *campaign.TaskCtx, n int, aqmName string) HeavyPoint {
-	target := o.target()
+func runHeavyCell(o campaign.Options, tc *campaign.TaskCtx, n int, aqmName string) HeavyPoint {
+	target := o.TargetDelay()
 	factory, ok := FactoryByName(aqmName, target)
 	if !ok {
 		panic("unknown AQM " + aqmName)
@@ -301,7 +301,7 @@ func runHeavyCell(o Options, tc *campaign.TaskCtx, n int, aqmName string) HeavyP
 		Seed:           tc.Seed,
 		Watch:          tc.Watch,
 		Shards:         tc.Shards,
-		FastForward:    o.FastForward,
+		FastForward:    o.FF,
 		LinkRateBps:    rate,
 		BufferPackets:  buf,
 		NewAQM:         factory,
@@ -340,7 +340,7 @@ func runHeavyCell(o Options, tc *campaign.TaskCtx, n int, aqmName string) HeavyP
 // links only), with both per-queue sojourn collectors pointed at one shared
 // histogram so the cell reports a combined queue-delay distribution in
 // constant memory.
-func runHeavyDual(o Options, tc *campaign.TaskCtx, n int) HeavyPoint {
+func runHeavyDual(o campaign.Options, tc *campaign.TaskCtx, n int) HeavyPoint {
 	dur := heavyDuration(o)
 	reno, cubic, dctcp := heavyMix(n)
 	soj := stats.NewDelayHistogram()

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strconv"
 	"testing"
+
+	"pi2/internal/campaign"
 )
 
 // TestHeavyQuickSmoke runs the quick heavy grid (10 and 100 flows) at a deep
@@ -13,7 +15,7 @@ func TestHeavyQuickSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy grid in -short mode")
 	}
-	pts, err := Heavy(Options{Quick: true, TimeDiv: 10})
+	pts, err := Heavy(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 10}})
 	if err != nil {
 		t.Fatalf("Heavy: %v", err)
 	}

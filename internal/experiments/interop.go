@@ -91,13 +91,13 @@ func (p InteropPoint) Metrics() map[string]float64 {
 // the classic single-simulator path (never sharded): conformance
 // fingerprints are byte-stable across every harness parallelism knob, which
 // the determinism tests pin (-jobs and -shards must not move a single bit).
-func Interop(o Options) ([]InteropPoint, []string, error) {
+func Interop(o campaign.Options) ([]InteropPoint, []string, error) {
 	tasks := interopTasks(o)
 	out := make([]InteropPoint, len(tasks))
 	bad := make([]bool, len(tasks))
 	// Records fold by index as they stream in; failures are listed in
 	// matrix order afterwards (deterministic under any completion order).
-	campaign.ExecuteStream(tasks, o.execFor("interop", gridSpec{}), func(rec campaign.RunRecord) {
+	campaign.ExecuteStream(tasks, execFor(o, "interop", gridSpec{}), func(rec campaign.RunRecord) {
 		cc, _ := rec.Params["cc"].(string)
 		fb, _ := rec.Params["fb"].(string)
 		aqmName, _ := rec.Params["aqm"].(string)
@@ -123,7 +123,7 @@ func Interop(o Options) ([]InteropPoint, []string, error) {
 
 // interopTasks builds the cc × feedback × AQM matrix; the AQM arms of one
 // (cc, feedback) pair share a seed index.
-func interopTasks(o Options) []campaign.Task {
+func interopTasks(o campaign.Options) []campaign.Task {
 	var tasks []campaign.Task
 	for ci, cc := range InteropCCs {
 		for fi, fb := range InteropFeedbacks {
@@ -143,19 +143,19 @@ func interopTasks(o Options) []campaign.Task {
 	return tasks
 }
 
-func interopDuration(o Options) time.Duration {
-	return o.scale(60 * time.Second)
+func interopDuration(o campaign.Options) time.Duration {
+	return o.Scale(60 * time.Second)
 }
 
 // InteropCell runs one conformance cell: two flows of cc under the given
 // feedback arm vs two loss-based Cubic reference flows at equal RTT. It is
 // exported so the fairness-invariant tests can run a single cell (at a
 // longer horizon) without paying for the whole matrix.
-func InteropCell(o Options, seed int64, watch func(campaign.Canceler), cc, fb, aqmName string) InteropPoint {
+func InteropCell(o campaign.Options, seed int64, watch func(campaign.Canceler), cc, fb, aqmName string) InteropPoint {
 	if aqmName == "dualpi2" {
 		return runInteropDual(o, seed, watch, cc, fb)
 	}
-	target := o.target()
+	target := o.TargetDelay()
 	factory, ok := FactoryByName(aqmName, target)
 	if !ok {
 		panic("unknown AQM " + aqmName)
@@ -201,7 +201,7 @@ func InteropCell(o Options, seed int64, watch func(campaign.Canceler), cc, fb, a
 // runInteropDual is the DualPI2 cell. Marks and drops count from the warm-up
 // boundary, where the scenario runner resets its link's counters: the paired
 // pi2/dualpi2 columns must cover the same measurement window.
-func runInteropDual(o Options, seed int64, watch func(campaign.Canceler), cc, fb string) InteropPoint {
+func runInteropDual(o campaign.Options, seed int64, watch func(campaign.Canceler), cc, fb string) InteropPoint {
 	dur := interopDuration(o)
 	soj := &stats.Sample{}
 	cell := runDual(cellSpec{seed: seed, watch: watch, warm: dur / 4, dur: dur,
@@ -209,7 +209,7 @@ func runInteropDual(o Options, seed int64, watch func(campaign.Canceler), cc, fb
 			{CC: cc, Feedback: fb, Count: 2, RTT: interopRTT},
 			{CC: "cubic", Count: 2, RTT: interopRTT},
 		}}, interopLinkBps, core.DualConfig{
-		Config:        core.Config{Target: o.target()},
+		Config:        core.Config{Target: o.TargetDelay()},
 		BufferPackets: interopBuffer,
 	}, nil, soj)
 	rates := cell.rates()

@@ -4,10 +4,12 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"pi2/internal/campaign"
 )
 
 // quickInterop runs the whole conformance matrix at smoke scale.
-func quickInterop(t *testing.T, o Options) []InteropPoint {
+func quickInterop(t *testing.T, o campaign.Options) []InteropPoint {
 	t.Helper()
 	o.Quick = true
 	if o.TimeDiv == 0 {
@@ -27,8 +29,8 @@ func TestInteropIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	serial := quickInterop(t, Options{Jobs: 1})
-	wide := quickInterop(t, Options{Jobs: 8})
+	serial := quickInterop(t, campaign.Options{Jobs: 1})
+	wide := quickInterop(t, campaign.Options{Jobs: 8})
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatal("interop points differ between jobs=1 and jobs=8")
 	}
@@ -43,8 +45,8 @@ func TestInteropIdenticalAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	one := quickInterop(t, Options{Jobs: 4, Shards: 1})
-	four := quickInterop(t, Options{Jobs: 4, Shards: 4})
+	one := quickInterop(t, campaign.Options{Jobs: 4, Shards: 1})
+	four := quickInterop(t, campaign.Options{Jobs: 4, Shards: 4})
 	if !reflect.DeepEqual(one, four) {
 		t.Fatal("interop points differ between shards=1 and shards=4")
 	}
@@ -59,7 +61,7 @@ func TestInteropPragueCubicFairness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-horizon cells in -short mode")
 	}
-	o := Options{TimeDiv: 2} // 30 s horizon: long enough for the coupled equilibrium
+	o := campaign.Options{Grid: campaign.Grid{TimeDiv: 2}} // 30 s horizon: long enough for the coupled equilibrium
 	var sum float64
 	for _, seed := range []int64{1, 2, 3} {
 		p := InteropCell(o, seed, nil, "prague", "accurate", "dualpi2")
@@ -78,7 +80,7 @@ func TestInteropPragueCubicFairness(t *testing.T) {
 // TestInteropCellMetricsComplete: every fingerprinted metric must be present
 // and finite so the golden harness never diffs against a silent zero.
 func TestInteropCellMetricsComplete(t *testing.T) {
-	o := Options{Quick: true, TimeDiv: 40, Target: 20 * time.Millisecond}
+	o := campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40, Target: 20 * time.Millisecond}}
 	p := InteropCell(o, 7, nil, "dctcp", "accurate", "pi2")
 	m := p.Metrics()
 	for _, k := range []string{"test_share", "rate_ratio", "marks", "drops_total",

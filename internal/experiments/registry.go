@@ -4,58 +4,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"pi2/internal/campaign"
 	"pi2/internal/fluid"
 )
 
-// opts translates one campaign invocation's knobs into driver Options.
-func opts(ctx *campaign.Context) Options {
-	return Options{
-		Quick:        ctx.Quick,
-		TimeDiv:      ctx.TimeDiv,
-		Seed:         ctx.Seed,
-		Jobs:         ctx.Jobs,
-		Progress:     ctx.Progress,
-		Collect:      ctx.Collector,
-		Watchdog:     ctx.Watchdog,
-		Retries:      ctx.Retries,
-		RetryBackoff: ctx.RetryBackoff,
-		Shards:       ctx.Shards,
-		FastForward:  ctx.FastForward,
-		Reps:         ctx.Reps,
-		Target:       time.Duration(ctx.TargetMs) * time.Millisecond,
-		Dispatch:     ctx.Dispatch,
-		Journal:      ctx.Journal,
-		Resume:       ctx.Resume,
-	}
-}
-
 // memoSweep computes the coexistence grid once per invocation; fig15–fig18
 // and "sweep" all print from the same points.
-func memoSweep(ctx *campaign.Context) []SweepPoint {
-	return ctx.Memo("sweep", func() any {
-		return CoexistenceSweep(opts(ctx))
+func memoSweep(o *campaign.Options) []SweepPoint {
+	return o.Memo("sweep", func() any {
+		return CoexistenceSweep(*o)
 	}).([]SweepPoint)
 }
 
-func memoCombos(ctx *campaign.Context) []ComboPoint {
-	return ctx.Memo("combos", func() any {
-		return FlowCombos(opts(ctx), nil)
+func memoCombos(o *campaign.Options) []ComboPoint {
+	return o.Memo("combos", func() any {
+		return FlowCombos(*o, nil)
 	}).([]ComboPoint)
 }
 
-func memoDualQ(ctx *campaign.Context) *DualQResult {
-	return ctx.Memo("dualq", func() any {
-		return DualQ(opts(ctx), 1, 1)
+func memoDualQ(o *campaign.Options) *DualQResult {
+	return o.Memo("dualq", func() any {
+		return DualQ(*o, 1, 1)
 	}).(*DualQResult)
 }
 
 // printer adapts a figure whose driver returns a self-printing result.
-func printer(run func(ctx *campaign.Context, w io.Writer)) func(*campaign.Context, io.Writer) error {
-	return func(ctx *campaign.Context, w io.Writer) error {
-		run(ctx, w)
+func printer(run func(o *campaign.Options, w io.Writer)) func(*campaign.Options, io.Writer) error {
+	return func(o *campaign.Options, w io.Writer) error {
+		run(o, w)
 		fmt.Fprintln(w)
 		return nil
 	}
@@ -64,60 +41,60 @@ func printer(run func(ctx *campaign.Context, w io.Writer)) func(*campaign.Contex
 func init() {
 	campaign.Register(campaign.Experiment{
 		Name: "table1", Desc: "default AQM parameters (Table 1)", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintTable1(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintTable1(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig4", Desc: "Bode margins, Reno + PI on p (analytic)", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { printFig4(w, ctx.Quick) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { printFig4(w, o.Quick) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig5", Desc: "PIE 'tune' steps vs sqrt(2p) (analytic)", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { printFig5(w, ctx.Quick) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { printFig5(w, o.Quick) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig6", Desc: "queue delay under varying intensity: PI vs PI2", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { Fig6(opts(ctx)).Print(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { Fig6(*o).Print(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig7", Desc: "Bode margins: reno pie / reno pi2 / scal pi (analytic)", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { printFig7(w, ctx.Quick) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { printFig7(w, o.Quick) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig11", Desc: "PIE vs PI2 queue delay under three load mixes", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { Fig11(opts(ctx)).Print(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { Fig11(*o).Print(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig12", Desc: "queue delay across link-rate changes", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { Fig12(opts(ctx)).Print(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { Fig12(*o).Print(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig13", Desc: "DCTCP on PI2 under varying intensity", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { Fig13(opts(ctx)).Print(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { Fig13(*o).Print(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig14", Desc: "delay quantiles per target, PIE vs PI2", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { Fig14(opts(ctx)).Print(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { Fig14(*o).Print(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig15", Desc: "coexistence sweep: throughput balance",
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintFig15(w, memoSweep(ctx)) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintFig15(w, memoSweep(o)) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig16", Desc: "coexistence sweep: queuing delay",
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintFig16(w, memoSweep(ctx)) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintFig16(w, memoSweep(o)) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig17", Desc: "coexistence sweep: mark/drop probability",
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintFig17(w, memoSweep(ctx)) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintFig17(w, memoSweep(o)) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig18", Desc: "coexistence sweep: link utilisation",
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintFig18(w, memoSweep(ctx)) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintFig18(w, memoSweep(o)) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "sweep", Desc: "full coexistence grid (figures 15-18)", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) {
-			pts := memoSweep(ctx)
+		Run: printer(func(o *campaign.Options, w io.Writer) {
+			pts := memoSweep(o)
 			PrintFig15(w, pts)
 			fmt.Fprintln(w)
 			PrintFig16(w, pts)
@@ -129,16 +106,16 @@ func init() {
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig19", Desc: "flow-count combos: per-flow rate ratio",
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintFig19(w, memoCombos(ctx)) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintFig19(w, memoCombos(o)) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fig20", Desc: "flow-count combos: normalized rates + fairness",
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintFig20(w, memoCombos(ctx)) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintFig20(w, memoCombos(o)) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "combos", Desc: "flow-count combinations (figures 19-20)", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) {
-			pts := memoCombos(ctx)
+		Run: printer(func(o *campaign.Options, w io.Writer) {
+			pts := memoCombos(o)
 			PrintFig19(w, pts)
 			fmt.Fprintln(w)
 			PrintFig20(w, pts)
@@ -146,26 +123,26 @@ func init() {
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "fct", Desc: "short-flow completion times across AQMs", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { FigFCT(opts(ctx)).Print(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { FigFCT(*o).Print(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "rttfair", Desc: "RTT-heterogeneity sweep (extension)", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { PrintRTTFair(w, RTTFairSweep(opts(ctx))) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { PrintRTTFair(w, RTTFairSweep(*o)) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "dualq", Desc: "single coupled queue vs DualPI2", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) { memoDualQ(ctx).Print(w) }),
+		Run: printer(func(o *campaign.Options, w io.Writer) { memoDualQ(o).Print(w) }),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "arrangements", Desc: "queue arrangements: single-PI2 / DualPI2 / FQ-CoDel", InAll: true,
-		Run: printer(func(ctx *campaign.Context, w io.Writer) {
-			PrintArrangements(w, memoDualQ(ctx), FQArrangement(opts(ctx), 1, 1))
+		Run: printer(func(o *campaign.Options, w io.Writer) {
+			PrintArrangements(w, memoDualQ(o), FQArrangement(*o, 1, 1))
 		}),
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "chaos", Desc: "robustness tier: PIE/PI2/DualPI2 under bursty loss, rate flaps, reordering", InAll: true,
-		Run: func(ctx *campaign.Context, w io.Writer) error {
-			pts, failed, err := Chaos(opts(ctx))
+		Run: func(o *campaign.Options, w io.Writer) error {
+			pts, failed, err := Chaos(*o)
 			PrintChaos(w, pts, failed)
 			fmt.Fprintln(w)
 			return err
@@ -173,8 +150,8 @@ func init() {
 	})
 	campaign.Register(campaign.Experiment{
 		Name: "interop", Desc: "L4S conformance matrix: {prague,dctcp,cubic,reno} x {classic,accurate ECN} x {pie,pi2,dualpi2}", InAll: true,
-		Run: func(ctx *campaign.Context, w io.Writer) error {
-			pts, failed, err := Interop(opts(ctx))
+		Run: func(o *campaign.Options, w io.Writer) error {
+			pts, failed, err := Interop(*o)
 			PrintInterop(w, pts, failed)
 			fmt.Fprintln(w)
 			return err
@@ -185,8 +162,8 @@ func init() {
 	// other experiment; host-dependent throughput figures go to stderr.
 	campaign.Register(campaign.Experiment{
 		Name: "heavy", Desc: "flow-count scaling tier: 10-5000 flows, PIE/PI2/DualPI2 (extension)",
-		Run: func(ctx *campaign.Context, w io.Writer) error {
-			pts, err := Heavy(opts(ctx))
+		Run: func(o *campaign.Options, w io.Writer) error {
+			pts, err := Heavy(*o)
 			PrintHeavy(w, pts)
 			fmt.Fprintln(w)
 			PrintHeavyPerf(os.Stderr, pts)

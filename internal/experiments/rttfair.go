@@ -27,9 +27,9 @@ func (p RTTFairPoint) EventCount() uint64 { return p.Events }
 // Equation (14) assumes equal RTTs; this sweep shows how far coexistence
 // stretches when they differ (classic TCP RTT-unfairness compounds with
 // the coupling).
-func RTTFairSweep(o Options) []RTTFairPoint {
+func RTTFairSweep(o campaign.Options) []RTTFairPoint {
 	tasks := rttfairTasks(o)
-	recs := campaign.Execute(tasks, o.execFor("rttfair", gridSpec{}))
+	recs := campaign.Execute(tasks, execFor(o, "rttfair", gridSpec{}))
 	out := make([]RTTFairPoint, len(recs))
 	for i, rec := range recs {
 		if p, ok := rec.Result.(RTTFairPoint); ok {
@@ -40,7 +40,7 @@ func RTTFairSweep(o Options) []RTTFairPoint {
 }
 
 // rttfairTasks builds the RTT-cross matrix.
-func rttfairTasks(o Options) []campaign.Task {
+func rttfairTasks(o campaign.Options) []campaign.Task {
 	rtts := []time.Duration{5 * time.Millisecond, 20 * time.Millisecond, 80 * time.Millisecond}
 	if o.Quick {
 		rtts = []time.Duration{5 * time.Millisecond, 80 * time.Millisecond}
@@ -56,7 +56,7 @@ func rttfairTasks(o Options) []campaign.Task {
 					"rtt_a_ms": ra.Seconds() * 1e3, "rtt_b_ms": rb.Seconds() * 1e3,
 				},
 				Run: func(tc *campaign.TaskCtx) any {
-					dur := o.scale(100 * time.Second)
+					dur := o.Scale(100 * time.Second)
 					res := Run(Scenario{
 						Seed:        tc.Seed,
 						Watch:       tc.Watch,

@@ -156,7 +156,7 @@ func TestShardedGridInvariantAcrossJobs(t *testing.T) {
 		t.Skip("grid run in -short mode")
 	}
 	run := func(jobs int) []ChaosPoint {
-		pts, failed, err := Chaos(Options{Quick: true, TimeDiv: 40, Shards: 4, Jobs: jobs})
+		pts, failed, err := Chaos(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, Shards: 4, Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v (%v)", jobs, err, failed)
 		}
@@ -177,7 +177,7 @@ func TestShardedGridInvariantAcrossJobs(t *testing.T) {
 // the same seed.
 func TestTargetOverrideChangesControl(t *testing.T) {
 	cell := func(target time.Duration) HeavyPoint {
-		o := Options{Quick: true, TimeDiv: 20, Target: target}
+		o := campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 20, Target: target}}
 		return runHeavyCell(o, &campaign.TaskCtx{Seed: 1}, 10, "pi2")
 	}
 	def := cell(0) // the paper's 20 ms

@@ -3,38 +3,22 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"pi2/internal/campaign"
 	"pi2/internal/stats"
 )
 
-// gridSpec is the wire form of the Options fields a task builder depends
-// on. A fleet worker receives (family, gridSpec) and rebuilds the exact
-// task matrix the coordinator built — closures cannot cross a process
-// boundary, but the recipe for them can. Only knobs that change the
-// matrix or the cells' behavior belong here; execution-side knobs (jobs,
-// seeds, watchdog, shards) travel in the fleet init envelope instead.
+// gridSpec is the wire form of a grid family's matrix: the grid half of
+// campaign.Options plus the few extras a family takes as arguments. A
+// fleet worker receives (family, gridSpec) and rebuilds the exact task
+// matrix the coordinator built — closures cannot cross a process boundary,
+// but the recipe for them can. Execution-side knobs (seed, shards,
+// watchdog, retries) travel in the fleet init message instead.
 type gridSpec struct {
-	Quick    bool     `json:"quick,omitempty"`
-	TimeDiv  int      `json:"timediv,omitempty"`
-	FF       bool     `json:"ff,omitempty"`
-	Reps     int      `json:"reps,omitempty"`
-	TargetNs int64    `json:"target_ns,omitempty"`
-	NA       int      `json:"na,omitempty"`
-	NB       int      `json:"nb,omitempty"`
-	Combos   [][2]int `json:"combos,omitempty"`
-}
-
-// options reconstructs the Options a builder needs on the worker side.
-func (g gridSpec) options() Options {
-	return Options{
-		Quick:       g.Quick,
-		TimeDiv:     g.TimeDiv,
-		FastForward: g.FF,
-		Reps:        g.Reps,
-		Target:      time.Duration(g.TargetNs),
-	}
+	campaign.Grid
+	NA     int      `json:"na,omitempty"`
+	NB     int      `json:"nb,omitempty"`
+	Combos [][2]int `json:"combos,omitempty"`
 }
 
 // execFor assembles executor options for one grid family. The (family,
@@ -42,16 +26,28 @@ func (g gridSpec) options() Options {
 // (worker processes rebuild the matrix from it), a journal (records are
 // keyed by it) or a resume set (completed cells are looked up by it).
 // Plain in-process runs skip the spec marshalling entirely.
-func (o Options) execFor(family string, spec gridSpec) campaign.ExecOptions {
-	e := o.exec()
+func execFor(o campaign.Options, family string, spec gridSpec) campaign.ExecOptions {
+	seed := o.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	e := campaign.ExecOptions{
+		Jobs:         max(o.Jobs, 1),
+		Shards:       o.Shards,
+		FastForward:  o.FF,
+		BaseSeed:     seed,
+		Progress:     o.Progress,
+		Collector:    o.Collector,
+		Watchdog:     o.Watchdog,
+		Retries:      o.Retries,
+		RetryBackoff: o.RetryBackoff,
+		Journal:      o.Journal,
+		Resume:       o.Resume,
+	}
 	if o.Dispatch == nil && o.Journal == nil && o.Resume == nil {
 		return e
 	}
-	spec.Quick = o.Quick
-	spec.TimeDiv = o.TimeDiv
-	spec.FF = o.FastForward
-	spec.Reps = o.Reps
-	spec.TargetNs = int64(o.Target)
+	spec.Grid = o.Grid
 	b, err := json.Marshal(spec)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: marshal %s grid spec: %v", family, err))
@@ -88,8 +84,10 @@ func groupFold(tasks []campaign.Task, opt campaign.ExecOptions, reps int, finali
 	})
 }
 
-// gridSource adapts a builder over gridSpec into a campaign.TaskSource.
-func gridSource(build func(gridSpec) []campaign.Task) campaign.TaskSource {
+// gridSource adapts a builder into a campaign.TaskSource: the builder
+// receives the decoded spec's grid half as Options, plus the spec itself
+// for its extras.
+func gridSource(build func(campaign.Options, gridSpec) []campaign.Task) campaign.TaskSource {
 	return func(spec []byte) ([]campaign.Task, error) {
 		var g gridSpec
 		if len(spec) > 0 {
@@ -97,25 +95,21 @@ func gridSource(build func(gridSpec) []campaign.Task) campaign.TaskSource {
 				return nil, fmt.Errorf("experiments: grid spec: %w", err)
 			}
 		}
-		return build(g), nil
+		return build(campaign.Options{Grid: g.Grid}, g), nil
 	}
 }
 
 func init() {
-	campaign.RegisterSource("fig6", gridSource(func(g gridSpec) []campaign.Task { return fig6Tasks(g.options()) }))
-	campaign.RegisterSource("fig11", gridSource(func(g gridSpec) []campaign.Task { return fig11Tasks(g.options()) }))
-	campaign.RegisterSource("fig12", gridSource(func(g gridSpec) []campaign.Task { return fig12Tasks(g.options()) }))
-	campaign.RegisterSource("fig13", gridSource(func(g gridSpec) []campaign.Task { return fig13Tasks(g.options()) }))
-	campaign.RegisterSource("fig14", gridSource(func(g gridSpec) []campaign.Task { return fig14Tasks(g.options()) }))
-	campaign.RegisterSource("fct", gridSource(func(g gridSpec) []campaign.Task { return fctTasks(g.options()) }))
-	campaign.RegisterSource("sweep", gridSource(func(g gridSpec) []campaign.Task { return sweepTasks(g.options()) }))
-	campaign.RegisterSource("combos", gridSource(func(g gridSpec) []campaign.Task { return combosTasks(g.options(), g.Combos) }))
-	campaign.RegisterSource("rttfair", gridSource(func(g gridSpec) []campaign.Task { return rttfairTasks(g.options()) }))
-	campaign.RegisterSource("dualq", gridSource(func(g gridSpec) []campaign.Task { return dualqTasks(g.options(), g.NA, g.NB) }))
-	campaign.RegisterSource("dualq-fq", gridSource(func(g gridSpec) []campaign.Task { return fqTasks(g.options(), g.NA, g.NB) }))
-	campaign.RegisterSource("chaos", gridSource(func(g gridSpec) []campaign.Task { return chaosTasks(g.options()) }))
-	campaign.RegisterSource("interop", gridSource(func(g gridSpec) []campaign.Task { return interopTasks(g.options()) }))
-	campaign.RegisterSource("heavy", gridSource(func(g gridSpec) []campaign.Task { return heavyTasks(g.options()) }))
+	for family, build := range map[string]func(campaign.Options) []campaign.Task{
+		"fig6": fig6Tasks, "fig11": fig11Tasks, "fig12": fig12Tasks, "fig13": fig13Tasks,
+		"fig14": fig14Tasks, "fct": fctTasks, "sweep": sweepTasks, "rttfair": rttfairTasks,
+		"chaos": chaosTasks, "interop": interopTasks, "heavy": heavyTasks,
+	} {
+		campaign.RegisterSource(family, gridSource(func(o campaign.Options, _ gridSpec) []campaign.Task { return build(o) }))
+	}
+	campaign.RegisterSource("combos", gridSource(func(o campaign.Options, g gridSpec) []campaign.Task { return combosTasks(o, g.Combos) }))
+	campaign.RegisterSource("dualq", gridSource(func(o campaign.Options, g gridSpec) []campaign.Task { return dualqTasks(o, g.NA, g.NB) }))
+	campaign.RegisterSource("dualq-fq", gridSource(func(o campaign.Options, g gridSpec) []campaign.Task { return fqTasks(o, g.NA, g.NB) }))
 
 	// Concrete result types that cross the coordinator/worker pipe inside
 	// RunRecord.Result (an interface) — gob needs them registered on both

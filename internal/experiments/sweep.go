@@ -71,14 +71,14 @@ type Quantiles struct {
 // innermost rep loop keeps SeedIndex = len(tasks): at reps=1 the cell→seed
 // mapping is exactly the historical one, so the golden sweep tables stay
 // byte-identical.
-func sweepTasks(o Options) []campaign.Task {
+func sweepTasks(o campaign.Options) []campaign.Task {
 	links := SweepLinksMbps
 	rtts := SweepRTTs
 	if o.Quick {
 		links = []float64{4, 40, 200}
 		rtts = []time.Duration{10 * time.Millisecond, 100 * time.Millisecond}
 	}
-	reps := o.reps()
+	reps := o.RepCount()
 	var tasks []campaign.Task
 	for _, pair := range []string{"dctcp", "ecn-cubic"} {
 		for _, aqmName := range []string{"pie", "pi2"} {
@@ -114,11 +114,11 @@ func sweepTasks(o Options) []campaign.Task {
 // matrix, never on scheduling. Records stream: each cell's reps aggregate
 // as soon as the group completes and the full records are dropped, so peak
 // memory holds per-group points, not the grid.
-func CoexistenceSweep(o Options) []SweepPoint {
+func CoexistenceSweep(o campaign.Options) []SweepPoint {
 	tasks := sweepTasks(o)
-	reps := o.reps()
+	reps := o.RepCount()
 	out := make([]SweepPoint, len(tasks)/reps)
-	groupFold(tasks, o.execFor("sweep", gridSpec{}), reps, func(group int, recs []campaign.RunRecord) {
+	groupFold(tasks, execFor(o, "sweep", gridSpec{}), reps, func(group int, recs []campaign.RunRecord) {
 		var pts []SweepPoint
 		for _, rec := range recs {
 			if p, ok := rec.Result.(SweepPoint); ok {
@@ -194,14 +194,14 @@ func (q *quantilesWelford) mean() Quantiles {
 	return Quantiles{P1: q.p1.Mean(), P25: q.p25.Mean(), Mean: q.mid.Mean(), P99: q.p99.Mean()}
 }
 
-func runSweepPoint(o Options, tc *campaign.TaskCtx, linkMbps float64, rtt time.Duration, aqmName, pair string) SweepPoint {
-	target := o.target()
+func runSweepPoint(o campaign.Options, tc *campaign.TaskCtx, linkMbps float64, rtt time.Duration, aqmName, pair string) SweepPoint {
+	target := o.TargetDelay()
 	factory, ok := FactoryByName(aqmName, target)
 	if !ok {
 		panic("unknown AQM " + aqmName)
 	}
 	// Converge for longer on big-BDP cells; measure over the second part.
-	dur := o.scale(100 * time.Second)
+	dur := o.Scale(100 * time.Second)
 	sc := Scenario{
 		Seed:        tc.Seed,
 		Watch:       tc.Watch,

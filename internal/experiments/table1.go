@@ -38,8 +38,8 @@ var fctAQMs = []string{"pie", "bare-pie", "pi2"}
 // over each AQM at 40 Mb/s, 20 ms RTT and reports flow-completion-time
 // quantiles. All three AQMs share SeedIndex 0: same arrival process, same
 // flow sizes — the comparison varies only the queue.
-func FigFCT(o Options) *FCTResult {
-	recs := campaign.Execute(fctTasks(o), o.execFor("fct", gridSpec{}))
+func FigFCT(o campaign.Options) *FCTResult {
+	recs := campaign.Execute(fctTasks(o), execFor(o, "fct", gridSpec{}))
 	res := &FCTResult{ByAQM: make(map[string]Quantiles), Flows: make(map[string]int)}
 	for i, name := range fctAQMs {
 		r := resultOf(recs[i])
@@ -50,8 +50,8 @@ func FigFCT(o Options) *FCTResult {
 }
 
 // fctTasks builds the AQM comparison arms; all share SeedIndex 0.
-func fctTasks(o Options) []campaign.Task {
-	dur := o.scale(120 * time.Second)
+func fctTasks(o campaign.Options) []campaign.Task {
+	dur := o.Scale(120 * time.Second)
 	var tasks []campaign.Task
 	for _, name := range fctAQMs {
 		name := name

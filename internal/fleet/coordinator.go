@@ -207,13 +207,9 @@ func (p *Pool) tryInit(w *worker, tasks []campaign.Task, opt campaign.ExecOption
 			return err
 		}
 	}
-	if err := w.c.send(msg{
-		Type: "init", Proto: ProtoVersion, FP: Fingerprint(),
-		Family: opt.Family, Spec: opt.Spec, BaseSeed: opt.BaseSeed,
-		Shards: opt.Shards, FastForward: opt.FastForward,
-		Retries: opt.Retries, RetryBackoff: opt.RetryBackoff,
-		Watchdog: opt.Watchdog, Heartbeat: p.hooks.Heartbeat,
-	}); err != nil {
+	m := initMsg(opt)
+	m.Heartbeat = p.hooks.Heartbeat
+	if err := w.c.send(m); err != nil {
 		return fmt.Errorf("init write: %w", err)
 	}
 	// Matrix building is cheap (a registered source decoding a small

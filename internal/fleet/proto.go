@@ -90,6 +90,27 @@ type msg struct {
 	Rec   campaign.RunRecord
 }
 
+// initMsg builds the init message for a matrix: its (family, spec)
+// identity and the cell half of opt, every ExecOptions field RunOne reads.
+// The rest of ExecOptions is host-local (pool width, sinks, dispatcher).
+func initMsg(opt campaign.ExecOptions) msg {
+	return msg{
+		Type: "init", Proto: ProtoVersion, FP: Fingerprint(),
+		Family: opt.Family, Spec: opt.Spec, BaseSeed: opt.BaseSeed,
+		Shards: opt.Shards, FastForward: opt.FastForward,
+		Retries: opt.Retries, RetryBackoff: opt.RetryBackoff, Watchdog: opt.Watchdog,
+	}
+}
+
+// cellOptions is the worker's side of initMsg: the ExecOptions its cells
+// run under. Progress, Collector and Dispatch stay nil: a worker is a leaf.
+func (m *msg) cellOptions() campaign.ExecOptions {
+	return campaign.ExecOptions{
+		BaseSeed: m.BaseSeed, Shards: m.Shards, FastForward: m.FastForward,
+		Retries: m.Retries, RetryBackoff: m.RetryBackoff, Watchdog: m.Watchdog,
+	}
+}
+
 // hbReadFactor is how many heartbeat intervals of silence the coordinator
 // tolerates before declaring a worker dead. >1 absorbs scheduler jitter
 // between the worker's ticker and the coordinator's read deadline.

@@ -82,11 +82,7 @@ func serveConn(conn io.ReadWriter) error {
 		}
 		switch m.Type {
 		case "init":
-			// Progress, Collector and Dispatch stay nil: a worker is a leaf.
-			tasks, opt = nil, campaign.ExecOptions{
-				BaseSeed: m.BaseSeed, Shards: m.Shards, FastForward: m.FastForward,
-				Retries: m.Retries, RetryBackoff: m.RetryBackoff, Watchdog: m.Watchdog,
-			}
+			tasks, opt = nil, m.cellOptions()
 			if m.Heartbeat > 0 {
 				hb = m.Heartbeat
 			}

@@ -104,9 +104,8 @@ func Capture(name string, ex Exec) (*Fingerprint, error) {
 		return nil, fmt.Errorf("golden: unknown experiment %q", name)
 	}
 	col := &campaign.Collector{}
-	ctx := &campaign.Context{
-		Quick:     true,
-		TimeDiv:   TimeDiv,
+	o := &campaign.Options{
+		Grid:      campaign.Grid{Quick: true, TimeDiv: TimeDiv},
 		Seed:      Seed,
 		Jobs:      ex.Jobs,
 		Collector: col,
@@ -115,7 +114,7 @@ func Capture(name string, ex Exec) (*Fingerprint, error) {
 		Resume:    ex.Resume,
 	}
 	var buf bytes.Buffer
-	if err := exp.Run(ctx, &buf); err != nil {
+	if err := exp.Run(o, &buf); err != nil {
 		return nil, fmt.Errorf("golden: %s: %w", name, err)
 	}
 
