@@ -2,7 +2,10 @@ package pi2bench
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"os/exec"
 	"strings"
@@ -10,6 +13,7 @@ import (
 
 	"pi2/internal/campaign"
 	"pi2/internal/fleet"
+	"pi2/internal/stats"
 )
 
 // TestMain lets this test binary double as a fleet worker: the benchmark
@@ -150,4 +154,38 @@ func BenchmarkFleetTCPDispatchOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	campaign.Execute(tasks, opt)
+}
+
+// BenchmarkSampleWire round-trips a 16384-observation exact sample (a
+// sweep cell's pooled sojourn sample holds ~18 k) through one persistent
+// gob encoder/decoder pair, the stream shape of a fleet connection. Type
+// definitions cross once, before the timer, so each op is the collector's
+// own encoding: the 128 KB of observations out and back, not a nested gob
+// stream per value. BENCH_hotpath.json budgets its allocs and bytes.
+func BenchmarkSampleWire(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var s stats.Sample
+	for i := 0; i < 16384; i++ {
+		s.Add(rng.ExpFloat64() * 0.01)
+	}
+	var buf bytes.Buffer
+	enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
+	roundTrip := func() {
+		if err := enc.Encode(&s); err != nil {
+			b.Fatal(err)
+		}
+		var got stats.Sample
+		if err := dec.Decode(&got); err != nil {
+			b.Fatal(err)
+		}
+		if got.N() != s.N() {
+			b.Fatalf("decoded %d observations, sent %d", got.N(), s.N())
+		}
+	}
+	roundTrip()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
 }

@@ -27,7 +27,9 @@ func init() {
 // call it at init next to RegisterSource.
 func RegisterWireType(v any) { gob.Register(v) }
 
-// EncodeRecord serializes one RunRecord for the fleet protocol.
+// EncodeRecord serializes one RunRecord as a self-contained gob stream.
+// Only the journal calls it: on the fleet wire a record crosses as a
+// value inside the connection's one gob stream (internal/fleet/proto.go).
 func EncodeRecord(rec *RunRecord) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {

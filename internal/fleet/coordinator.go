@@ -176,8 +176,8 @@ func (p *Pool) establish(w *worker) error {
 	hello, err := c.recv()
 	switch {
 	case errors.Is(err, errFrameSize):
-		err = permErr{fmt.Errorf("protocol drift: worker hello is no v%d frame (%v); a pre-v%d worker speaks NDJSON — rebuild and redeploy one binary",
-			ProtoVersion, err, ProtoVersion)}
+		err = permErr{fmt.Errorf("protocol drift: worker hello is no v%d frame (%v); a pre-v3 worker speaks NDJSON — rebuild and redeploy one binary",
+			ProtoVersion, err)}
 	case err != nil:
 		err = fmt.Errorf("read hello: %w", err)
 	case hello.Type != "hello":

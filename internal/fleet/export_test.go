@@ -1,5 +1,7 @@
 package fleet
 
+import "crypto/sha256"
+
 // Hooks exposes the pool's test-only knobs to the external test package.
 type Hooks = hooks
 
@@ -8,4 +10,10 @@ func NewHookedPool(cfg Config, set func(*Hooks)) *Pool {
 	p := NewPool(cfg)
 	set(&p.hooks)
 	return p
+}
+
+// Raw returns a cell's journaled record bytes, whether or not they decode.
+func (rs *ResumeSet) Raw(family string, spec []byte, index int) ([]byte, bool) {
+	b, ok := rs.segs[segKey(family, sha256.Sum256(spec))][index]
+	return b, ok
 }

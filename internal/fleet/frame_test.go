@@ -3,14 +3,20 @@ package fleet
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"pi2/internal/campaign"
+	"pi2/internal/stats"
 )
 
 // fuzzSegments is the journal FuzzReadFrame damages: two segments, so a
@@ -156,4 +162,64 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sampleDamager forwards frames to w, raising the Welford count inside
+// every stats.Sample encoding it finds by one, so the count no longer
+// matches the observations, and re-checksumming the frame: the damage
+// reaches the collector's decoder, not the frame reader.
+type sampleDamager struct{ w io.Writer }
+
+func (d sampleDamager) Write(f []byte) (int, error) {
+	if i := bytes.Index(f[8:], []byte("p2S\x01")); i >= 0 {
+		n := f[8+i+5:] // past the prefix and the sorted flag
+		binary.LittleEndian.PutUint64(n, binary.LittleEndian.Uint64(n)+1)
+		binary.LittleEndian.PutUint32(f[4:], crc32.Checksum(f[8:], crcTable))
+	}
+	return d.w.Write(f)
+}
+
+// TestDamagedCollectorFailsTheLink points a pool at a worker host whose
+// record carries a stats.Sample that decodes into broken state. The
+// coordinator must refuse it on read and take the link-failure path:
+// the link drops, the cell is charged to its crash budget and comes back
+// as a failed record, and nothing panics in aggregation.
+func TestDamagedCollectorFailsTheLink(t *testing.T) {
+	campaign.RegisterWireType(&stats.Sample{})
+	addr, _ := fakeHost(t, func(c net.Conn) {
+		w := newWire(struct {
+			io.Reader
+			io.Writer
+		}{c, sampleDamager{c}})
+		if w.send(msg{Type: "hello", Proto: ProtoVersion, FP: Fingerprint()}) != nil {
+			return
+		}
+		if _, err := w.recv(); err != nil { // init
+			return
+		}
+		w.send(msg{Type: "ready", Tasks: 1})
+		run, err := w.recv()
+		if err != nil {
+			return
+		}
+		var s stats.Sample
+		s.Add(1)
+		s.Add(2)
+		w.send(msg{Type: "record", Index: run.Index, Rec: campaign.RunRecord{Name: "dmg", Index: run.Index, Result: &s}})
+	})
+	var errlog bytes.Buffer
+	p := NewPool(Config{Hosts: []Host{{Addr: addr, Workers: 1}}, Stderr: &errlog})
+	p.hooks.ReconnectBase = time.Millisecond
+	defer p.Close()
+	tasks := []campaign.Task{{Name: "dmg", Run: func(*campaign.TaskCtx) any { return &stats.Sample{} }}}
+	var recs []campaign.RunRecord
+	p.Dispatch(tasks, campaign.ExecOptions{Family: "dmg"}, func(r campaign.RunRecord) {
+		recs = append(recs, r)
+	})
+	if len(recs) != 1 || !strings.Contains(recs[0].Err, "crash budget exhausted") {
+		t.Fatalf("records = %+v, want one record failed by the crash budget", recs)
+	}
+	if log := errlog.String(); !strings.Contains(log, "link lost") || !strings.Contains(log, "collector encoding") {
+		t.Fatalf("stderr does not show the link dropped for the collector bytes:\n%s", log)
+	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -56,12 +57,12 @@ func TestHandshakeRejectsDrift(t *testing.T) {
 		want  string
 	}{
 		{"proto", frameHello(msg{Type: "hello", Proto: 2, FP: Fingerprint()}),
-			"protocol drift: worker speaks v2, coordinator v3"},
+			fmt.Sprintf("protocol drift: worker speaks v2, coordinator v%d", ProtoVersion)},
 		{"fingerprint", frameHello(msg{Type: "hello", Proto: ProtoVersion, FP: "0123456789abcdef"}),
 			"binary drift: worker fingerprint 0123456789ab"},
 		{"v2 NDJSON hello", func(c net.Conn) {
 			io.WriteString(c, `{"t":"hello","proto":2,"fp":"`+Fingerprint()+`","pid":1}`+"\n")
-		}, "protocol drift: worker hello is no v3 frame"},
+		}, fmt.Sprintf("protocol drift: worker hello is no v%d frame", ProtoVersion)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -45,7 +45,8 @@ import (
 // heartbeats); v2 added hello-first handshake with build fingerprints and
 // heartbeats; v3 replaced v2's NDJSON envelopes with one gob stream per
 // connection in the journal's CRC-32C frames (frame.go).
-const ProtoVersion = 3
+// v4: collectors encode as flat bytes, not nested gob.
+const ProtoVersion = 4
 
 // msg is one protocol message. Type discriminates; each type uses a few
 // fields and leaves the rest at their zero values, which gob omits.
