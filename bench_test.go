@@ -589,6 +589,41 @@ func BenchmarkLaneHold(b *testing.B) {
 	}
 }
 
+// BenchmarkManyLanes pins the scheduler's cost when lanes are many: 256
+// shared lanes of distinct constant delays (a cell with one distinct RTT per
+// flow group) each keep 8 events in flight, among 1024 pending far-future
+// timers. Every lane event re-sends on its own lane, so the pipes stay full.
+// One op is one lane event.
+func BenchmarkManyLanes(b *testing.B) {
+	const (
+		lanes    = 256
+		inFlight = 8
+	)
+	s := sim.New(1)
+	for i := 0; i < 1024; i++ {
+		s.After(1000*time.Hour+time.Duration(i)*time.Microsecond, benchNop)
+	}
+	for i := 0; i < lanes; i++ {
+		d := time.Millisecond + time.Duration(i)*37*time.Microsecond
+		ln := s.Lane(d)
+		var resend sim.Event
+		resend = func() { ln.After(d, resend) }
+		for k := 0; k < inFlight; k++ {
+			s.At(time.Duration(k)*d/inFlight, func() { ln.After(d, resend) })
+		}
+	}
+	s.RunUntil(time.Second) // start every pipe and grow its ring
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	b.StopTimer()
+	if got := s.Pending(); got != 1024+lanes*inFlight {
+		b.Fatalf("%d events pending, want the 1024 timers plus %d in flight", got, lanes*inFlight)
+	}
+}
+
 // BenchmarkPacketRecycle pins the packet free list's zero-alloc budget on a
 // steady-state get→release cycle (one data + one ACK per op, as a segment
 // exchange produces).

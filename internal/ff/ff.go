@@ -202,7 +202,7 @@ func (e *Engine) TryAdvance(barrier time.Duration) time.Duration {
 				ccMarks = mk
 			}
 			f.FFAdvance(acc, ccMarks, rtt, vnow)
-			f.FFApplyStats(acc, mk, rtt)
+			f.FFApplyStats(acc, mk)
 			accAll += acc
 			markAll += mk
 			dropAll += dr

@@ -15,13 +15,13 @@ import (
 // the ff engine on top of this shift.
 
 // ShiftPending advances the virtual clock by delta and moves every pending
-// event (one-shot and recurring alike) forward by the same amount. The heap
-// holds the pending events' keys inline and each lane's ring holds the events
-// queued behind its head, so this is one pass over the heap array plus one
-// over each ring; a uniform shift preserves the (at, seq) order — in the heap,
-// along every ring, and between a lane's heap entry and its ring head — so no
-// re-heapify is needed and the post-shift pop order is exactly the pre-shift
-// pop order.
+// event (one-shot and recurring alike) forward by the same amount. The event
+// heap and the lane-head heap hold their keys inline and each lane's ring
+// holds its events, so this is one pass over each heap array plus one over
+// each ring; a uniform shift preserves the (at, seq) order — within each
+// heap, along every ring, between a lane-head key and its ring head, and
+// between the two roots — so no re-heapify is needed and the post-shift pop
+// order is exactly the pre-shift pop order.
 // It must only be called between Step/RunUntil calls (no event mid-flight);
 // negative deltas would break causality and panic.
 func (s *Simulator) ShiftPending(delta time.Duration) {
@@ -33,6 +33,9 @@ func (s *Simulator) ShiftPending(delta time.Duration) {
 	}
 	for i := range s.heap {
 		s.heap[i].at += delta
+	}
+	for i := range s.heads {
+		s.heads[i].at += delta
 	}
 	for _, ln := range s.lanes {
 		ln.shift(delta)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pi2/internal/packet"
 )
 
 // The differential oracle (oracle_test.go) holds lanes to the reference
@@ -28,9 +30,9 @@ func TestLaneFiresInSchedulingOrder(t *testing.T) {
 	a.At(9*ms, ev("a9"))
 	a.At(7*ms, ev("a7-fallback")) // below the tail: scheduled on the heap
 	b.At(7*ms, ev("b7"))
-	if s.Pending() != 7 || len(s.heap) != 4 {
-		t.Fatalf("Pending() = %d (want 7), heap holds %d entries (want 2 lane heads + 2 heap events)",
-			s.Pending(), len(s.heap))
+	if s.Pending() != 7 || len(s.heap) != 2 || len(s.heads) != 2 {
+		t.Fatalf("Pending() = %d (want 7), event heap holds %d (want h5 and the fallback), lane-head heap %d (want 2)",
+			s.Pending(), len(s.heap), len(s.heads))
 	}
 	s.Run()
 	if want := "a5 h5 b5 a5' a7-fallback b7 a9"; strings.Join(got, " ") != want {
@@ -115,15 +117,64 @@ func TestLaneSteadyStateDoesNotAllocate(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
 		t.Errorf("steady-state lane cycle allocates %.1f times, want 0", avg)
 	}
-	if len(s.heap) != 0 || len(s.slab) > 4 {
-		t.Errorf("%d heap entries left, slab grew to %d slots for two lanes", len(s.heap), len(s.slab))
+	if len(s.heap) != 0 || len(s.heads) != 0 || len(s.slab) != 0 {
+		t.Errorf("%d heap entries and %d lane heads left, slab grew to %d slots for two lanes",
+			len(s.heap), len(s.heads), len(s.slab))
+	}
+}
+
+// TestLanePacketContracts: a lane event's packet is readable from its own
+// callback only, a packet-carrying push below the lane's tail is refused
+// without scheduling anything, and a lane event scheduled without a packet
+// reads nil.
+func TestLanePacketContracts(t *testing.T) {
+	panics := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	s := New(1)
+	pipe, other := s.Lane(10*time.Millisecond), s.NewLane()
+	var got []int64
+	read := func() { got = append(got, pipe.Packet().Seq) }
+	for i := int64(1); i <= 3; i++ {
+		pipe.AfterPacket(10*time.Millisecond, &packet.Packet{Seq: i}, read)
+	}
+	pipe.After(10*time.Millisecond, func() {
+		if p := pipe.Packet(); p != nil {
+			t.Errorf("event without a packet read %v", p)
+		}
+	})
+	outside := "outside the lane's running event"
+	other.After(time.Millisecond, func() {
+		if msg := panics(func() { pipe.Packet() }); !strings.Contains(msg, outside) {
+			t.Errorf("read from another lane's event: %q", msg)
+		}
+	})
+	s.After(time.Millisecond, func() {
+		if msg := panics(func() { pipe.Packet() }); !strings.Contains(msg, outside) {
+			t.Errorf("read from a timer: %q", msg)
+		}
+	})
+	if msg := panics(func() { pipe.Packet() }); !strings.Contains(msg, outside) {
+		t.Errorf("read between events: %q", msg)
+	}
+	if msg := panics(func() { pipe.AfterPacket(5*time.Millisecond, &packet.Packet{}, read) }); !strings.Contains(msg, "below the lane's tail") {
+		t.Errorf("packet push below the tail: %q", msg)
+	}
+	if s.Pending() != 6 || pipe.Len() != 4 {
+		t.Fatalf("after the refused push: %d pending, %d on the pipe; want 6 and 4", s.Pending(), pipe.Len())
+	}
+	s.Run()
+	if fmt.Sprint(got) != "[1 2 3]" {
+		t.Errorf("packets read back %v, want [1 2 3]", got)
 	}
 }
 
 func ExampleLane() {
 	s := New(1)
 	// A constant-delay pipe: whoever sends, arrivals are in sending order,
-	// so the pipe's events share a lane and cost the heap one entry.
+	// so the pipe's events share a lane and cost the event heap nothing.
 	pipe := s.Lane(10 * time.Millisecond)
 	for i := 1; i <= 3; i++ {
 		i := i

@@ -4,20 +4,27 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
+
+	"pi2/internal/packet"
 )
 
 // The ordering oracle: one script interpreter drives two schedulers through
 // the same interface — the real Simulator and a naive reference that keeps
 // its pending events in a slice sorted on (at, seq) and models Reset as
 // Stop followed by At. Both record a trace of everything observable (fire
-// order, clock, Pending, Processed, Active, Reset's result); the traces must
-// be equal. Scripts are byte strings so the same encoding feeds the seeded
-// table test and the fuzz target.
+// order, clock, Pending, Processed, Active, Reset's result, the packets lane
+// events carry, refused lane calls); the traces must be equal. Scripts are
+// byte strings so the same encoding feeds the seeded table test and the fuzz
+// target.
 //
-// Lanes are invisible to the reference: a Lane.At is a plain At there. That is
-// the contract — a lane changes where an event waits, never when it fires.
+// Lanes do not change the reference's fire order: a Lane.At is a plain At
+// there. That is the contract — a lane changes where an event waits, never
+// when it fires. The reference models only which lane an event joined, which
+// it needs to predict the calls a lane refuses: a packet-carrying push below
+// the lane's tail, and a packet read outside the lane's running event.
 
 // world is what a script can do to a scheduler. Handles are small integers
 // owned by the world; -1 is the zero Timer.
@@ -34,10 +41,16 @@ type world interface {
 	shift(d time.Duration)
 	pending() int
 	processed() uint64
-	// laneAt and laneAfter schedule on lane l (0..oracleLanes-1). Lane events
+	// laneAt and laneAfter schedule on lane l (0..nLanes-1). Lane events
 	// have no handle.
 	laneAt(l int, t time.Duration, fn func())
 	laneAfter(l int, d time.Duration, fn func())
+	// lanePacket schedules fn d from now on lane l carrying a packet that
+	// holds tok, and reports whether the lane refused it (below its tail).
+	lanePacket(l int, d time.Duration, tok int64, fn func()) (refused bool)
+	// readPacket reads the token of the packet lane l's running event
+	// carries (-1 for none); ok is false when lane l has no running event.
+	readPacket(l int) (tok int64, ok bool)
 }
 
 // --- the real scheduler ---
@@ -46,18 +59,18 @@ type realWorld struct {
 	t      *testing.T
 	s      *Simulator
 	timers []Timer
-	lanes  [oracleLanes]*Lane
+	lanes  []*Lane
 	// stepping is set around Step/RunUntil: a check made meanwhile comes from
-	// inside a callback, which is when the scheduler must report running().
+	// inside a callback, which is when the scheduler must report busy.
 	stepping bool
 }
 
-// newRealWorld builds the lanes up front: lane 0 is private, lanes 1 and 2 are
+// newRealWorld builds n lanes up front: lane 0 is private, the others are
 // shared constant-delay lanes (asked for twice, to prove Lane(d) is one lane).
-func newRealWorld(t *testing.T, s *Simulator) *realWorld {
-	w := &realWorld{t: t, s: s}
+func newRealWorld(t *testing.T, s *Simulator, n int) *realWorld {
+	w := &realWorld{t: t, s: s, lanes: make([]*Lane, n)}
 	w.lanes[0] = s.NewLane()
-	for l := 1; l < oracleLanes; l++ {
+	for l := 1; l < n; l++ {
 		w.lanes[l] = s.Lane(laneDelay(l))
 		if s.Lane(laneDelay(l)) != w.lanes[l] {
 			t.Fatalf("Lane(%v) returned two different lanes", laneDelay(l))
@@ -119,80 +132,127 @@ func (w *realWorld) laneAfter(l int, d time.Duration, fn func()) {
 	w.check()
 }
 
-// check runs the structural check, and holds running() to what the world
-// knows: a script only ever operates mid-Step from inside a callback.
+func (w *realWorld) lanePacket(l int, d time.Duration, tok int64, fn func()) bool {
+	refused := panicsWith(w.t, "below the lane's tail", func() {
+		w.lanes[l].AfterPacket(d, &packet.Packet{Seq: tok}, fn)
+	})
+	w.check()
+	return refused
+}
+
+func (w *realWorld) readPacket(l int) (tok int64, ok bool) {
+	tok = -1
+	refused := panicsWith(w.t, "outside the lane's running event", func() {
+		if p := w.lanes[l].Packet(); p != nil {
+			tok = p.Seq
+		}
+	})
+	return tok, !refused
+}
+
+// panicsWith runs f and reports whether it panicked with a message holding
+// want; any other panic fails the test.
+func panicsWith(t *testing.T, want string, f func()) (panicked bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Fatalf("panic %q, want one naming %q", msg, want)
+			}
+			panicked = true
+		}
+	}()
+	f()
+	return false
+}
+
+// check runs the structural check, and holds busy to what the world knows:
+// a script only ever operates mid-Step from inside a callback.
 func (w *realWorld) check() {
 	w.t.Helper()
-	if w.s.running() != w.stepping {
-		w.t.Fatalf("running() = %v with a callback on the stack = %v", w.s.running(), w.stepping)
+	if w.s.busy != w.stepping {
+		w.t.Fatalf("busy = %v with a callback on the stack = %v", w.s.busy, w.stepping)
 	}
 	checkHeap(w.t, w.s)
 }
 
-// checkHeap asserts the scheduler's structural invariant. The heap plus the
-// events queued behind each lane's head are exactly the pending events
-// (nothing cancelled lingers anywhere); the heap is ordered; every entry and
-// its slot point at each other, except the root while its callback runs
-// (pos is noPos then); and each non-empty lane has exactly one heap entry,
-// keyed to its ring head, over a ring sorted strictly on (at, seq).
+// checkHeap asserts the scheduler's structural invariant.
+//   - The event heap holds exactly the pending events outside lanes (timers
+//     and fallbacks): no ring event owns a slab slot, every slot is free or
+//     in the heap (the root's slot stays in it, with no position, while its
+//     callback runs), and entry and slot point at each other.
+//   - The lane-head heap holds one key per non-empty lane, equal to its ring
+//     head's, and none for an empty lane; a running lane event is its root.
+//   - Both heaps are ordered, every ring is sorted strictly on (at, seq), and
+//     Pending is the heap plus the rings, less a running event.
 func checkHeap(t *testing.T, s *Simulator) {
 	t.Helper()
-	want, linked := len(s.heap), 0
-	if s.running() {
-		want--
-	}
-	for _, ln := range s.lanes {
-		if n := ln.Len(); n > 0 {
-			want += n - 1
-			linked++
+	queued := 0
+	for i, ln := range s.lanes {
+		if ln.idx != int32(i) {
+			t.Fatalf("lanes[%d] records index %d", i, ln.idx)
 		}
-		for i := ln.head; i+1 != ln.tail && i != ln.tail; i++ {
-			a, b := &ln.ring[i&ln.mask], &ln.ring[(i+1)&ln.mask]
+		queued += ln.Len()
+		for j := ln.head; j+1 != ln.tail && j != ln.tail; j++ {
+			a, b := &ln.ring[j&ln.mask], &ln.ring[(j+1)&ln.mask]
 			if a.at > b.at || a.seq >= b.seq {
 				t.Fatalf("lane ring out of order: (%v, %d) before (%v, %d)", a.at, a.seq, b.at, b.seq)
 			}
 		}
 	}
+	want := len(s.heap) + queued
+	if s.busy {
+		want--
+	}
 	if want != s.Pending() {
-		t.Fatalf("len(heap) %d + queued behind lane heads = %d, Pending() = %d", len(s.heap), want, s.Pending())
+		t.Fatalf("len(heap) %d + queued on lanes %d = %d, Pending() = %d", len(s.heap), queued, want, s.Pending())
 	}
-	inHeap := 0
-	for i := range s.slab {
-		if s.slab[i].pos >= 0 {
-			inHeap++
-		}
-	}
-	if s.running() {
-		inHeap++
-	}
-	if inHeap != len(s.heap) {
-		t.Fatalf("%d slots claim a heap position, heap holds %d", inHeap, len(s.heap))
+
+	heapRunning := s.busy && s.firing == nil
+	if len(s.slab) != len(s.heap)+len(s.free) {
+		t.Fatalf("slab holds %d slots: %d in the heap, %d free", len(s.slab), len(s.heap), len(s.free))
 	}
 	for i := range s.heap {
 		e := &s.heap[i]
 		sl := &s.slab[e.idx]
-		if got := sl.pos; int(got) != i && !(i == 0 && s.running()) {
-			t.Fatalf("heap[%d] is slot %d, whose pos is %d", i, e.idx, got)
+		if i == 0 && heapRunning {
+			if sl.pos != noPos {
+				t.Fatalf("running root's slot has position %d", sl.pos)
+			}
+		} else if int(sl.pos) != i {
+			t.Fatalf("heap[%d] is slot %d, whose pos is %d", i, e.idx, sl.pos)
 		}
-		if sl.lane != 0 {
-			ln := s.lanes[sl.lane-1]
-			if ln.idx != e.idx || ln.Len() == 0 {
-				t.Fatalf("heap[%d] stands for a lane that is empty or owns another slot", i)
-			}
-			// A running lane event keeps its key, so this holds mid-callback too.
-			if head := &ln.ring[ln.head&ln.mask]; head.at != e.at || head.seq != e.seq {
-				t.Fatalf("heap[%d] keyed (%v, %d), its lane's head is (%v, %d)", i, e.at, e.seq, head.at, head.seq)
-			}
-			linked--
-		} else if sl.fn == nil {
+		if sl.fn == nil {
 			t.Fatalf("heap[%d] points at a released slot", i)
 		}
 		if i > 0 && e.before(&s.heap[(i-1)/4]) {
 			t.Fatalf("heap[%d] orders before its parent", i)
 		}
 	}
-	if linked != 0 {
-		t.Fatalf("non-empty lanes and lane entries in the heap differ by %d", linked)
+
+	keyed := make([]bool, len(s.lanes))
+	for i := range s.heads {
+		h := &s.heads[i]
+		ln := s.lanes[h.idx]
+		if keyed[h.idx] || ln.Len() == 0 {
+			t.Fatalf("heads[%d] is a second key for lane %d, or its lane is empty", i, h.idx)
+		}
+		keyed[h.idx] = true
+		// A running lane event keeps its key, so this holds mid-callback too.
+		if head := &ln.ring[ln.head&ln.mask]; head.at != h.at || head.seq != h.seq {
+			t.Fatalf("heads[%d] keyed (%v, %d), its lane's head is (%v, %d)", i, h.at, h.seq, head.at, head.seq)
+		}
+		if i > 0 && h.before(&s.heads[(i-1)/2]) {
+			t.Fatalf("heads[%d] orders before its parent", i)
+		}
+	}
+	for i, ln := range s.lanes {
+		if ln.Len() > 0 && !keyed[i] {
+			t.Fatalf("lane %d holds %d events and no head key", i, ln.Len())
+		}
+	}
+	if s.firing != nil && (!s.busy || len(s.heads) == 0 || s.lanes[s.heads[0].idx] != s.firing) {
+		t.Fatal("the running lane event is not the lane-head root")
 	}
 }
 
@@ -203,6 +263,8 @@ type refEvent struct {
 	seq   uint64
 	id    int
 	every time.Duration
+	lane  int   // the lane whose ring it joined; -1 for the event heap
+	tok   int64 // the token of the packet it carries; -1 for none
 	fn    func()
 }
 
@@ -212,8 +274,9 @@ type refWorld struct {
 	queue   []refEvent // sorted on (at, seq)
 	nextID  int
 	done    uint64
-	running int  // id of the event whose callback is on the stack, or -1
-	runDead bool // that event was stopped from inside its callback
+	running int      // id of the event whose callback is on the stack, or -1
+	runDead bool     // that event was stopped from inside its callback
+	run     refEvent // that event
 }
 
 func (w *refWorld) insert(e refEvent) {
@@ -237,22 +300,60 @@ func (w *refWorld) find(h int) int {
 	return -1
 }
 
-func (w *refWorld) schedule(t, iv time.Duration, fn func()) int {
+func (w *refWorld) schedule(t, iv time.Duration, lane int, tok int64, fn func()) int {
 	id := w.nextID
 	w.nextID++
-	w.insert(refEvent{at: t, id: id, every: iv, fn: fn})
+	w.insert(refEvent{at: t, id: id, every: iv, lane: lane, tok: tok, fn: fn})
 	return id
 }
 
-func (w *refWorld) now() time.Duration                    { return w.clock }
-func (w *refWorld) at(t time.Duration, fn func()) int     { return w.schedule(t, 0, fn) }
-func (w *refWorld) after(d time.Duration, fn func()) int  { return w.schedule(w.clock+d, 0, fn) }
-func (w *refWorld) every(iv time.Duration, fn func()) int { return w.schedule(w.clock+iv, iv, fn) }
-func (w *refWorld) pending() int                          { return len(w.queue) }
+func (w *refWorld) now() time.Duration                   { return w.clock }
+func (w *refWorld) at(t time.Duration, fn func()) int    { return w.schedule(t, 0, -1, -1, fn) }
+func (w *refWorld) after(d time.Duration, fn func()) int { return w.schedule(w.clock+d, 0, -1, -1, fn) }
+func (w *refWorld) every(iv time.Duration, fn func()) int {
+	return w.schedule(w.clock+iv, iv, -1, -1, fn)
+}
+func (w *refWorld) pending() int      { return len(w.queue) }
+func (w *refWorld) processed() uint64 { return w.done }
 
-func (w *refWorld) laneAt(_ int, t time.Duration, fn func())    { w.schedule(t, 0, fn) }
-func (w *refWorld) laneAfter(_ int, d time.Duration, fn func()) { w.schedule(w.clock+d, 0, fn) }
-func (w *refWorld) processed() uint64                           { return w.done }
+// joins reports whether an event at t would join lane l's ring: it does
+// unless t is below the latest event the ring holds, the running one
+// included.
+func (w *refWorld) joins(l int, t time.Duration) bool {
+	if w.running >= 0 && w.run.lane == l && t < w.run.at {
+		return false
+	}
+	for i := range w.queue {
+		if w.queue[i].lane == l && t < w.queue[i].at {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *refWorld) laneAt(l int, t time.Duration, fn func()) {
+	if !w.joins(l, t) {
+		l = -1
+	}
+	w.schedule(t, 0, l, -1, fn)
+}
+
+func (w *refWorld) laneAfter(l int, d time.Duration, fn func()) { w.laneAt(l, w.clock+d, fn) }
+
+func (w *refWorld) lanePacket(l int, d time.Duration, tok int64, fn func()) bool {
+	if !w.joins(l, w.clock+d) {
+		return true
+	}
+	w.schedule(w.clock+d, 0, l, tok, fn)
+	return false
+}
+
+func (w *refWorld) readPacket(l int) (int64, bool) {
+	if w.running < 0 || w.run.lane != l {
+		return -1, false
+	}
+	return w.run.tok, true
+}
 
 func (w *refWorld) stop(h int) {
 	if i := w.find(h); i >= 0 {
@@ -286,7 +387,7 @@ func (w *refWorld) step() bool {
 	w.queue = w.queue[1:]
 	w.clock = e.at
 	w.done++
-	w.running, w.runDead = e.id, false
+	w.running, w.runDead, w.run = e.id, false, e
 	e.fn()
 	if e.every > 0 && !w.runDead {
 		e.at = w.clock + e.every
@@ -315,15 +416,26 @@ func (w *refWorld) shift(d time.Duration) {
 // --- the script interpreter ---
 
 const (
-	oracleSlots    = 8   // handle registers a script can address
-	oracleLanes    = 3   // lanes a script can address
-	oracleMaxOps   = 400 // top-level operations per script
-	oracleMaxFires = 3000
+	oracleSlots     = 8   // handle registers a script can address
+	oracleFewLanes  = 3   // lanes of most scripts
+	oracleManyLanes = 80  // lanes of a script whose last byte is >= 0xc0
+	oracleMaxOps    = 400 // top-level operations per script
+	oracleMaxFires  = 3000
 )
+
+// scriptLanes is how many lanes a script runs on. The last byte picks it, so
+// the choice costs no byte of the program.
+func scriptLanes(script []byte) int {
+	if len(script) > 0 && script[len(script)-1] >= 0xc0 {
+		return oracleManyLanes
+	}
+	return oracleFewLanes
+}
 
 type interp struct {
 	w      world
 	script []byte
+	lanes  int
 	pc     int
 	slots  [oracleSlots]int
 	events int
@@ -374,14 +486,36 @@ func (in *interp) leaf() func() {
 	}
 }
 
+// carry pushes a packet-carrying event onto lane l: its token is its event
+// id, and its closure reads its own packet back, so a payload that reached
+// the wrong event, or none, diverges from the reference's token.
+func (in *interp) carry(l int, d time.Duration) {
+	tok := int64(in.events)
+	in.events++
+	refused := in.w.lanePacket(l, d, tok, func() {
+		in.fires++
+		got, ok := in.w.readPacket(l)
+		in.log(-2, tok, got, b2i(ok), int64(in.w.now()), int64(in.w.pending()))
+	})
+	in.log(-3, tok, b2i(refused))
+}
+
+// read logs an attempt to read lane l's packet.
+func (in *interp) read(l int) {
+	got, ok := in.w.readPacket(l)
+	in.log(-4, got, b2i(ok))
+}
+
 // callback builds an event's closure. What it does when it fires — nothing,
 // Stop or Reset a handle (possibly its own), schedule a child on the heap or
-// on a lane (its own, if it is a lane event of that lane) — is fixed from the
-// script at scheduling time, so both worlds run the same program.
+// on a lane (its own, if it is a lane event of that lane), with or without a
+// packet, or read a lane's packet — is fixed from the script at scheduling
+// time, so both worlds run the same program.
 func (in *interp) callback() func() {
 	id := in.events
 	in.events++
-	kind, slot, arg := in.next()%9, in.next()%oracleSlots, in.next()
+	kind, raw, arg := in.next()%12, in.next(), in.next()
+	slot, l := raw%oracleSlots, raw%in.lanes
 	return func() {
 		in.fires++
 		in.log(-1, int64(id), int64(in.w.now()), int64(in.w.pending()))
@@ -398,23 +532,31 @@ func (in *interp) callback() func() {
 			in.w.stop(h)
 			in.log(b2i(in.w.reset(h, in.w.now()+delay(arg))))
 		case 6:
-			in.w.laneAfter(slot%oracleLanes, delay(arg), in.leaf())
+			in.w.laneAfter(l, delay(arg), in.leaf())
 		case 7:
-			in.w.laneAfter(slot%oracleLanes, laneDelay(slot%oracleLanes), in.leaf())
+			in.w.laneAfter(l, laneDelay(l), in.leaf())
 		case 8:
 			// Same instant: behind everything already queued for now.
-			in.w.laneAt(slot%oracleLanes, in.w.now(), in.leaf())
+			in.w.laneAt(l, in.w.now(), in.leaf())
+		case 9:
+			in.carry(l, laneDelay(l))
+		case 10:
+			in.carry(l, delay(arg))
+		case 11:
+			in.read(l)
 		}
 		in.log(b2i(in.w.active(h)))
 	}
 }
 
 func (in *interp) run() []int64 {
+	in.lanes = scriptLanes(in.script)
 	for i := range in.slots {
 		in.slots[i] = -1
 	}
 	for op := 0; op < oracleMaxOps && in.pc < len(in.script) && in.fires < oracleMaxFires; op++ {
-		code, slot := in.next()%14, in.next()%oracleSlots
+		code, raw := in.next()%17, in.next()
+		slot, l := raw%oracleSlots, raw%in.lanes
 		switch code {
 		case 0:
 			in.slots[slot] = in.w.at(in.w.now()+delay(in.next()), in.callback())
@@ -435,11 +577,17 @@ func (in *interp) run() []int64 {
 		case 9:
 			in.w.shift(delay(in.next()))
 		case 10:
-			in.w.laneAt(slot%oracleLanes, in.w.now()+delay(in.next()), in.callback())
+			in.w.laneAt(l, in.w.now()+delay(in.next()), in.callback())
 		case 11:
-			in.w.laneAfter(slot%oracleLanes, delay(in.next()), in.callback())
+			in.w.laneAfter(l, delay(in.next()), in.callback())
 		case 12, 13:
-			in.w.laneAfter(slot%oracleLanes, laneDelay(slot%oracleLanes), in.callback())
+			in.w.laneAfter(l, laneDelay(l), in.callback())
+		case 14:
+			in.carry(l, laneDelay(l))
+		case 15:
+			in.carry(l, delay(in.next()))
+		case 16:
+			in.read(l)
 		}
 		in.log(int64(code), int64(in.w.now()), int64(in.w.pending()), int64(in.w.processed()),
 			b2i(in.w.active(in.slots[slot])))
@@ -455,7 +603,7 @@ func (in *interp) run() []int64 {
 func checkScript(t *testing.T, script []byte) {
 	t.Helper()
 	s := New(1)
-	real := (&interp{w: newRealWorld(t, s), script: script}).run()
+	real := (&interp{w: newRealWorld(t, s, scriptLanes(script)), script: script}).run()
 	checkHeap(t, s)
 	ref := (&interp{w: &refWorld{running: -1}, script: script}).run()
 	if len(real) != len(ref) {
@@ -469,13 +617,18 @@ func checkScript(t *testing.T, script []byte) {
 	}
 }
 
+// oracleScript is the seeded table's script number seed.
+func oracleScript(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	script := make([]byte, 30+rng.Intn(300))
+	rng.Read(script)
+	return script
+}
+
 // TestSchedulerMatchesReference is the seeded table: 1500 random scripts.
 func TestSchedulerMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 1500; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		script := make([]byte, 30+rng.Intn(300))
-		rng.Read(script)
-		checkScript(t, script)
+		checkScript(t, oracleScript(seed))
 	}
 }
 
@@ -483,23 +636,27 @@ func TestSchedulerMatchesReference(t *testing.T) {
 // table, scripts must actually hit in-place re-arms (both directions),
 // mid-heap unlinks, self-stops and stale-handle no-ops, and every lane path —
 // joining a ring behind its head, the out-of-order fallback, a lane event
-// pushing onto its own lane and onto another, a lane draining while it owns
-// the root, a shift over a loaded ring — otherwise equal traces would prove
+// pushing onto its own lane and onto another, a lane draining at the
+// lane-head root, a lane head and a timer tied on at (seq decides), a shift
+// over loaded rings, packets read back by their own events, both refused
+// packet calls, and many lanes at once — otherwise equal traces would prove
 // nothing.
 func TestOracleScriptsExerciseEveryPath(t *testing.T) {
 	var resetOK, resetNo, fires int64
 	var lanes laneCounts
 	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		script := make([]byte, 30+rng.Intn(300))
-		rng.Read(script)
+		script := oracleScript(seed)
 		w := &countingWorld{refWorld: refWorld{running: -1}}
 		(&interp{w: w, script: script}).run()
 		resetOK += w.resetOK
 		resetNo += w.resetNo
 		fires += int64(w.done)
-		lw := &laneCountingWorld{realWorld: newRealWorld(t, New(1)), n: &lanes}
+		n := scriptLanes(script)
+		lw := &laneCountingWorld{realWorld: newRealWorld(t, New(1), n), n: &lanes}
 		(&interp{w: lw, script: script}).run()
+		if n >= 64 {
+			lanes.manyLanePrograms++
+		}
 	}
 	if resetOK < 500 || resetNo < 500 || fires < 5000 {
 		t.Fatalf("oracle scripts too tame: %d resets moved a timer, %d were no-ops, %d events fired",
@@ -507,7 +664,9 @@ func TestOracleScriptsExerciseEveryPath(t *testing.T) {
 	}
 	t.Logf("lane paths: %+v", lanes)
 	if lanes.joined < 500 || lanes.fellBack < 200 || lanes.ontoSelf < 50 || lanes.ontoOther < 50 ||
-		lanes.drainedAtRoot < 200 || lanes.shiftedQueued < 200 || lanes.deepest < 8 {
+		lanes.drainedAtRoot < 200 || lanes.shiftedQueued < 200 || lanes.deepest < 8 ||
+		lanes.tiedWithTimer < 50 || lanes.roundTrips < 200 || lanes.refusedPush < 50 ||
+		lanes.refusedRead < 50 || lanes.manyLanePrograms < 20 || lanes.mostHeads < 16 {
 		t.Fatalf("oracle scripts too tame for lanes: %+v", lanes)
 	}
 }
@@ -529,13 +688,19 @@ func (w *countingWorld) reset(h int, t time.Duration) bool {
 
 // laneCounts is how often a batch of scripts took each lane path.
 type laneCounts struct {
-	joined        int // queued behind a non-empty lane's head
-	fellBack      int // below the lane's tail: went to the heap
-	ontoSelf      int // a lane event pushed onto its own lane
-	ontoOther     int // a lane event pushed onto another lane
-	drainedAtRoot int // a lane's last event fired and its entry was unlinked
-	shiftedQueued int // events sitting in rings across a ShiftPending
-	deepest       int // longest ring seen
+	joined           int // queued behind a non-empty lane's head
+	fellBack         int // below the lane's tail: went to the event heap
+	ontoSelf         int // a lane event pushed onto its own lane
+	ontoOther        int // a lane event pushed onto another lane
+	drainedAtRoot    int // a lane's last event fired and its key left the lane-head heap
+	tiedWithTimer    int // a lane head fired or waited at a timer's at, and seq decided
+	shiftedQueued    int // events sitting in rings across a ShiftPending
+	roundTrips       int // a packet read back by the event that carried it
+	refusedPush      int // a packet-carrying push below the lane's tail
+	refusedRead      int // a packet read outside the lane's running event
+	manyLanePrograms int // scripts run on at least 64 lanes
+	mostHeads        int // most lanes non-empty at once
+	deepest          int // longest ring seen
 }
 
 // laneCountingWorld classifies lane operations by looking at the real
@@ -545,7 +710,7 @@ type laneCountingWorld struct {
 	n *laneCounts
 }
 
-func (w *laneCountingWorld) laneAt(l int, t time.Duration, fn func()) {
+func (w *laneCountingWorld) classify(l int, t time.Duration) {
 	ln, s := w.lanes[l], w.s
 	switch q := ln.Len(); {
 	case q > 0 && t < ln.ring[(ln.tail-1)&ln.mask].at:
@@ -553,26 +718,58 @@ func (w *laneCountingWorld) laneAt(l int, t time.Duration, fn func()) {
 	case q > 0:
 		w.n.joined++
 	}
-	if s.running() {
-		if running := s.slab[s.heap[0].idx].lane; running == s.slab[ln.idx].lane {
-			w.n.ontoSelf++
-		} else if running != 0 {
-			w.n.ontoOther++
-		}
+	if s.firing == ln {
+		w.n.ontoSelf++
+	} else if s.firing != nil {
+		w.n.ontoOther++
 	}
+}
+
+func (w *laneCountingWorld) counted(l int) {
+	w.n.deepest = max(w.n.deepest, w.lanes[l].Len())
+	w.n.mostHeads = max(w.n.mostHeads, len(w.s.heads))
+}
+
+func (w *laneCountingWorld) laneAt(l int, t time.Duration, fn func()) {
+	w.classify(l, t)
 	w.realWorld.laneAt(l, t, fn)
-	w.n.deepest = max(w.n.deepest, ln.Len())
+	w.counted(l)
 }
 
 func (w *laneCountingWorld) laneAfter(l int, d time.Duration, fn func()) {
 	w.laneAt(l, w.s.Now()+d, fn)
 }
 
+func (w *laneCountingWorld) lanePacket(l int, d time.Duration, tok int64, fn func()) bool {
+	w.classify(l, w.s.Now()+d)
+	refused := w.realWorld.lanePacket(l, d, tok, fn)
+	if refused {
+		w.n.refusedPush++
+	}
+	w.counted(l)
+	return refused
+}
+
+func (w *laneCountingWorld) readPacket(l int) (int64, bool) {
+	tok, ok := w.realWorld.readPacket(l)
+	switch {
+	case !ok:
+		w.n.refusedRead++
+	case tok >= 0:
+		w.n.roundTrips++
+	}
+	return tok, ok
+}
+
 func (w *laneCountingWorld) step() bool {
+	s := w.s
 	var last *Lane
-	if s := w.s; len(s.heap) > 0 {
-		if li := s.slab[s.heap[0].idx].lane; li != 0 && s.lanes[li-1].Len() == 1 {
-			last = s.lanes[li-1]
+	if len(s.heads) > 0 {
+		if len(s.heap) > 0 && s.heads[0].at == s.heap[0].at {
+			w.n.tiedWithTimer++
+		}
+		if ln := s.lanes[s.heads[0].idx]; ln.Len() == 1 && (len(s.heap) == 0 || s.heads[0].before(&s.heap[0])) {
+			last = ln
 		}
 	}
 	ok := w.realWorld.step()
@@ -590,15 +787,50 @@ func (w *laneCountingWorld) shift(d time.Duration) {
 }
 
 // FuzzSchedulerMatchesReference feeds arbitrary scripts through the same
-// differential check; the committed corpus under testdata/fuzz seeds it.
+// differential check; the committed corpus under testdata/fuzz seeds it, and
+// so do the lane-heavy programs below.
 func FuzzSchedulerMatchesReference(f *testing.F) {
 	f.Add([]byte{})
+	for _, script := range laneHeavyScripts() {
+		f.Add(script)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			t.Skip()
 		}
 		checkScript(t, script)
 	})
+}
+
+// laneHeavyScripts are fuzz seeds made mostly of lane operations:
+//   - a flood over many lanes at their own delays, so dozens of lanes hold
+//     events at once and the lane-head heap is deep;
+//   - packet round trips on a few lanes, interleaved with out-of-order
+//     packet pushes the lanes refuse and reads from outside;
+//   - lane heads tied with timers at one instant, then shifted mid-ring.
+func laneHeavyScripts() [][]byte {
+	var flood, packets, ties []byte
+	for i := 0; i < 120; i++ {
+		flood = append(flood, 12, byte(i*7), 14, byte(i*11))
+		if i%10 == 9 {
+			flood = append(flood, 7, 0, 5)
+		}
+	}
+	flood = append(flood, 0xff) // the last byte selects the many-lane program
+	for i := 0; i < 60; i++ {
+		packets = append(packets, 14, byte(i%3), 15, byte(i%3), byte(i), 16, byte(i))
+		if i%4 == 3 {
+			packets = append(packets, 7, 0, 3)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		// A timer at 3 ms, then lane 1's own 3 ms delay: tied, seq decides.
+		ties = append(ties, 1, byte(i), 3, 0, 0, 0, 12, 1, 0, 0, 0)
+		if i%8 == 7 {
+			ties = append(ties, 9, 0, 2, 7, 0, 7)
+		}
+	}
+	return [][]byte{flood, packets, ties}
 }
 
 // TestResetOrdersLikeStopPlusAt pins the contract directly: a re-armed timer

@@ -13,11 +13,13 @@
 // ordering key inline next to a small slab index, and Timer is a
 // generation-checked value handle, so scheduling, firing, cancelling,
 // re-arming and recurring ticks all recycle slots instead of allocating.
-// The heap holds exactly the live events: Stop unlinks its entry at once and
-// Reset re-keys it in place, so nothing cancelled is ever sifted or popped.
+// The heap holds exactly the live events outside lanes: Stop unlinks its
+// entry at once and Reset re-keys it in place, so nothing cancelled is ever
+// sifted or popped.
 // Sources whose firing times never decrease (a link serializer, a constant
-// delay pipe) schedule through a Lane: a FIFO ring that keeps only its head
-// in the heap (see lane.go).
+// delay pipe) schedule through a Lane instead: a FIFO ring that owns its
+// events, whose head waits in a small heap of lane heads beside the event
+// heap, so lane traffic never sifts the timers (see lane.go).
 // Only slab/heap growth allocates, and that is amortized away once a
 // simulation reaches its peak number of concurrently pending events.
 package sim
@@ -43,7 +45,6 @@ type slot struct {
 	every time.Duration // recurring interval (0 = one-shot)
 	gen   uint32
 	pos   int32 // heap position; noPos while executing or free
-	lane  int32 // 1-based index into Simulator.lanes; 0 = an ordinary event
 	dead  bool  // stopped from inside its own callback
 }
 
@@ -136,15 +137,22 @@ func (t Timer) Active() bool {
 type Simulator struct {
 	now  time.Duration
 	slab []slot
-	heap []entry // 4-ary min-heap on (at, seq); exactly the pending events
+	heap []entry // 4-ary min-heap on (at, seq); exactly the pending non-lane events
 	free []int32 // recycled slab indices, LIFO
 	seq  uint64
 	rng  *rand.Rand
 
 	// lanes holds every FIFO lane; delayLanes finds the shared lane of a
-	// constant delay (see lane.go).
+	// constant delay; heads is the heap of the non-empty lanes' head keys,
+	// whose idx indexes lanes (see lane.go).
 	lanes      []*Lane
 	delayLanes map[time.Duration]*Lane
+	heads      []entry
+
+	// busy is set while an event's callback is on the stack, and firing is
+	// its lane when it is a lane event.
+	busy   bool
+	firing *Lane
 
 	// pool recycles this simulation's packets (see packet.Pool); keeping
 	// it on the Simulator gives every component a shared per-run free list
@@ -286,24 +294,26 @@ func (s *Simulator) Every(interval time.Duration, fn Event) Timer {
 }
 
 // Step executes the next pending event, if any, and reports whether one ran.
+// That is the smaller on (at, seq) of the event heap's root and the lane-head
+// heap's root.
 //
-// The event's entry stays at the root of the heap while its callback runs:
-// the callback can only schedule at or after Now with a later seq, so nothing
-// it does can order before the root, and every sift it causes stops below it.
+// The event's key stays at its root while its callback runs: the callback
+// can only schedule at or after Now with a later seq, so nothing it does can
+// order before that root, and every sift it causes stops below it.
 // Afterwards the root is re-keyed in place (a lane's next event, a recurring
-// tick's next firing) with one siftDown, or unlinked if it has no successor.
+// tick's next firing) and sifted down, or removed if it has no successor.
 func (s *Simulator) Step() bool {
 	if s.canceled.Load() {
 		panic(Canceled{Reason: s.cancelMsg})
 	}
-	if len(s.heap) == 0 {
-		return false
-	}
-	if s.running() {
+	if s.busy {
 		panic("sim: Step called from inside an event callback")
 	}
-	e := s.heap[0]
-	// Monotone-clock invariant: the heap must never yield an event before
+	e, lane, ok := s.next()
+	if !ok {
+		return false
+	}
+	// Monotone-clock invariant: the queues must never yield an event before
 	// the current time. At() rejects past scheduling, so a violation here
 	// means the event queue itself is corrupted; the auditor-backed harness
 	// relies on this holding unconditionally.
@@ -316,37 +326,27 @@ func (s *Simulator) Step() bool {
 	if s.MaxEvents > 0 && s.processed > s.MaxEvents {
 		panic("sim: MaxEvents exceeded")
 	}
+	s.busy = true
+	if lane {
+		s.fire(s.lanes[e.idx])
+		s.busy = false
+		return true
+	}
 	sl := &s.slab[e.idx]
 	sl.pos = noPos // executing: Stop marks it dead, Reset refuses
-	fn := sl.fn
-	var ln *Lane
-	if sl.lane != 0 {
-		ln = s.lanes[sl.lane-1]
-		fn = ln.ring[ln.head&ln.mask].fn
-	}
-	fn()
-	// fn may have scheduled events and grown the slab (or the lane's ring),
-	// so both are only addressed again after it returns.
+	sl.fn()
+	s.busy = false
+	// fn may have scheduled events and grown the slab, so the slot is only
+	// addressed again after it returns.
 	sl = &s.slab[e.idx]
-	switch {
-	case ln != nil:
-		ln.ring[ln.head&ln.mask].fn = nil
-		ln.head++
-		if ln.head == ln.tail {
-			s.unlink(0)
-			break
-		}
-		next := &ln.ring[ln.head&ln.mask]
-		s.heap[0].at, s.heap[0].seq = next.at, next.seq
-		s.siftDown(0)
-	case sl.every > 0 && !sl.dead:
+	if sl.every > 0 && !sl.dead {
 		// Recurring tick: re-key in place. The sequence number is assigned
 		// after fn ran, exactly as if the callback had re-armed itself, so
 		// same-instant ordering is unchanged.
 		s.heap[0].at, s.heap[0].seq = s.now+sl.every, s.seq
 		s.seq++
 		s.siftDown(0)
-	default:
+	} else {
 		s.unlink(0)
 		s.release(e.idx)
 	}
@@ -395,34 +395,35 @@ func (s *Simulator) Run() {
 }
 
 // Pending reports the number of scheduled events that have neither fired nor
-// been stopped: the heap's entries (less the one whose callback is running,
-// if any) plus the events queued behind each lane's head.
+// been stopped: the heap's events plus every lane's queued events, less the
+// one whose callback is running, if any.
 func (s *Simulator) Pending() int {
 	n := len(s.heap)
-	if s.running() {
-		n--
-	}
 	for _, ln := range s.lanes {
-		if q := ln.Len(); q > 1 {
-			n += q - 1
-		}
+		n += ln.Len()
+	}
+	if s.busy {
+		n--
 	}
 	return n
 }
 
-// running reports whether an event's callback is on the stack: its entry is
-// still heap[0] then, and its slot is the only linked one without a position
-// (see Step).
-func (s *Simulator) running() bool {
-	return len(s.heap) > 0 && s.slab[s.heap[0].idx].pos == noPos
-}
-
 // peek reports the earliest pending event's time.
 func (s *Simulator) peek() (time.Duration, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
+	e, _, ok := s.next()
+	return e.at, ok
+}
+
+// next returns the earliest pending event's key, the smaller on (at, seq) of
+// the two roots, and whether it is a lane head.
+func (s *Simulator) next() (e entry, lane, ok bool) {
+	if len(s.heads) > 0 && (len(s.heap) == 0 || s.heads[0].before(&s.heap[0])) {
+		return s.heads[0], true, true
 	}
-	return s.heap[0].at, true
+	if len(s.heap) > 0 {
+		return s.heap[0], false, true
+	}
+	return entry{}, false, false
 }
 
 // --- 4-ary min-heap on (at, seq) ---

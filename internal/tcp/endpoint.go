@@ -116,22 +116,21 @@ type Endpoint struct {
 
 	// pool recycles this endpoint's packets; pre-bound method values below
 	// keep the per-segment and per-ACK scheduling allocation-free (a fresh
-	// closure per event was a top allocation site in profiles).
+	// closure per event was a top allocation site in profiles). paceFireFn
+	// is bound only with Config.Pacing and delAckFireFn only with
+	// Config.AckEvery > 1: no other flow can arm those timers.
 	pool         *packet.Pool
 	onRTOFn      sim.Event
 	paceFireFn   sim.Event
 	delAckFireFn sim.Event
 	ackArriveFn  sim.Event
 
-	// ackQ holds in-flight ACKs (sent, not yet arrived at the sender) in
-	// FIFO order. The reverse path is a fixed delay, so arrival order equals
-	// send order and one pre-bound callback can pop the front instead of each
-	// ACK capturing itself in a closure. For the same reason the arrivals of
-	// every flow with that delay are scheduled on one shared lane: ackDelay
-	// is the whole BaseRTT classically, or zero under SplitPropagation (both
-	// one-way legs are then charged on the cross-domain wires).
-	ackQ     []*packet.Packet
-	ackHead  int
+	// ackLane carries in-flight ACKs (sent, not yet arrived at the sender),
+	// each in the ring slot of its arrival event. The reverse path is a fixed
+	// delay, so arrivals keep send order and every flow with that delay
+	// shares the one lane: ackDelay is the whole BaseRTT classically, or zero
+	// under SplitPropagation (both one-way legs are then charged on the
+	// cross-domain wires).
 	ackDelay time.Duration
 	ackLane  *sim.Lane
 
@@ -147,11 +146,8 @@ type Endpoint struct {
 	rcvRecentSeq int64 // segment whose arrival triggered the pending ACK
 	delAck       sim.Timer
 
-	// Statistics.
-	Goodput    stats.RateMeter // in-order payload bytes delivered
-	RTTSamples stats.Welford   // seconds; streaming — one Sample per
-	// flow would grow by one float64 per ACK, O(flows · sim-time) at
-	// thousand-flow scale (no consumer needed raw RTT percentiles)
+	// Statistics. RTT estimates live in State (SRTT, RTTVar, MinRTT).
+	Goodput          stats.RateMeter // in-order payload bytes delivered
 	retransmissions  int
 	congestionEvents int
 	rtoCount         int
@@ -210,9 +206,13 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 		pool:    s.PacketPool(),
 	}
 	e.onRTOFn = e.onRTO
-	e.paceFireFn = e.paceFire
-	e.delAckFireFn = e.delAckFire
 	e.ackArriveFn = e.ackArrive
+	if cfg.Pacing {
+		e.paceFireFn = e.paceFire
+	}
+	if cfg.AckEvery > 1 {
+		e.delAckFireFn = e.delAckFire
+	}
 	if !cfg.SplitPropagation {
 		e.ackDelay = cfg.BaseRTT
 	}
@@ -567,7 +567,6 @@ func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
 		return // Karn's algorithm: never sample retransmitted segments
 	}
 	rtt := now - m.sentAt
-	e.RTTSamples.Add(rtt.Seconds())
 	s := &e.state
 	if s.MinRTT == 0 || rtt < s.MinRTT {
 		s.MinRTT = rtt
@@ -725,24 +724,16 @@ func (e *Endpoint) sendAckNow(ce bool) {
 	if e.cfg.SACK && len(e.oooSorted) > 0 {
 		ack.SACK = sackBlocks(e.oooSorted, e.rcvRecentSeq)
 	}
-	// The reverse path is a constant delay, so ACKs arrive in send order:
-	// push onto the FIFO ring and let the pre-bound arrival callback pop
-	// the front, instead of allocating a closure per ACK.
-	e.ackQ = append(e.ackQ, ack)
-	e.ackLane.After(e.ackDelay, e.ackArriveFn)
+	// The reverse path is a constant delay, so the ACK rides the shared
+	// lane in its arrival event's slot, read back by the pre-bound callback
+	// instead of a closure per ACK.
+	e.ackLane.AfterPacket(e.ackDelay, ack, e.ackArriveFn)
 }
 
-// ackArrive delivers the oldest in-flight ACK to the sender and recycles it.
+// ackArrive delivers the ACK its lane event carries to the sender and
+// recycles it.
 func (e *Endpoint) ackArrive() {
-	p := e.ackQ[e.ackHead]
-	e.ackQ[e.ackHead] = nil
-	e.ackHead++
-	if e.ackHead > 64 && e.ackHead*2 >= len(e.ackQ) {
-		n := copy(e.ackQ, e.ackQ[e.ackHead:])
-		clear(e.ackQ[n:])
-		e.ackQ = e.ackQ[:n]
-		e.ackHead = 0
-	}
+	p := e.ackLane.Packet()
 	e.onAck(p)
 	e.pool.Release(p)
 }

@@ -251,8 +251,11 @@ func TestRTTSampling(t *testing.T) {
 	if st.MinRTT < 40*time.Millisecond || st.MinRTT > 42*time.Millisecond {
 		t.Errorf("MinRTT = %v, want ~base + serialization", st.MinRTT)
 	}
-	if ep.RTTSamples.N() == 0 {
-		t.Error("no RTT samples")
+	if st.MinRTT > st.SRTT {
+		t.Errorf("MinRTT %v above SRTT %v", st.MinRTT, st.SRTT)
+	}
+	if st.RTTVar <= 0 || st.RTTVar > st.SRTT/2 {
+		t.Errorf("RTTVar = %v, want positive and at most SRTT/2 on a near-constant path", st.RTTVar)
 	}
 }
 

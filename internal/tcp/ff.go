@@ -272,20 +272,14 @@ func (e *Endpoint) FFExitRecovery() {
 }
 
 // FFApplyStats patches the epoch's virtual progress into the flow's
-// observable statistics: goodput bytes, bulk RTT samples (one per virtual
-// ACK, honouring stretch ACKs), and the ECN ledgers the conformance tests
-// reconcile (marksSeen at the virtual receiver; ceAcked for accurate-ECN
-// feedback on Scalable flows).
-func (e *Endpoint) FFApplyStats(acked, marked int, rtt time.Duration) {
+// observable statistics: goodput bytes and the ECN ledgers the conformance
+// tests reconcile (marksSeen at the virtual receiver; ceAcked for
+// accurate-ECN feedback on Scalable flows).
+func (e *Endpoint) FFApplyStats(acked, marked int) {
 	if acked <= 0 {
 		return
 	}
 	e.Goodput.Add(acked * packet.MSS)
-	samples := acked / e.cfg.AckEvery
-	if samples < 1 {
-		samples = 1
-	}
-	e.RTTSamples.AddN(rtt.Seconds(), int64(samples))
 	switch e.cfg.ECN {
 	case ECNScalable:
 		e.marksSeen += marked

@@ -341,24 +341,38 @@ func TestFFShift(t *testing.T) {
 	}
 }
 
-// TestFFApplyStats: goodput bytes, RTT sample count, and the ECN ledgers.
+// TestFFApplyStats: goodput bytes and the ECN ledgers, accumulated across
+// epochs; an epoch that acknowledged nothing patches nothing.
 func TestFFApplyStats(t *testing.T) {
 	e := ffTestEndpoint(t, Scalable{}, ECNScalable)
-	before := e.RTTSamples.N()
-	e.FFApplyStats(100, 7, 12*time.Millisecond)
+	e.FFApplyStats(100, 7)
 	if got := e.Goodput.Bytes(); got != int64(100*packet.MSS) {
 		t.Fatalf("goodput bytes = %d", got)
-	}
-	if e.RTTSamples.N() != before+100 {
-		t.Fatalf("rtt samples = %d", e.RTTSamples.N())
 	}
 	if e.MarksSeen() != 7 || e.CEAcked() != 7 {
 		t.Fatalf("ledgers: seen=%d acked=%d", e.MarksSeen(), e.CEAcked())
 	}
+	e.FFApplyStats(20, 2)
+	e.FFApplyStats(0, 5)
+	if got := e.Goodput.Bytes(); got != int64(120*packet.MSS) {
+		t.Fatalf("goodput bytes after three epochs = %d", got)
+	}
+	if e.MarksSeen() != 9 || e.CEAcked() != 9 {
+		t.Fatalf("ledgers after three epochs: seen=%d acked=%d", e.MarksSeen(), e.CEAcked())
+	}
 
 	classic := ffTestEndpoint(t, Reno{}, ECNClassic)
-	classic.FFApplyStats(50, 3, 12*time.Millisecond)
+	classic.FFApplyStats(50, 3)
+	if got := classic.Goodput.Bytes(); got != int64(50*packet.MSS) {
+		t.Fatalf("classic goodput bytes = %d", got)
+	}
 	if classic.MarksSeen() != 3 || classic.CEAcked() != 0 {
 		t.Fatalf("classic ledgers: seen=%d acked=%d", classic.MarksSeen(), classic.CEAcked())
+	}
+
+	off := ffTestEndpoint(t, Reno{}, ECNOff)
+	off.FFApplyStats(10, 4)
+	if off.MarksSeen() != 0 || off.CEAcked() != 0 {
+		t.Fatalf("not-ECT ledgers: seen=%d acked=%d", off.MarksSeen(), off.CEAcked())
 	}
 }

@@ -72,8 +72,9 @@ func (c *laneCell) fingerprint() string {
 			c.dual.LSojourn.Mean(), c.dual.CSojourn.Mean())
 	}
 	for _, e := range c.flows {
-		out += fmt.Sprintf("\n%v srtt=%v retx=%d ce=%d rtt=%v", e, e.state.SRTT, e.retransmissions, e.ceAcked,
-			e.RTTSamples.Mean())
+		// e's String carries cwnd, sndUna and sndNxt.
+		out += fmt.Sprintf("\n%v srtt=%v rttvar=%v minrtt=%v retx=%d ce=%d", e, e.state.SRTT,
+			e.state.RTTVar, e.state.MinRTT, e.retransmissions, e.ceAcked)
 	}
 	return out
 }
@@ -129,9 +130,9 @@ func TestTimeShiftTwinOverLanes(t *testing.T) {
 
 // TestPoisonedPoolOverLanes is the -tagfree run: with every released packet
 // scrambled, a stale alias anywhere on the lane-scheduled path (the txPkt
-// slot, the ACK FIFO behind the shared lane) would panic on a bad flow id or
-// corrupt a counter. Both bottleneck machines must behave identically with
-// poison on and off.
+// slot, the ACKs held in the shared lane's ring slots) would panic on a bad
+// flow id or corrupt a counter. Both bottleneck machines must behave
+// identically with poison on and off.
 func TestPoisonedPoolOverLanes(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		clean := newLaneCell(9, dual, false)

@@ -64,7 +64,7 @@ func TestStagedCountsSchedule(t *testing.T) {
 	s.RunUntil(stage / 2)
 	sent := 0
 	for _, e := range eps {
-		if e.Goodput.Bytes() > 0 || !e.Stopped() && e.State().Cwnd > 0 && e.RTTSamples.N() > 0 {
+		if e.Goodput.Bytes() > 0 || !e.Stopped() && e.State().Cwnd > 0 && e.State().SRTT > 0 {
 			sent++
 		}
 	}
@@ -74,7 +74,7 @@ func TestStagedCountsSchedule(t *testing.T) {
 	s.RunUntil(stage + stage/2)
 	sent = 0
 	for _, e := range eps {
-		if e.RTTSamples.N() > 0 && !e.Stopped() {
+		if e.State().SRTT > 0 && !e.Stopped() {
 			sent++
 		}
 	}
