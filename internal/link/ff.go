@@ -5,7 +5,6 @@ import (
 
 	"pi2/internal/aqm"
 	"pi2/internal/packet"
-	"pi2/internal/stats"
 )
 
 // Fast-forward support. During an epoch the real queue is frozen — the ff
@@ -32,7 +31,7 @@ func (l *Link) FFShift(delta time.Duration) {
 // FFApply patches one fast-forward period's virtual traffic into the link
 // statistics: accepted packets drained at queuing delay qdelay (marked of
 // them CE-marked), dropped packets rejected by the AQM. The sojourn
-// collector absorbs the period in O(1) when it supports bulk insertion.
+// collector takes the period in one bulk insert.
 func (l *Link) FFApply(accepted, marked, dropped int, qdelay time.Duration) {
 	l.enqueues += accepted + dropped
 	l.dequeues += accepted
@@ -41,14 +40,7 @@ func (l *Link) FFApply(accepted, marked, dropped int, qdelay time.Duration) {
 		l.drops[DropAQM] += dropped
 	}
 	l.Delivered.Add(accepted * packet.FullLen)
-	sec := qdelay.Seconds()
-	if ba, ok := l.Sojourn.(stats.BulkAdder); ok {
-		ba.AddN(sec, int64(accepted))
-	} else {
-		for i := 0; i < accepted; i++ {
-			l.Sojourn.Add(sec)
-		}
-	}
+	l.Sojourn.AddN(qdelay.Seconds(), int64(accepted))
 }
 
 // FFAQM returns the attached AQM's fast-forward interface, if it has one.

@@ -6,17 +6,6 @@ package stats
 // drained"), and inserting them one Add at a time would erase much of the
 // epoch's speedup. AddN incorporates n copies of one value in O(1).
 
-// BulkAdder is implemented by collectors that can absorb n equal
-// observations in one call. Both Quantiler implementations satisfy it.
-type BulkAdder interface {
-	AddN(x float64, n int64)
-}
-
-var (
-	_ BulkAdder = (*Sample)(nil)
-	_ BulkAdder = (*LogHistogram)(nil)
-)
-
 // AddN incorporates n observations of the same value x in O(1): n copies of
 // x form a sub-stream with mean x and zero variance, so the parallel-moment
 // combination (Chan et al.) applies with m2 = 0. Exactly equivalent to

@@ -10,6 +10,9 @@ import "math"
 type Quantiler interface {
 	// Add records one observation.
 	Add(x float64)
+	// AddN records n observations of x (the fast-forward engine's bulk
+	// insert, see ff.go).
+	AddN(x float64, n int64)
 	// N returns the number of observations.
 	N() int
 	// Mean returns the exact running mean (0 if empty).

@@ -1,9 +1,10 @@
 // Package tcp implements packet-level TCP endpoints for the simulator:
-// sequence numbers, cumulative ACKs, duplicate-ACK fast retransmit, NewReno
-// fast recovery, retransmission timeouts, classic-ECN (RFC 3168 ECE/CWR)
-// and DCTCP-style accurate per-ACK ECN feedback — plus the congestion
-// controls the paper evaluates: Reno, Cubic (with its CReno Reno-friendly
-// region), DCTCP, and an idealized Scalable control.
+// sequence numbers, cumulative and delayed/stretch ACKs, duplicate-ACK fast
+// retransmit with NewReno fast recovery or SACK recovery (sack.go),
+// retransmission timeouts, pacing, classic-ECN (RFC 3168 ECE/CWR) and
+// DCTCP-style accurate per-ACK ECN feedback — plus the congestion controls
+// the paper evaluates: Reno, Cubic (with its CReno Reno-friendly region),
+// DCTCP, TCP Prague (the L4S sender), and an idealized Scalable control.
 //
 // The congestion window is kept in segments (float64) as in the paper's
 // window equations; every data segment carries one MSS.

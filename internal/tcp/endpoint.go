@@ -134,8 +134,9 @@ type Endpoint struct {
 	ackDelay time.Duration
 	ackLane  *sim.Lane
 
-	// SACK scoreboard (nil unless Config.SACK).
-	sack *sackState
+	// SACK scoreboard cursors and counters (used only with Config.SACK);
+	// its per-segment bits live in meta.
+	sack sackBoard
 
 	// Receiver state.
 	rcvNxt       int64
@@ -217,9 +218,6 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 		e.ackDelay = cfg.BaseRTT
 	}
 	e.ackLane = s.Lane(e.ackDelay)
-	if cfg.SACK {
-		e.sack = newSackState()
-	}
 	e.state = State{
 		Cwnd:     cfg.InitialCwnd,
 		Ssthresh: 1 << 30,
@@ -320,7 +318,7 @@ func (e *Endpoint) hasData(seq int64) bool {
 }
 
 func (e *Endpoint) trySend() {
-	if e.sack != nil {
+	if e.cfg.SACK {
 		e.sackSend()
 		return
 	}
@@ -447,8 +445,8 @@ func (e *Endpoint) onRTO() {
 		e.rtoGuard = e.sndNxt
 	}
 	// Go-back-N: rewind and retransmit from the ACK point.
-	if e.sack != nil {
-		e.sack.reset(e.sndUna)
+	if e.cfg.SACK {
+		e.sack.reset(&e.meta, e.sndUna)
 	}
 	e.sndNxt = e.sndUna
 	e.sendSeg(e.sndNxt, true)
@@ -489,10 +487,10 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 			e.ceAcked += acked
 		}
 		e.sampleRTT(p.Ack-1, now)
-		e.meta.ackTo(p.Ack)
-		if e.sack != nil {
-			e.sack.advance(e.sndUna, p.Ack)
+		if e.cfg.SACK {
+			e.sack.advance(&e.meta, e.sndUna, p.Ack)
 		}
+		e.meta.ackTo(p.Ack)
 		e.sndUna = p.Ack
 		if e.sndNxt < e.sndUna {
 			// A pre-timeout segment filled the hole past the
@@ -501,7 +499,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 		}
 		e.dupacks = 0
 		e.rtoBackoff = 0
-		if e.sack != nil {
+		if e.cfg.SACK {
 			e.processSACK(p)
 		}
 		if e.state.InRecovery {
@@ -509,7 +507,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 				// Full ACK: leave recovery.
 				e.state.InRecovery = false
 				e.inflation = 0
-			} else if e.sack == nil {
+			} else if !e.cfg.SACK {
 				// NewReno partial ACK: retransmit the next hole,
 				// deflate. (SACK recovery retransmits from its
 				// scoreboard instead.)
@@ -531,7 +529,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 		e.checkComplete(now)
 
 	case p.Ack == e.sndUna && e.sndNxt > e.sndUna:
-		if e.sack != nil {
+		if e.cfg.SACK {
 			// SACK mode: the scoreboard, not dupack counting,
 			// drives recovery and retransmission.
 			e.processSACK(p)
@@ -547,18 +545,20 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 			}
 		} else if e.dupacks == 3 && e.sndUna >= e.rtoGuard {
 			e.enterRecovery(now)
+			e.inflation = 3
+			e.sendSeg(e.sndUna, true)
 		}
 	}
 	e.trySend()
 }
 
+// enterRecovery starts a fast-recovery episode, NewReno's or SACK's: one
+// congestion event, lasting until the ACK point passes what was sent so far.
 func (e *Endpoint) enterRecovery(now time.Duration) {
 	e.state.InRecovery = true
 	e.recover = e.sndNxt
 	e.cc.OnCongestionEvent(&e.state, now)
 	e.congestionEvents++
-	e.inflation = 3
-	e.sendSeg(e.sndUna, true)
 }
 
 func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
@@ -566,7 +566,13 @@ func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
 	if !ok || m.retx {
 		return // Karn's algorithm: never sample retransmitted segments
 	}
-	rtt := now - m.sentAt
+	e.observeRTT(now - m.sentAt)
+}
+
+// observeRTT applies one RTT sample: the path minimum, HyStart's delay exit
+// and the RFC 6298 smoothing. Packet mode and the fast-forward stepper both
+// feed it.
+func (e *Endpoint) observeRTT(rtt time.Duration) {
 	s := &e.state
 	if s.MinRTT == 0 || rtt < s.MinRTT {
 		s.MinRTT = rtt
@@ -575,7 +581,7 @@ func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
 	// once queuing pushes the RTT measurably above the path minimum,
 	// long before the overshoot-and-halve of classical slow start.
 	if e.hystart && s.InSlowStart() && s.Cwnd >= 16 {
-		thresh := s.MinRTT + maxDur(4*time.Millisecond, s.MinRTT/8)
+		thresh := s.MinRTT + max(4*time.Millisecond, s.MinRTT/8)
 		if rtt > thresh {
 			s.Ssthresh = s.Cwnd
 		}
@@ -591,13 +597,6 @@ func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
 	}
 	s.RTTVar = (3*s.RTTVar + diff) / 4
 	s.SRTT = (7*s.SRTT + rtt) / 8
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (e *Endpoint) checkComplete(now time.Duration) {

@@ -28,9 +28,9 @@ import (
 //
 //   - Slow start is stepped by the congestion controls' own OnAck rules
 //     (which implement slow start with ABC and the exact threshold finish),
-//     and ffSampleRTT mirrors the endpoint's HyStart delay-exit, so a flow
-//     rejoining after an RTO accelerates through the epoch much as it would
-//     packet by packet.
+//     and each virtual round trip feeds the endpoint's own RTT estimator,
+//     HyStart delay-exit included, so a flow rejoining after an RTO
+//     accelerates through the epoch much as it would packet by packet.
 
 // ffSupportedCC reports whether the congestion control has an analytic
 // stepping rule below.
@@ -49,7 +49,7 @@ func ffSupportedCC(cc CongestionControl) bool {
 // see the package comment above.
 func (e *Endpoint) FFEligible() bool {
 	return e.started && !e.stopped && !e.completed &&
-		e.cfg.FlowSegs == 0 && e.sack == nil &&
+		e.cfg.FlowSegs == 0 && !e.cfg.SACK &&
 		ffSupportedCC(e.cc)
 }
 
@@ -79,32 +79,6 @@ func (e *Endpoint) FFShift(delta time.Duration) {
 	if e.nextSend > oldNow {
 		e.nextSend += delta
 	}
-}
-
-// ffSampleRTT applies the RFC 6298 smoothing — and the HyStart delay-exit,
-// mirroring sampleRTT — for one virtual round trip.
-func (e *Endpoint) ffSampleRTT(rtt time.Duration) {
-	s := &e.state
-	if s.MinRTT == 0 || rtt < s.MinRTT {
-		s.MinRTT = rtt
-	}
-	if e.hystart && s.InSlowStart() && s.Cwnd >= 16 {
-		thresh := s.MinRTT + maxDur(4*time.Millisecond, s.MinRTT/8)
-		if rtt > thresh {
-			s.Ssthresh = s.Cwnd
-		}
-	}
-	if s.SRTT == 0 {
-		s.SRTT = rtt
-		s.RTTVar = rtt / 2
-		return
-	}
-	diff := s.SRTT - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	s.RTTVar = (3*s.RTTVar + diff) / 4
-	s.SRTT = (7*s.SRTT + rtt) / 8
 }
 
 // ffChunk returns the next analytic stepping chunk: a quarter window, so
@@ -140,7 +114,7 @@ func (w *ffWindowTick) add(e *Endpoint, chunk int, rtt time.Duration) {
 	if w.acks >= win {
 		w.acks = 0
 		w.now += rtt
-		e.ffSampleRTT(rtt)
+		e.observeRTT(rtt)
 	}
 }
 
@@ -166,12 +140,10 @@ func (e *Endpoint) FFAdvance(acked, marked int, rtt, now time.Duration) {
 			rem -= chunk
 		}
 	case *DCTCP:
-		e.ffAlphaAdvance(acked, marked, rtt, &tick,
-			&cc.ackedSegs, &cc.markedSegs, &cc.alpha, cc.G,
+		e.ffAlphaAdvance(acked, marked, rtt, &tick, &cc.ecnWindow,
 			func(chunk int) { renoIncrease(s, chunk) })
 	case *Prague:
-		e.ffAlphaAdvance(acked, marked, rtt, &tick,
-			&cc.ackedSegs, &cc.markedSegs, &cc.alpha, cc.G,
+		e.ffAlphaAdvance(acked, marked, rtt, &tick, &cc.ecnWindow,
 			func(chunk int) { cc.increase(s, chunk) })
 	case Scalable:
 		// Equation (22): half a segment per CE mark, immediately; only
@@ -193,15 +165,14 @@ func (e *Endpoint) FFAdvance(acked, marked int, rtt, now time.Duration) {
 }
 
 // ffAlphaAdvance advances a DCTCP-cadence control (DCTCP, Prague): marks
-// accumulate into the control's own observation-window counters, and a
-// window closes — EWMA update, at most one α/2 reduction — each time a full
-// congestion window of segments has been covered, which is what one round
-// trip of sequence space amounts to. The counters are the control's real
-// fields, so a partially filled window survives entry and exit and the
-// packet-mode cadence resumes seamlessly.
+// accumulate into the control's own observation window w, and the window
+// closes — w.close, as in packet mode — each time a full congestion window
+// of segments has been covered, which is what one round trip of sequence
+// space amounts to. The sequence-space end is left alone, so a partially
+// filled window survives entry and exit and the packet-mode cadence
+// resumes seamlessly.
 func (e *Endpoint) ffAlphaAdvance(acked, marked int, rtt time.Duration,
-	tick *ffWindowTick, accAcked, accMarked *int, alpha *float64, g float64,
-	grow func(chunk int)) {
+	tick *ffWindowTick, w *ecnWindow, grow func(chunk int)) {
 	s := &e.state
 	rem, remM := acked, marked
 	for rem > 0 {
@@ -214,17 +185,10 @@ func (e *Endpoint) ffAlphaAdvance(acked, marked int, rtt time.Duration,
 				mw = remM
 			}
 		}
-		*accAcked += chunk
-		*accMarked += mw
-		if *accAcked >= int(s.Cwnd) {
-			f := float64(*accMarked) / float64(*accAcked)
-			*alpha = (1-g)**alpha + g*f
-			if *accMarked > 0 {
-				s.Cwnd *= 1 - *alpha/2
-				s.clampCwnd()
-				s.Ssthresh = s.Cwnd
-			}
-			*accAcked, *accMarked = 0, 0
+		w.ackedSegs += chunk
+		w.markedSegs += mw
+		if w.ackedSegs >= int(s.Cwnd) {
+			w.close(s)
 		}
 		grow(chunk)
 		tick.add(e, chunk, rtt)

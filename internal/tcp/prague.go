@@ -9,10 +9,9 @@ import (
 // scalable sender (draft-briscoe-iccrg-prague-congestion-control) that the
 // DualPI2 half of the paper is designed to carry.
 //
-// It keeps DCTCP's accurate-ECN machinery: each observation window (one
-// round trip of sequence space) the fraction F of CE-marked segments drives
-// the EWMA α ← (1−g)·α + g·F with g = 1/16, and a marked window reduces
-// cwnd once by α/2. On top of that it adds the Prague requirements:
+// It shares DCTCP's accurate-ECN observation window (ecnWindow: α updated
+// once per round trip, one α/2 cut per marked window) and adds the Prague
+// requirements:
 //
 //   - RTT independence toward a virtual RTT of 25 ms: a flow with RTT below
 //     VirtualRTT damps its additive increase by (SRTT/VirtualRTT)^1.75 so it
@@ -41,22 +40,12 @@ import (
 //     Reno — halve (or collapse) the window — so Prague remains safe when
 //     it meets a non-L4S bottleneck that drops instead of marking.
 type Prague struct {
-	// G is the EWMA gain (1/16 by default, as in DCTCP).
-	G float64
-	// InitialAlpha is α at connection start (1.0, conservative).
-	InitialAlpha float64
+	ecnWindow
 	// VirtualRTT is the RTT-independence target (25 ms by default).
 	VirtualRTT time.Duration
 	// DisableRTTIndependence turns Prague back into plain DCTCP-with-
 	// fractional-cwnd (for ablations and closed-form tests).
 	DisableRTTIndependence bool
-
-	alpha      float64
-	ackedSegs  int
-	markedSegs int
-	windowEnd  int64 // sequence (in segments) closing the observation window
-	sndUnaRef  *int64
-	sndNxtRef  *int64
 }
 
 // PragueMinCwnd is the fractional window floor in segments: Prague keeps
@@ -75,31 +64,13 @@ func (p *Prague) Name() string { return "prague" }
 
 // Init implements CongestionControl.
 func (p *Prague) Init(s *State) {
-	if p.G == 0 {
-		p.G = 1.0 / 16
-	}
-	if p.InitialAlpha == 0 {
-		p.InitialAlpha = 1
-	}
+	p.init()
 	if p.VirtualRTT == 0 {
 		p.VirtualRTT = 25 * time.Millisecond
 	}
-	p.alpha = p.InitialAlpha
-	p.windowEnd = -1
 	// The endpoint initializes MinCwnd to the Classic floor before Init;
 	// Prague lowers it to the fractional floor.
 	s.MinCwnd = PragueMinCwnd
-}
-
-// Alpha exposes the marking-fraction estimate (for tests/reports).
-func (p *Prague) Alpha() float64 { return p.alpha }
-
-// bindSeq lets the endpoint share its sequence state so the observation
-// window can span exactly one round trip of sequence space (same contract
-// as DCTCP's).
-func (p *Prague) bindSeq(sndUna, sndNxt *int64) {
-	p.sndUnaRef = sndUna
-	p.sndNxtRef = sndNxt
 }
 
 // effRTT is the round-trip time the virtual clock runs on: the smoothed RTT
@@ -124,33 +95,12 @@ func (p *Prague) aiFactor(s *State) float64 {
 
 // OnAck implements CongestionControl.
 func (p *Prague) OnAck(s *State, acked int, ackedCE bool, now time.Duration) {
-	p.ackedSegs += acked
-	if ackedCE {
-		p.markedSegs += acked
-	}
-	if p.windowEnd < 0 && p.sndNxtRef != nil {
-		p.windowEnd = *p.sndNxtRef
-	}
-	// Close the observation window when the ACK point passes it: DCTCP's
-	// cadence — update α every round trip of sequence space and reduce
-	// once if the window saw any mark. RTT independence lives entirely in
-	// the increase; virtualizing the reduction cadence instead was tried
-	// and absorbs mark bursts (several marked windows inside one virtual
-	// RTT collapse into a single cut), overshooting the fair rate.
-	if p.sndUnaRef != nil && *p.sndUnaRef >= p.windowEnd {
-		f := 0.0
-		if p.ackedSegs > 0 {
-			f = float64(p.markedSegs) / float64(p.ackedSegs)
-		}
-		p.alpha = (1-p.G)*p.alpha + p.G*f
-		if p.markedSegs > 0 {
-			s.Cwnd *= 1 - p.alpha/2
-			s.clampCwnd()
-			s.Ssthresh = s.Cwnd
-		}
-		p.ackedSegs, p.markedSegs = 0, 0
-		p.windowEnd = *p.sndNxtRef
-	}
+	// DCTCP's cadence: update α every round trip of sequence space and
+	// reduce once if the window saw any mark. RTT independence lives
+	// entirely in the increase; virtualizing the reduction cadence instead
+	// was tried and absorbs mark bursts (several marked windows inside one
+	// virtual RTT collapse into a single cut), overshooting the fair rate.
+	p.onAck(s, acked, ackedCE)
 	p.increase(s, acked)
 }
 
@@ -199,6 +149,5 @@ func (p *Prague) OnCongestionEvent(s *State, now time.Duration) {
 // OnRTO implements CongestionControl.
 func (p *Prague) OnRTO(s *State, now time.Duration) {
 	Reno{}.OnRTO(s, now)
-	p.ackedSegs, p.markedSegs = 0, 0
-	p.windowEnd = -1
+	p.reset()
 }

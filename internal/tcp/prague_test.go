@@ -48,7 +48,8 @@ func TestPragueAlphaClosedForm(t *testing.T) {
 	const segs, windows = 8, 9 // 9 driven windows → 8 α updates
 	for _, g := range []float64{1.0 / 16, 1.0 / 8} {
 		for _, marked := range []int{0, 2, 4, 8} {
-			p := &Prague{G: g}
+			p := &Prague{}
+			p.G = g
 			s := newState(1000, 500)
 			p.Init(s)
 			driveWindows(p, s, windows, segs, marked)
@@ -67,7 +68,8 @@ func TestDCTCPAlphaClosedForm(t *testing.T) {
 	const segs, windows = 8, 9
 	for _, g := range []float64{1.0 / 16, 1.0 / 8} {
 		for _, marked := range []int{0, 2, 4, 8} {
-			d := &DCTCP{G: g}
+			d := &DCTCP{}
+			d.G = g
 			s := newState(1000, 500)
 			d.Init(s)
 			driveWindows(d, s, windows, segs, marked)
@@ -97,7 +99,8 @@ func TestPragueAlphaFixedPoint(t *testing.T) {
 // observation-window close: EWMA update first, then cwnd ← cwnd·(1−α/2)
 // with ssthresh pinned to the new window, then the additive increase.
 func TestPragueMarkedWindowCut(t *testing.T) {
-	p := &Prague{InitialAlpha: 0.5}
+	p := &Prague{}
+	p.InitialAlpha = 0.5
 	s := newState(20, 10)
 	p.Init(s)
 	// una already at windowEnd: the very first ACK closes the window.

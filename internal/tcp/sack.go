@@ -1,11 +1,13 @@
 package tcp
 
 // SACK-based loss recovery (in the spirit of RFC 6675, with FACK-style
-// loss inference, which is exact here because the simulated bottleneck
-// never reorders): the receiver reports its out-of-order blocks on every
+// loss inference): the receiver reports its out-of-order blocks on every
 // ACK; the sender keeps a scoreboard, declares a segment lost once three
 // segments above it have been selectively acknowledged, and during
 // recovery keeps the pipe full with retransmissions first, new data second.
+// FACK is exact on an in-order path. When internal/faults reorders packets,
+// a segment held back past three later ones is declared lost early and
+// retransmitted spuriously, as RFC 6675's DupThresh rule would do too.
 //
 // SACK is optional (Config.SACK); the default remains NewReno, matching
 // the dupack-counting machinery in endpoint.go. The RTO path is the
@@ -13,145 +15,111 @@ package tcp
 
 import "pi2/internal/packet"
 
-// sackState is the sender-side scoreboard.
-type sackState struct {
-	sacked  map[int64]bool // selectively acked, above sndUna
-	lost    map[int64]bool // inferred lost (FACK rule)
-	retxed  map[int64]bool // lost segments already retransmitted
-	highest int64          // highest sacked seq + 1 (exclusive)
-
-	cntSacked     int     // |sacked|
-	cntLostUnretx int     // lost and not yet retransmitted
-	lossScan      int64   // cursor up to which loss inference has run
-	retxQueue     []int64 // newly inferred losses, FIFO (ascending)
-}
-
-func newSackState() *sackState {
-	return &sackState{
-		sacked: make(map[int64]bool),
-		lost:   make(map[int64]bool),
-		retxed: make(map[int64]bool),
-	}
+// sackBoard is the sender-side scoreboard. Its per-segment bits live in the
+// segment ring (segMeta.sacked, lost and resent); the board keeps the
+// cursors and counters that keep each ACK's work incremental.
+type sackBoard struct {
+	highest       int64 // highest sacked seq + 1 (exclusive)
+	lossScan      int64 // loss inference has run below this seq
+	retxScan      int64 // no loss awaiting retransmission lies below this seq
+	cntSacked     int   // sacked segments
+	cntLostUnretx int   // lost and not yet retransmitted
 }
 
 // reset clears the scoreboard (used by the RTO go-back-N path).
-func (ss *sackState) reset(sndUna int64) {
-	ss.sacked = make(map[int64]bool)
-	ss.lost = make(map[int64]bool)
-	ss.retxed = make(map[int64]bool)
-	ss.highest = 0
-	ss.cntSacked = 0
-	ss.cntLostUnretx = 0
-	ss.lossScan = sndUna
-	ss.retxQueue = ss.retxQueue[:0]
+func (b *sackBoard) reset(r *segRing, sndUna int64) {
+	for seq := r.lo; seq < r.hi; seq++ {
+		m := r.at(seq)
+		m.sacked, m.lost, m.resent = false, false, false
+	}
+	*b = sackBoard{lossScan: sndUna, retxScan: sndUna}
 }
 
-// advance drops scoreboard entries below the new cumulative ACK.
-func (ss *sackState) advance(from, to int64) {
-	for seq := from; seq < to; seq++ {
-		if ss.sacked[seq] {
-			ss.cntSacked--
-			delete(ss.sacked, seq)
+// advance uncounts the segments [from, to) that the cumulative ACK is about
+// to take out of the ring.
+func (b *sackBoard) advance(r *segRing, from, to int64) {
+	for seq := from; seq < min(to, r.hi); seq++ {
+		m := r.at(seq)
+		if m.sacked {
+			b.cntSacked--
 		}
-		if ss.lost[seq] {
-			if !ss.retxed[seq] {
-				ss.cntLostUnretx--
-			}
-			delete(ss.lost, seq)
+		if m.lost && !m.resent {
+			b.cntLostUnretx--
 		}
-		delete(ss.retxed, seq)
 	}
-	if ss.lossScan < to {
-		ss.lossScan = to
-	}
+	b.lossScan = max(b.lossScan, to)
 }
 
-// record marks the receiver-reported blocks and returns whether anything
-// new was learned.
-func (ss *sackState) record(blocks [][2]int64, sndUna int64) bool {
-	news := false
-	for _, b := range blocks {
-		for seq := b[0]; seq < b[1]; seq++ {
-			if seq < sndUna || ss.sacked[seq] {
+// record marks the receiver-reported blocks. Blocks only ever cover sent
+// data, so they are clipped to the ring.
+func (b *sackBoard) record(r *segRing, blocks [][2]int64, sndUna int64) {
+	for _, blk := range blocks {
+		for seq := max(blk[0], sndUna); seq < min(blk[1], r.hi); seq++ {
+			m := r.at(seq)
+			if m.sacked {
 				continue
 			}
-			ss.sacked[seq] = true
-			ss.cntSacked++
-			news = true
-			if ss.lost[seq] {
+			m.sacked = true
+			b.cntSacked++
+			if m.lost {
 				// A presumed-lost segment arrived after all
 				// (its retransmission, normally).
-				if !ss.retxed[seq] {
-					ss.cntLostUnretx--
+				m.lost = false
+				if !m.resent {
+					b.cntLostUnretx--
 				}
-				delete(ss.lost, seq)
 			}
-			if seq+1 > ss.highest {
-				ss.highest = seq + 1
-			}
+			b.highest = max(b.highest, seq+1)
 		}
 	}
-	return news
 }
 
 // inferLosses applies the FACK rule: any unsacked segment with three or
 // more sacked segments above it is lost. On an in-order path this is
 // equivalent to (and as safe as) the RFC 6675 DupThresh rule. Returns the
 // number of newly detected losses.
-func (ss *sackState) inferLosses(sndUna int64) int {
+func (b *sackBoard) inferLosses(r *segRing, sndUna int64) int {
 	const dupThresh = 3
-	limit := ss.highest - dupThresh
+	limit := b.highest - dupThresh
 	found := 0
-	for seq := max64(ss.lossScan, sndUna); seq < limit; seq++ {
-		if !ss.sacked[seq] && !ss.lost[seq] {
-			ss.lost[seq] = true
-			ss.cntLostUnretx++
-			ss.retxQueue = append(ss.retxQueue, seq)
+	for seq := max(b.lossScan, sndUna); seq < limit; seq++ {
+		if m := r.at(seq); !m.sacked && !m.lost {
+			m.lost = true
+			b.cntLostUnretx++
 			found++
 		}
 	}
-	if limit > ss.lossScan {
-		ss.lossScan = limit
-	}
+	b.lossScan = max(b.lossScan, limit)
 	return found
 }
 
 // pipe estimates the number of segments still in flight.
-func (ss *sackState) pipe(sndUna, sndNxt int64) int {
-	return int(sndNxt-sndUna) - ss.cntSacked - ss.cntLostUnretx
+func (b *sackBoard) pipe(sndUna, sndNxt int64) int {
+	return int(sndNxt-sndUna) - b.cntSacked - b.cntLostUnretx
 }
 
-// nextRetx pops the oldest still-relevant inferred loss, skipping entries
-// that were cumulatively acked, selectively acked or already retransmitted
-// in the meantime.
-func (ss *sackState) nextRetx(sndUna int64) (int64, bool) {
-	for len(ss.retxQueue) > 0 {
-		seq := ss.retxQueue[0]
-		if seq < sndUna || !ss.lost[seq] || ss.retxed[seq] {
-			ss.retxQueue = ss.retxQueue[1:]
-			continue
+// nextRetx returns the lowest inferred loss not yet retransmitted. Losses
+// are only inferred at or above lossScan, so a segment below it that is not
+// such a loss never becomes one before the next reset, and a miss moves the
+// cursor up to lossScan.
+func (b *sackBoard) nextRetx(r *segRing, sndUna int64) (int64, bool) {
+	for seq := max(b.retxScan, sndUna); seq < b.lossScan; seq++ {
+		if m := r.at(seq); m.lost && !m.resent {
+			b.retxScan = seq
+			return seq, true
 		}
-		return seq, true
 	}
+	b.retxScan = b.lossScan
 	return 0, false
 }
 
 // markRetx records that a lost segment was retransmitted.
-func (ss *sackState) markRetx(seq int64) {
-	if ss.lost[seq] && !ss.retxed[seq] {
-		ss.cntLostUnretx--
+func (b *sackBoard) markRetx(r *segRing, seq int64) {
+	m := r.at(seq)
+	if m.lost && !m.resent {
+		b.cntLostUnretx--
 	}
-	ss.retxed[seq] = true
-	if len(ss.retxQueue) > 0 && ss.retxQueue[0] == seq {
-		ss.retxQueue = ss.retxQueue[1:]
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	m.resent = true
 }
 
 // --- receiver side: building SACK blocks ---
@@ -199,29 +167,23 @@ func sackBlocks(sorted []int64, recentSeq int64) *packet.SACKBlocks {
 
 // --- endpoint integration ---
 
-// processSACK ingests the blocks on an arriving ACK. It returns true if
-// recovery should be (or remain) active, i.e. there are inferred losses.
+// processSACK ingests the blocks on an arriving ACK and enters recovery once
+// the scoreboard holds a loss not yet retransmitted.
 func (e *Endpoint) processSACK(p *packet.Packet) {
-	ss := e.sack
-	ss.record(p.SACK.Ranges(), e.sndUna)
-	ss.inferLosses(e.sndUna)
-	if !e.state.InRecovery && ss.cntLostUnretx > 0 && e.sndUna >= e.rtoGuard {
-		now := e.sim.Now()
-		e.state.InRecovery = true
-		e.recover = e.sndNxt
-		e.cc.OnCongestionEvent(&e.state, now)
-		e.congestionEvents++
+	e.sack.record(&e.meta, p.SACK.Ranges(), e.sndUna)
+	e.sack.inferLosses(&e.meta, e.sndUna)
+	if !e.state.InRecovery && e.sack.cntLostUnretx > 0 && e.sndUna >= e.rtoGuard {
+		e.enterRecovery(e.sim.Now())
 	}
 }
 
 // sackSend keeps the pipe full during SACK operation: retransmissions of
 // inferred losses take priority over new data.
 func (e *Endpoint) sackSend() {
-	ss := e.sack
-	for ss.pipe(e.sndUna, e.sndNxt) < int(e.state.Cwnd) {
-		if seq, ok := ss.nextRetx(e.sndUna); ok {
+	for e.sack.pipe(e.sndUna, e.sndNxt) < int(e.state.Cwnd) {
+		if seq, ok := e.sack.nextRetx(&e.meta, e.sndUna); ok {
 			e.sendSeg(seq, true)
-			ss.markRetx(seq)
+			e.sack.markRetx(&e.meta, seq)
 			continue
 		}
 		if !e.hasData(e.sndNxt) {

@@ -34,40 +34,53 @@ func TestSackBlocks(t *testing.T) {
 	}
 }
 
+// sentRing returns a segment ring holding segments [0, n), all sent once.
+func sentRing(n int64) *segRing {
+	var r segRing
+	for seq := int64(0); seq < n; seq++ {
+		r.sent(seq, 0, false)
+	}
+	return &r
+}
+
 func TestScoreboardRecordAndPipe(t *testing.T) {
-	ss := newSackState()
-	ss.record([][2]int64{{5, 8}}, 0) // 5,6,7 sacked
-	if ss.cntSacked != 3 || ss.highest != 8 {
-		t.Fatalf("cntSacked=%d highest=%d", ss.cntSacked, ss.highest)
+	r := sentRing(8)
+	var sb sackBoard
+	sb.record(r, [][2]int64{{5, 8}}, 0) // 5,6,7 sacked
+	if sb.cntSacked != 3 || sb.highest != 8 {
+		t.Fatalf("cntSacked=%d highest=%d", sb.cntSacked, sb.highest)
 	}
 	// FACK: 0..4 have 3 sacked above them once highest-3 >= 5.
-	if n := ss.inferLosses(0); n != 5 {
+	if n := sb.inferLosses(r, 0); n != 5 {
 		t.Errorf("inferred %d losses, want 5 (0..4)", n)
 	}
 	// pipe with sndNxt = 8: 8 outstanding − 3 sacked − 5 lost = 0.
-	if p := ss.pipe(0, 8); p != 0 {
+	if p := sb.pipe(0, 8); p != 0 {
 		t.Errorf("pipe = %d, want 0", p)
 	}
 	// Retransmitting one loss raises pipe by one.
-	seq, ok := ss.nextRetx(0)
+	seq, ok := sb.nextRetx(r, 0)
 	if !ok || seq != 0 {
 		t.Fatalf("nextRetx = %d,%v", seq, ok)
 	}
-	ss.markRetx(seq)
-	if p := ss.pipe(0, 8); p != 1 {
+	r.sent(seq, 0, true)
+	sb.markRetx(r, seq)
+	if p := sb.pipe(0, 8); p != 1 {
 		t.Errorf("pipe after retx = %d, want 1", p)
 	}
 }
 
 func TestScoreboardAdvanceCleans(t *testing.T) {
-	ss := newSackState()
-	ss.record([][2]int64{{5, 8}}, 0)
-	ss.inferLosses(0)
-	ss.advance(0, 8)
-	if ss.cntSacked != 0 || ss.cntLostUnretx != 0 {
-		t.Errorf("counters after advance: sacked=%d lost=%d", ss.cntSacked, ss.cntLostUnretx)
+	r := sentRing(8)
+	var sb sackBoard
+	sb.record(r, [][2]int64{{5, 8}}, 0)
+	sb.inferLosses(r, 0)
+	sb.advance(r, 0, 8)
+	r.ackTo(8)
+	if sb.cntSacked != 0 || sb.cntLostUnretx != 0 {
+		t.Errorf("counters after advance: sacked=%d lost=%d", sb.cntSacked, sb.cntLostUnretx)
 	}
-	if _, ok := ss.nextRetx(8); ok {
+	if _, ok := sb.nextRetx(r, 8); ok {
 		t.Error("stale retransmission after advance")
 	}
 }
@@ -75,19 +88,21 @@ func TestScoreboardAdvanceCleans(t *testing.T) {
 func TestScoreboardLateLossStillQueued(t *testing.T) {
 	// Losses inferred after earlier ones were exhausted must still be
 	// retransmitted (the bug class an exhausted cursor would cause).
-	ss := newSackState()
-	ss.record([][2]int64{{5, 8}}, 0)
-	ss.inferLosses(0)
+	r := sentRing(13)
+	var sb sackBoard
+	sb.record(r, [][2]int64{{5, 8}}, 0)
+	sb.inferLosses(r, 0)
 	for {
-		seq, ok := ss.nextRetx(0)
+		seq, ok := sb.nextRetx(r, 0)
 		if !ok {
 			break
 		}
-		ss.markRetx(seq)
+		r.sent(seq, 0, true)
+		sb.markRetx(r, seq)
 	}
-	ss.record([][2]int64{{10, 13}}, 0) // 8, 9 now have 3 above
-	ss.inferLosses(0)
-	seq, ok := ss.nextRetx(0)
+	sb.record(r, [][2]int64{{10, 13}}, 0) // 8, 9 now have 3 above
+	sb.inferLosses(r, 0)
+	seq, ok := sb.nextRetx(r, 0)
 	if !ok || seq != 8 {
 		t.Errorf("late loss nextRetx = %d,%v, want 8", seq, ok)
 	}

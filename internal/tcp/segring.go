@@ -2,10 +2,15 @@ package tcp
 
 import "time"
 
-// segMeta is what the sender remembers about one transmitted segment.
+// segMeta is what the sender remembers about one transmitted segment. The
+// last three bits are the SACK scoreboard (sack.go); they stay false unless
+// Config.SACK.
 type segMeta struct {
 	sentAt time.Duration
-	retx   bool
+	retx   bool // ever retransmitted: Karn's algorithm skips its RTT sample
+	sacked bool // selectively acknowledged
+	lost   bool // inferred lost by the FACK rule
+	resent bool // inferred lost and retransmitted since
 }
 
 // segRing holds the segMeta of every segment in [lo, hi): lo follows the
@@ -29,9 +34,13 @@ func (r *segRing) get(seq int64) (segMeta, bool) {
 	return r.buf[seq&r.mask], true
 }
 
+// at returns the record of an outstanding seq for in-place update.
+func (r *segRing) at(seq int64) *segMeta { return &r.buf[seq&r.mask] }
+
 // sent records a transmission of seq at now. A segment that was ever
 // retransmitted stays marked (Karn's algorithm must skip it) until it is
-// acknowledged.
+// acknowledged, and a re-sent segment keeps its scoreboard bits: the SACK
+// sender marks a retransmission only after sending it.
 func (r *segRing) sent(seq int64, now time.Duration, retx bool) {
 	switch {
 	case seq == r.hi:
@@ -39,14 +48,16 @@ func (r *segRing) sent(seq int64, now time.Duration, retx bool) {
 			r.grow()
 		}
 		r.hi++
+		r.buf[seq&r.mask] = segMeta{sentAt: now, retx: retx}
 	case seq >= r.lo && seq < r.hi:
-		retx = retx || r.buf[seq&r.mask].retx
+		m := r.at(seq)
+		m.sentAt = now
+		m.retx = m.retx || retx
 	default:
 		// Segments are numbered densely: anything else would alias a live
 		// slot, and only a sender bug can produce it.
 		panic("tcp: segment sent outside the outstanding window")
 	}
-	r.buf[seq&r.mask] = segMeta{sentAt: now, retx: retx}
 }
 
 // ackTo forgets every segment below ack, the new cumulative ACK point.
