@@ -1075,6 +1075,8 @@ func BenchmarkECNMarkPath(b *testing.B) {
 // re-establish quiescence after a stay-band exit run outside the timer, so
 // ns/op and allocs/op are the epoch path alone — the budget
 // BENCH_hotpath.json gates next to its packet-mode twin BenchmarkManyFlows.
+// ns/virtual_pkt divides the timed epoch work by the virtual packets it
+// decided: the engine's per-packet cost.
 func BenchmarkFastForwardEpoch(b *testing.B) {
 	const flows = 120
 	s := sim.New(1)
@@ -1130,6 +1132,9 @@ func BenchmarkFastForwardEpoch(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(ffTime.Seconds()/float64(b.N), "sim_s/op")
 	b.ReportMetric(float64(eng.VirtualPkts)/float64(b.N), "virtual_pkts/op")
+	if eng.VirtualPkts > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.VirtualPkts), "ns/virtual_pkt")
+	}
 }
 
 // BenchmarkFastForwardTwin runs the same 60-flow heavy-style cell through

@@ -7,23 +7,27 @@ import (
 )
 
 // FastForwarder is implemented by AQMs that support analytic fast-forward:
-// during a quiescent epoch the ff engine feeds them synthetic per-packet
-// decisions and control-law updates instead of real enqueue samples.
+// during a quiescent epoch the ff engine feeds them batches of synthetic
+// arrivals and control-law updates instead of real enqueue samples.
 //
-// The contract is exact equivalence with the packet path: FFDecide must make
-// the same RNG draws (same count, same order, same thresholds) Enqueue would
-// make for a packet with the given ECN codepoint, and FFUpdate must step the
-// control law exactly as Update would for the given queue-delay observation.
-// The implementations in this repository guarantee this structurally —
-// Enqueue and Update are thin wrappers over FFDecide and FFUpdate — so an
-// epoch's mark/drop counts are drawn from the same stream packet mode would
-// have used, and exiting fast-forward re-enters packet mode with a
+// The contract is exact equivalence with the packet path: FFDecideN(n) must
+// make the same RNG draws (same count, same order, same thresholds) that n
+// consecutive Enqueue calls would make for packets with the given ECN
+// codepoint, and FFUpdate must step the control law exactly as Update would
+// for the given queue-delay observation. The implementations in this
+// repository guarantee this structurally: each AQM has one unexported
+// per-packet decision, Enqueue calls it once and FFDecideN calls it n times
+// in a loop, and Update is a thin wrapper over FFUpdate. An epoch's
+// mark/drop counts are therefore drawn from the same stream packet mode
+// would have used, and exiting fast-forward re-enters packet mode with a
 // byte-reproducible RNG state.
 type FastForwarder interface {
-	// FFDecide renders the per-packet verdict for a synthetic arrival with
-	// the given ECN codepoint, wire length and current backlog, consuming
-	// exactly the draws Enqueue would.
-	FFDecide(ecn packet.ECN, wireLen, backlogBytes int) Verdict
+	// FFDecideN decides n synthetic arrivals with the given ECN codepoint,
+	// wire length and backlog, consuming exactly the draws n Enqueue calls
+	// would. It returns how many were admitted (accepted, marks included),
+	// how many of those were CE-marked, and how many were dropped;
+	// accepted + dropped == n.
+	FFDecideN(ecn packet.ECN, wireLen, backlogBytes, n int) (accepted, marked, dropped int)
 	// FFUpdate steps the control law with a synthetic queue-delay
 	// observation (no QueueInfo: during an epoch the queue is fluid).
 	FFUpdate(qdelay time.Duration)
@@ -49,15 +53,18 @@ func (d *DepartRateEstimator) FFShift(delta time.Duration) {
 
 var _ FastForwarder = (*PI)(nil)
 
-// FFDecide implements FastForwarder; Enqueue delegates here.
-func (pi *PI) FFDecide(ecn packet.ECN, _, _ int) Verdict {
-	if pi.rng.Float64() >= pi.core.P() {
-		return Accept
+// FFDecideN implements FastForwarder: n of PI's per-packet decisions.
+func (pi *PI) FFDecideN(ecn packet.ECN, _, _, n int) (accepted, marked, dropped int) {
+	for i := 0; i < n; i++ {
+		v := pi.decide(ecn)
+		if v == Mark {
+			marked++
+		}
+		if v == Drop {
+			dropped++
+		}
 	}
-	if pi.cfg.ECN && ecn.ECNCapable() {
-		return Mark
-	}
-	return Drop
+	return n - dropped, marked, dropped
 }
 
 // FFUpdate implements FastForwarder; Update delegates here after estimating
@@ -74,37 +81,19 @@ func (pi *PI) FFTarget() time.Duration { return pi.cfg.Target }
 
 var _ FastForwarder = (*PIE)(nil)
 
-// FFDecide implements FastForwarder: PIE's drop_early decision with every
-// heuristic gate, fed synthetic arrival parameters. Enqueue delegates here.
-func (pe *PIE) FFDecide(ecn packet.ECN, wireLen, backlogBytes int) Verdict {
-	prob := pe.core.P()
-	if pe.cfg.Bytemode {
-		prob *= float64(wireLen) / float64(packet.FullLen)
-	}
-	if pe.burst > 0 {
-		return Accept
-	}
-	if pe.cfg.Suppress && pe.qdelay < pe.cfg.Target/2 && prob < 0.2 {
-		return Accept
-	}
-	if pe.cfg.MinBacklog > 0 && backlogBytes <= pe.cfg.MinBacklog {
-		return Accept
-	}
-	if pe.cfg.Derandomize {
-		pe.accuProb += prob
-		if pe.accuProb < 0.85 {
-			return Accept
+// FFDecideN implements FastForwarder: n of PIE's drop_early decisions,
+// every heuristic gate included, fed one synthetic arrival shape.
+func (pe *PIE) FFDecideN(ecn packet.ECN, wireLen, backlogBytes, n int) (accepted, marked, dropped int) {
+	for i := 0; i < n; i++ {
+		v := pe.decide(ecn, wireLen, backlogBytes)
+		if v == Mark {
+			marked++
 		}
-		if pe.accuProb >= 8.5 {
-			pe.accuProb = 0
-			return pe.signal(ecn)
+		if v == Drop {
+			dropped++
 		}
 	}
-	if pe.rng.Float64() >= prob {
-		return Accept
-	}
-	pe.accuProb = 0
-	return pe.signal(ecn)
+	return n - dropped, marked, dropped
 }
 
 // FFUpdate implements FastForwarder: one control-law step with PIE's scaling

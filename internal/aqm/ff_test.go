@@ -11,9 +11,64 @@ import (
 // The fast-forward equivalence tests drive two same-seed twins of an AQM:
 // one through the packet-mode interface (Enqueue with real packets and a
 // QueueInfo, Update with a sojourn-mode estimator) and one through the
-// FastForwarder interface (FFDecide/FFUpdate fed the synthetic equivalents).
-// Equal verdict streams and probability trajectories prove the ff engine
-// consumes exactly the RNG draws and control-law steps packet mode would.
+// FastForwarder interface (FFDecideN/FFUpdate fed the synthetic
+// equivalents). Equal verdict streams and probability trajectories prove the
+// ff engine consumes exactly the RNG draws and control-law steps packet mode
+// would.
+
+// verdictOf folds a one-packet FFDecideN result back into a Verdict.
+func verdictOf(accepted, marked, dropped int) Verdict {
+	switch {
+	case dropped == 1:
+		return Drop
+	case marked == 1:
+		return Mark
+	case accepted == 1:
+		return Accept
+	}
+	panic("verdictOf: not a one-packet batch")
+}
+
+// ffBatchSizes are the batch lengths the batch-vs-single tests cover.
+var ffBatchSizes = []int{0, 1, 2, 7, 64}
+
+// checkDecideN compares batch(ecn, n) — an FFDecideN — against n verdicts
+// of single(ecn) — Enqueue on a same-seed twin — for every ECN codepoint and
+// batch size, then asserts the twins' next draws agree. It returns the
+// batch side's mark and drop totals, so callers can require the draws were
+// exercised.
+func checkDecideN(t *testing.T, step int, single func(packet.ECN) Verdict,
+	batch func(packet.ECN, int) (int, int, int), singleRNG, batchRNG *rand.Rand) (marks, drops int) {
+	t.Helper()
+	for i := 0; i < 4; i++ {
+		ecn := ecnPattern(i)
+		for _, n := range ffBatchSizes {
+			var acc, mk, dr int
+			for k := 0; k < n; k++ {
+				switch single(ecn) {
+				case Accept:
+					acc++
+				case Mark:
+					acc++
+					mk++
+				case Drop:
+					dr++
+				}
+			}
+			gotAcc, gotMk, gotDr := batch(ecn, n)
+			if gotAcc != acc || gotMk != mk || gotDr != dr {
+				t.Fatalf("step %d %v n=%d: FFDecideN = (%d, %d, %d), Enqueue twin (%d, %d, %d)",
+					step, ecn, n, gotAcc, gotMk, gotDr, acc, mk, dr)
+			}
+			if a, b := singleRNG.Int63(), batchRNG.Int63(); a != b {
+				t.Fatalf("step %d %v n=%d: next draw diverged: %d vs %d", step, ecn, n, a, b)
+			}
+			marks += gotMk
+			drops += gotDr
+		}
+	}
+	return marks, drops
+}
 
 func ecnPattern(i int) packet.ECN {
 	switch i % 4 {
@@ -55,7 +110,7 @@ func TestPIFastForwardTwinEquivalence(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			ecn := ecnPattern(i)
 			vp := pkt.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
-			vf := ff.FFDecide(ecn, packet.MSS+packet.HeaderLen, 0)
+			vf := verdictOf(ff.FFDecideN(ecn, packet.MSS+packet.HeaderLen, 0, 1))
 			if vp != vf {
 				t.Fatalf("step %d pkt %d: verdict diverged: %v vs %v", step, i, vp, vf)
 			}
@@ -110,11 +165,104 @@ func TestPIEFastForwardTwinEquivalence(t *testing.T) {
 				for i := 0; i < 7; i++ {
 					ecn := ecnPattern(i)
 					vp := pkt.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
-					vf := ff.FFDecide(ecn, packet.MSS+packet.HeaderLen, q.bytes)
+					vf := verdictOf(ff.FFDecideN(ecn, packet.MSS+packet.HeaderLen, q.bytes, 1))
 					if vp != vf {
 						t.Fatalf("step %d pkt %d: verdict diverged: %v vs %v", step, i, vp, vf)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestPIFFDecideNMatchesEnqueue: PI's batch decision makes the draws n
+// Enqueue calls make, with and without ECN.
+func TestPIFFDecideNMatchesEnqueue(t *testing.T) {
+	for _, ecnOn := range []bool{false, true} {
+		cfg := PIConfig{ECN: ecnOn}
+		single := NewPI(cfg, rand.New(rand.NewSource(3)))
+		batch := NewPI(cfg, rand.New(rand.NewSource(3)))
+		q := &fakeQueue{}
+		var marks, drops int
+		for step := 0; step < 60; step++ {
+			q.sojourn = delayPattern(step)
+			single.Update(q, 0)
+			batch.Update(q, 0)
+			m, d := checkDecideN(t, step,
+				func(ecn packet.ECN) Verdict {
+					return single.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
+				},
+				func(ecn packet.ECN, n int) (int, int, int) {
+					return batch.FFDecideN(ecn, packet.FullLen, 0, n)
+				},
+				single.rng, batch.rng)
+			marks += m
+			drops += d
+		}
+		if drops == 0 || (ecnOn && marks == 0) {
+			t.Fatalf("ECN=%v: draws not exercised: %d marks, %d drops", ecnOn, marks, drops)
+		}
+	}
+}
+
+// TestPIEFFDecideNMatchesEnqueue: PIE's batch decision makes the draws n
+// Enqueue calls make with each drop_early gate switched on in turn, so the
+// gates' state (burst, accumulated probability) evolves identically too.
+func TestPIEFFDecideNMatchesEnqueue(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mut     func(*PIEConfig)
+		payload int
+	}{
+		{"bare", func(c *PIEConfig) {}, packet.MSS},
+		{"derandomize", func(c *PIEConfig) { c.Derandomize = true }, packet.MSS},
+		{"burst-allowance", func(c *PIEConfig) { c.BurstAllowance = 100 * time.Millisecond }, packet.MSS},
+		{"bytemode", func(c *PIEConfig) { c.Bytemode = true }, 500},
+		{"min-backlog", func(c *PIEConfig) { c.MinBacklog = 2 * packet.FullLen }, packet.MSS},
+		{"suppress", func(c *PIEConfig) { c.Suppress = true }, packet.MSS},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := BarePIEConfig()
+			cfg.Estimator = EstimateBySojourn
+			cfg.ECN = true
+			tc.mut(&cfg)
+			single := NewPIE(cfg, rand.New(rand.NewSource(5)))
+			batch := NewPIE(cfg, rand.New(rand.NewSource(5)))
+			q := &fakeQueue{}
+			var marks, drops int
+			for step := 0; step < 120; step++ {
+				// The walk, interleaved with sustained 100 ms stretches that
+				// outlast the burst allowance and lift p past the ECN
+				// threshold.
+				q.sojourn = delayPattern(step)
+				if step/20%2 == 1 {
+					q.sojourn = 100 * time.Millisecond
+				}
+				// Alternate a tiny and a deep backlog so MinBacklog both
+				// exempts and admits.
+				q.bytes = packet.FullLen
+				if step%3 != 0 {
+					q.bytes = 60 * packet.FullLen
+				}
+				single.Update(q, 0)
+				batch.Update(q, 0)
+				m, d := checkDecideN(t, step,
+					func(ecn packet.ECN) Verdict {
+						return single.Enqueue(packet.NewData(1, 0, tc.payload, ecn), q, 0)
+					},
+					func(ecn packet.ECN, n int) (int, int, int) {
+						return batch.FFDecideN(ecn, tc.payload+packet.HeaderLen, q.bytes, n)
+					},
+					single.rng, batch.rng)
+				if single.accuProb != batch.accuProb || single.burst != batch.burst {
+					t.Fatalf("step %d: gate state diverged: accuProb %g vs %g, burst %v vs %v",
+						step, single.accuProb, batch.accuProb, single.burst, batch.burst)
+				}
+				marks += m
+				drops += d
+			}
+			if marks == 0 || drops == 0 {
+				t.Fatalf("draws not exercised: %d marks, %d drops", marks, drops)
 			}
 		})
 	}

@@ -200,11 +200,22 @@ func (pi *PI) Name() string { return "pi" }
 // DropProbability implements ProbabilityReporter.
 func (pi *PI) DropProbability() float64 { return pi.core.P() }
 
-// Enqueue implements AQM: drop (or mark) with probability p. The decision
-// logic lives in FFDecide so packet mode and fast-forward mode share one
-// RNG discipline.
+// Enqueue implements AQM: drop (or mark) with probability p.
 func (pi *PI) Enqueue(p *packet.Packet, _ QueueInfo, _ time.Duration) Verdict {
-	return pi.FFDecide(p.ECN, int(p.WireLen), 0)
+	return pi.decide(p.ECN)
+}
+
+// decide is PI's one per-packet decision. Enqueue makes it once per packet
+// and FFDecideN n times per batch, so packet mode and fast-forward mode
+// share one RNG discipline.
+func (pi *PI) decide(ecn packet.ECN) Verdict {
+	if pi.rng.Float64() >= pi.core.P() {
+		return Accept
+	}
+	if pi.cfg.ECN && ecn.ECNCapable() {
+		return Mark
+	}
+	return Drop
 }
 
 // Dequeue implements AQM.

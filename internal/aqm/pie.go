@@ -178,11 +178,43 @@ func (pe *PIE) DropProbability() float64 { return pe.core.P() }
 // QDelay returns the AQM's own latest queue-delay estimate.
 func (pe *PIE) QDelay() time.Duration { return pe.qdelay }
 
-// Enqueue implements AQM: PIE's drop_early decision. The decision logic
-// lives in FFDecide so packet mode and fast-forward mode share one RNG
-// discipline.
+// Enqueue implements AQM: PIE's drop_early decision.
 func (pe *PIE) Enqueue(p *packet.Packet, q QueueInfo, now time.Duration) Verdict {
-	return pe.FFDecide(p.ECN, int(p.WireLen), q.BacklogBytes())
+	return pe.decide(p.ECN, int(p.WireLen), q.BacklogBytes())
+}
+
+// decide is PIE's one per-packet drop_early decision, every heuristic gate
+// included. Enqueue makes it once per packet and FFDecideN n times per
+// batch, so packet mode and fast-forward mode share one RNG discipline.
+func (pe *PIE) decide(ecn packet.ECN, wireLen, backlogBytes int) Verdict {
+	prob := pe.core.P()
+	if pe.cfg.Bytemode {
+		prob *= float64(wireLen) / float64(packet.FullLen)
+	}
+	if pe.burst > 0 {
+		return Accept
+	}
+	if pe.cfg.Suppress && pe.qdelay < pe.cfg.Target/2 && prob < 0.2 {
+		return Accept
+	}
+	if pe.cfg.MinBacklog > 0 && backlogBytes <= pe.cfg.MinBacklog {
+		return Accept
+	}
+	if pe.cfg.Derandomize {
+		pe.accuProb += prob
+		if pe.accuProb < 0.85 {
+			return Accept
+		}
+		if pe.accuProb >= 8.5 {
+			pe.accuProb = 0
+			return pe.signal(ecn)
+		}
+	}
+	if pe.rng.Float64() >= prob {
+		return Accept
+	}
+	pe.accuProb = 0
+	return pe.signal(ecn)
 }
 
 // signal picks mark vs drop for a packet that lost the probability draw.

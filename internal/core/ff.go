@@ -8,8 +8,9 @@ import (
 )
 
 // Fast-forward support for PI2 and DualPI2. PI2 implements the full
-// aqm.FastForwarder contract (its Enqueue/Update delegate here, so packet
-// mode and fast-forward mode share one RNG discipline). DualPI2 only exposes
+// aqm.FastForwarder contract (FFDecideN loops over the decision Enqueue
+// makes, and Update delegates to FFUpdate, so packet mode and fast-forward
+// mode share one RNG discipline). DualPI2 only exposes
 // control-law stepping: dual-queue epochs keep two coupled backlogs whose
 // interaction (time-shifted priority, ramp marking at dequeue) has no
 // closed-form fluid model here, so the ff engine leaves dualpi2 scenarios in
@@ -17,25 +18,21 @@ import (
 
 var _ aqm.FastForwarder = (*PI2)(nil)
 
-// FFDecide implements aqm.FastForwarder: the Figure 9 classifier fed a
-// synthetic arrival. Scalable packets consume exactly one draw ("think once
-// to mark"); Classic packets consume one draw under UseMultiply and one or
-// two draws (short-circuit) under the hardware form — the same draws Enqueue
-// makes.
-func (q2 *PI2) FFDecide(ecn packet.ECN, _, _ int) Verdict {
-	if ecn.Scalable() {
-		if q2.rng.Float64() < q2.ScalableProbability() {
-			return aqm.Mark
+// FFDecideN implements aqm.FastForwarder: n of the Figure 9 classifier's
+// per-packet decisions for one synthetic arrival shape. The verdicts are
+// counted by two single-assignment ifs, which compile to conditional moves:
+// a Scalable mark is close to a coin flip, and a switch would mispredict it.
+func (q2 *PI2) FFDecideN(ecn packet.ECN, _, _, n int) (accepted, marked, dropped int) {
+	for i := 0; i < n; i++ {
+		v := q2.decide(ecn)
+		if v == aqm.Mark {
+			marked++
 		}
-		return aqm.Accept
+		if v == aqm.Drop {
+			dropped++
+		}
 	}
-	if !q2.squaredHit() {
-		return aqm.Accept
-	}
-	if ecn == packet.ECT0 {
-		return aqm.Mark
-	}
-	return aqm.Drop
+	return n - dropped, marked, dropped
 }
 
 // FFUpdate implements aqm.FastForwarder: one plain PI step on p′ with a

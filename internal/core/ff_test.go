@@ -14,6 +14,19 @@ import (
 // one through the FastForwarder interface; verdict streams and the p′
 // trajectory must be bit-identical, for both squaring forms.
 
+// verdictOf folds a one-packet FFDecideN result back into a Verdict.
+func verdictOf(accepted, marked, dropped int) Verdict {
+	switch {
+	case dropped == 1:
+		return aqm.Drop
+	case marked == 1:
+		return aqm.Mark
+	case accepted == 1:
+		return aqm.Accept
+	}
+	panic("verdictOf: not a one-packet batch")
+}
+
 type ffFakeQueue struct {
 	sojourn time.Duration
 }
@@ -62,7 +75,7 @@ func TestPI2FastForwardTwinEquivalence(t *testing.T) {
 				for i := 0; i < 9; i++ {
 					ecn := ffECN(i)
 					vp := pkt.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
-					vf := ff.FFDecide(ecn, packet.FullLen, 0)
+					vf := verdictOf(ff.FFDecideN(ecn, packet.FullLen, 0, 1))
 					if vp != vf {
 						t.Fatalf("step %d pkt %d (%v): verdict diverged: %v vs %v",
 							step, i, ecn, vp, vf)
@@ -70,6 +83,54 @@ func TestPI2FastForwardTwinEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPI2FFDecideNMatchesEnqueue: for both squaring forms, every ECN
+// codepoint and batch sizes 0, 1, 2, 7 and 64, FFDecideN(n) returns the
+// counts of n Enqueue verdicts from a same-seed twin and leaves the
+// generator where those Enqueue calls leave it.
+func TestPI2FFDecideNMatchesEnqueue(t *testing.T) {
+	for _, useMul := range []bool{false, true} {
+		single := New(Config{UseMultiply: useMul}, rand.New(rand.NewSource(29)))
+		batch := New(Config{UseMultiply: useMul}, rand.New(rand.NewSource(29)))
+		q := &ffFakeQueue{}
+		var marks, drops int
+		for step := 0; step < 60; step++ {
+			q.sojourn = time.Duration(step%8) * 10 * time.Millisecond
+			single.Update(q, 0)
+			batch.Update(q, 0)
+			for i := 0; i < 4; i++ {
+				ecn := ffECN(i)
+				for _, n := range []int{0, 1, 2, 7, 64} {
+					var acc, mk, dr int
+					for k := 0; k < n; k++ {
+						switch single.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0) {
+						case aqm.Accept:
+							acc++
+						case aqm.Mark:
+							acc++
+							mk++
+						case aqm.Drop:
+							dr++
+						}
+					}
+					gotAcc, gotMk, gotDr := batch.FFDecideN(ecn, packet.FullLen, 0, n)
+					if gotAcc != acc || gotMk != mk || gotDr != dr {
+						t.Fatalf("multiply=%v step %d %v n=%d: FFDecideN = (%d, %d, %d), Enqueue twin (%d, %d, %d)",
+							useMul, step, ecn, n, gotAcc, gotMk, gotDr, acc, mk, dr)
+					}
+					if a, b := single.rng.Int63(), batch.rng.Int63(); a != b {
+						t.Fatalf("multiply=%v step %d %v n=%d: next draw diverged", useMul, step, ecn, n)
+					}
+					marks += gotMk
+					drops += gotDr
+				}
+			}
+		}
+		if marks == 0 || drops == 0 {
+			t.Fatalf("multiply=%v: draws not exercised: %d marks, %d drops", useMul, marks, drops)
+		}
 	}
 }
 

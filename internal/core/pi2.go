@@ -124,20 +124,37 @@ func (q2 *PI2) ScalableProbability() float64 {
 }
 
 // Enqueue implements aqm.AQM: the Figure 9 classifier and decision blocks.
-// The decision logic lives in FFDecide so packet mode and fast-forward mode
-// share one RNG discipline.
 func (q2 *PI2) Enqueue(p *packet.Packet, _ aqm.QueueInfo, _ time.Duration) Verdict {
-	return q2.FFDecide(p.ECN, int(p.WireLen), 0)
+	return q2.decide(p.ECN)
 }
 
-// squaredHit draws the squared-probability decision: either one uniform
-// draw against p′² or two draws both below p′ (max(Y1,Y2) < p′).
-func (q2 *PI2) squaredHit() bool {
-	pp := q2.core.P()
-	if q2.cfg.UseMultiply {
-		return q2.rng.Float64() < pp*pp
+// decide is PI2's one per-packet decision. Scalable packets consume exactly
+// one draw ("think once to mark"). Classic packets take the squared
+// probability: one draw against p′² under UseMultiply, or under the hardware
+// form two draws both below p′ (max(Y1,Y2) < p′), short-circuited after a
+// first miss. Enqueue makes it once per packet and FFDecideN n times per
+// batch, so packet mode and fast-forward mode share one RNG discipline.
+func (q2 *PI2) decide(ecn packet.ECN) Verdict {
+	if ecn.Scalable() {
+		if q2.rng.Float64() < q2.ScalableProbability() {
+			return aqm.Mark
+		}
+		return aqm.Accept
 	}
-	return q2.rng.Float64() < pp && q2.rng.Float64() < pp
+	pp := q2.core.P()
+	var hit bool
+	if q2.cfg.UseMultiply {
+		hit = q2.rng.Float64() < pp*pp
+	} else {
+		hit = q2.rng.Float64() < pp && q2.rng.Float64() < pp
+	}
+	if !hit {
+		return aqm.Accept
+	}
+	if ecn == packet.ECT0 {
+		return aqm.Mark
+	}
+	return aqm.Drop
 }
 
 // Verdict aliases aqm.Verdict for readability at call sites.

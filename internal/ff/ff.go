@@ -4,9 +4,9 @@
 // simulation advances analytically from one AQM update to the next —
 // per-flow windows stepped in closed form by the congestion controls' own
 // rules, the backlog evolved as a fluid (aggregate arrival minus drain), and
-// mark/drop decisions drawn one virtual packet at a time from the very same
-// RNG stream packet mode would use (aqm.FastForwarder delegates the real
-// Enqueue/Update paths). When the epoch ends, pending events and
+// mark/drop decisions drawn per flow and period in one batch call that makes
+// the very draws packet mode would (aqm.FastForwarder loops over the same
+// per-packet decision Enqueue makes). When the epoch ends, pending events and
 // timestamped state are translated by the skipped interval, so packet mode
 // resumes from a consistent instant.
 //
@@ -42,24 +42,9 @@ type Engine struct {
 	clock   Clock
 	link    *link.Link
 	fwd     aqm.FastForwarder
-	flows   []*tcp.Endpoint
+	flows   []flow
 	tupdate time.Duration
 	target  time.Duration
-
-	// credit accumulates each flow's fractional virtual packets
-	// (cwnd·dt/rtt per period); the integer part is sent. Deterministic —
-	// no rounding RNG — and it carries across epochs so long-run rates are
-	// exact.
-	credit []float64
-	// nextReact gates each classic flow's congestion reaction to once per
-	// RTT in virtual time, mirroring packet mode's sequence-space (cwrEnd)
-	// gate.
-	nextReact []time.Duration
-	// recoverExit schedules the virtual full-ACK recovery exit for flows
-	// frozen in fast recovery: packet-mode recovery lasts one retransmission
-	// round trip, so a flow seen in recovery leaves it one virtual RTT later
-	// (zero = not scheduled).
-	recoverExit []time.Duration
 
 	// ForceZero is a test hook: epochs are detected (and counted in
 	// ZeroEpochs) but commit zero periods, mutating nothing — the
@@ -71,30 +56,62 @@ type Engine struct {
 	Epochs, ZeroEpochs int
 	VirtualPkts        uint64
 	FFTime             time.Duration
+	// OverflowPeriods counts committed periods whose fluid backlog
+	// exceeded the buffer, and OverflowBytes the fluid bytes above it.
+	// The queue is clamped to the buffer without counting the excess as
+	// drops, although those bytes were already credited as goodput.
+	OverflowPeriods int
+	OverflowBytes   float64
+}
+
+// flow is one bulk flow's fast-forward state. The ECN codepoint and base
+// RTT are fixed by the endpoint's Config, so New reads them once.
+type flow struct {
+	ep       *tcp.Endpoint
+	ecn      packet.ECN
+	scalable bool
+	baseRTT  time.Duration
+
+	// credit accumulates the flow's fractional virtual packets
+	// (cwnd·dt/rtt per period); the integer part is sent. Deterministic —
+	// no rounding RNG — and it carries across epochs so long-run rates are
+	// exact.
+	credit float64
+	// nextReact gates a classic flow's congestion reaction to once per
+	// RTT in virtual time, mirroring packet mode's sequence-space (cwrEnd)
+	// gate.
+	nextReact time.Duration
+	// recoverExit schedules the virtual full-ACK recovery exit for a flow
+	// frozen in fast recovery: packet-mode recovery lasts one
+	// retransmission round trip, so a flow seen in recovery leaves it one
+	// virtual RTT later (zero = not scheduled).
+	recoverExit time.Duration
 }
 
 // New builds an engine over the scenario's bottleneck and bulk flows. It
 // reports false when the link's AQM does not support fast-forward stepping
 // (no FastForwarder interface, or no periodic update law to step).
-func New(clock Clock, l *link.Link, flows []*tcp.Endpoint) (*Engine, bool) {
+func New(clock Clock, l *link.Link, eps []*tcp.Endpoint) (*Engine, bool) {
 	fwd, ok := l.FFAQM()
-	if !ok || len(flows) == 0 {
+	if !ok || len(eps) == 0 {
 		return nil, false
 	}
 	tup := l.AQM().UpdateInterval()
 	if tup <= 0 {
 		return nil, false
 	}
+	flows := make([]flow, len(eps))
+	for i, ep := range eps {
+		ecn := ep.DataECN()
+		flows[i] = flow{ep: ep, ecn: ecn, scalable: ecn == packet.ECT1, baseRTT: ep.BaseRTT()}
+	}
 	return &Engine{
-		clock:       clock,
-		link:        l,
-		fwd:         fwd,
-		flows:       flows,
-		tupdate:     tup,
-		target:      fwd.FFTarget(),
-		credit:      make([]float64, len(flows)),
-		nextReact:   make([]time.Duration, len(flows)),
-		recoverExit: make([]time.Duration, len(flows)),
+		clock:   clock,
+		link:    l,
+		fwd:     fwd,
+		flows:   flows,
+		tupdate: tup,
+		target:  fwd.FFTarget(),
 	}, true
 }
 
@@ -112,8 +129,8 @@ func (e *Engine) Quiescent() bool {
 	if qd < e.target/2 || qd > 2*e.target || !e.link.Busy() {
 		return false
 	}
-	for _, f := range e.flows {
-		if !f.FFEligible() {
+	for i := range e.flows {
+		if !e.flows[i].ep.FFEligible() {
 			return false
 		}
 	}
@@ -147,62 +164,46 @@ func (e *Engine) TryAdvance(barrier time.Duration) time.Duration {
 		qdNow := byteDelay(q, rate)
 		var accAll, markAll, dropAll int
 		var inBytes float64
-		for i, f := range e.flows {
-			rtt := f.BaseRTT() + qdNow
+		for i := range e.flows {
+			f := &e.flows[i]
+			ep := f.ep
+			rtt := f.baseRTT + qdNow
 			// A flow frozen in fast recovery exits it one virtual RTT after
 			// first seen — the retransmission's flight time — so it does not
 			// stay deaf to congestion signals for the whole epoch.
-			if f.FFInRecovery() {
+			if ep.FFInRecovery() {
 				switch {
-				case e.recoverExit[i] == 0:
-					e.recoverExit[i] = vnow + rtt
-				case vnow >= e.recoverExit[i]:
-					f.FFExitRecovery()
-					e.recoverExit[i] = 0
+				case f.recoverExit == 0:
+					f.recoverExit = vnow + rtt
+				case vnow >= f.recoverExit:
+					ep.FFExitRecovery()
+					f.recoverExit = 0
 				}
-			} else if e.recoverExit[i] != 0 {
-				e.recoverExit[i] = 0
+			} else if f.recoverExit != 0 {
+				f.recoverExit = 0
 			}
-			e.credit[i] += f.FFCwnd() * dt / rtt.Seconds()
-			n := int(e.credit[i])
+			f.credit += ep.FFCwnd() * dt / rtt.Seconds()
+			n := int(f.credit)
 			if n <= 0 {
 				continue
 			}
-			e.credit[i] -= float64(n)
-			ecn := f.DataECN()
-			scalable := ecn == packet.ECT1
-			acc, mk, dr := 0, 0, 0
-			signal := false
+			f.credit -= float64(n)
 			// Flow-major, packet-minor decision order: one RNG draw
 			// sequence, fixed by construction order, identical for any
 			// -shards value.
-			for p := 0; p < n; p++ {
-				switch e.fwd.FFDecide(ecn, packet.FullLen, int(q)) {
-				case aqm.Accept:
-					acc++
-				case aqm.Mark:
-					acc++
-					mk++
-					// CE on a classic (ECT0) flow is an ECE-path signal;
-					// on a scalable flow it feeds the alpha cadence below.
-					if !scalable {
-						signal = true
-					}
-				default: // aqm.Drop
-					dr++
-					signal = true
-				}
-			}
-			if signal && vnow >= e.nextReact[i] {
-				f.FFSignal(vnow)
-				e.nextReact[i] = vnow + rtt
+			acc, mk, dr := e.fwd.FFDecideN(f.ecn, packet.FullLen, int(q), n)
+			// CE on a classic (ECT0) flow is an ECE-path signal; on a
+			// scalable flow it feeds the alpha cadence below.
+			if (dr > 0 || (!f.scalable && mk > 0)) && vnow >= f.nextReact {
+				ep.FFSignal(vnow)
+				f.nextReact = vnow + rtt
 			}
 			ccMarks := 0
-			if scalable {
+			if f.scalable {
 				ccMarks = mk
 			}
-			f.FFAdvance(acc, ccMarks, rtt, vnow)
-			f.FFApplyStats(acc, mk)
+			ep.FFAdvance(acc, ccMarks, rtt, vnow)
+			ep.FFApplyStats(acc, mk)
 			accAll += acc
 			markAll += mk
 			dropAll += dr
@@ -216,6 +217,8 @@ func (e *Engine) TryAdvance(barrier time.Duration) time.Duration {
 			q = 0
 		}
 		if q > bufBytes {
+			e.OverflowPeriods++
+			e.OverflowBytes += q - bufBytes
 			q = bufBytes
 		}
 		qdEnd := byteDelay(q, rate)
@@ -234,8 +237,8 @@ func (e *Engine) TryAdvance(barrier time.Duration) time.Duration {
 	// past-vs-future pacing credits.
 	e.clock.ShiftPending(delta)
 	e.link.FFShift(delta)
-	for _, f := range e.flows {
-		f.FFShift(delta)
+	for i := range e.flows {
+		e.flows[i].ep.FFShift(delta)
 	}
 	e.Epochs++
 	e.FFTime += delta

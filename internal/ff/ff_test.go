@@ -8,6 +8,7 @@ import (
 	"pi2/internal/aqm"
 	"pi2/internal/core"
 	"pi2/internal/link"
+	"pi2/internal/packet"
 	"pi2/internal/sim"
 	"pi2/internal/stats"
 	"pi2/internal/tcp"
@@ -284,4 +285,55 @@ func TestEngineRenoEquilibrium(t *testing.T) {
 	}
 	t.Logf("p'=%.4f p=%.5f meanCwnd=%.1f sqrt(2/p)=%.1f ratio=%.2f ffTime=%v epochs=%d",
 		pp, p, meanW, want, meanW/want, eng.FFTime, eng.Epochs)
+}
+
+// TestEngineCountsFluidOverflow drives an epoch into the buffer: with the
+// buffer shallower than PI2's target, p decays to zero, nothing is dropped,
+// and the growing flows push the fluid backlog past the buffer every period
+// while the stay band (4·target) never ends the epoch. The engine clamps
+// the backlog there, and the overflow counters must say so.
+func TestEngineCountsFluidOverflow(t *testing.T) {
+	const n = 8
+	const rate = 2e6 * n
+	s := sim.New(29)
+	d := link.NewDispatcher()
+	l := link.New(s, link.Config{
+		RateBps: rate,
+		// 15 ms of queue at the link rate: inside the entry band
+		// [target/2, 2·target], below the stay band's 4·target edge.
+		BufferPackets: int(0.015 * rate / 8 / packet.FullLen),
+		AQM:           core.New(core.Config{}, s.RNG()),
+		Sojourn:       stats.NewDelayHistogram(),
+	}, d.Deliver)
+	var flows []*tcp.Endpoint
+	for id := 1; id <= n; id++ {
+		cc, mode, err := tcp.NewCCFeedback("reno", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := tcp.NewWithEnqueuer(s, l.Enqueue, tcp.Config{
+			ID: id, CC: cc, ECN: mode, BaseRTT: 10 * time.Millisecond,
+		})
+		d.Register(id, ep.DeliverData)
+		ep.Start()
+		flows = append(flows, ep)
+	}
+	eng, ok := New(s, l, flows)
+	if !ok {
+		t.Fatal("engine must build")
+	}
+	s.RunUntil(4 * time.Second)
+	seekQuiescent(t, s, eng)
+	if eng.OverflowPeriods != 0 || eng.OverflowBytes != 0 {
+		t.Fatalf("overflow counted before any epoch: %d periods, %g bytes",
+			eng.OverflowPeriods, eng.OverflowBytes)
+	}
+	if delta := eng.TryAdvance(s.Now() + 2*time.Second); delta <= 0 {
+		t.Fatal("quiescent system refused to advance")
+	}
+	if eng.OverflowPeriods == 0 || eng.OverflowBytes <= 0 {
+		t.Fatalf("epoch into a full buffer counted no overflow: %d periods, %g bytes",
+			eng.OverflowPeriods, eng.OverflowBytes)
+	}
+	t.Logf("%d periods overflowed by %.0f bytes in %v", eng.OverflowPeriods, eng.OverflowBytes, eng.FFTime)
 }

@@ -69,15 +69,17 @@ type CongestionControl interface {
 func renoIncrease(s *State, acked int) {
 	// No legitimate ACK covers more than one window of data; anything
 	// larger (a cumulative ACK after an RTO rewound sndNxt) must not
-	// inflate the window as if it were new progress.
-	if float64(acked) > s.Cwnd {
+	// inflate the window as if it were new progress. Capping the count and
+	// its float together keeps this a predicted branch: a conditional move
+	// would put a float-to-int round trip on the window's dependency chain
+	// at every ACK.
+	n := float64(acked)
+	if n > s.Cwnd {
 		acked = int(s.Cwnd)
+		n = float64(acked)
 	}
 	if s.InSlowStart() {
-		inc := float64(acked)
-		if inc > s.Cwnd {
-			inc = s.Cwnd
-		}
+		inc := n // at most Cwnd after the cap: ABC's one window per ACK
 		if s.Cwnd+inc > s.Ssthresh {
 			// Finish slow start exactly at ssthresh; the remainder
 			// of this ACK continues in congestion avoidance.
@@ -88,8 +90,9 @@ func renoIncrease(s *State, acked int) {
 		if acked <= 0 {
 			return
 		}
+		n = float64(acked)
 	}
-	s.Cwnd += float64(acked) / s.Cwnd
+	s.Cwnd += n / s.Cwnd
 }
 
 // Reno is TCP Reno/NewReno: AIMD with increase 1 segment per RTT and

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -35,6 +36,47 @@ func TestRenoSlowStartExitsAtSsthresh(t *testing.T) {
 	want := 12 + 8.0/12
 	if math.Abs(s.Cwnd-want) > 1e-9 {
 		t.Errorf("cwnd = %v, want %v", s.Cwnd, want)
+	}
+}
+
+// renoIncreaseRef is renoIncrease as first written, with the per-ACK cap
+// as a lone assignment and the slow-start increase capped a second time.
+func renoIncreaseRef(s *State, acked int) {
+	if float64(acked) > s.Cwnd {
+		acked = int(s.Cwnd)
+	}
+	if s.InSlowStart() {
+		inc := float64(acked)
+		if inc > s.Cwnd {
+			inc = s.Cwnd
+		}
+		if s.Cwnd+inc > s.Ssthresh {
+			inc = s.Ssthresh - s.Cwnd
+		}
+		s.Cwnd += inc
+		acked -= int(inc)
+		if acked <= 0 {
+			return
+		}
+	}
+	s.Cwnd += float64(acked) / s.Cwnd
+}
+
+// TestRenoIncreaseMatchesReference: the restructured increase is
+// bit-identical to the original over windows from a fraction of a segment
+// up, ACKs of zero to several windows, and thresholds on either side.
+func TestRenoIncreaseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		cwnd := []float64{0.5, 1, 2.75, 7.999, 8, 31.4}[i%6] + rng.Float64()*float64(i%40)
+		ssthresh := cwnd * (0.25 + 2*rng.Float64())
+		acked := rng.Intn(int(3*cwnd) + 2)
+		got, want := State{Cwnd: cwnd, Ssthresh: ssthresh}, State{Cwnd: cwnd, Ssthresh: ssthresh}
+		renoIncrease(&got, acked)
+		renoIncreaseRef(&want, acked)
+		if got != want {
+			t.Fatalf("cwnd %v ssthresh %v acked %d: %+v, reference %+v", cwnd, ssthresh, acked, got, want)
+		}
 	}
 }
 

@@ -78,10 +78,11 @@ func (c *Cubic) OnAck(s *State, acked int, _ bool, now time.Duration) {
 	// as d*d*d is bit-identical to math.Pow(d, 3) without Pow's general path.
 	d := (now - c.epochStart).Seconds() + rtt.Seconds() - c.k
 	target := c.wMax + c.C*(d*d*d)
+	// The Reno-friendly increase factor (RFC 8312 §4.2), once per ACK.
+	friendly := 3 * (1 - c.Beta) / (1 + c.Beta)
 	for i := 0; i < acked; i++ {
-		// Reno-friendly estimate (RFC 8312 §4.2).
 		c.ackCount++
-		c.wEst += 3 * (1 - c.Beta) / (1 + c.Beta) / s.Cwnd
+		c.wEst += friendly / s.Cwnd
 		w := target
 		if !c.DisableFriendly && c.wEst > w {
 			w = c.wEst // CReno region

@@ -54,7 +54,7 @@ func (e *Endpoint) FFEligible() bool {
 }
 
 // DataECN returns the ECN codepoint this flow's data segments carry — the
-// ff engine feeds it to the AQM's FFDecide exactly as Enqueue would see it.
+// ff engine feeds it to the AQM's FFDecideN exactly as Enqueue would see it.
 func (e *Endpoint) DataECN() packet.ECN { return e.ecnCodepoint() }
 
 // BaseRTT returns the flow's two-way propagation delay.
@@ -86,6 +86,12 @@ func (e *Endpoint) FFShift(delta time.Duration) {
 // the per-ACK iteration it replaces (a full-window step overshoots ~1% per
 // window on the Reno curve).
 func (e *Endpoint) ffChunk(rem int) int {
+	if e.state.Cwnd < 8 {
+		// int(Cwnd/4) ≤ 1: one ACK per step. The early return keeps the
+		// chunk off the window's float-to-int dependency chain, which
+		// otherwise serializes every step of a small window.
+		return 1
+	}
 	chunk := int(e.state.Cwnd / 4)
 	if chunk < 1 {
 		chunk = 1
@@ -105,17 +111,19 @@ type ffWindowTick struct {
 	now  time.Duration
 }
 
-func (w *ffWindowTick) add(e *Endpoint, chunk int, rtt time.Duration) {
+// add counts chunk acknowledged segments against the window cwnd and
+// reports whether they completed a virtual round trip, advancing the
+// virtual clock by rtt if so; the caller then applies the RTT sample. A
+// chunk is at least one segment, so a sub-segment window closes a round on
+// every chunk.
+func (w *ffWindowTick) add(chunk int, cwnd float64, rtt time.Duration) bool {
 	w.acks += float64(chunk)
-	win := e.state.Cwnd
-	if win < 1 {
-		win = 1
-	}
-	if w.acks >= win {
+	if w.acks >= cwnd {
 		w.acks = 0
 		w.now += rtt
-		e.observeRTT(rtt)
+		return true
 	}
+	return false
 }
 
 // FFAdvance analytically applies acked cumulative virtual acknowledgments
@@ -132,19 +140,21 @@ func (e *Endpoint) FFAdvance(acked, marked int, rtt, now time.Duration) {
 	s := &e.state
 	tick := ffWindowTick{now: now}
 	switch cc := e.cc.(type) {
-	case Reno, *Cubic:
+	case Reno:
+		e.ffRenoAdvance(acked, rtt, &tick)
+	case *Cubic:
 		for rem := acked; rem > 0; {
 			chunk := e.ffChunk(rem)
-			e.cc.OnAck(s, chunk, false, tick.now)
-			tick.add(e, chunk, rtt)
+			cc.OnAck(s, chunk, false, tick.now)
+			if tick.add(chunk, s.Cwnd, rtt) {
+				e.observeRTT(rtt)
+			}
 			rem -= chunk
 		}
 	case *DCTCP:
-		e.ffAlphaAdvance(acked, marked, rtt, &tick, &cc.ecnWindow,
-			func(chunk int) { renoIncrease(s, chunk) })
+		e.ffAlphaAdvance(acked, marked, rtt, &tick, &cc.ecnWindow, nil)
 	case *Prague:
-		e.ffAlphaAdvance(acked, marked, rtt, &tick, &cc.ecnWindow,
-			func(chunk int) { cc.increase(s, chunk) })
+		e.ffAlphaAdvance(acked, marked, rtt, &tick, &cc.ecnWindow, cc)
 	case Scalable:
 		// Equation (22): half a segment per CE mark, immediately; only
 		// unmarked ACKs feed the Reno-like increase.
@@ -155,12 +165,21 @@ func (e *Endpoint) FFAdvance(acked, marked int, rtt, now time.Duration) {
 				s.Ssthresh = s.Cwnd
 			}
 		}
-		for rem := acked - marked; rem > 0; {
-			chunk := e.ffChunk(rem)
-			renoIncrease(s, chunk)
-			tick.add(e, chunk, rtt)
-			rem -= chunk
+		e.ffRenoAdvance(acked-marked, rtt, &tick)
+	}
+}
+
+// ffRenoAdvance steps acked acknowledgments through renoIncrease, the
+// increase rule Reno (its OnAck) and Scalable share.
+func (e *Endpoint) ffRenoAdvance(acked int, rtt time.Duration, tick *ffWindowTick) {
+	s := &e.state
+	for rem := acked; rem > 0; {
+		chunk := e.ffChunk(rem)
+		renoIncrease(s, chunk)
+		if tick.add(chunk, s.Cwnd, rtt) {
+			e.observeRTT(rtt)
 		}
+		rem -= chunk
 	}
 }
 
@@ -170,9 +189,10 @@ func (e *Endpoint) FFAdvance(acked, marked int, rtt, now time.Duration) {
 // of segments has been covered, which is what one round trip of sequence
 // space amounts to. The sequence-space end is left alone, so a partially
 // filled window survives entry and exit and the packet-mode cadence
-// resumes seamlessly.
+// resumes seamlessly. The window grows by Prague's increase when prague is
+// set, and by DCTCP's Reno increase otherwise.
 func (e *Endpoint) ffAlphaAdvance(acked, marked int, rtt time.Duration,
-	tick *ffWindowTick, w *ecnWindow, grow func(chunk int)) {
+	tick *ffWindowTick, w *ecnWindow, prague *Prague) {
 	s := &e.state
 	rem, remM := acked, marked
 	for rem > 0 {
@@ -190,8 +210,14 @@ func (e *Endpoint) ffAlphaAdvance(acked, marked int, rtt time.Duration,
 		if w.ackedSegs >= int(s.Cwnd) {
 			w.close(s)
 		}
-		grow(chunk)
-		tick.add(e, chunk, rtt)
+		if prague != nil {
+			prague.increase(s, chunk)
+		} else {
+			renoIncrease(s, chunk)
+		}
+		if tick.add(chunk, s.Cwnd, rtt) {
+			e.observeRTT(rtt)
+		}
 		rem -= chunk
 		remM -= mw
 	}

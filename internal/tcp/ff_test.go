@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -374,5 +375,193 @@ func TestFFApplyStats(t *testing.T) {
 	off.FFApplyStats(10, 4)
 	if off.MarksSeen() != 0 || off.CEAcked() != 0 {
 		t.Fatalf("not-ECT ledgers: seen=%d acked=%d", off.MarksSeen(), off.CEAcked())
+	}
+}
+
+// ffAdvanceRef is FFAdvance as it stood before its dispatch was made
+// concrete: Reno and Cubic stepped through the CongestionControl interface,
+// DCTCP and Prague grown through a closure, every chunk sized by
+// int(Cwnd/4), and every round-trip tick applied by a method that reads the
+// window itself. TestFFAdvanceMatchesDispatchReference holds FFAdvance to it
+// bit for bit.
+func ffAdvanceRef(e *Endpoint, acked, marked int, rtt, now time.Duration) {
+	if acked <= 0 {
+		return
+	}
+	s := &e.state
+	chunkOf := func(rem int) int {
+		chunk := int(s.Cwnd / 4)
+		if chunk < 1 {
+			chunk = 1
+		}
+		if chunk > rem {
+			chunk = rem
+		}
+		return chunk
+	}
+	acks, tickNow := 0.0, now
+	tick := func(chunk int) {
+		acks += float64(chunk)
+		win := s.Cwnd
+		if win < 1 {
+			win = 1
+		}
+		if acks >= win {
+			acks = 0
+			tickNow += rtt
+			e.observeRTT(rtt)
+		}
+	}
+	alpha := func(w *ecnWindow, grow func(chunk int)) {
+		rem, remM := acked, marked
+		for rem > 0 {
+			chunk := chunkOf(rem)
+			mw := 0
+			if remM > 0 {
+				mw = (remM*chunk + rem - 1) / rem
+				if mw > remM {
+					mw = remM
+				}
+			}
+			w.ackedSegs += chunk
+			w.markedSegs += mw
+			if w.ackedSegs >= int(s.Cwnd) {
+				w.close(s)
+			}
+			grow(chunk)
+			tick(chunk)
+			rem -= chunk
+			remM -= mw
+		}
+	}
+	switch cc := e.cc.(type) {
+	case Reno, *Cubic:
+		for rem := acked; rem > 0; {
+			chunk := chunkOf(rem)
+			e.cc.OnAck(s, chunk, false, tickNow)
+			tick(chunk)
+			rem -= chunk
+		}
+	case *DCTCP:
+		alpha(&cc.ecnWindow, func(chunk int) { renoIncrease(s, chunk) })
+	case *Prague:
+		alpha(&cc.ecnWindow, func(chunk int) { cc.increase(s, chunk) })
+	case Scalable:
+		if marked > 0 {
+			s.Cwnd -= 0.5 * float64(marked)
+			s.clampCwnd()
+			if s.Ssthresh > s.Cwnd {
+				s.Ssthresh = s.Cwnd
+			}
+		}
+		for rem := acked - marked; rem > 0; {
+			chunk := chunkOf(rem)
+			renoIncrease(s, chunk)
+			tick(chunk)
+			rem -= chunk
+		}
+	}
+}
+
+// TestFFAdvanceMatchesDispatchReference drives each analytically stepped
+// control through random (acked, marked, rtt) sequences — slow start, the
+// ssthresh crossing, congestion avoidance, and reductions that send it back
+// — on two twin endpoints, one through FFAdvance and one through
+// ffAdvanceRef, and requires the window state, the RTT estimator, the ECN
+// observation window and the control's own state to stay bit-identical.
+func TestFFAdvanceMatchesDispatchReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() CongestionControl
+		mode ECNMode
+	}{
+		{"reno", func() CongestionControl { return Reno{} }, ECNOff},
+		{"cubic", func() CongestionControl { return &Cubic{} }, ECNOff},
+		{"dctcp", func() CongestionControl { return &DCTCP{} }, ECNScalable},
+		{"prague", func() CongestionControl { return &Prague{} }, ECNScalable},
+		{"scalable", func() CongestionControl { return Scalable{} }, ECNScalable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			var crossings, reductions, wide int
+			for run := 0; run < 20; run++ {
+				got := ffTestEndpoint(t, tc.mk(), tc.mode)
+				want := ffTestEndpoint(t, tc.mk(), tc.mode)
+				// Start in slow start: a small window, sometimes below one
+				// segment, under a threshold the run will cross.
+				cwnd := []float64{0.5, 1, 2, 3, 4}[rng.Intn(5)]
+				ssthresh := 8 + float64(rng.Intn(40))
+				for _, e := range []*Endpoint{got, want} {
+					e.state.Cwnd, e.state.Ssthresh = cwnd, ssthresh
+				}
+				now := time.Duration(0)
+				for step := 0; step < 60; step++ {
+					acked := rng.Intn(int(2*got.state.Cwnd) + 4)
+					marked := 0
+					if acked > 0 && rng.Intn(3) > 0 {
+						marked = rng.Intn(acked + 1)
+					}
+					rtt := time.Duration(5+rng.Intn(60)) * time.Millisecond
+					wasSS := got.state.InSlowStart()
+					if got.state.Cwnd >= 8 {
+						wide++ // chunks of more than one ACK
+					}
+					got.FFAdvance(acked, marked, rtt, now)
+					ffAdvanceRef(want, acked, marked, rtt, now)
+					if wasSS && !got.state.InSlowStart() {
+						crossings++
+					}
+					assertFFTwins(t, step, got, want)
+					// Now and then a classic reduction, and rarely an RTO,
+					// which sends the window back through slow start.
+					switch r := rng.Intn(10); {
+					case r == 0:
+						got.FFSignal(now)
+						want.FFSignal(now)
+						reductions++
+					case r == 1 && step%7 == 0:
+						got.cc.OnRTO(&got.state, now)
+						want.cc.OnRTO(&want.state, now)
+					}
+					now += rtt
+				}
+			}
+			if crossings == 0 || reductions == 0 || wide == 0 {
+				t.Fatalf("sequences too tame: %d ssthresh crossings, %d reductions, %d wide-window steps",
+					crossings, reductions, wide)
+			}
+		})
+	}
+}
+
+// assertFFTwins fails unless two endpoints' window state, RTT estimator,
+// ECN observation window and congestion-control state are bit-identical.
+func assertFFTwins(t *testing.T, step int, got, want *Endpoint) {
+	t.Helper()
+	if got.state != want.state {
+		t.Fatalf("step %d: state %+v, reference %+v", step, got.state, want.state)
+	}
+	window := func(e *Endpoint) (ecnWindow, bool) {
+		var w ecnWindow
+		switch cc := e.cc.(type) {
+		case *DCTCP:
+			w = cc.ecnWindow
+		case *Prague:
+			w = cc.ecnWindow
+		default:
+			return w, false
+		}
+		w.sndUnaRef, w.sndNxtRef = nil, nil
+		return w, true
+	}
+	if gw, ok := window(got); ok {
+		if ww, _ := window(want); gw != ww {
+			t.Fatalf("step %d: ecnWindow %+v, reference %+v", step, gw, ww)
+		}
+	}
+	if gc, ok := got.cc.(*Cubic); ok {
+		if wc := want.cc.(*Cubic); *gc != *wc {
+			t.Fatalf("step %d: cubic %+v, reference %+v", step, *gc, *wc)
+		}
 	}
 }
