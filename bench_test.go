@@ -898,42 +898,6 @@ func BenchmarkAblationHyStart(b *testing.B) {
 	}
 }
 
-// BenchmarkCurvyREDVsPI2 compares the DualQ draft's example AQM with PI2 on
-// the coexistence cell: both couple, but Curvy RED pushes back with
-// standing delay where PI2 holds a fixed target.
-func BenchmarkCurvyREDVsPI2(b *testing.B) {
-	for _, name := range []string{"pi2", "curvy-red"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			var meanQ, ratio float64
-			for i := 0; i < b.N; i++ {
-				res := experiments.Run(experiments.Scenario{
-					Seed:        int64(i + 1),
-					LinkRateBps: 40e6,
-					NewAQM: func(rng *rand.Rand) aqm.AQM {
-						if name == "pi2" {
-							return core.New(core.Config{}, rng)
-						}
-						return aqm.NewCurvyRED(aqm.CurvyREDConfig{}, rng)
-					},
-					Bulk: []traffic.BulkFlowSpec{
-						{CC: "cubic", Count: 1, RTT: 10 * time.Millisecond},
-						{CC: "dctcp", Count: 1, RTT: 10 * time.Millisecond},
-					},
-					Duration: 40 * time.Second,
-					WarmUp:   15 * time.Second,
-				})
-				meanQ = res.Sojourn.Mean()
-				if d := res.Groups[1].MeanPerFlow(); d > 0 {
-					ratio = res.Groups[0].MeanPerFlow() / d
-				}
-			}
-			b.ReportMetric(meanQ*1e3, "meanQ-ms")
-			b.ReportMetric(ratio, "cubic/dctcp")
-		})
-	}
-}
-
 // BenchmarkDualQExtension runs the DualPI2 comparison (single coupled queue
 // vs dual queue) and reports the L-queue latency advantage.
 func BenchmarkDualQExtension(b *testing.B) {

@@ -25,6 +25,7 @@ import (
 	"pi2/internal/campaign"
 	"pi2/internal/experiments"
 	"pi2/internal/plot"
+	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -101,6 +102,12 @@ func main() {
 	}
 	if *flows2 > 0 {
 		sc.Bulk = append(sc.Bulk, traffic.BulkFlowSpec{CC: *cc2, Count: *flows2, RTT: *rtt, Label: "group2"})
+	}
+	for _, b := range sc.Bulk {
+		if _, _, err := tcp.NewCC(b.CC); err != nil {
+			fmt.Fprintln(os.Stderr, "pi2sim:", err)
+			os.Exit(2)
+		}
 	}
 	if *udp > 0 {
 		sc.UDP = []traffic.UDPSpec{{RateBps: *udp}}

@@ -22,12 +22,11 @@ import (
 // would have used, and exiting fast-forward re-enters packet mode with a
 // byte-reproducible RNG state.
 type FastForwarder interface {
-	// FFDecideN decides n synthetic arrivals with the given ECN codepoint,
-	// wire length and backlog, consuming exactly the draws n Enqueue calls
-	// would. It returns how many were admitted (accepted, marks included),
+	// FFDecideN decides n synthetic arrivals with the given ECN codepoint
+	// and backlog, consuming exactly the draws n Enqueue calls would. It returns how many were admitted (accepted, marks included),
 	// how many of those were CE-marked, and how many were dropped;
 	// accepted + dropped == n.
-	FFDecideN(ecn packet.ECN, wireLen, backlogBytes, n int) (accepted, marked, dropped int)
+	FFDecideN(ecn packet.ECN, backlogBytes, n int) (accepted, marked, dropped int)
 	// FFUpdate steps the control law with a synthetic queue-delay
 	// observation (no QueueInfo: during an epoch the queue is fluid).
 	FFUpdate(qdelay time.Duration)
@@ -54,7 +53,7 @@ func (d *DepartRateEstimator) FFShift(delta time.Duration) {
 var _ FastForwarder = (*PI)(nil)
 
 // FFDecideN implements FastForwarder: n of PI's per-packet decisions.
-func (pi *PI) FFDecideN(ecn packet.ECN, _, _, n int) (accepted, marked, dropped int) {
+func (pi *PI) FFDecideN(ecn packet.ECN, _, n int) (accepted, marked, dropped int) {
 	for i := 0; i < n; i++ {
 		v := pi.decide(ecn)
 		if v == Mark {
@@ -83,9 +82,9 @@ var _ FastForwarder = (*PIE)(nil)
 
 // FFDecideN implements FastForwarder: n of PIE's drop_early decisions,
 // every heuristic gate included, fed one synthetic arrival shape.
-func (pe *PIE) FFDecideN(ecn packet.ECN, wireLen, backlogBytes, n int) (accepted, marked, dropped int) {
+func (pe *PIE) FFDecideN(ecn packet.ECN, backlogBytes, n int) (accepted, marked, dropped int) {
 	for i := 0; i < n; i++ {
-		v := pe.decide(ecn, wireLen, backlogBytes)
+		v := pe.decide(ecn, backlogBytes)
 		if v == Mark {
 			marked++
 		}
@@ -121,7 +120,7 @@ func (pe *PIE) FFUpdate(qdelay time.Duration) {
 
 	// Burst-allowance bookkeeping.
 	if pe.burst > 0 {
-		pe.burst -= pe.cfg.Tupdate
+		pe.burst -= Tupdate
 		if pe.burst < 0 {
 			pe.burst = 0
 		}

@@ -110,7 +110,7 @@ func TestPIFastForwardTwinEquivalence(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			ecn := ecnPattern(i)
 			vp := pkt.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
-			vf := verdictOf(ff.FFDecideN(ecn, packet.MSS+packet.HeaderLen, 0, 1))
+			vf := verdictOf(ff.FFDecideN(ecn, 0, 1))
 			if vp != vf {
 				t.Fatalf("step %d pkt %d: verdict diverged: %v vs %v", step, i, vp, vf)
 			}
@@ -125,9 +125,7 @@ func TestPIEFastForwardTwinEquivalence(t *testing.T) {
 	}{
 		{"default-sojourn", func(c *PIEConfig) {}},
 		{"ecn", func(c *PIEConfig) { c.ECN = true }},
-		{"derandomize", func(c *PIEConfig) { c.Derandomize = true }},
-		{"bytemode-reworked", func(c *PIEConfig) {
-			c.Bytemode = true
+		{"reworked", func(c *PIEConfig) {
 			c.ECN = true
 			c.ReworkedECN = true
 		}},
@@ -165,7 +163,7 @@ func TestPIEFastForwardTwinEquivalence(t *testing.T) {
 				for i := 0; i < 7; i++ {
 					ecn := ecnPattern(i)
 					vp := pkt.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
-					vf := verdictOf(ff.FFDecideN(ecn, packet.MSS+packet.HeaderLen, q.bytes, 1))
+					vf := verdictOf(ff.FFDecideN(ecn, q.bytes, 1))
 					if vp != vf {
 						t.Fatalf("step %d pkt %d: verdict diverged: %v vs %v", step, i, vp, vf)
 					}
@@ -193,7 +191,7 @@ func TestPIFFDecideNMatchesEnqueue(t *testing.T) {
 					return single.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
 				},
 				func(ecn packet.ECN, n int) (int, int, int) {
-					return batch.FFDecideN(ecn, packet.FullLen, 0, n)
+					return batch.FFDecideN(ecn, 0, n)
 				},
 				single.rng, batch.rng)
 			marks += m
@@ -207,19 +205,16 @@ func TestPIFFDecideNMatchesEnqueue(t *testing.T) {
 
 // TestPIEFFDecideNMatchesEnqueue: PIE's batch decision makes the draws n
 // Enqueue calls make with each drop_early gate switched on in turn, so the
-// gates' state (burst, accumulated probability) evolves identically too.
+// gates' state (the burst allowance) evolves identically too.
 func TestPIEFFDecideNMatchesEnqueue(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		mut     func(*PIEConfig)
-		payload int
+		name string
+		mut  func(*PIEConfig)
 	}{
-		{"bare", func(c *PIEConfig) {}, packet.MSS},
-		{"derandomize", func(c *PIEConfig) { c.Derandomize = true }, packet.MSS},
-		{"burst-allowance", func(c *PIEConfig) { c.BurstAllowance = 100 * time.Millisecond }, packet.MSS},
-		{"bytemode", func(c *PIEConfig) { c.Bytemode = true }, 500},
-		{"min-backlog", func(c *PIEConfig) { c.MinBacklog = 2 * packet.FullLen }, packet.MSS},
-		{"suppress", func(c *PIEConfig) { c.Suppress = true }, packet.MSS},
+		{"bare", func(c *PIEConfig) {}},
+		{"burst-allowance", func(c *PIEConfig) { c.BurstAllowance = 100 * time.Millisecond }},
+		{"min-backlog", func(c *PIEConfig) { c.MinBacklog = 2 * packet.FullLen }},
+		{"suppress", func(c *PIEConfig) { c.Suppress = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := BarePIEConfig()
@@ -248,15 +243,15 @@ func TestPIEFFDecideNMatchesEnqueue(t *testing.T) {
 				batch.Update(q, 0)
 				m, d := checkDecideN(t, step,
 					func(ecn packet.ECN) Verdict {
-						return single.Enqueue(packet.NewData(1, 0, tc.payload, ecn), q, 0)
+						return single.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
 					},
 					func(ecn packet.ECN, n int) (int, int, int) {
-						return batch.FFDecideN(ecn, tc.payload+packet.HeaderLen, q.bytes, n)
+						return batch.FFDecideN(ecn, q.bytes, n)
 					},
 					single.rng, batch.rng)
-				if single.accuProb != batch.accuProb || single.burst != batch.burst {
-					t.Fatalf("step %d: gate state diverged: accuProb %g vs %g, burst %v vs %v",
-						step, single.accuProb, batch.accuProb, single.burst, batch.burst)
+				if single.burst != batch.burst {
+					t.Fatalf("step %d: gate state diverged: burst %v vs %v",
+						step, single.burst, batch.burst)
 				}
 				marks += m
 				drops += d

@@ -7,6 +7,10 @@ import (
 	"pi2/internal/packet"
 )
 
+// Tupdate is the control interval T of every PI-family controller (PI,
+// PIE, PI2, DualPI2): 32 ms, as in the paper's figure captions.
+const Tupdate = 32 * time.Millisecond
+
 // PICore is the classical Proportional Integral control law of equation (4):
 //
 //	p(t) = p(t−T) + α·(τ(t)−τ0) + β·(τ(t)−τ(t−T))
@@ -153,8 +157,6 @@ type PIConfig struct {
 	Alpha, Beta float64
 	// Target queuing delay (default 20 ms, Table 1).
 	Target time.Duration
-	// Tupdate is the control interval T (default 32 ms, figure captions).
-	Tupdate time.Duration
 	// Estimator selects delay measurement (default direct sojourn).
 	Estimator DelayEstimator
 	// ECN marks ECN-capable packets instead of dropping them.
@@ -170,9 +172,6 @@ func (c *PIConfig) setDefaults() {
 	}
 	if c.Target == 0 {
 		c.Target = 20 * time.Millisecond
-	}
-	if c.Tupdate == 0 {
-		c.Tupdate = 32 * time.Millisecond
 	}
 }
 
@@ -226,7 +225,7 @@ func (pi *PI) Dequeue(p *packet.Packet, q QueueInfo, now time.Duration) {
 }
 
 // UpdateInterval implements AQM.
-func (pi *PI) UpdateInterval() time.Duration { return pi.cfg.Tupdate }
+func (pi *PI) UpdateInterval() time.Duration { return Tupdate }
 
 // Update implements AQM.
 func (pi *PI) Update(q QueueInfo, now time.Duration) {

@@ -209,8 +209,8 @@ func TestPIDefaults(t *testing.T) {
 	if pi.cfg.Alpha != 0.125 || pi.cfg.Beta != 1.25 {
 		t.Errorf("default gains = %v/%v", pi.cfg.Alpha, pi.cfg.Beta)
 	}
-	if pi.cfg.Target != 20*time.Millisecond || pi.cfg.Tupdate != 32*time.Millisecond {
-		t.Errorf("default target/tupdate = %v/%v", pi.cfg.Target, pi.cfg.Tupdate)
+	if pi.cfg.Target != 20*time.Millisecond {
+		t.Errorf("default target = %v", pi.cfg.Target)
 	}
 	if pi.UpdateInterval() != 32*time.Millisecond {
 		t.Errorf("UpdateInterval = %v", pi.UpdateInterval())

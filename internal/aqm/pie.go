@@ -39,8 +39,6 @@ type PIEConfig struct {
 	Alpha, Beta float64
 	// Target queuing delay (default 20 ms).
 	Target time.Duration
-	// Tupdate is the control interval (default 32 ms per figure captions).
-	Tupdate time.Duration
 	// Estimator selects delay measurement. Linux PIE measures departure
 	// rate; DefaultPIEConfig sets EstimateByRate.
 	Estimator DelayEstimator
@@ -60,46 +58,38 @@ type PIEConfig struct {
 	// MinBacklog exempts tiny queues (Linux: no drops below 2 MSS bytes).
 	MinBacklog int
 
-	// ECN marks ECN-capable packets instead of dropping them, below
-	// MarkECNThreshold (Linux: 10%); above it ECN packets are dropped.
+	// ECN marks ECN-capable packets instead of dropping them while p is
+	// at most 10% (Linux's threshold); above it ECN packets are dropped.
 	ECN bool
-	// MarkECNThreshold is the probability above which ECN packets are
-	// dropped anyway (default 0.1).
-	MarkECNThreshold float64
 	// ReworkedECN replaces the threshold rule with the paper's overload
-	// strategy: never drop ECN-capable packets; instead cap p at
-	// MaxProb (25%) and let tail-drop handle overload.
+	// strategy: never drop ECN-capable packets; instead cap p at 25% and
+	// let tail-drop handle overload.
 	ReworkedECN bool
-	// MaxProb caps p when ReworkedECN is set (default 0.25).
-	MaxProb float64
-	// Derandomize enables RFC 8033 §5.1 drop derandomization: the
-	// probability is accumulated per packet, a drop is suppressed while
-	// the accumulator is below 0.85 and forced once it reaches 8.5,
-	// which removes both drop clustering and long drop-free gaps.
-	Derandomize bool
-	// Bytemode scales the per-packet probability by packet size relative
-	// to a full 1500 B frame (Linux PIE's optional bytemode): small
-	// packets — ACKs, VoIP — are proportionally less likely to be hit.
-	Bytemode bool
 }
+
+const (
+	// pieMarkECNThreshold is the probability above which ECN packets are
+	// dropped anyway (Linux PIE's 10%).
+	pieMarkECNThreshold = 0.1
+	// pieReworkedMaxProb caps p under ReworkedECN.
+	pieReworkedMaxProb = 0.25
+)
 
 // DefaultPIEConfig returns the full Linux-style PIE used for the paper's
 // PIE baseline (all heuristics on, departure-rate delay estimation).
 func DefaultPIEConfig() PIEConfig {
 	return PIEConfig{
-		Alpha:            2.0 / 16,
-		Beta:             20.0 / 16,
-		Target:           20 * time.Millisecond,
-		Tupdate:          32 * time.Millisecond,
-		Estimator:        EstimateByRate,
-		AutoTune:         true,
-		BurstAllowance:   100 * time.Millisecond,
-		Suppress:         true,
-		DeltaCap:         true,
-		BigDropCap:       true,
-		Decay:            true,
-		MinBacklog:       2 * packet.FullLen,
-		MarkECNThreshold: 0.1,
+		Alpha:          2.0 / 16,
+		Beta:           20.0 / 16,
+		Target:         20 * time.Millisecond,
+		Estimator:      EstimateByRate,
+		AutoTune:       true,
+		BurstAllowance: 100 * time.Millisecond,
+		Suppress:       true,
+		DeltaCap:       true,
+		BigDropCap:     true,
+		Decay:          true,
+		MinBacklog:     2 * packet.FullLen,
 	}
 }
 
@@ -121,14 +111,13 @@ func BarePIEConfig() PIEConfig {
 // as implemented in Linux and specified by the IETF, with each heuristic
 // individually switchable.
 type PIE struct {
-	cfg      PIEConfig
-	core     PICore
-	rate     DepartRateEstimator
-	rng      *rand.Rand
-	burst    time.Duration
-	name     string
-	qdelay   time.Duration // last estimate, for Suppress and burst reset
-	accuProb float64       // RFC 8033 derandomization accumulator
+	cfg    PIEConfig
+	core   PICore
+	rate   DepartRateEstimator
+	rng    *rand.Rand
+	burst  time.Duration
+	name   string
+	qdelay time.Duration // last estimate, for Suppress and burst reset
 }
 
 // NewPIE builds a PIE instance.
@@ -142,18 +131,9 @@ func NewPIE(cfg PIEConfig, rng *rand.Rand) *PIE {
 	if cfg.Target == 0 {
 		cfg.Target = 20 * time.Millisecond
 	}
-	if cfg.Tupdate == 0 {
-		cfg.Tupdate = 32 * time.Millisecond
-	}
-	if cfg.MarkECNThreshold == 0 {
-		cfg.MarkECNThreshold = 0.1
-	}
-	if cfg.MaxProb == 0 {
-		cfg.MaxProb = 0.25
-	}
 	pmax := 1.0
 	if cfg.ReworkedECN {
-		pmax = cfg.MaxProb
+		pmax = pieReworkedMaxProb
 	}
 	name := "pie"
 	if cfg.BurstAllowance == 0 && !cfg.Suppress && !cfg.DeltaCap &&
@@ -180,17 +160,14 @@ func (pe *PIE) QDelay() time.Duration { return pe.qdelay }
 
 // Enqueue implements AQM: PIE's drop_early decision.
 func (pe *PIE) Enqueue(p *packet.Packet, q QueueInfo, now time.Duration) Verdict {
-	return pe.decide(p.ECN, int(p.WireLen), q.BacklogBytes())
+	return pe.decide(p.ECN, q.BacklogBytes())
 }
 
 // decide is PIE's one per-packet drop_early decision, every heuristic gate
 // included. Enqueue makes it once per packet and FFDecideN n times per
 // batch, so packet mode and fast-forward mode share one RNG discipline.
-func (pe *PIE) decide(ecn packet.ECN, wireLen, backlogBytes int) Verdict {
+func (pe *PIE) decide(ecn packet.ECN, backlogBytes int) Verdict {
 	prob := pe.core.P()
-	if pe.cfg.Bytemode {
-		prob *= float64(wireLen) / float64(packet.FullLen)
-	}
 	if pe.burst > 0 {
 		return Accept
 	}
@@ -200,27 +177,16 @@ func (pe *PIE) decide(ecn packet.ECN, wireLen, backlogBytes int) Verdict {
 	if pe.cfg.MinBacklog > 0 && backlogBytes <= pe.cfg.MinBacklog {
 		return Accept
 	}
-	if pe.cfg.Derandomize {
-		pe.accuProb += prob
-		if pe.accuProb < 0.85 {
-			return Accept
-		}
-		if pe.accuProb >= 8.5 {
-			pe.accuProb = 0
-			return pe.signal(ecn)
-		}
-	}
 	if pe.rng.Float64() >= prob {
 		return Accept
 	}
-	pe.accuProb = 0
 	return pe.signal(ecn)
 }
 
 // signal picks mark vs drop for a packet that lost the probability draw.
 func (pe *PIE) signal(ecn packet.ECN) Verdict {
 	if pe.cfg.ECN && ecn.ECNCapable() {
-		if pe.cfg.ReworkedECN || pe.core.P() <= pe.cfg.MarkECNThreshold {
+		if pe.cfg.ReworkedECN || pe.core.P() <= pieMarkECNThreshold {
 			return Mark
 		}
 	}
@@ -235,7 +201,7 @@ func (pe *PIE) Dequeue(p *packet.Packet, q QueueInfo, now time.Duration) {
 }
 
 // UpdateInterval implements AQM.
-func (pe *PIE) UpdateInterval() time.Duration { return pe.cfg.Tupdate }
+func (pe *PIE) UpdateInterval() time.Duration { return Tupdate }
 
 // Update implements AQM: one control-law step with PIE's scaling and caps
 // (the pipeline itself lives in FFUpdate, fed by the configured estimator).

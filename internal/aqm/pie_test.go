@@ -158,7 +158,7 @@ func TestPIEReworkedECNNeverDrops(t *testing.T) {
 	cfg.ReworkedECN = true
 	pe := newTestPIE(cfg)
 	q := &fakeQueue{bytes: 1 << 20, sojourn: time.Second}
-	// Saturate the controller; p must cap at MaxProb = 25 %.
+	// Saturate the controller; p must cap at 25 %.
 	for i := 0; i < 1000; i++ {
 		pe.Update(q, time.Duration(i)*32*time.Millisecond)
 	}
@@ -248,32 +248,5 @@ func TestPIEConvergesToTargetDelayInput(t *testing.T) {
 	}
 	if d := delay; d < 5*time.Millisecond || d > 80*time.Millisecond {
 		t.Errorf("loop settled at %v, want near 20 ms target", d)
-	}
-}
-
-func TestPIEBytemodeScalesBySize(t *testing.T) {
-	cfg := BarePIEConfig()
-	cfg.Bytemode = true
-	pe := newTestPIE(cfg)
-	pe.core.SetP(0.2)
-	q := &fakeQueue{bytes: 1 << 20}
-	count := func(wireLen int) int {
-		drops := 0
-		for i := 0; i < 20000; i++ {
-			p := packet.NewData(1, 0, wireLen-packet.HeaderLen, packet.NotECT)
-			if pe.Enqueue(p, q, 0) == Drop {
-				drops++
-			}
-		}
-		return drops
-	}
-	full := count(packet.FullLen)
-	small := count(packet.FullLen / 4)
-	if small >= full/2 {
-		t.Errorf("bytemode: small-packet drops %d not well below full-size %d", small, full)
-	}
-	// Full-size packets see the unscaled probability.
-	if got := float64(full) / 20000; math.Abs(got-0.2) > 0.02 {
-		t.Errorf("full-size drop rate %.3f, want ~0.2", got)
 	}
 }

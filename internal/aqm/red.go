@@ -13,16 +13,16 @@ import (
 type REDConfig struct {
 	// MinThresh and MaxThresh bound the probabilistic-drop region.
 	MinThresh, MaxThresh int
-	// MaxP is the drop probability at MaxThresh (default 0.1).
-	MaxP float64
-	// Wq is the EWMA weight for the average queue (default 0.002).
-	Wq float64
 	// ECN marks ECN-capable packets instead of dropping.
 	ECN bool
-	// Gentle extends the drop ramp from MaxP at MaxThresh to 1 at
-	// 2·MaxThresh instead of jumping straight to 1 ("gentle RED").
-	Gentle bool
 }
+
+const (
+	// redMaxP is the drop probability at MaxThresh.
+	redMaxP = 0.1
+	// redWq is the EWMA weight for the average queue.
+	redWq = 0.002
+)
 
 // RED is the Random Early Detection AQM.
 type RED struct {
@@ -44,12 +44,6 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 	if cfg.MaxThresh == 0 {
 		cfg.MaxThresh = 15 * packet.FullLen
 	}
-	if cfg.MaxP == 0 {
-		cfg.MaxP = 0.1
-	}
-	if cfg.Wq == 0 {
-		cfg.Wq = 0.002
-	}
 	return &RED{cfg: cfg, rng: rng, count: -1}
 }
 
@@ -69,12 +63,12 @@ func (r *RED) Enqueue(p *packet.Packet, q QueueInfo, now time.Duration) Verdict 
 		if cap > 0 {
 			m := (now - r.idleSince).Seconds() * cap / 8 / float64(packet.FullLen)
 			for i := 0; float64(i) < m && r.avg > 0; i++ {
-				r.avg *= 1 - r.cfg.Wq
+				r.avg *= 1 - redWq
 			}
 		}
 		r.idle = false
 	}
-	r.avg = (1-r.cfg.Wq)*r.avg + r.cfg.Wq*float64(backlog)
+	r.avg = (1-redWq)*r.avg + redWq*float64(backlog)
 
 	var pb float64
 	switch {
@@ -83,20 +77,11 @@ func (r *RED) Enqueue(p *packet.Packet, q QueueInfo, now time.Duration) Verdict 
 		r.lastP = 0
 		return Accept
 	case r.avg >= float64(r.cfg.MaxThresh):
-		if !r.cfg.Gentle {
-			r.count = 0
-			r.lastP = 1
-			return r.signal(p)
-		}
-		if r.avg >= 2*float64(r.cfg.MaxThresh) {
-			r.count = 0
-			r.lastP = 1
-			return r.signal(p)
-		}
-		pb = r.cfg.MaxP + (1-r.cfg.MaxP)*
-			(r.avg-float64(r.cfg.MaxThresh))/float64(r.cfg.MaxThresh)
+		r.count = 0
+		r.lastP = 1
+		return r.signal(p)
 	default:
-		pb = r.cfg.MaxP * (r.avg - float64(r.cfg.MinThresh)) /
+		pb = redMaxP * (r.avg - float64(r.cfg.MinThresh)) /
 			float64(r.cfg.MaxThresh-r.cfg.MinThresh)
 	}
 	r.lastP = pb

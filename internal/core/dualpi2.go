@@ -90,7 +90,7 @@ func NewDualLink(s *sim.Simulator, rateBps float64, cfg DualConfig, deliver func
 		(*dualQueue)(d), deliver)
 	// The PI law runs on the older of the two heads, so the controller
 	// keeps working when only one kind of traffic is present.
-	s.Every(cfg.Tupdate, func() { d.core.Update(d.HeadSojourn(s.Now())) })
+	s.Every(aqm.Tupdate, func() { d.core.Update(d.HeadSojourn(s.Now())) })
 	return d
 }
 

@@ -22,7 +22,7 @@ var _ aqm.FastForwarder = (*PI2)(nil)
 // per-packet decisions for one synthetic arrival shape. The verdicts are
 // counted by two single-assignment ifs, which compile to conditional moves:
 // a Scalable mark is close to a coin flip, and a switch would mispredict it.
-func (q2 *PI2) FFDecideN(ecn packet.ECN, _, _, n int) (accepted, marked, dropped int) {
+func (q2 *PI2) FFDecideN(ecn packet.ECN, _, n int) (accepted, marked, dropped int) {
 	for i := 0; i < n; i++ {
 		v := q2.decide(ecn)
 		if v == aqm.Mark {

@@ -75,7 +75,7 @@ func TestPI2FastForwardTwinEquivalence(t *testing.T) {
 				for i := 0; i < 9; i++ {
 					ecn := ffECN(i)
 					vp := pkt.Enqueue(packet.NewData(1, 0, packet.MSS, ecn), q, 0)
-					vf := verdictOf(ff.FFDecideN(ecn, packet.FullLen, 0, 1))
+					vf := verdictOf(ff.FFDecideN(ecn, 0, 1))
 					if vp != vf {
 						t.Fatalf("step %d pkt %d (%v): verdict diverged: %v vs %v",
 							step, i, ecn, vp, vf)
@@ -115,7 +115,7 @@ func TestPI2FFDecideNMatchesEnqueue(t *testing.T) {
 							dr++
 						}
 					}
-					gotAcc, gotMk, gotDr := batch.FFDecideN(ecn, packet.FullLen, 0, n)
+					gotAcc, gotMk, gotDr := batch.FFDecideN(ecn, 0, n)
 					if gotAcc != acc || gotMk != mk || gotDr != dr {
 						t.Fatalf("multiply=%v step %d %v n=%d: FFDecideN = (%d, %d, %d), Enqueue twin (%d, %d, %d)",
 							useMul, step, ecn, n, gotAcc, gotMk, gotDr, acc, mk, dr)

@@ -31,8 +31,6 @@ type Config struct {
 	Alpha, Beta float64
 	// Target is the queuing-delay reference τ0 (default 20 ms, Table 1).
 	Target time.Duration
-	// Tupdate is the control interval T (default 32 ms).
-	Tupdate time.Duration
 	// K is the coupling factor between Scalable and Classic signalling
 	// (default 2; the paper derives 1.19 analytically in (14) and
 	// validates 2 empirically, which also doubles the Scalable gains for
@@ -61,9 +59,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Target == 0 {
 		c.Target = 20 * time.Millisecond
-	}
-	if c.Tupdate == 0 {
-		c.Tupdate = 32 * time.Millisecond
 	}
 	if c.K == 0 {
 		c.K = 2
@@ -168,7 +163,7 @@ func (q2 *PI2) Dequeue(p *packet.Packet, q aqm.QueueInfo, now time.Duration) {
 }
 
 // UpdateInterval implements aqm.AQM.
-func (q2 *PI2) UpdateInterval() time.Duration { return q2.cfg.Tupdate }
+func (q2 *PI2) UpdateInterval() time.Duration { return aqm.Tupdate }
 
 // Update implements aqm.AQM: one plain PI step — no auto-tuning, no
 // heuristics; that is the point.

@@ -47,8 +47,8 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	if cfg.K != 2 {
 		t.Errorf("k = %v, want 2", cfg.K)
 	}
-	if cfg.Target != 20*time.Millisecond || cfg.Tupdate != 32*time.Millisecond {
-		t.Errorf("target/tupdate %v/%v", cfg.Target, cfg.Tupdate)
+	if tup := New(cfg, nil).UpdateInterval(); cfg.Target != 20*time.Millisecond || tup != 32*time.Millisecond {
+		t.Errorf("target/tupdate %v/%v", cfg.Target, tup)
 	}
 	if cfg.MaxClassicProb != 0.25 {
 		t.Errorf("classic cap %v, want 0.25", cfg.MaxClassicProb)

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"pi2/internal/aqm"
 )
 
 // Validate reports whether the configuration is usable before defaults are
@@ -20,9 +22,6 @@ func (c Config) Validate() error {
 	}
 	if c.Target < 0 {
 		errs = append(errs, fmt.Errorf("target delay must be non-negative, got %v", c.Target))
-	}
-	if c.Tupdate < 0 {
-		errs = append(errs, fmt.Errorf("tupdate must be non-negative, got %v", c.Tupdate))
 	}
 	if c.K < 0 {
 		errs = append(errs, fmt.Errorf("coupling factor k must be non-negative, got %v", c.K))
@@ -58,5 +57,5 @@ func (c DualConfig) Validate() error {
 func (c Config) String() string {
 	c.setDefaults()
 	return fmt.Sprintf("pi2{alpha=%g beta=%g target=%v T=%v k=%g maxClassic=%g est=%v}",
-		c.Alpha, c.Beta, c.Target, c.Tupdate, c.K, c.MaxClassicProb, c.Estimator)
+		c.Alpha, c.Beta, c.Target, aqm.Tupdate, c.K, c.MaxClassicProb, c.Estimator)
 }

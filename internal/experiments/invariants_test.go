@@ -185,35 +185,6 @@ func TestRTTHeterogeneousCoexistence(t *testing.T) {
 	}
 }
 
-// TestCurvyREDCoexistence runs the draft's example AQM on the headline
-// cell: it couples too, but with a standing-delay push-back instead of a
-// held target, so it should balance rates at a higher delay than PI2.
-func TestCurvyREDCoexistence(t *testing.T) {
-	res := Run(Scenario{
-		Seed:        6,
-		LinkRateBps: 40e6,
-		NewAQM: func(rng *rand.Rand) aqm.AQM {
-			return aqm.NewCurvyRED(aqm.CurvyREDConfig{}, rng)
-		},
-		Bulk: []traffic.BulkFlowSpec{
-			{CC: "cubic", Count: 1, RTT: 10 * time.Millisecond},
-			{CC: "dctcp", Count: 1, RTT: 10 * time.Millisecond},
-		},
-		Duration: 60 * time.Second,
-		WarmUp:   20 * time.Second,
-	})
-	cubic := res.Groups[0].MeanPerFlow()
-	dctcp := res.Groups[1].MeanPerFlow()
-	ratio := cubic / dctcp
-	t.Logf("curvy-red: ratio=%.3f meanQ=%.1fms", ratio, res.Sojourn.Mean()*1e3)
-	if ratio < 0.15 || ratio > 6 {
-		t.Errorf("curvy-red ratio %.3f: coupling broken", ratio)
-	}
-	if res.Utilization < 0.9 {
-		t.Errorf("utilization %.3f", res.Utilization)
-	}
-}
-
 // TestStepMarkingVsProbabilistic reproduces the Appendix A contrast behind
 // equations (11) and (12): DCTCP under a step threshold receives marks in
 // on-off RTT-length trains, so for the same average marking fraction it

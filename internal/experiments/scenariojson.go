@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
+	"pi2/internal/packet"
+	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -61,8 +64,9 @@ func LoadScenario(r io.Reader) (Scenario, error) {
 
 // Build converts the JSON form into a Scenario.
 func (j ScenarioJSON) Build() (Scenario, error) {
-	if j.LinkMbps <= 0 {
-		return Scenario{}, fmt.Errorf("scenario: link_mbps must be positive, got %v", j.LinkMbps)
+	linkBps, err := rateBps("link_mbps", j.LinkMbps)
+	if err != nil {
+		return Scenario{}, err
 	}
 	if len(j.Flows) == 0 && len(j.UDP) == 0 {
 		return Scenario{}, fmt.Errorf("scenario: no traffic defined")
@@ -89,7 +93,7 @@ func (j ScenarioJSON) Build() (Scenario, error) {
 	}
 	sc := Scenario{
 		Seed:          j.Seed,
-		LinkRateBps:   j.LinkMbps * 1e6,
+		LinkRateBps:   linkBps,
 		BufferPackets: j.BufferPackets,
 		NewAQM:        factory,
 		Duration:      dur,
@@ -108,11 +112,18 @@ func (j ScenarioJSON) Build() (Scenario, error) {
 		if f.Count <= 0 {
 			return Scenario{}, fmt.Errorf("scenario: flows[%d].count must be positive", i)
 		}
+		if _, _, err := tcp.NewCC(f.CC); err != nil {
+			return Scenario{}, fmt.Errorf("scenario: flows[%d].cc: %w", i, err)
+		}
 		sc.Bulk = append(sc.Bulk, traffic.BulkFlowSpec{
 			CC: f.CC, Count: f.Count, RTT: rtt, Label: f.Label,
 		})
 	}
 	for i, u := range j.UDP {
+		bps, err := rateBps(fmt.Sprintf("udp[%d].rate_mbps", i), u.RateMbps)
+		if err != nil {
+			return Scenario{}, err
+		}
 		start, err := parseDur(fmt.Sprintf("udp[%d].start", i), u.Start, false)
 		if err != nil {
 			return Scenario{}, err
@@ -122,7 +133,7 @@ func (j ScenarioJSON) Build() (Scenario, error) {
 			return Scenario{}, err
 		}
 		sc.UDP = append(sc.UDP, traffic.UDPSpec{
-			RateBps: u.RateMbps * 1e6, StartAt: start, StopAt: stop,
+			RateBps: bps, StartAt: start, StopAt: stop,
 		})
 	}
 	for i, rc := range j.RateChanges {
@@ -130,9 +141,26 @@ func (j ScenarioJSON) Build() (Scenario, error) {
 		if err != nil {
 			return Scenario{}, err
 		}
-		sc.RateChanges = append(sc.RateChanges, RateChange{At: at, RateBps: rc.RateMbps * 1e6})
+		bps, err := rateBps(fmt.Sprintf("rate_changes[%d].rate_mbps", i), rc.RateMbps)
+		if err != nil {
+			return Scenario{}, err
+		}
+		sc.RateChanges = append(sc.RateChanges, RateChange{At: at, RateBps: bps})
 	}
 	return sc, nil
+}
+
+// rateBps converts a rate in Mb/s to bits/s. It rejects a rate so slow that
+// one full-size packet's transmission time overflows a time.Duration.
+func rateBps(field string, mbps float64) (float64, error) {
+	bps := mbps * 1e6
+	if !(bps > 0) {
+		return 0, fmt.Errorf("scenario: %s must be positive, got %v", field, mbps)
+	}
+	if float64(packet.FullLen*8)/bps*float64(time.Second) >= math.MaxInt64 {
+		return 0, fmt.Errorf("scenario: %s = %v is too slow to send one packet", field, mbps)
+	}
+	return bps, nil
 }
 
 func parseDur(field, s string, required bool) (time.Duration, error) {

@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// Scenarios LoadScenario once accepted and Run then panicked on.
+const (
+	zeroUDPJSON        = `{"link_mbps":10,"duration":"1s","udp":[{"rate_mbps":0}]}`
+	zeroRateChangeJSON = `{"link_mbps":10,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"10ms"}],"rate_changes":[{"at":"500ms","rate_mbps":-1}]}`
+	unknownCCJSON      = `{"link_mbps":10,"duration":"1s","flows":[{"cc":"bogus","count":1,"rtt":"10ms"}]}`
+	// A packet at these rates takes longer than a time.Duration can hold.
+	tinyUDPJSON        = `{"link_mbps":10,"duration":"1s","udp":[{"rate_mbps":1e-12}]}`
+	tinyRateChangeJSON = `{"link_mbps":10,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"10ms"}],"rate_changes":[{"at":"0s","rate_mbps":1e-12}]}`
+)
+
 const sampleJSON = `{
   "seed": 7,
   "link_mbps": 10,
@@ -57,6 +67,12 @@ func TestLoadScenarioErrors(t *testing.T) {
 		{"bad rtt", `{"link_mbps":10,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"fast"}]}`, "rtt"},
 		{"zero count", `{"link_mbps":10,"duration":"1s","flows":[{"cc":"reno","count":0,"rtt":"1ms"}]}`, "count"},
 		{"negative time", `{"link_mbps":10,"duration":"-1s","flows":[{"cc":"reno","count":1,"rtt":"1ms"}]}`, "non-negative"},
+		{"zero udp rate", zeroUDPJSON, "udp[0].rate_mbps"},
+		{"negative rate change", zeroRateChangeJSON, "rate_changes[0].rate_mbps"},
+		{"unknown cc", unknownCCJSON, "flows[0].cc"},
+		{"tiny udp rate", tinyUDPJSON, "udp[0].rate_mbps"},
+		{"tiny rate change", tinyRateChangeJSON, "rate_changes[0].rate_mbps"},
+		{"tiny link", `{"link_mbps":1e-15,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"1ms"}]}`, "too slow"},
 	}
 	for _, c := range cases {
 		_, err := LoadScenario(strings.NewReader(c.js))
@@ -82,4 +98,51 @@ func TestLoadScenarioDefaults(t *testing.T) {
 	if sc.NewAQM == nil {
 		t.Error("default AQM not set")
 	}
+}
+
+// FuzzLoadScenario: every scenario LoadScenario accepts runs to completion
+// with no panic, which includes a clean link auditor (Run panics on a
+// violated invariant). Inputs too large for one fuzz iteration are skipped.
+func FuzzLoadScenario(f *testing.F) {
+	for _, js := range []string{
+		`{"link_mbps":10,"duration":"1s","flows":[{"cc":"cubic","count":2,"rtt":"20ms"}],` +
+			`"udp":[{"rate_mbps":1,"start":"200ms"}],"rate_changes":[{"at":"500ms","rate_mbps":5}]}`,
+		zeroUDPJSON, zeroRateChangeJSON, unknownCCJSON, tinyUDPJSON, tinyRateChangeJSON,
+	} {
+		f.Add([]byte(js))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := LoadScenario(strings.NewReader(string(data)))
+		if err != nil {
+			return
+		}
+		if scenarioTooLarge(sc) {
+			t.Skip("too large for a fuzz iteration")
+		}
+		Run(sc)
+	})
+}
+
+// scenarioTooLarge bounds a fuzzed run: at most 2 s simulated, 8 flows and
+// 100 Mb/s on any rate (link, rate change or UDP source).
+func scenarioTooLarge(sc Scenario) bool {
+	const maxBps = 100e6
+	flows := 0
+	for _, b := range sc.Bulk {
+		flows += b.Count
+	}
+	if sc.Duration > 2*time.Second || flows > 8 || sc.LinkRateBps > maxBps {
+		return true
+	}
+	for _, rc := range sc.RateChanges {
+		if rc.RateBps > maxBps {
+			return true
+		}
+	}
+	for _, u := range sc.UDP {
+		if u.RateBps > maxBps {
+			return true
+		}
+	}
+	return false
 }

@@ -191,7 +191,7 @@ func (e *Engine) TryAdvance(barrier time.Duration) time.Duration {
 			// Flow-major, packet-minor decision order: one RNG draw
 			// sequence, fixed by construction order, identical for any
 			// -shards value.
-			acc, mk, dr := e.fwd.FFDecideN(f.ecn, packet.FullLen, int(q), n)
+			acc, mk, dr := e.fwd.FFDecideN(f.ecn, int(q), n)
 			// CE on a classic (ECT0) flow is an ECE-path signal; on a
 			// scalable flow it feeds the alpha cadence below.
 			if (dr > 0 || (!f.scalable && mk > 0)) && vnow >= f.nextReact {
@@ -232,9 +232,9 @@ func (e *Engine) TryAdvance(barrier time.Duration) time.Duration {
 		}
 	}
 	delta := time.Duration(periods) * e.tupdate
-	// Commit: translate the frozen packet world past the epoch. The clock
-	// shifts first — endpoint shifts read the post-jump Now to classify
-	// past-vs-future pacing credits.
+	// Commit: translate the frozen packet world past the epoch — pending
+	// events, queued packets' timestamps and each flow's send timestamps
+	// all move by delta.
 	e.clock.ShiftPending(delta)
 	e.link.FFShift(delta)
 	for i := range e.flows {

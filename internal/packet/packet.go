@@ -64,8 +64,6 @@ const (
 	FlagECE
 	// FlagCWR is the TCP Congestion Window Reduced flag (sender → receiver).
 	FlagCWR
-	// FlagFIN marks the last segment of a finite flow.
-	FlagFIN
 )
 
 // Has reports whether all bits in f2 are set in f.

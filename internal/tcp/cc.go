@@ -1,7 +1,7 @@
 // Package tcp implements packet-level TCP endpoints for the simulator:
 // sequence numbers, cumulative and delayed/stretch ACKs, duplicate-ACK fast
 // retransmit with NewReno fast recovery or SACK recovery (sack.go),
-// retransmission timeouts, pacing, classic-ECN (RFC 3168 ECE/CWR) and
+// retransmission timeouts, classic-ECN (RFC 3168 ECE/CWR) and
 // DCTCP-style accurate per-ACK ECN feedback — plus the congestion controls
 // the paper evaluates: Reno, Cubic (with its CReno Reno-friendly region),
 // DCTCP, TCP Prague (the L4S sender), and an idealized Scalable control.

@@ -46,8 +46,6 @@ type Config struct {
 	ECN ECNMode
 	// BaseRTT is the two-way propagation delay excluding queuing.
 	BaseRTT time.Duration
-	// InitialCwnd in segments (default 10, like modern Linux).
-	InitialCwnd float64
 	// FlowSegs bounds the flow length in segments (0 = unlimited bulk).
 	FlowSegs int64
 	// OnComplete fires when a finite flow has all data acknowledged.
@@ -60,14 +58,6 @@ type Config struct {
 	// order arrivals, CE-state changes (for Scalable flows) and the
 	// delayed-ACK timer force immediate ACKs, as in real stacks.
 	AckEvery int
-	// DelAckTimeout bounds how long an ACK may be withheld (default
-	// 40 ms, the Linux quick-ack ballpark).
-	DelAckTimeout time.Duration
-	// Pacing spreads transmissions across the round trip instead of
-	// bursting window openings back to back (like Linux fq pacing):
-	// the send rate is cwnd/SRTT times a gain of 2 in slow start and
-	// 1.25 in congestion avoidance.
-	Pacing bool
 	// SplitPropagation moves the whole BaseRTT out of the endpoint: the
 	// sharded runner charges one-way propagation on each cross-domain wire
 	// (sender→link and link→receiver), so the internal ACK path becomes
@@ -82,6 +72,12 @@ const (
 	minRTO     = 200 * time.Millisecond // Linux lower bound
 	maxRTO     = 60 * time.Second
 	initialRTO = time.Second // RFC 6298 before the first RTT sample
+	// initialCwnd is the initial window in segments (IW10, like modern
+	// Linux).
+	initialCwnd = 10
+	// delAckTimeout bounds how long an ACK may be withheld (the Linux
+	// quick-ack ballpark).
+	delAckTimeout = 40 * time.Millisecond
 )
 
 // Endpoint is one TCP connection: the sender and its receiver, wired through
@@ -108,20 +104,17 @@ type Endpoint struct {
 	rtoTimer   sim.Timer
 	rtoBackoff int
 	hystart    bool
-	nextSend   time.Duration
-	paceTimer  sim.Timer
 	stopped    bool
 	started    bool
 	completed  bool
 
 	// pool recycles this endpoint's packets; pre-bound method values below
 	// keep the per-segment and per-ACK scheduling allocation-free (a fresh
-	// closure per event was a top allocation site in profiles). paceFireFn
-	// is bound only with Config.Pacing and delAckFireFn only with
-	// Config.AckEvery > 1: no other flow can arm those timers.
+	// closure per event was a top allocation site in profiles).
+	// delAckFireFn is bound only with Config.AckEvery > 1: no other flow
+	// can arm that timer.
 	pool         *packet.Pool
 	onRTOFn      sim.Event
-	paceFireFn   sim.Event
 	delAckFireFn sim.Event
 	ackArriveFn  sim.Event
 
@@ -190,14 +183,8 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 	if enqueue == nil {
 		panic("tcp: enqueue is required")
 	}
-	if cfg.InitialCwnd <= 0 {
-		cfg.InitialCwnd = 10
-	}
 	if cfg.AckEvery <= 0 {
 		cfg.AckEvery = 1
-	}
-	if cfg.DelAckTimeout == 0 {
-		cfg.DelAckTimeout = 40 * time.Millisecond
 	}
 	e := &Endpoint{
 		cfg:     cfg,
@@ -208,9 +195,6 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 	}
 	e.onRTOFn = e.onRTO
 	e.ackArriveFn = e.ackArrive
-	if cfg.Pacing {
-		e.paceFireFn = e.paceFire
-	}
 	if cfg.AckEvery > 1 {
 		e.delAckFireFn = e.delAckFire
 	}
@@ -219,7 +203,7 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 	}
 	e.ackLane = s.Lane(e.ackDelay)
 	e.state = State{
-		Cwnd:     cfg.InitialCwnd,
+		Cwnd:     initialCwnd,
 		Ssthresh: 1 << 30,
 		MinCwnd:  2,
 	}
@@ -323,53 +307,9 @@ func (e *Endpoint) trySend() {
 		return
 	}
 	for float64(e.sndNxt-e.sndUna) < e.window() && e.hasData(e.sndNxt) {
-		if !e.paceGate() {
-			return
-		}
 		e.sendSeg(e.sndNxt, false)
 		e.sndNxt++
 	}
-}
-
-// paceGate enforces the pacing schedule: it reports whether a new data
-// segment may be sent now and, if not, arms a timer that resumes trySend
-// at the next credit. Retransmissions bypass pacing (they replace packets
-// already accounted for in flight).
-func (e *Endpoint) paceGate() bool {
-	if !e.cfg.Pacing {
-		return true
-	}
-	now := e.sim.Now()
-	if now < e.nextSend {
-		if !e.paceTimer.Active() {
-			e.paceTimer = e.sim.At(e.nextSend, e.paceFireFn)
-		}
-		return false
-	}
-	srtt := e.state.SRTT
-	if srtt == 0 {
-		srtt = e.cfg.BaseRTT
-	}
-	if srtt <= 0 {
-		srtt = 10 * time.Millisecond
-	}
-	gain := 1.25
-	if e.state.InSlowStart() {
-		gain = 2
-	}
-	interval := time.Duration(float64(srtt) / (e.state.Cwnd * gain))
-	base := e.nextSend
-	if now > base {
-		base = now
-	}
-	e.nextSend = base + interval
-	return true
-}
-
-// paceFire resumes sending when the pacing credit matures.
-func (e *Endpoint) paceFire() {
-	e.paceTimer = sim.Timer{}
-	e.trySend()
 }
 
 func (e *Endpoint) sendSeg(seq int64, retx bool) {
@@ -679,7 +619,7 @@ func (e *Endpoint) receiveData(p *packet.Packet) {
 		return
 	}
 	if !e.delAck.Active() {
-		e.delAck = e.sim.After(e.cfg.DelAckTimeout, e.delAckFireFn)
+		e.delAck = e.sim.After(delAckTimeout, e.delAckFireFn)
 	}
 }
 

@@ -65,19 +65,14 @@ func (e *Endpoint) BaseRTT() time.Duration { return e.cfg.BaseRTT }
 func (e *Endpoint) FFCwnd() float64 { return e.state.Cwnd }
 
 // FFShift translates the endpoint's absolute-time state by delta after the
-// simulator clock jumped over an epoch: per-segment send timestamps (so
-// post-epoch RTT samples are not inflated by the jump) and a pending pacing
-// credit. Scheduled timers (RTO, delayed-ACK, pacing) shift with the
-// simulator's event heap; counters and rate-meter epochs deliberately do
-// not (the epoch's virtual progress is patched in via FFApplyStats).
+// simulator clock jumped over an epoch: per-segment send timestamps, so
+// post-epoch RTT samples are not inflated by the jump. Scheduled timers
+// (RTO, delayed-ACK) shift with the simulator's event heap; counters and
+// rate-meter epochs deliberately do not (the epoch's virtual progress is
+// patched in via FFApplyStats).
 func (e *Endpoint) FFShift(delta time.Duration) {
-	if delta <= 0 {
-		return
-	}
-	oldNow := e.sim.Now() - delta
-	e.meta.shift(delta)
-	if e.nextSend > oldNow {
-		e.nextSend += delta
+	if delta > 0 {
+		e.meta.shift(delta)
 	}
 }
 

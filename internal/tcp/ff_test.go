@@ -299,19 +299,18 @@ func TestFFEligible(t *testing.T) {
 	}
 }
 
-// TestFFShift: send timestamps and a pending pacing credit translate; the
-// flow-duration anchor does not.
+// TestFFShift: send timestamps translate; the flow-duration anchor does
+// not.
 func TestFFShift(t *testing.T) {
 	s := sim.New(1)
 	e := NewWithEnqueuer(s, func(p *packet.Packet) { s.PacketPool().Release(p) }, Config{
-		ID: 1, CC: Reno{}, BaseRTT: 10 * time.Millisecond, Pacing: true,
+		ID: 1, CC: Reno{}, BaseRTT: 10 * time.Millisecond,
 	})
 	e.started = true
 	e.startedAt = 0
 	e.meta.ackTo(5)
 	e.meta.sent(5, 3*time.Millisecond, false)
 	e.meta.sent(6, 4*time.Millisecond, true)
-	e.nextSend = 8 * time.Millisecond
 
 	s.RunUntil(5 * time.Millisecond)
 	const delta = 2 * time.Second
@@ -324,21 +323,8 @@ func TestFFShift(t *testing.T) {
 	if m, _ := e.meta.get(6); !m.retx || m.sentAt != delta+4*time.Millisecond {
 		t.Fatalf("retx meta mangled: %+v", m)
 	}
-	if e.nextSend != delta+8*time.Millisecond {
-		t.Fatalf("nextSend = %v", e.nextSend)
-	}
 	if e.startedAt != 0 {
 		t.Fatalf("startedAt moved: %v", e.startedAt)
-	}
-
-	// A pacing credit already in the past must stay in the past.
-	e2 := NewWithEnqueuer(s, func(p *packet.Packet) { s.PacketPool().Release(p) }, Config{
-		ID: 2, CC: Reno{}, BaseRTT: 10 * time.Millisecond,
-	})
-	e2.nextSend = time.Millisecond // before the (already shifted) now
-	e2.FFShift(delta)
-	if e2.nextSend != time.Millisecond {
-		t.Fatalf("past pacing credit moved: %v", e2.nextSend)
 	}
 }
 

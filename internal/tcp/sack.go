@@ -189,9 +189,6 @@ func (e *Endpoint) sackSend() {
 		if !e.hasData(e.sndNxt) {
 			return
 		}
-		if !e.paceGate() {
-			return
-		}
 		e.sendSeg(e.sndNxt, false)
 		e.sndNxt++
 	}

@@ -273,57 +273,3 @@ func TestDCTCPAccurateFeedbackSurvivesStretchAcks(t *testing.T) {
 		t.Errorf("alpha = %.3f with stretch ACKs, want ~%.2f", a, p)
 	}
 }
-
-func TestPacingSpreadsInitialWindow(t *testing.T) {
-	// Without pacing the IW10 burst hits the queue back to back; with
-	// pacing the segments are spread across the (base) RTT, so the
-	// instantaneous backlog stays tiny.
-	peak := func(pacing bool) int {
-		s := sim.New(1)
-		d := link.NewDispatcher()
-		l := link.New(s, link.Config{RateBps: 5e6}, d.Deliver)
-		ep := New(s, l, Config{ID: 1, CC: Reno{}, BaseRTT: 100 * time.Millisecond, Pacing: pacing})
-		d.Register(1, ep.DeliverData)
-		ep.Start()
-		maxBacklog := 0
-		probe := s.Every(100*time.Microsecond, func() {
-			if b := l.BacklogPackets(); b > maxBacklog {
-				maxBacklog = b
-			}
-		})
-		s.RunUntil(90 * time.Millisecond) // within the first RTT
-		probe.Stop()
-		return maxBacklog
-	}
-	burst := peak(false)
-	paced := peak(true)
-	t.Logf("initial-window peak backlog: unpaced=%d paced=%d", burst, paced)
-	if paced >= burst {
-		t.Errorf("pacing did not reduce the burst (%d vs %d)", paced, burst)
-	}
-	if paced > 2 {
-		t.Errorf("paced backlog %d, want <= 2", paced)
-	}
-}
-
-func TestPacingDoesNotStallTransfer(t *testing.T) {
-	s, ep, _ := harness(t, nil, Config{CC: Reno{}, Pacing: true, FlowSegs: 500})
-	ep.Start()
-	s.RunUntil(10 * time.Second)
-	if !ep.Completed() {
-		t.Fatal("paced flow did not complete")
-	}
-}
-
-func TestPacingWithSACK(t *testing.T) {
-	s, ep, _ := harness(t, &dropSet{drop: map[int64]bool{30: true}},
-		Config{CC: Reno{}, Pacing: true, SACK: true})
-	ep.Start()
-	s.RunUntil(3 * time.Second)
-	if ep.RTOCount() != 0 {
-		t.Errorf("RTOs = %d with pacing+SACK", ep.RTOCount())
-	}
-	if ep.Goodput.Bytes() == 0 {
-		t.Fatal("stalled")
-	}
-}

@@ -36,12 +36,11 @@ type BulkFlowSpec struct {
 	AckEvery int
 }
 
-// UDPSpec describes one constant-bit-rate unresponsive source.
+// UDPSpec describes one constant-bit-rate unresponsive source of
+// full-size (packet.FullLen) packets.
 type UDPSpec struct {
 	// RateBps is the send rate in bits/s.
 	RateBps float64
-	// PacketLen is the wire length per packet (default 1500 B).
-	PacketLen int
 	// StartAt/StopAt bound activity (StopAt 0 = run forever).
 	StartAt, StopAt time.Duration
 }
@@ -62,15 +61,12 @@ type UDPSource struct {
 // StartUDP wires a UDP source into the simulation: packets enter the link
 // and delivered ones are counted via the dispatcher.
 func StartUDP(s *sim.Simulator, l *link.Link, d *link.Dispatcher, flowID int, spec UDPSpec) *UDPSource {
-	if spec.PacketLen == 0 {
-		spec.PacketLen = packet.FullLen
-	}
 	u := &UDPSource{Spec: spec, flowID: flowID, simr: s, link: l, pool: s.PacketPool()}
 	d.Register(flowID, func(p *packet.Packet) {
 		u.Received.Add(int(p.WireLen))
 		u.pool.Release(p) // UDP sink: terminal owner of delivered packets
 	})
-	interval := time.Duration(float64(spec.PacketLen*8) / spec.RateBps * float64(time.Second))
+	interval := time.Duration(float64(packet.FullLen*8) / spec.RateBps * float64(time.Second))
 	s.At(spec.StartAt, func() {
 		u.ResetStats(s.Now())
 		u.timer = s.Every(interval, u.emit)
@@ -85,9 +81,9 @@ func StartUDP(s *sim.Simulator, l *link.Link, d *link.Dispatcher, flowID int, sp
 func (u *UDPSource) emit() {
 	p := u.pool.Get()
 	p.FlowID = u.flowID
-	p.WireLen = int32(u.Spec.PacketLen)
+	p.WireLen = packet.FullLen
 	p.ECN = packet.NotECT
-	u.Sent.Add(u.Spec.PacketLen)
+	u.Sent.Add(packet.FullLen)
 	u.link.Enqueue(p)
 }
 
@@ -167,21 +163,23 @@ func StagedCounts(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID in
 
 // WebSpec describes a web-like short-flow workload: flows arrive as a
 // Poisson process with bounded-Pareto sizes (heavy-tailed, like web
-// responses).
+// responses): shape webShape between webMinSegs and webMaxSegs segments.
 type WebSpec struct {
 	// ArrivalRate is flows per second.
 	ArrivalRate float64
-	// MeanSegs sets the mean flow size in segments (bounded Pareto with
-	// shape 1.2 between MinSegs and MaxSegs, scaled to this mean).
-	MinSegs, MaxSegs int64
-	// Shape is the Pareto shape parameter (default 1.2).
-	Shape float64
 	// CC and RTT apply to every generated flow.
 	CC  string
 	RTT time.Duration
 	// StopAt ends new arrivals.
 	StopAt time.Duration
 }
+
+// The web workload's flow-size distribution.
+const (
+	webShape   = 1.2
+	webMinSegs = 2
+	webMaxSegs = 2000
+)
 
 // WebWorkload generates short flows and records their completion times.
 type WebWorkload struct {
@@ -202,15 +200,6 @@ type WebWorkload struct {
 // StartWeb launches a web-like workload. nextID is advanced for every
 // generated flow so callers can keep allocating unique IDs.
 func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, spec WebSpec) *WebWorkload {
-	if spec.Shape == 0 {
-		spec.Shape = 1.2
-	}
-	if spec.MinSegs == 0 {
-		spec.MinSegs = 2
-	}
-	if spec.MaxSegs == 0 {
-		spec.MaxSegs = 2000
-	}
 	w := &WebWorkload{Spec: spec, FCT: &stats.Sample{}, s: s, enq: l.Enqueue, d: d, nextID: nextID}
 	rng := s.RNG()
 	var arrive func()
@@ -227,7 +216,7 @@ func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, s
 }
 
 func (w *WebWorkload) launch(u float64) {
-	size := boundedPareto(u, w.Spec.Shape, float64(w.Spec.MinSegs), float64(w.Spec.MaxSegs))
+	size := boundedPareto(u, webShape, webMinSegs, webMaxSegs)
 	cc, mode, err := tcp.NewCC(w.Spec.CC)
 	if err != nil {
 		panic(err)
