@@ -1041,12 +1041,19 @@ func BenchmarkECNMarkPath(b *testing.B) {
 // BENCH_hotpath.json gates next to its packet-mode twin BenchmarkManyFlows.
 // ns/virtual_pkt divides the timed epoch work by the virtual packets it
 // decided: the engine's per-packet cost.
-func BenchmarkFastForwardEpoch(b *testing.B) {
-	const flows = 120
+func BenchmarkFastForwardEpoch(b *testing.B) { benchFFEpoch(b, 120) }
+
+// BenchmarkFastForwardEpoch2400 is BenchmarkFastForwardEpoch at 2 400
+// flows, above the size at which the engine steps the windows on a helper
+// goroutine when GOMAXPROCS > 1: the pipelined epoch must stay zero-alloc
+// too. BenchmarkEpochCrossover in internal/ff compares the two modes.
+func BenchmarkFastForwardEpoch2400(b *testing.B) { benchFFEpoch(b, 2400) }
+
+func benchFFEpoch(b *testing.B, flows int) {
 	s := sim.New(1)
 	d := link.NewDispatcher()
 	l := link.New(s, link.Config{
-		RateBps: 2e6 * flows,
+		RateBps: 2e6 * float64(flows),
 		AQM:     core.New(core.Config{}, s.RNG()),
 		Sojourn: stats.NewDelayHistogram(),
 	}, d.Deliver)

@@ -19,19 +19,9 @@ import (
 var _ aqm.FastForwarder = (*PI2)(nil)
 
 // FFDecideN implements aqm.FastForwarder: n of the Figure 9 classifier's
-// per-packet decisions for one synthetic arrival shape. The verdicts are
-// counted by two single-assignment ifs, which compile to conditional moves:
-// a Scalable mark is close to a coin flip, and a switch would mispredict it.
+// per-packet decisions for one synthetic arrival shape.
 func (q2 *PI2) FFDecideN(ecn packet.ECN, _, n int) (accepted, marked, dropped int) {
-	for i := 0; i < n; i++ {
-		v := q2.decide(ecn)
-		if v == aqm.Mark {
-			marked++
-		}
-		if v == aqm.Drop {
-			dropped++
-		}
-	}
+	marked, dropped = q2.decideN(ecn, n)
 	return n - dropped, marked, dropped
 }
 

@@ -14,6 +14,9 @@ const (
 	// A packet at these rates takes longer than a time.Duration can hold.
 	tinyUDPJSON        = `{"link_mbps":10,"duration":"1s","udp":[{"rate_mbps":1e-12}]}`
 	tinyRateChangeJSON = `{"link_mbps":10,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"10ms"}],"rate_changes":[{"at":"0s","rate_mbps":1e-12}]}`
+	// A target this long overflows a time.Duration: accepted once, it ran
+	// with whatever the conversion wrapped to.
+	hugeTargetJSON = `{"link_mbps":10,"target_ms":1e300,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"10ms"}]}`
 )
 
 const sampleJSON = `{
@@ -73,6 +76,8 @@ func TestLoadScenarioErrors(t *testing.T) {
 		{"tiny udp rate", tinyUDPJSON, "udp[0].rate_mbps"},
 		{"tiny rate change", tinyRateChangeJSON, "rate_changes[0].rate_mbps"},
 		{"tiny link", `{"link_mbps":1e-15,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"1ms"}]}`, "too slow"},
+		{"huge target", hugeTargetJSON, "target_ms"},
+		{"negative target", `{"link_mbps":10,"target_ms":-5,"duration":"1s","flows":[{"cc":"reno","count":1,"rtt":"1ms"}]}`, "target_ms"},
 	}
 	for _, c := range cases {
 		_, err := LoadScenario(strings.NewReader(c.js))
@@ -107,7 +112,7 @@ func FuzzLoadScenario(f *testing.F) {
 	for _, js := range []string{
 		`{"link_mbps":10,"duration":"1s","flows":[{"cc":"cubic","count":2,"rtt":"20ms"}],` +
 			`"udp":[{"rate_mbps":1,"start":"200ms"}],"rate_changes":[{"at":"500ms","rate_mbps":5}]}`,
-		zeroUDPJSON, zeroRateChangeJSON, unknownCCJSON, tinyUDPJSON, tinyRateChangeJSON,
+		zeroUDPJSON, zeroRateChangeJSON, unknownCCJSON, tinyUDPJSON, tinyRateChangeJSON, hugeTargetJSON,
 	} {
 		f.Add([]byte(js))
 	}

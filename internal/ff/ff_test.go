@@ -1,7 +1,10 @@
 package ff
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +20,7 @@ import (
 // buildCell wires a small heavy-style cell: a PI2 bottleneck sized for
 // 2 Mb/s per flow at 10 ms RTT, with a reno/cubic/dctcp mix — the regime the
 // fast-forward engine targets.
-func buildCell(t *testing.T, seed int64, reno, cubic, dctcp int) (*sim.Simulator, *link.Link, []*tcp.Endpoint) {
+func buildCell(t testing.TB, seed int64, reno, cubic, dctcp int) (*sim.Simulator, *link.Link, []*tcp.Endpoint) {
 	t.Helper()
 	n := reno + cubic + dctcp
 	s := sim.New(seed)
@@ -52,7 +55,7 @@ func buildCell(t *testing.T, seed int64, reno, cubic, dctcp int) (*sim.Simulator
 
 // seekQuiescent runs packet mode in short chunks until the engine's entry
 // predicate holds, failing the test if it never does.
-func seekQuiescent(t *testing.T, s *sim.Simulator, eng *Engine) {
+func seekQuiescent(t testing.TB, s *sim.Simulator, eng *Engine) {
 	t.Helper()
 	for i := 0; i < 600; i++ {
 		if eng.Quiescent() {
@@ -336,4 +339,164 @@ func TestEngineCountsFluidOverflow(t *testing.T) {
 			eng.OverflowPeriods, eng.OverflowBytes)
 	}
 	t.Logf("%d periods overflowed by %.0f bytes in %v", eng.OverflowPeriods, eng.OverflowBytes, eng.FFTime)
+}
+
+// pipeCell is a three-batch mixed reno/cubic/dctcp cell advanced to its
+// first quiescent instant with the helper gate forced to pipe.
+func pipeCell(t *testing.T, pipe int) (*sim.Simulator, *link.Link, []*tcp.Endpoint, *Engine) {
+	t.Helper()
+	s, l, flows := buildCell(t, 31, 200, 200, 200)
+	eng, ok := New(s, l, flows)
+	if !ok {
+		t.Fatal("engine must build")
+	}
+	eng.pipe = pipe
+	seekQuiescent(t, s, eng)
+	return s, l, flows, eng
+}
+
+// TestEnginePipelineMatchesInline drives the same seed's cell through the
+// hybrid loop twice, once with stage B inline and once on the helper, and
+// requires every flow's window state, goodput and signal ledgers, the AQM's
+// p′ and the engine telemetry to agree bit for bit. At least one flow
+// enters an epoch frozen in fast recovery, so the virtual recovery exit is
+// compared too.
+func TestEnginePipelineMatchesInline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("600-flow cells")
+	}
+	type world struct {
+		s     *sim.Simulator
+		l     *link.Link
+		flows []*tcp.Endpoint
+		eng   *Engine
+	}
+	var w [2]world
+	for k, pipe := range []int{-1, 1} {
+		s, l, flows, eng := pipeCell(t, pipe)
+		w[k] = world{s, l, flows, eng}
+	}
+	frozen := 0
+	for step := 0; step < 12; step++ {
+		if w[0].eng.Quiescent() {
+			for _, f := range w[0].flows {
+				if f.FFInRecovery() {
+					frozen++
+				}
+			}
+		}
+		for _, x := range w {
+			if x.eng.TryAdvance(x.s.Now()+time.Second) == 0 {
+				x.s.RunUntil(x.s.Now() + 128*time.Millisecond)
+			}
+		}
+		if w[0].s.Now() != w[1].s.Now() {
+			t.Fatalf("step %d: clocks diverged: %v vs %v", step, w[0].s.Now(), w[1].s.Now())
+		}
+	}
+	if frozen == 0 {
+		t.Fatal("no flow entered an epoch in fast recovery")
+	}
+	a, b := w[0].eng, w[1].eng
+	if a.Epochs < 2 || a.Epochs != b.Epochs || a.ZeroEpochs != b.ZeroEpochs ||
+		a.VirtualPkts != b.VirtualPkts || a.FFTime != b.FFTime ||
+		a.OverflowPeriods != b.OverflowPeriods || a.OverflowBytes != b.OverflowBytes {
+		t.Fatalf("telemetry: inline %d/%d epochs %d pkts %v %d/%g, helper %d/%d epochs %d pkts %v %d/%g",
+			a.Epochs, a.ZeroEpochs, a.VirtualPkts, a.FFTime, a.OverflowPeriods, a.OverflowBytes,
+			b.Epochs, b.ZeroEpochs, b.VirtualPkts, b.FFTime, b.OverflowPeriods, b.OverflowBytes)
+	}
+	if pa, pb := w[0].l.AQM().(*core.PI2).PPrime(), w[1].l.AQM().(*core.PI2).PPrime(); pa != pb {
+		t.Fatalf("p' = %v inline, %v helper", pa, pb)
+	}
+	for i, fa := range w[0].flows {
+		fb := w[1].flows[i]
+		if *fa.State() != *fb.State() || fa.Goodput.Bytes() != fb.Goodput.Bytes() ||
+			fa.CongestionEvents() != fb.CongestionEvents() ||
+			fa.MarksSeen() != fb.MarksSeen() || fa.CEAcked() != fb.CEAcked() {
+			t.Fatalf("flow %d: inline %+v, helper %+v", i, *fa.State(), *fb.State())
+		}
+	}
+	t.Logf("%d epochs, %d virtual packets, %d flow-epochs entered in recovery",
+		a.Epochs, a.VirtualPkts, frozen)
+}
+
+// panicFwd panics in FFDecideN once calls reaches zero.
+type panicFwd struct {
+	aqm.FastForwarder
+	calls int
+}
+
+func (p *panicFwd) FFDecideN(ecn packet.ECN, backlog, n int) (int, int, int) {
+	if p.calls--; p.calls == 0 {
+		panic("stage A")
+	}
+	return p.FastForwarder.FFDecideN(ecn, backlog, n)
+}
+
+// TestEnginePipelinePanics injects a panic into each stage of a pipelined
+// epoch, through two engines over one quiescent cell: it must reach
+// TryAdvance's caller, where a campaign cell's recover turns it into the
+// record's Err, and must leave no helper goroutine behind.
+func TestEnginePipelinePanics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("600-flow cell")
+	}
+	s, l, flows, engA := pipeCell(t, 1)
+	// Stage A: mid-way through the second period's second batch.
+	engA.fwd = &panicFwd{engA.fwd, len(flows) + batch + 10}
+	engB, _ := New(s, l, flows)
+	engB.pipe = 1
+	// Stage B: the helper drops a third-batch flow's endpoint.
+	engB.helperFn = func() { engB.steps[2*batch+3].ep = nil; engB.helper() }
+	for _, c := range []struct {
+		stage string
+		eng   *Engine
+		want  string
+	}{{"A", engA, "stage A"}, {"B", engB, "nil pointer dereference"}} {
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("stage %s: recovered %v, want %q", c.stage, r, c.want)
+				}
+			}()
+			c.eng.TryAdvance(s.Now() + time.Second)
+			t.Errorf("stage %s: TryAdvance returned", c.stage)
+		}()
+		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("stage %s: %d goroutines after the panic, %d before", c.stage, n, before)
+		}
+	}
+}
+
+// BenchmarkEpochCrossover times one-virtual-second epochs of the same cell
+// with stage B inline and on the helper, whatever the gate would pick.
+// Both modes do the same work to the bit, so their ns/virtual_pkt compare
+// directly; DESIGN.md's crossover table is this benchmark's output.
+func BenchmarkEpochCrossover(b *testing.B) {
+	for _, n := range []int{120, 600, 1200, 2400, 5000} {
+		for _, mode := range []struct {
+			name string
+			pipe int
+		}{{"inline", -1}, {"helper", 1}} {
+			b.Run(fmt.Sprintf("flows=%d/%s", n, mode.name), func(b *testing.B) {
+				s, l, flows := buildCell(b, 1, n/3, n/3, n-2*(n/3))
+				eng, _ := New(s, l, flows)
+				eng.pipe = mode.pipe
+				seekQuiescent(b, s, eng)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if eng.TryAdvance(s.Now()+time.Second) == 0 {
+						b.StopTimer()
+						seekQuiescent(b, s, eng)
+						b.StartTimer()
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.VirtualPkts), "ns/virtual_pkt")
+			})
+		}
+	}
 }
