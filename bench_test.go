@@ -411,6 +411,26 @@ func BenchmarkPI2EnqueueDecision(b *testing.B) {
 	}
 }
 
+// BenchmarkPI2FFDecideN measures one fast-forward decision call for n = 64
+// packets of one codepoint: the classic square (two draws after a first
+// hit) and the scalable single draw, against a warmed p′.
+func BenchmarkPI2FFDecideN(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ecn  packet.ECN
+	}{{"classic", packet.NotECT}, {"scalable", packet.ECT1}} {
+		b.Run(c.name, func(b *testing.B) {
+			q2 := core.New(core.Config{}, rand.New(rand.NewSource(1)))
+			warmPI2(q2, 30*time.Millisecond)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, _ = q2.FFDecideN(c.ecn, 0, 64)
+			}
+		})
+	}
+}
+
 // BenchmarkPIEEnqueueDecision measures PIE's drop_early path with all
 // heuristics active and the controller warmed past its burst allowance
 // (a cold PIE short-circuits to accept, which would flatter it).

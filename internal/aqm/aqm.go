@@ -40,6 +40,18 @@ func (v Verdict) String() string {
 	return "invalid"
 }
 
+// VerdictOf folds a one-packet decision's mark and drop counts into its
+// Verdict.
+func VerdictOf(marked, dropped int) Verdict {
+	switch {
+	case dropped > 0:
+		return Drop
+	case marked > 0:
+		return Mark
+	}
+	return Accept
+}
+
 // QueueInfo is the read-only view of queue state an AQM may consult.
 type QueueInfo interface {
 	// BacklogBytes is the queued byte count (not counting the packet

@@ -16,15 +16,16 @@ import (
 // codepoint, and FFUpdate must step the control law exactly as Update would
 // for the given queue-delay observation. The implementations in this
 // repository guarantee this structurally: each AQM has one unexported
-// per-packet decision, Enqueue calls it once and FFDecideN calls it n times
-// in a loop, and Update is a thin wrapper over FFUpdate. An epoch's
+// decision for n packets of one shape, Enqueue makes it with n = 1 and
+// FFDecideN with n, and Update is a thin wrapper over FFUpdate. An epoch's
 // mark/drop counts are therefore drawn from the same stream packet mode
 // would have used, and exiting fast-forward re-enters packet mode with a
 // byte-reproducible RNG state.
 type FastForwarder interface {
 	// FFDecideN decides n synthetic arrivals with the given ECN codepoint
-	// and backlog, consuming exactly the draws n Enqueue calls would. It returns how many were admitted (accepted, marks included),
-	// how many of those were CE-marked, and how many were dropped;
+	// and backlog, consuming exactly the draws n Enqueue calls would. It
+	// returns how many were admitted (accepted, marks included), how many
+	// of those were CE-marked, and how many were dropped;
 	// accepted + dropped == n.
 	FFDecideN(ecn packet.ECN, backlogBytes, n int) (accepted, marked, dropped int)
 	// FFUpdate steps the control law with a synthetic queue-delay
@@ -52,17 +53,9 @@ func (d *DepartRateEstimator) FFShift(delta time.Duration) {
 
 var _ FastForwarder = (*PI)(nil)
 
-// FFDecideN implements FastForwarder: n of PI's per-packet decisions.
+// FFDecideN implements FastForwarder: PI's decision for n packets.
 func (pi *PI) FFDecideN(ecn packet.ECN, _, n int) (accepted, marked, dropped int) {
-	for i := 0; i < n; i++ {
-		v := pi.decide(ecn)
-		if v == Mark {
-			marked++
-		}
-		if v == Drop {
-			dropped++
-		}
-	}
+	marked, dropped = pi.decideN(ecn, n)
 	return n - dropped, marked, dropped
 }
 
@@ -80,18 +73,10 @@ func (pi *PI) FFTarget() time.Duration { return pi.cfg.Target }
 
 var _ FastForwarder = (*PIE)(nil)
 
-// FFDecideN implements FastForwarder: n of PIE's drop_early decisions,
-// every heuristic gate included, fed one synthetic arrival shape.
+// FFDecideN implements FastForwarder: PIE's drop_early decision for n
+// packets, every heuristic gate included, fed one synthetic arrival shape.
 func (pe *PIE) FFDecideN(ecn packet.ECN, backlogBytes, n int) (accepted, marked, dropped int) {
-	for i := 0; i < n; i++ {
-		v := pe.decide(ecn, backlogBytes)
-		if v == Mark {
-			marked++
-		}
-		if v == Drop {
-			dropped++
-		}
-	}
+	marked, dropped = pe.decideN(ecn, backlogBytes, n)
 	return n - dropped, marked, dropped
 }
 

@@ -38,7 +38,7 @@ var ffBatchSizes = []int{0, 1, 2, 7, 64}
 // batch side's mark and drop totals, so callers can require the draws were
 // exercised.
 func checkDecideN(t *testing.T, step int, single func(packet.ECN) Verdict,
-	batch func(packet.ECN, int) (int, int, int), singleRNG, batchRNG *rand.Rand) (marks, drops int) {
+	batch func(packet.ECN, int) (int, int, int), singleRNG, batchRNG *Draws) (marks, drops int) {
 	t.Helper()
 	for i := 0; i < 4; i++ {
 		ecn := ecnPattern(i)
@@ -60,8 +60,8 @@ func checkDecideN(t *testing.T, step int, single func(packet.ECN) Verdict,
 				t.Fatalf("step %d %v n=%d: FFDecideN = (%d, %d, %d), Enqueue twin (%d, %d, %d)",
 					step, ecn, n, gotAcc, gotMk, gotDr, acc, mk, dr)
 			}
-			if a, b := singleRNG.Int63(), batchRNG.Int63(); a != b {
-				t.Fatalf("step %d %v n=%d: next draw diverged: %d vs %d", step, ecn, n, a, b)
+			if a, b := singleRNG.Float64(), batchRNG.Float64(); a != b {
+				t.Fatalf("step %d %v n=%d: next draw diverged: %v vs %v", step, ecn, n, a, b)
 			}
 			marks += gotMk
 			drops += gotDr
@@ -193,7 +193,7 @@ func TestPIFFDecideNMatchesEnqueue(t *testing.T) {
 				func(ecn packet.ECN, n int) (int, int, int) {
 					return batch.FFDecideN(ecn, 0, n)
 				},
-				single.rng, batch.rng)
+				&single.rng, &batch.rng)
 			marks += m
 			drops += d
 		}
@@ -248,7 +248,7 @@ func TestPIEFFDecideNMatchesEnqueue(t *testing.T) {
 					func(ecn packet.ECN, n int) (int, int, int) {
 						return batch.FFDecideN(ecn, q.bytes, n)
 					},
-					single.rng, batch.rng)
+					&single.rng, &batch.rng)
 				if single.burst != batch.burst {
 					t.Fatalf("step %d: gate state diverged: burst %v vs %v",
 						step, single.burst, batch.burst)

@@ -180,7 +180,7 @@ type PI struct {
 	cfg  PIConfig
 	core PICore
 	rate DepartRateEstimator
-	rng  *rand.Rand
+	rng  Draws
 }
 
 // NewPI builds a plain PI AQM with the given RNG stream.
@@ -189,7 +189,7 @@ func NewPI(cfg PIConfig, rng *rand.Rand) *PI {
 	return &PI{
 		cfg:  cfg,
 		core: PICore{Alpha: cfg.Alpha, Beta: cfg.Beta, Target: cfg.Target},
-		rng:  rng,
+		rng:  NewDraws(rng),
 	}
 }
 
@@ -201,20 +201,18 @@ func (pi *PI) DropProbability() float64 { return pi.core.P() }
 
 // Enqueue implements AQM: drop (or mark) with probability p.
 func (pi *PI) Enqueue(p *packet.Packet, _ QueueInfo, _ time.Duration) Verdict {
-	return pi.decide(p.ECN)
+	return VerdictOf(pi.decideN(p.ECN, 1))
 }
 
-// decide is PI's one per-packet decision. Enqueue makes it once per packet
-// and FFDecideN n times per batch, so packet mode and fast-forward mode
-// share one RNG discipline.
-func (pi *PI) decide(ecn packet.ECN) Verdict {
-	if pi.rng.Float64() >= pi.core.P() {
-		return Accept
-	}
+// decideN is PI's decision for n packets of one ECN codepoint, one draw
+// against p each. Enqueue makes it for one packet and FFDecideN for n, so
+// packet mode and fast-forward mode share one RNG discipline.
+func (pi *PI) decideN(ecn packet.ECN, n int) (marked, dropped int) {
+	hits := pi.rng.Hits(pi.core.P(), n)
 	if pi.cfg.ECN && ecn.ECNCapable() {
-		return Mark
+		return hits, 0
 	}
-	return Drop
+	return 0, hits
 }
 
 // Dequeue implements AQM.

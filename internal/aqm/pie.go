@@ -114,7 +114,7 @@ type PIE struct {
 	cfg    PIEConfig
 	core   PICore
 	rate   DepartRateEstimator
-	rng    *rand.Rand
+	rng    Draws
 	burst  time.Duration
 	name   string
 	qdelay time.Duration // last estimate, for Suppress and burst reset
@@ -143,7 +143,7 @@ func NewPIE(cfg PIEConfig, rng *rand.Rand) *PIE {
 	return &PIE{
 		cfg:   cfg,
 		core:  PICore{Alpha: cfg.Alpha, Beta: cfg.Beta, Target: cfg.Target, PMax: pmax},
-		rng:   rng,
+		rng:   NewDraws(rng),
 		burst: cfg.BurstAllowance,
 		name:  name,
 	}
@@ -160,37 +160,26 @@ func (pe *PIE) QDelay() time.Duration { return pe.qdelay }
 
 // Enqueue implements AQM: PIE's drop_early decision.
 func (pe *PIE) Enqueue(p *packet.Packet, q QueueInfo, now time.Duration) Verdict {
-	return pe.decide(p.ECN, q.BacklogBytes())
+	return VerdictOf(pe.decideN(p.ECN, q.BacklogBytes(), 1))
 }
 
-// decide is PIE's one per-packet drop_early decision, every heuristic gate
-// included. Enqueue makes it once per packet and FFDecideN n times per
-// batch, so packet mode and fast-forward mode share one RNG discipline.
-func (pe *PIE) decide(ecn packet.ECN, backlogBytes int) Verdict {
+// decideN is PIE's drop_early decision for n packets of one ECN codepoint
+// and backlog, every heuristic gate included. Nothing moves the gates or p
+// between the packets, so either all n pass the gates and draw, or none
+// does. Enqueue makes it for one packet and FFDecideN for n, so packet mode
+// and fast-forward mode share one RNG discipline.
+func (pe *PIE) decideN(ecn packet.ECN, backlogBytes, n int) (marked, dropped int) {
 	prob := pe.core.P()
-	if pe.burst > 0 {
-		return Accept
+	if pe.burst > 0 ||
+		pe.cfg.Suppress && pe.qdelay < pe.cfg.Target/2 && prob < 0.2 ||
+		pe.cfg.MinBacklog > 0 && backlogBytes <= pe.cfg.MinBacklog {
+		return 0, 0
 	}
-	if pe.cfg.Suppress && pe.qdelay < pe.cfg.Target/2 && prob < 0.2 {
-		return Accept
+	hits := pe.rng.Hits(prob, n)
+	if pe.cfg.ECN && ecn.ECNCapable() && (pe.cfg.ReworkedECN || prob <= pieMarkECNThreshold) {
+		return hits, 0
 	}
-	if pe.cfg.MinBacklog > 0 && backlogBytes <= pe.cfg.MinBacklog {
-		return Accept
-	}
-	if pe.rng.Float64() >= prob {
-		return Accept
-	}
-	return pe.signal(ecn)
-}
-
-// signal picks mark vs drop for a packet that lost the probability draw.
-func (pe *PIE) signal(ecn packet.ECN) Verdict {
-	if pe.cfg.ECN && ecn.ECNCapable() {
-		if pe.cfg.ReworkedECN || pe.core.P() <= pieMarkECNThreshold {
-			return Mark
-		}
-	}
-	return Drop
+	return 0, hits
 }
 
 // Dequeue implements AQM; it feeds the departure-rate estimator.

@@ -27,7 +27,7 @@ const (
 // RED is the Random Early Detection AQM.
 type RED struct {
 	cfg REDConfig
-	rng *rand.Rand
+	rng Draws
 
 	avg       float64
 	count     int // packets since last drop, for the uniform-spacing trick
@@ -44,7 +44,7 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 	if cfg.MaxThresh == 0 {
 		cfg.MaxThresh = 15 * packet.FullLen
 	}
-	return &RED{cfg: cfg, rng: rng, count: -1}
+	return &RED{cfg: cfg, rng: NewDraws(rng), count: -1}
 }
 
 // Name implements AQM.
@@ -88,7 +88,7 @@ func (r *RED) Enqueue(p *packet.Packet, q QueueInfo, now time.Duration) Verdict 
 	r.count++
 	// Uniform spacing: pa = pb / (1 - count*pb).
 	pa := pb / (1 - float64(r.count)*pb)
-	if pa < 0 || pa >= 1 || r.rng.Float64() < pa {
+	if pa < 0 || pa >= 1 || r.rng.Hits(pa, 1) > 0 {
 		r.count = 0
 		return r.signal(p)
 	}

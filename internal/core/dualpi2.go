@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"pi2/internal/aqm"
@@ -61,7 +60,7 @@ type DualLink struct {
 	LSojourn, CSojourn stats.Quantiler // seconds
 
 	cfg            DualConfig
-	rng            *rand.Rand
+	rng            aqm.Draws
 	core           aqm.PICore
 	lq, cq         link.Ring
 	lMarks, cMarks int
@@ -78,7 +77,7 @@ func NewDualLink(s *sim.Simulator, rateBps float64, cfg DualConfig, deliver func
 		LSojourn: &stats.Sample{},
 		CSojourn: &stats.Sample{},
 		cfg:      cfg,
-		rng:      s.RNG(),
+		rng:      aqm.NewDraws(s.RNG()),
 		core: aqm.PICore{
 			Alpha:  cfg.Alpha,
 			Beta:   cfg.Beta,
@@ -119,7 +118,7 @@ func (q *dualQueue) Admit(_ *link.Link, p *packet.Packet, _ time.Duration) aqm.V
 		return aqm.Accept
 	}
 	v := aqm.Accept
-	if pp := q.core.P(); q.rng.Float64() < pp && q.rng.Float64() < pp {
+	if q.rng.SquaredHits(q.core.P(), 1) > 0 {
 		if p.ECN != packet.ECT0 {
 			return aqm.Drop
 		}
@@ -141,7 +140,7 @@ func (q *dualQueue) Next(_ *link.Link, now time.Duration) (*packet.Packet, aqm.V
 	p := q.lq.Pop()
 	sojourn := now - p.EnqueuedAt
 	q.LSojourn.Add(sojourn.Seconds())
-	if q.rng.Float64() < max(q.cfg.K*q.core.P(), q.rampProb(sojourn)) {
+	if q.rng.Hits(max(q.cfg.K*q.core.P(), q.rampProb(sojourn)), 1) > 0 {
 		q.lMarks++
 		return p, aqm.Mark
 	}

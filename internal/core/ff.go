@@ -8,9 +8,9 @@ import (
 )
 
 // Fast-forward support for PI2 and DualPI2. PI2 implements the full
-// aqm.FastForwarder contract (FFDecideN loops over the decision Enqueue
-// makes, and Update delegates to FFUpdate, so packet mode and fast-forward
-// mode share one RNG discipline). DualPI2 only exposes
+// aqm.FastForwarder contract (FFDecideN makes for n packets the decision
+// Enqueue makes for one, and Update delegates to FFUpdate, so packet mode
+// and fast-forward mode share one RNG discipline). DualPI2 only exposes
 // control-law stepping: dual-queue epochs keep two coupled backlogs whose
 // interaction (time-shifted priority, ramp marking at dequeue) has no
 // closed-form fluid model here, so the ff engine leaves dualpi2 scenarios in
@@ -18,8 +18,8 @@ import (
 
 var _ aqm.FastForwarder = (*PI2)(nil)
 
-// FFDecideN implements aqm.FastForwarder: n of the Figure 9 classifier's
-// per-packet decisions for one synthetic arrival shape.
+// FFDecideN implements aqm.FastForwarder: the Figure 9 classifier's
+// decision for n packets of one synthetic arrival shape.
 func (q2 *PI2) FFDecideN(ecn packet.ECN, _, n int) (accepted, marked, dropped int) {
 	marked, dropped = q2.decideN(ecn, n)
 	return n - dropped, marked, dropped

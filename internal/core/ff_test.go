@@ -120,7 +120,7 @@ func TestPI2FFDecideNMatchesEnqueue(t *testing.T) {
 						t.Fatalf("multiply=%v step %d %v n=%d: FFDecideN = (%d, %d, %d), Enqueue twin (%d, %d, %d)",
 							useMul, step, ecn, n, gotAcc, gotMk, gotDr, acc, mk, dr)
 					}
-					if a, b := single.rng.Int63(), batch.rng.Int63(); a != b {
+					if a, b := single.rng.Float64(), batch.rng.Float64(); a != b {
 						t.Fatalf("multiply=%v step %d %v n=%d: next draw diverged", useMul, step, ecn, n)
 					}
 					marks += gotMk

@@ -77,7 +77,7 @@ type PI2 struct {
 	cfg  Config
 	core aqm.PICore
 	rate aqm.DepartRateEstimator
-	rng  *rand.Rand
+	rng  aqm.Draws
 }
 
 // New builds a PI2 AQM with the given RNG stream.
@@ -92,7 +92,7 @@ func New(cfg Config, rng *rand.Rand) *PI2 {
 			// p′ is capped so that p′² never exceeds the Classic cap.
 			PMax: math.Sqrt(cfg.MaxClassicProb),
 		},
-		rng: rng,
+		rng: aqm.NewDraws(rng),
 	}
 }
 
@@ -120,13 +120,7 @@ func (q2 *PI2) ScalableProbability() float64 {
 
 // Enqueue implements aqm.AQM: the Figure 9 classifier and decision blocks.
 func (q2 *PI2) Enqueue(p *packet.Packet, _ aqm.QueueInfo, _ time.Duration) Verdict {
-	switch marked, dropped := q2.decideN(p.ECN, 1); {
-	case dropped > 0:
-		return aqm.Drop
-	case marked > 0:
-		return aqm.Mark
-	}
-	return aqm.Accept
+	return aqm.VerdictOf(q2.decideN(p.ECN, 1))
 }
 
 // decideN is PI2's per-packet decision, made for n packets of one ECN
@@ -135,22 +129,18 @@ func (q2 *PI2) Enqueue(p *packet.Packet, _ aqm.QueueInfo, _ time.Duration) Verdi
 // Classic packets take the squared probability: one draw against p′² under
 // UseMultiply, or under the hardware form two draws both below p′
 // (max(Y1,Y2) < p′), short-circuited after a first miss. Enqueue makes the
-// decision once and FFDecideN n times, so packet mode and fast-forward mode
-// share one RNG discipline. Nothing moves p′ between the draws, so the
-// probability is read once per call, not once per packet.
+// decision for one packet and FFDecideN for n, so packet mode and
+// fast-forward mode share one RNG discipline. Nothing moves p′ between the
+// draws, so the probability is read once per call, not once per packet.
 func (q2 *PI2) decideN(ecn packet.ECN, n int) (marked, dropped int) {
-	p, square := q2.ScalableProbability(), false
-	if !ecn.Scalable() {
-		p, square = q2.core.P(), !q2.cfg.UseMultiply
-		if !square {
-			p *= p
-		}
-	}
-	rng, hits := q2.rng, 0
-	for i := 0; i < n; i++ {
-		if rng.Float64() < p && (!square || rng.Float64() < p) {
-			hits++
-		}
+	var hits int
+	switch p := q2.core.P(); {
+	case ecn.Scalable():
+		hits = q2.rng.Hits(q2.ScalableProbability(), n)
+	case q2.cfg.UseMultiply:
+		hits = q2.rng.Hits(p*p, n)
+	default:
+		hits = q2.rng.SquaredHits(p, n)
 	}
 	if ecn == packet.NotECT {
 		return 0, hits

@@ -5,16 +5,16 @@
 // per-flow windows stepped in closed form by the congestion controls' own
 // rules, the backlog evolved as a fluid (aggregate arrival minus drain), and
 // mark/drop decisions drawn per flow and period in one batch call that makes
-// the very draws packet mode would (aqm.FastForwarder loops over the same
-// per-packet decision Enqueue makes). When the epoch ends, pending events and
+// the very draws packet mode would (aqm.FastForwarder makes for n packets
+// the decision Enqueue makes for one). When the epoch ends, pending events and
 // timestamped state are translated by the skipped interval, so packet mode
 // resumes from a consistent instant.
 //
-// Each period runs as a two-stage pipeline over batches of flows: stage A
-// decides the packets in flow order, stage B (inline, or on a helper
-// goroutine when a second core is there) steps the windows. A flow's stage
-// A needs only its own stage B of the period before, so the output is the
-// same bytes either way.
+// Each period runs in two stages over batches of flows: stage A decides the
+// packets in flow order, stage B steps the windows on whichever goroutine
+// is free, the caller's or a helper's on a second core. A flow's stage A
+// needs only its own stage B of the period before, and stage-B batches
+// touch disjoint flows, so the output is the same bytes whoever runs them.
 //
 // The engine never rolls back: each AQM update period commits as it is
 // simulated, and the epoch simply ends when the stay band breaks. Entry and
@@ -24,6 +24,7 @@
 package ff
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -60,17 +61,24 @@ type Engine struct {
 	steps    []step
 	cwnd     []float64
 
-	// Pipeline state, reused across epochs: stage B's period inputs by
-	// parity, the batch handoffs each way (a token per finished batch, -1
-	// for the end), the helper's exit and its recovered panic. helperFn is
-	// e.helper bound once, since `go e.helper()` would allocate a closure
-	// per epoch.
-	period      [2]periodIn
-	toB, toA    chan int32
-	helperDone  sync.WaitGroup
-	helperPanic any
-	helperFn    func()
-	pipe        int // test hook: +1 forces the helper, -1 keeps B inline
+	// Work sharing, reused across epochs: stage B's period inputs by parity;
+	// under mu, the stage-B batches released and claimed (counted in epoch
+	// order), each batch slot's finished periods, the stop flag and the
+	// helper's panic. helperFn is e.helper bound once: `go e.helper()`
+	// would allocate a closure per epoch.
+	period            [2]periodIn
+	mu                sync.Mutex
+	wake              sync.Cond // on mu: a batch released or finished, or stop
+	released, claimed int
+	done              []int
+	stop              bool
+	helperPanic       any
+	helperDone        sync.WaitGroup
+	helperFn          func()
+	// Test hooks: pipe +1 forces the helper and -1 keeps it off; takes,
+	// if set, says whether the helper (true) or stage A claims batch g.
+	pipe  int
+	takes func(g int) bool
 
 	// ForceZero is a test hook: epochs are detected (and counted in
 	// ZeroEpochs) but commit zero periods, mutating nothing — the
@@ -90,9 +98,9 @@ type Engine struct {
 	OverflowBytes   float64
 }
 
-// batch is the pipeline's handoff unit, in flows, and minBatches the
-// fewest batches an epoch hands to a helper: below it a period's work is
-// too short to hide the cost of waking a parked stage (DESIGN.md has the
+// batch is the unit of stage-B work, in flows, and minBatches the fewest
+// batches an epoch starts a helper for: below it a period's work is too
+// short to hide the cost of waking a parked goroutine (DESIGN.md has the
 // measured crossover).
 const batch, minBatches = 256, 5
 
@@ -164,10 +172,8 @@ func New(clock Clock, l *link.Link, eps []*tcp.Endpoint) (*Engine, bool) {
 		e.flows[i] = flow{ecn: ecn, scalable: ecn == packet.ECT1, baseRTT: ep.BaseRTT()}
 		e.steps[i] = step{ep: ep, scalable: ecn == packet.ECT1, baseRTT: ep.BaseRTT()}
 	}
-	// Neither stage runs more than a period's batches ahead of the other,
-	// so a handoff holds at most that many tokens, plus the -1.
-	nb := (len(eps)+batch-1)/batch + 1
-	e.toB, e.toA = make(chan int32, nb), make(chan int32, nb)
+	e.done = make([]int, (len(eps)+batch-1)/batch)
+	e.wake.L = &e.mu
 	e.helperFn = e.helper
 	return e, true
 }
@@ -225,15 +231,17 @@ func (e *Engine) TryAdvance(barrier time.Duration) time.Duration {
 }
 
 // epoch runs up to maxPeriods update periods from vnow and returns how many
-// it committed. Stage B runs on the helper when another core can take it
-// and the flows fill minBatches; otherwise each batch's stage B runs inline
-// right after its stage A.
+// it committed. A helper shares stage B when another core can take it and
+// the flows fill minBatches; otherwise stage A runs every stage-B batch
+// itself, each just before the batch's next stage A.
 func (e *Engine) epoch(vnow time.Duration, maxPeriods int) (periods int) {
-	nb := (len(e.flows) + batch - 1) / batch
+	nb := len(e.done)
 	helper := e.pipe > 0 || e.pipe == 0 && nb >= minBatches && runtime.GOMAXPROCS(0) > 1
 	for i := range e.steps {
 		e.cwnd[i] = e.steps[i].ep.FFCwnd()
 	}
+	e.released, e.claimed, e.stop = 0, 0, false
+	clear(e.done)
 	if helper {
 		e.helperDone.Add(1)
 		go e.helperFn()
@@ -248,21 +256,19 @@ func (e *Engine) epoch(vnow time.Duration, maxPeriods int) (periods int) {
 		qdNow := byteDelay(q, rate)
 		e.period[j&1] = periodIn{qdNow, vnow}
 		var accAll, markAll, dropAll int
-		for lo := 0; lo < len(e.flows); lo += batch {
-			hi := min(lo+batch, len(e.flows))
+		for b := 0; b < nb; b++ {
 			// A flow's stage A needs its stage B of the period before.
-			if helper && j > 0 && <-e.toA < 0 {
+			if !e.stepUntil(b, j, false) {
 				return 0 // the helper panicked: join re-raises it
 			}
-			acc, mk, dr := e.decide(lo, hi, int(q), qdNow, vnow, dt)
+			acc, mk, dr := e.decide(b*batch, min(b*batch+batch, len(e.flows)), int(q), qdNow, vnow, dt)
 			accAll += acc
 			markAll += mk
 			dropAll += dr
-			if helper {
-				e.toB <- 0
-			} else {
-				e.stepWindows(lo, hi, e.period[j&1])
-			}
+			e.mu.Lock()
+			e.released++
+			e.wake.Broadcast()
+			e.mu.Unlock()
 		}
 		// Fluid backlog step: accepted arrivals minus one period of drain.
 		// Dropped packets never occupy the queue; the stay band keeps the
@@ -286,6 +292,12 @@ func (e *Engine) epoch(vnow time.Duration, maxPeriods int) (periods int) {
 			break
 		}
 	}
+	// Every released stage-B batch runs before the epoch commits.
+	for b := 0; b < nb; b++ {
+		if !e.stepUntil(b, periods, false) {
+			return 0
+		}
+	}
 	return periods
 }
 
@@ -294,10 +306,14 @@ func (e *Engine) epoch(vnow time.Duration, maxPeriods int) (periods int) {
 // flow-major, packet-minor order — one RNG draw sequence, fixed by
 // construction order, identical for any -shards value.
 func (e *Engine) decide(lo, hi, backlog int, qd, vnow time.Duration, dt float64) (accAll, markAll, dropAll int) {
+	base, rttS := time.Duration(-1), 0.0 // flows mostly share base RTTs
 	for i := lo; i < hi; i++ {
 		f := &e.flows[i]
 		rtt := f.baseRTT + qd
-		f.credit += e.cwnd[i] * dt / rtt.Seconds()
+		if f.baseRTT != base {
+			base, rttS = f.baseRTT, rtt.Seconds()
+		}
+		f.credit += e.cwnd[i] * dt / rttS
 		n := int(f.credit)
 		if n <= 0 {
 			e.verdicts[i] = verdict{}
@@ -353,35 +369,59 @@ func (e *Engine) stepWindows(lo, hi int, p periodIn) {
 	}
 }
 
-// helper runs stage B on each batch stage A hands it, in order, until join
-// hands it -1. On the way out it keeps its panic for join, which re-raises
-// it, and hands stage A a -1 in case A awaits a batch.
-func (e *Engine) helper() {
-	defer func() {
-		e.helperPanic = recover()
-		e.toA <- -1
-		e.helperDone.Done()
-	}()
-	nb := (len(e.flows) + batch - 1) / batch
-	for b := 0; <-e.toB >= 0; b++ {
-		lo := b % nb * batch
-		e.stepWindows(lo, min(lo+batch, len(e.flows)), e.period[b/nb&1])
-		e.toA <- 0
+// stepUntil runs released stage-B batches, claimed in epoch order, until
+// batch slot b has finished n periods, parking while there is none to
+// claim. Stage A calls it for the batch it needs next, so it never parks
+// unless the helper is running the very batch it needs; the helper calls
+// it for a target never met. It reports false once stop is set: for stage
+// A, when the helper panicked; for the helper, at join.
+func (e *Engine) stepUntil(b, n int, helper bool) bool {
+	e.mu.Lock()
+	for e.done[b] < n {
+		if e.stop {
+			e.mu.Unlock()
+			return false
+		}
+		g := e.claimed
+		if g == e.released || e.takes != nil && e.takes(g) != helper {
+			e.wake.Wait()
+			continue
+		}
+		e.claimed++
+		e.mu.Unlock()
+		lo := g % len(e.done) * batch
+		e.stepWindows(lo, min(lo+batch, len(e.flows)), e.period[g/len(e.done)&1])
+		e.mu.Lock()
+		e.done[g%len(e.done)]++
+		e.wake.Broadcast()
 	}
+	e.mu.Unlock()
+	return true
 }
 
-// join ends the helper after the batches stage A handed it, waits for it to
-// exit, empties both handoffs for the next epoch and re-raises the helper's
-// panic. Deferred, it also reaps the helper when stage A panics.
+// helper shares stage B with stage A until join stops it. On the way out it
+// keeps its panic for join, which re-raises it, and stops stage A in case
+// A awaits a batch the panic left unfinished.
+func (e *Engine) helper() {
+	defer func() {
+		r := recover()
+		e.mu.Lock()
+		e.helperPanic, e.stop = r, true
+		e.wake.Broadcast()
+		e.mu.Unlock()
+		e.helperDone.Done()
+	}()
+	e.stepUntil(0, math.MaxInt, true)
+}
+
+// join stops the helper, waits for it to exit and re-raises its panic.
+// Deferred, it also reaps the helper when stage A panics.
 func (e *Engine) join() {
-	e.toB <- -1
+	e.mu.Lock()
+	e.stop = true
+	e.wake.Broadcast()
+	e.mu.Unlock()
 	e.helperDone.Wait()
-	for len(e.toA) > 0 {
-		<-e.toA
-	}
-	for len(e.toB) > 0 {
-		<-e.toB
-	}
 	if r := e.helperPanic; r != nil {
 		e.helperPanic = nil
 		panic(r)

@@ -341,26 +341,62 @@ func TestEngineCountsFluidOverflow(t *testing.T) {
 	t.Logf("%d periods overflowed by %.0f bytes in %v", eng.OverflowPeriods, eng.OverflowBytes, eng.FFTime)
 }
 
+// TestDecideCreditPerBaseRTT: stage A converts a flow's RTT to seconds once
+// per run of equal base RTTs. Over flows whose base RTTs change from flow
+// to flow, every flow's credit must still be its own cwnd·dt/RTT to the
+// bit.
+func TestDecideCreditPerBaseRTT(t *testing.T) {
+	rtts := []time.Duration{10, 10, 30, 30, 10, 50, 7, 7, 7, 10}
+	e := &Engine{
+		fwd:      core.New(core.Config{}, sim.New(1).RNG()),
+		flows:    make([]flow, len(rtts)),
+		verdicts: make([]verdict, len(rtts)),
+		cwnd:     make([]float64, len(rtts)),
+	}
+	for i, r := range rtts {
+		e.flows[i] = flow{ecn: packet.ECT0, baseRTT: r * time.Millisecond}
+		e.cwnd[i] = 3.7 + float64(i)
+	}
+	qd, dt := 13*time.Millisecond+17, 0.032
+	e.decide(0, len(rtts), 0, qd, 0, dt)
+	for i, f := range e.flows {
+		want := e.cwnd[i] * dt / (f.baseRTT + qd).Seconds()
+		want -= float64(int(want))
+		if f.credit != want {
+			t.Fatalf("flow %d (base RTT %v): credit %v, want %v", i, f.baseRTT, f.credit, want)
+		}
+	}
+}
+
 // pipeCell is a three-batch mixed reno/cubic/dctcp cell advanced to its
-// first quiescent instant with the helper gate forced to pipe.
-func pipeCell(t *testing.T, pipe int) (*sim.Simulator, *link.Link, []*tcp.Endpoint, *Engine) {
+// first quiescent instant with the helper gate forced to pipe and the
+// stage-B schedule to takes (nil: either goroutine claims any batch).
+func pipeCell(t *testing.T, pipe int, takes func(int) bool) (*sim.Simulator, *link.Link, []*tcp.Endpoint, *Engine) {
 	t.Helper()
 	s, l, flows := buildCell(t, 31, 200, 200, 200)
 	eng, ok := New(s, l, flows)
 	if !ok {
 		t.Fatal("engine must build")
 	}
-	eng.pipe = pipe
+	eng.pipe, eng.takes = pipe, takes
 	seekQuiescent(t, s, eng)
 	return s, l, flows, eng
 }
 
+// The forced stage-B schedules: the helper claims every batch, stage A
+// claims every batch, or they take turns.
+var (
+	helperTakes = func(int) bool { return true }
+	stageATakes = func(int) bool { return false }
+	alternate   = func(g int) bool { return g%2 == 0 }
+)
+
 // TestEnginePipelineMatchesInline drives the same seed's cell through the
-// hybrid loop twice, once with stage B inline and once on the helper, and
-// requires every flow's window state, goodput and signal ledgers, the AQM's
-// p′ and the engine telemetry to agree bit for bit. At least one flow
-// enters an epoch frozen in fast recovery, so the virtual recovery exit is
-// compared too.
+// hybrid loop without a helper and with one under free work sharing and
+// each forced schedule, and requires every flow's window state, goodput and
+// signal ledgers, the AQM's p′ and the engine telemetry to agree bit for
+// bit with the helperless run. At least one flow enters an epoch frozen in
+// fast recovery, so the virtual recovery exit is compared too.
 func TestEnginePipelineMatchesInline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("600-flow cells")
@@ -371,9 +407,15 @@ func TestEnginePipelineMatchesInline(t *testing.T) {
 		flows []*tcp.Endpoint
 		eng   *Engine
 	}
-	var w [2]world
-	for k, pipe := range []int{-1, 1} {
-		s, l, flows, eng := pipeCell(t, pipe)
+	modes := []struct {
+		name  string
+		pipe  int
+		takes func(int) bool
+	}{{"inline", -1, nil}, {"shared", 1, nil}, {"helper takes all", 1, helperTakes},
+		{"stage A takes all", 1, stageATakes}, {"alternate", 1, alternate}}
+	w := make([]world, len(modes))
+	for k, m := range modes {
+		s, l, flows, eng := pipeCell(t, m.pipe, m.takes)
 		w[k] = world{s, l, flows, eng}
 	}
 	frozen := 0
@@ -390,30 +432,35 @@ func TestEnginePipelineMatchesInline(t *testing.T) {
 				x.s.RunUntil(x.s.Now() + 128*time.Millisecond)
 			}
 		}
-		if w[0].s.Now() != w[1].s.Now() {
-			t.Fatalf("step %d: clocks diverged: %v vs %v", step, w[0].s.Now(), w[1].s.Now())
+		for k := range w[1:] {
+			if w[0].s.Now() != w[k+1].s.Now() {
+				t.Fatalf("step %d %s: clocks diverged: %v vs %v", step, modes[k+1].name, w[0].s.Now(), w[k+1].s.Now())
+			}
 		}
 	}
 	if frozen == 0 {
 		t.Fatal("no flow entered an epoch in fast recovery")
 	}
-	a, b := w[0].eng, w[1].eng
-	if a.Epochs < 2 || a.Epochs != b.Epochs || a.ZeroEpochs != b.ZeroEpochs ||
-		a.VirtualPkts != b.VirtualPkts || a.FFTime != b.FFTime ||
-		a.OverflowPeriods != b.OverflowPeriods || a.OverflowBytes != b.OverflowBytes {
-		t.Fatalf("telemetry: inline %d/%d epochs %d pkts %v %d/%g, helper %d/%d epochs %d pkts %v %d/%g",
-			a.Epochs, a.ZeroEpochs, a.VirtualPkts, a.FFTime, a.OverflowPeriods, a.OverflowBytes,
-			b.Epochs, b.ZeroEpochs, b.VirtualPkts, b.FFTime, b.OverflowPeriods, b.OverflowBytes)
-	}
-	if pa, pb := w[0].l.AQM().(*core.PI2).PPrime(), w[1].l.AQM().(*core.PI2).PPrime(); pa != pb {
-		t.Fatalf("p' = %v inline, %v helper", pa, pb)
-	}
-	for i, fa := range w[0].flows {
-		fb := w[1].flows[i]
-		if *fa.State() != *fb.State() || fa.Goodput.Bytes() != fb.Goodput.Bytes() ||
-			fa.CongestionEvents() != fb.CongestionEvents() ||
-			fa.MarksSeen() != fb.MarksSeen() || fa.CEAcked() != fb.CEAcked() {
-			t.Fatalf("flow %d: inline %+v, helper %+v", i, *fa.State(), *fb.State())
+	a := w[0].eng
+	for k, x := range w[1:] {
+		name, b := modes[k+1].name, x.eng
+		if a.Epochs < 2 || a.Epochs != b.Epochs || a.ZeroEpochs != b.ZeroEpochs ||
+			a.VirtualPkts != b.VirtualPkts || a.FFTime != b.FFTime ||
+			a.OverflowPeriods != b.OverflowPeriods || a.OverflowBytes != b.OverflowBytes {
+			t.Fatalf("telemetry: inline %d/%d epochs %d pkts %v %d/%g, %s %d/%d epochs %d pkts %v %d/%g",
+				a.Epochs, a.ZeroEpochs, a.VirtualPkts, a.FFTime, a.OverflowPeriods, a.OverflowBytes,
+				name, b.Epochs, b.ZeroEpochs, b.VirtualPkts, b.FFTime, b.OverflowPeriods, b.OverflowBytes)
+		}
+		if pa, pb := w[0].l.AQM().(*core.PI2).PPrime(), x.l.AQM().(*core.PI2).PPrime(); pa != pb {
+			t.Fatalf("p' = %v inline, %v %s", pa, pb, name)
+		}
+		for i, fa := range w[0].flows {
+			fb := x.flows[i]
+			if *fa.State() != *fb.State() || fa.Goodput.Bytes() != fb.Goodput.Bytes() ||
+				fa.CongestionEvents() != fb.CongestionEvents() ||
+				fa.MarksSeen() != fb.MarksSeen() || fa.CEAcked() != fb.CEAcked() {
+				t.Fatalf("flow %d: inline %+v, %s %+v", i, *fa.State(), name, *fb.State())
+			}
 		}
 	}
 	t.Logf("%d epochs, %d virtual packets, %d flow-epochs entered in recovery",
@@ -433,26 +480,38 @@ func (p *panicFwd) FFDecideN(ecn packet.ECN, backlog, n int) (int, int, int) {
 	return p.FastForwarder.FFDecideN(ecn, backlog, n)
 }
 
-// TestEnginePipelinePanics injects a panic into each stage of a pipelined
-// epoch, through two engines over one quiescent cell: it must reach
-// TryAdvance's caller, where a campaign cell's recover turns it into the
-// record's Err, and must leave no helper goroutine behind.
+// TestEnginePipelinePanics injects a panic into stage A and into a stage-B
+// batch run on each goroutine, through engines over one quiescent cell: it
+// must reach TryAdvance's caller, where a campaign cell's recover turns it
+// into the record's Err, and must leave no helper goroutine behind.
 func TestEnginePipelinePanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("600-flow cell")
 	}
-	s, l, flows, engA := pipeCell(t, 1)
+	s, l, flows, engA := pipeCell(t, 1, nil)
 	// Stage A: mid-way through the second period's second batch.
 	engA.fwd = &panicFwd{engA.fwd, len(flows) + batch + 10}
-	engB, _ := New(s, l, flows)
-	engB.pipe = 1
-	// Stage B: the helper drops a third-batch flow's endpoint.
-	engB.helperFn = func() { engB.steps[2*batch+3].ep = nil; engB.helper() }
+	// Stage B: whoever claims the second period's third batch finds one of
+	// its endpoints gone. The hook runs under the engine's lock before the
+	// claim, so the batch's runner sees the nil.
+	breakB := func(eng *Engine, helper bool) func(int) bool {
+		return func(g int) bool {
+			if g == len(eng.done)+2 {
+				eng.steps[2*batch+3].ep = nil
+			}
+			return helper
+		}
+	}
+	engH, _ := New(s, l, flows)
+	engH.pipe, engH.takes = 1, breakB(engH, true)
+	engS, _ := New(s, l, flows)
+	engS.pipe, engS.takes = 1, breakB(engS, false)
 	for _, c := range []struct {
 		stage string
 		eng   *Engine
 		want  string
-	}{{"A", engA, "stage A"}, {"B", engB, "nil pointer dereference"}} {
+	}{{"A", engA, "stage A"}, {"B on the helper", engH, "nil pointer dereference"},
+		{"B on stage A", engS, "nil pointer dereference"}} {
 		before := runtime.NumGoroutine()
 		func() {
 			defer func() {
@@ -473,7 +532,8 @@ func TestEnginePipelinePanics(t *testing.T) {
 }
 
 // BenchmarkEpochCrossover times one-virtual-second epochs of the same cell
-// with stage B inline and on the helper, whatever the gate would pick.
+// with stage A running every stage-B batch (inline) and with a helper
+// sharing them (shared), whatever the gate would pick.
 // Both modes do the same work to the bit, so their ns/virtual_pkt compare
 // directly; DESIGN.md's crossover table is this benchmark's output.
 func BenchmarkEpochCrossover(b *testing.B) {
@@ -481,7 +541,7 @@ func BenchmarkEpochCrossover(b *testing.B) {
 		for _, mode := range []struct {
 			name string
 			pipe int
-		}{{"inline", -1}, {"helper", 1}} {
+		}{{"inline", -1}, {"shared", 1}} {
 			b.Run(fmt.Sprintf("flows=%d/%s", n, mode.name), func(b *testing.B) {
 				s, l, flows := buildCell(b, 1, n/3, n/3, n-2*(n/3))
 				eng, _ := New(s, l, flows)
