@@ -16,10 +16,9 @@ import (
 
 // The DualPI2 and FQ-CoDel arms do not go through Run: they share a leaner
 // cell shape — flows started inline rather than by a scheduled event,
-// goodput reset at warm-up, no samplers, and no link.ResetStats, so their
-// Utilization covers the whole run. The goldens pin each cell's `events`,
-// so that shape is part of the recorded experiment; runWired is its one
-// assembler.
+// goodput reset at warm-up and no samplers. The goldens pin each cell's
+// `events`, so that shape is part of the recorded experiment; runWired is
+// its one assembler.
 
 // cellSpec is what every wired cell needs besides its bottleneck.
 type cellSpec struct {
@@ -92,15 +91,14 @@ type dualCell struct {
 	dual *core.DualLink
 	// inj is the impairment layer (nil without active impairments).
 	inj *faults.Injector
-	// warmMarks and warmDrops are the link's totals at the warm-up boundary:
-	// Run resets its link's counters there, and a paired single-queue/DualPI2
-	// comparison must count over the same window.
-	warmMarks, warmDrops int
 }
 
 // runDual runs a wired cell through DualPI2 with the scenario runner's
 // impairment placement: the injector wraps the delivery callback after the
-// bottleneck and the rate schedule drives the dual link's capacity. shared,
+// bottleneck and the rate schedule drives the dual link's capacity. Like
+// Run, it resets the link's statistics at the warm-up boundary, so marks,
+// drops and utilization cover the same measurement window as a paired
+// single-queue cell's. shared,
 // when non-nil, collects both queues' sojourn times into one distribution.
 func runDual(c cellSpec, rateBps float64, cfg core.DualConfig, impair *faults.Config, shared stats.Quantiler) *dualCell {
 	dc := &dualCell{}
@@ -118,9 +116,9 @@ func runDual(c cellSpec, rateBps float64, cfg core.DualConfig, impair *faults.Co
 		}
 		dc.dual = dual
 		return dual.Link, func() {
+			dual.ResetStats()
 			dual.LSojourn.Reset()
 			dual.CSojourn.Reset()
-			dc.warmMarks, dc.warmDrops = dual.Link.Marks(), dual.TotalDrops()
 		}
 	})
 	return dc

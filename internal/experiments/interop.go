@@ -199,8 +199,8 @@ func InteropCell(o campaign.Options, seed int64, watch func(campaign.Canceler), 
 }
 
 // runInteropDual is the DualPI2 cell. Marks and drops count from the warm-up
-// boundary, where the scenario runner resets its link's counters: the paired
-// pi2/dualpi2 columns must cover the same measurement window.
+// boundary, as the scenario runner's do: the paired pi2/dualpi2 columns
+// must cover the same measurement window.
 func runInteropDual(o campaign.Options, seed int64, watch func(campaign.Canceler), cc, fb string) InteropPoint {
 	dur := interopDuration(o)
 	soj := &stats.Sample{}
@@ -218,8 +218,8 @@ func runInteropDual(o campaign.Options, seed int64, watch func(campaign.Canceler
 		CC:       cc,
 		Feedback: fb,
 		AQM:      "dualpi2",
-		Marks:    cell.dual.Link.Marks() - cell.warmMarks,
-		Drops:    cell.dual.TotalDrops() - cell.warmDrops,
+		Marks:    cell.dual.Link.Marks(),
+		Drops:    cell.dual.TotalDrops(),
 		QMeanMs:  soj.Mean() * 1e3,
 		QP99Ms:   soj.Percentile(99) * 1e3,
 		Util:     cell.dual.Utilization(),
