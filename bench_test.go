@@ -1137,11 +1137,10 @@ func BenchmarkFastForwardTwin(b *testing.B) {
 	cell := func(ffOn bool, seed int64) experiments.Scenario {
 		factory, _ := experiments.FactoryByName("pi2", 0)
 		return experiments.Scenario{
-			Seed:           seed,
-			FastForward:    ffOn,
-			LinkRateBps:    2e6 * 60,
-			NewAQM:         factory,
-			CompactMetrics: true,
+			Seed:        seed,
+			FastForward: ffOn,
+			LinkRateBps: 2e6 * 60,
+			NewAQM:      factory,
 			Bulk: []traffic.BulkFlowSpec{
 				{CC: "reno", Count: 20, RTT: 10 * time.Millisecond, Label: "reno"},
 				{CC: "cubic", Count: 20, RTT: 10 * time.Millisecond, Label: "cubic"},

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 
 	"pi2/internal/campaign"
 	"pi2/internal/fleet"
+	"pi2/internal/golden"
 	"pi2/internal/stats"
 )
 
@@ -188,4 +190,79 @@ func BenchmarkSampleWire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		roundTrip()
 	}
+}
+
+// goldenSweepRecords runs the golden-scale sweep grid (what pi2bench -check
+// runs, one rep per cell) in process and returns its records, each with its
+// journal encoding.
+func goldenSweepRecords(tb testing.TB) ([]campaign.RunRecord, [][]byte) {
+	tb.Helper()
+	src, _ := campaign.LookupSource("sweep")
+	tasks, err := src([]byte(fmt.Sprintf(`{"quick":true,"timediv":%d}`, golden.TimeDiv)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := campaign.Execute(tasks, campaign.ExecOptions{Jobs: 2, BaseSeed: golden.Seed})
+	blobs := make([][]byte, len(recs))
+	for i := range recs {
+		if recs[i].Err != "" {
+			tb.Fatalf("sweep cell %d failed: %s", recs[i].Index, recs[i].Err)
+		}
+		if blobs[i], err = campaign.EncodeRecord(&recs[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return recs, blobs
+}
+
+// maxSweepRecordBytes bounds one golden-scale sweep record on the fleet wire
+// and in the journal. Its sojourn histogram costs about one byte per bin
+// (NewDelayHistogram: ≈1200 bins); an exact sample cost 8 bytes per packet,
+// 9-81 kB per record at this scale.
+const maxSweepRecordBytes = 4096
+
+// TestSweepRecordWireSize holds every golden-scale sweep record's journal
+// encoding to maxSweepRecordBytes and checks it decodes to the same metrics.
+func TestSweepRecordWireSize(t *testing.T) {
+	recs, blobs := goldenSweepRecords(t)
+	for i, blob := range blobs {
+		if len(blob) > maxSweepRecordBytes {
+			t.Errorf("sweep record %d encodes in %d bytes, want at most %d", recs[i].Index, len(blob), maxSweepRecordBytes)
+		}
+		got, err := campaign.DecodeRecord(blob)
+		if err != nil {
+			t.Fatalf("sweep record %d: %v", recs[i].Index, err)
+		}
+		if fmt.Sprint(got.Metrics) != fmt.Sprint(recs[i].Metrics) {
+			t.Errorf("sweep record %d decoded metrics %v, encoded %v", recs[i].Index, got.Metrics, recs[i].Metrics)
+		}
+	}
+}
+
+// BenchmarkSweepRecordWire encodes and decodes the largest golden-scale
+// sweep record as the journal stores it: one self-contained gob stream per
+// record (campaign.EncodeRecord), type definitions included. It reports the
+// record's size as record_bytes; BENCH_hotpath.json budgets its allocs and
+// bytes per op.
+func BenchmarkSweepRecordWire(b *testing.B) {
+	recs, blobs := goldenSweepRecords(b)
+	big := 0
+	for i := range blobs {
+		if len(blobs[i]) > len(blobs[big]) {
+			big = i
+		}
+	}
+	rec := recs[big]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blob, err := campaign.EncodeRecord(&rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := campaign.DecodeRecord(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blobs[big])), "record_bytes")
 }

@@ -30,6 +30,10 @@ type DualConfig struct {
 	TShift time.Duration
 	// BufferPackets bounds the combined queue (default 40000).
 	BufferPackets int
+	// LSojourn and CSojourn, if set, collect the two queues' per-packet
+	// queuing delays (one collector passed as both gives the combined
+	// distribution); nil gives that queue a stats.NewDelayHistogram.
+	LSojourn, CSojourn stats.Quantiler
 }
 
 func (c *DualConfig) setDefaults() {
@@ -54,9 +58,9 @@ func (c *DualConfig) setDefaults() {
 type DualLink struct {
 	*link.Link
 
-	// LSojourn and CSojourn split the per-packet queuing delay by queue.
-	// Exact samples by default; the heavy many-flow tier swaps in
-	// constant-memory histograms (assign before the first enqueue).
+	// LSojourn and CSojourn split the per-packet queuing delay by queue
+	// (DualConfig's collectors). CSojourn is also the embedded Link's
+	// Sojourn, so Link.ResetStats restarts it; ResetStats restarts both.
 	LSojourn, CSojourn stats.Quantiler // seconds
 
 	cfg            DualConfig
@@ -73,9 +77,15 @@ type dualQueue DualLink
 // NewDualLink creates a DualPI2 bottleneck of the given rate (bits/s).
 func NewDualLink(s *sim.Simulator, rateBps float64, cfg DualConfig, deliver func(*packet.Packet)) *DualLink {
 	cfg.setDefaults()
+	if cfg.LSojourn == nil {
+		cfg.LSojourn = stats.NewDelayHistogram()
+	}
+	if cfg.CSojourn == nil {
+		cfg.CSojourn = stats.NewDelayHistogram()
+	}
 	d := &DualLink{
-		LSojourn: &stats.Sample{},
-		CSojourn: &stats.Sample{},
+		LSojourn: cfg.LSojourn,
+		CSojourn: cfg.CSojourn,
 		cfg:      cfg,
 		rng:      aqm.NewDraws(s.RNG()),
 		core: aqm.PICore{
@@ -85,8 +95,8 @@ func NewDualLink(s *sim.Simulator, rateBps float64, cfg DualConfig, deliver func
 			PMax:   pMaxFor(cfg.MaxClassicProb),
 		},
 	}
-	d.Link = link.NewWithQueue(s, link.Config{RateBps: rateBps, BufferPackets: cfg.BufferPackets},
-		(*dualQueue)(d), deliver)
+	d.Link = link.NewWithQueue(s, link.Config{RateBps: rateBps, BufferPackets: cfg.BufferPackets,
+		Sojourn: cfg.CSojourn}, (*dualQueue)(d), deliver)
 	// The PI law runs on the older of the two heads, so the controller
 	// keeps working when only one kind of traffic is present.
 	s.Every(aqm.Tupdate, func() { d.core.Update(d.HeadSojourn(s.Now())) })
@@ -99,6 +109,13 @@ func pMaxFor(maxClassic float64) float64 {
 		return 1
 	}
 	return math.Sqrt(maxClassic)
+}
+
+// ResetStats starts a fresh measurement window at the current time: the
+// link's counters and utilization, and both queues' sojourn collectors.
+func (d *DualLink) ResetStats() {
+	d.Link.ResetStats()
+	d.LSojourn.Reset()
 }
 
 // PPrime returns the coupled controller's internal variable p′.

@@ -9,7 +9,6 @@ import (
 	"pi2/internal/link"
 	"pi2/internal/packet"
 	"pi2/internal/sim"
-	"pi2/internal/stats"
 	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
@@ -98,9 +97,9 @@ type dualCell struct {
 // bottleneck and the rate schedule drives the dual link's capacity. Like
 // Run, it resets the link's statistics at the warm-up boundary, so marks,
 // drops and utilization cover the same measurement window as a paired
-// single-queue cell's. shared,
-// when non-nil, collects both queues' sojourn times into one distribution.
-func runDual(c cellSpec, rateBps float64, cfg core.DualConfig, impair *faults.Config, shared stats.Quantiler) *dualCell {
+// single-queue cell's. cfg's LSojourn and CSojourn choose the sojourn
+// collectors.
+func runDual(c cellSpec, rateBps float64, cfg core.DualConfig, impair *faults.Config) *dualCell {
 	dc := &dualCell{}
 	dc.wiredCell = runWired(c, func(s *sim.Simulator, deliver func(*packet.Packet)) (*link.Link, func()) {
 		if impair != nil && impair.Active() {
@@ -111,15 +110,8 @@ func runDual(c cellSpec, rateBps float64, cfg core.DualConfig, impair *faults.Co
 		if impair != nil && impair.Rate != nil {
 			impair.Rate.Apply(s, dual)
 		}
-		if shared != nil {
-			dual.LSojourn, dual.CSojourn = shared, shared
-		}
 		dc.dual = dual
-		return dual.Link, func() {
-			dual.ResetStats()
-			dual.LSojourn.Reset()
-			dual.CSojourn.Reset()
-		}
+		return dual.Link, dual.ResetStats
 	})
 	return dc
 }

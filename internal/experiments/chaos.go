@@ -202,12 +202,12 @@ func runChaosCell(o campaign.Options, tc *campaign.TaskCtx, scenario, aqmName st
 // placement as the scenario runner.
 func runChaosDual(o campaign.Options, tc *campaign.TaskCtx, scenario string) ChaosPoint {
 	dur := chaosDuration(o)
-	soj := &stats.Sample{}
+	soj := newQuantiler()
 	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, warm: dur / 4, dur: dur,
 		mix: []traffic.BulkFlowSpec{
 			{CC: "cubic", Count: 4, RTT: chaosRTT},
 			{CC: "dctcp", Count: 4, RTT: chaosRTT},
-		}}, chaosLinkBps, core.DualConfig{}, chaosImpair(scenario, o), soj)
+		}}, chaosLinkBps, core.DualConfig{LSojourn: soj, CSojourn: soj}, chaosImpair(scenario, o))
 	pt := ChaosPoint{
 		Scenario: scenario,
 		AQM:      "dualpi2",

@@ -115,7 +115,7 @@ func dualQSingleArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) dualAr
 func dualQDualArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) dualArm {
 	dur := o.Scale(100 * time.Second)
 	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
-		warm: dur * 2 / 5, dur: dur}, 40e6, core.DualConfig{}, nil, nil)
+		warm: dur * 2 / 5, dur: dur}, 40e6, core.DualConfig{LSojourn: newQuantiler(), CSojourn: newQuantiler()}, nil)
 	rates := cell.rates()
 	arm := dualArm{
 		Jain:     stats.JainIndex(rates),
@@ -224,6 +224,7 @@ func fqArrangementArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) FQRo
 	cell := runWired(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
 		warm: dur * 2 / 5, dur: dur}, func(s *sim.Simulator, deliver func(*packet.Packet)) (*link.Link, func()) {
 		l = fq.New(s, fq.Config{RateBps: 40e6}, deliver)
+		l.Sojourn = newQuantiler()
 		return l.Link, l.Sojourn.Reset
 	})
 	rates := cell.rates()

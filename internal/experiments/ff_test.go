@@ -16,11 +16,10 @@ import (
 func ffTwinScenario(ff bool) Scenario {
 	factory, _ := FactoryByName("pi2", 0)
 	return Scenario{
-		Seed:           7,
-		FastForward:    ff,
-		LinkRateBps:    2e6 * 9,
-		NewAQM:         factory,
-		CompactMetrics: true,
+		Seed:        7,
+		FastForward: ff,
+		LinkRateBps: 2e6 * 9,
+		NewAQM:      factory,
 		Bulk: []traffic.BulkFlowSpec{
 			{CC: "reno", Count: 3, RTT: 10 * time.Millisecond, Label: "reno"},
 			{CC: "cubic", Count: 3, RTT: 10 * time.Millisecond, Label: "cubic"},

@@ -18,9 +18,9 @@ import (
 // The heavy tier stresses flow-count scaling rather than the paper's grid:
 // the per-flow regime is held constant (fair share and RTT fixed) while the
 // flow population grows by orders of magnitude, so the sweep isolates how
-// the AQMs — and the simulator itself — behave as state scales. All cells
-// run with CompactMetrics (constant-memory histogram collectors): at 5k
-// flows an exact per-packet sample would grow without bound.
+// the AQMs — and the simulator itself — behave as state scales. Like every
+// cell, they collect into constant-memory histograms, so metrics memory
+// does not grow with the flow count or the run length.
 const (
 	heavyPerFlowBps = 2e6
 	heavyRTT        = 10 * time.Millisecond
@@ -298,14 +298,13 @@ func runHeavyCell(o campaign.Options, tc *campaign.TaskCtx, n int, aqmName strin
 		}
 	}
 	sc := Scenario{
-		Seed:           tc.Seed,
-		Watch:          tc.Watch,
-		Shards:         tc.Shards,
-		FastForward:    o.FF,
-		LinkRateBps:    rate,
-		BufferPackets:  buf,
-		NewAQM:         factory,
-		CompactMetrics: true,
+		Seed:          tc.Seed,
+		Watch:         tc.Watch,
+		Shards:        tc.Shards,
+		FastForward:   o.FF,
+		LinkRateBps:   rate,
+		BufferPackets: buf,
+		NewAQM:        factory,
 		Bulk: []traffic.BulkFlowSpec{
 			{CC: "reno", Count: reno, RTT: heavyRTT, Label: "reno"},
 			{CC: "cubic", Count: cubic, RTT: heavyRTT, Label: "cubic"},
@@ -338,18 +337,17 @@ func runHeavyCell(o campaign.Options, tc *campaign.TaskCtx, n int, aqmName strin
 
 // runHeavyDual is the DualPI2 cell (the scenario runner drives single-queue
 // links only), with both per-queue sojourn collectors pointed at one shared
-// histogram so the cell reports a combined queue-delay distribution in
-// constant memory.
+// histogram so the cell reports a combined queue-delay distribution.
 func runHeavyDual(o campaign.Options, tc *campaign.TaskCtx, n int) HeavyPoint {
 	dur := heavyDuration(o)
 	reno, cubic, dctcp := heavyMix(n)
-	soj := stats.NewDelayHistogram()
+	soj := newQuantiler()
 	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, warm: dur * 2 / 5, dur: dur,
 		mix: []traffic.BulkFlowSpec{
 			{CC: "reno", Count: reno, RTT: heavyRTT},
 			{CC: "cubic", Count: cubic, RTT: heavyRTT},
 			{CC: "dctcp", Count: dctcp, RTT: heavyRTT},
-		}}, heavyPerFlowBps*float64(n), core.DualConfig{}, nil, soj)
+		}}, heavyPerFlowBps*float64(n), core.DualConfig{LSojourn: soj, CSojourn: soj}, nil)
 	rates := cell.rates()
 	p := HeavyPoint{
 		Flows:   n,
@@ -359,8 +357,8 @@ func runHeavyDual(o campaign.Options, tc *campaign.TaskCtx, n int) HeavyPoint {
 		QP99Ms:  soj.Percentile(99) * 1e3,
 		Util:    cell.dual.Utilization(),
 		Events:  cell.s.Processed(),
-		Soj:     soj,
 	}
+	p.Soj, _ = soj.(*stats.LogHistogram)
 	for _, r := range rates {
 		p.RateW.Add(r)
 	}

@@ -203,7 +203,7 @@ func InteropCell(o campaign.Options, seed int64, watch func(campaign.Canceler), 
 // must cover the same measurement window.
 func runInteropDual(o campaign.Options, seed int64, watch func(campaign.Canceler), cc, fb string) InteropPoint {
 	dur := interopDuration(o)
-	soj := &stats.Sample{}
+	soj := newQuantiler()
 	cell := runDual(cellSpec{seed: seed, watch: watch, warm: dur / 4, dur: dur,
 		mix: []traffic.BulkFlowSpec{
 			{CC: cc, Feedback: fb, Count: 2, RTT: interopRTT},
@@ -211,7 +211,9 @@ func runInteropDual(o campaign.Options, seed int64, watch func(campaign.Canceler
 		}}, interopLinkBps, core.DualConfig{
 		Config:        core.Config{Target: o.TargetDelay()},
 		BufferPackets: interopBuffer,
-	}, nil, soj)
+		LSojourn:      soj,
+		CSojourn:      soj,
+	}, nil)
 	rates := cell.rates()
 	testTot, refTot := rates[0]+rates[1], rates[2]+rates[3]
 	p := InteropPoint{

@@ -100,14 +100,11 @@ type Scenario struct {
 	// scenario without partitionable bulk flows — uses the classic
 	// single-simulator path, byte-identical to before sharding existed.
 	Shards int
-	// CompactMetrics switches every distribution collector in the Result
-	// (queue sojourn, probability and utilization samples, web FCT) from
-	// the exact per-observation stats.Sample to the constant-memory
-	// stats.LogHistogram. The exact collector stores one float64 per
-	// forwarded packet, so memory grows with sim-time × flow-count; the
-	// histogram is fixed-size (~2% percentile error) and makes multi-minute
-	// runs with thousands of flows feasible. Existing experiments leave it
-	// off so golden fingerprints stay byte-identical.
+	// CompactMetrics has no effect: every distribution collector is a
+	// constant-memory histogram.
+	//
+	// Deprecated: kept only because the bench module's heavy-cell probe
+	// still sets it; it goes with that probe.
 	CompactMetrics bool
 }
 
@@ -170,8 +167,9 @@ type Result struct {
 	GoodputSeries stats.TimeSeries
 	// Sojourn is the per-packet queuing delay (seconds) over the
 	// measurement window — the paper's Figure 14/16 metric. This and the
-	// other Quantiler fields hold exact stats.Sample collectors by
-	// default, or constant-memory histograms under CompactMetrics.
+	// other Quantiler fields hold constant-memory histograms
+	// (stats.NewDelayHistogram): mean, extremes and counts are exact, a
+	// percentile is within one 2 % bin of the exact order statistics.
 	Sojourn stats.Quantiler
 	// ClassicProb and ScalableProb sample the AQM's probabilities every
 	// 100 ms over the measurement window (Figure 17).
@@ -210,24 +208,20 @@ type Result struct {
 // campaign.EventCounter so the engine can attribute events/sec to each run.
 func (r *Result) EventCount() uint64 { return r.Events }
 
-// newQuantiler picks the collector family for one Result distribution.
-func newQuantiler(compact bool) stats.Quantiler {
-	if compact {
-		return stats.NewDelayHistogram()
-	}
-	return &stats.Sample{}
-}
+// newQuantiler builds every distribution collector the experiments hand to
+// a simulation. It is a variable so tests can observe the collectors.
+var newQuantiler = func() stats.Quantiler { return stats.NewDelayHistogram() }
 
-// emptyResult returns a Result whose collectors are empty exact samples, so
-// consumers of a failed (panicked) cell print zeros instead of hitting nil
-// Quantiler interfaces.
+// emptyResult returns a Result whose collectors are empty, so consumers of
+// a failed (panicked) cell print zeros instead of hitting nil Quantiler
+// interfaces.
 func emptyResult() *Result {
 	return &Result{
-		Sojourn:      &stats.Sample{},
-		ClassicProb:  &stats.Sample{},
-		ScalableProb: &stats.Sample{},
-		UtilSeries:   &stats.Sample{},
-		WebFCT:       &stats.Sample{},
+		Sojourn:      newQuantiler(),
+		ClassicProb:  newQuantiler(),
+		ScalableProb: newQuantiler(),
+		UtilSeries:   newQuantiler(),
+		WebFCT:       newQuantiler(),
 	}
 }
 
@@ -310,7 +304,7 @@ func Run(sc Scenario) *Result {
 		RateBps:       sc.LinkRateBps,
 		BufferPackets: sc.BufferPackets,
 		AQM:           sc.NewAQM(ls.RNG()),
-		Sojourn:       newQuantiler(sc.CompactMetrics),
+		Sojourn:       newQuantiler(),
 	}, deliver)
 	if sc.Impair != nil && sc.Impair.Rate != nil {
 		sc.Impair.Rate.Apply(ls, l)
@@ -323,10 +317,10 @@ func Run(sc Scenario) *Result {
 		DelaySeries:   stats.TimeSeries{Interval: sc.SampleEvery},
 		DelayFine:     stats.TimeSeries{Interval: 100 * time.Millisecond},
 		GoodputSeries: stats.TimeSeries{Interval: sc.SampleEvery},
-		ClassicProb:   newQuantiler(sc.CompactMetrics),
-		ScalableProb:  newQuantiler(sc.CompactMetrics),
-		UtilSeries:    newQuantiler(sc.CompactMetrics),
-		WebFCT:        newQuantiler(sc.CompactMetrics),
+		ClassicProb:   newQuantiler(),
+		ScalableProb:  newQuantiler(),
+		UtilSeries:    newQuantiler(),
+		WebFCT:        newQuantiler(),
 	}
 
 	// Bulk flows in creation order (group after group): the order of flow
@@ -363,15 +357,8 @@ func Run(sc Scenario) *Result {
 		udps = append(udps, traffic.StartUDP(ls, l, d, nextID, spec))
 		nextID++
 	}
-	var webs []*traffic.WebWorkload
 	for _, spec := range sc.Web {
-		w := traffic.StartWeb(ls, l, d, &nextID, spec)
-		if sc.CompactMetrics {
-			// Short flows complete directly into the shared histogram;
-			// no per-flow sample storage, no merge at collection time.
-			w.FCT = res.WebFCT
-		}
-		webs = append(webs, w)
+		traffic.StartWeb(ls, l, d, &nextID, spec, res.WebFCT)
 	}
 	for _, rc := range sc.RateChanges {
 		rate := rc.RateBps
@@ -501,13 +488,6 @@ func Run(sc Scenario) *Result {
 		}
 		group = group[spec.Count:]
 		res.Groups = append(res.Groups, gr)
-	}
-	if !sc.CompactMetrics {
-		// Exact path: workloads collected separately; merge in Scenario
-		// order so the Add sequence — and golden fingerprints — are stable.
-		for _, w := range webs {
-			res.WebFCT.(*stats.Sample).Merge(w.FCT.(*stats.Sample))
-		}
 	}
 	for _, u := range udps {
 		ur := UDPResult{

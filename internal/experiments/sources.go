@@ -123,7 +123,8 @@ func init() {
 	campaign.RegisterWireType(RTTFairPoint{})
 	campaign.RegisterWireType(dualArm{})
 	campaign.RegisterWireType(FQRow{})
-	// Quantiler implementations carried inside Result.
-	campaign.RegisterWireType(&stats.Sample{})
+	// The Quantiler implementation carried inside Result. A record from a
+	// build that still collected into stats.Sample names an unregistered
+	// type, so it fails to decode and its cell re-runs on resume.
 	campaign.RegisterWireType(&stats.LogHistogram{})
 }

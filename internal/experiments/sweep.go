@@ -47,16 +47,16 @@ type SweepPoint struct {
 
 	// Reps > 1 marks a cross-seed aggregate (-reps N): rates and
 	// probability/utilization quantiles are cross-seed means, queue-delay
-	// quantiles come from the reps' pooled sojourn samples (Sample.Merge),
+	// quantiles come from the reps' pooled sojourn histograms (Merge),
 	// and the *HW fields are 95% confidence half-widths. Reps <= 1 is a
 	// single run with all of these zero.
 	Reps                     int
 	RatioHW, QMeanHW, QP99HW float64
 
-	// Soj is this rep's exact sojourn sample (pooled across reps via
-	// Merge). Exported so it survives the fleet wire (gob drops unexported
+	// Soj is this rep's sojourn histogram (pooled across reps via Merge).
+	// Exported so it survives the fleet wire (gob drops unexported
 	// fields); excluded from -json, which never carried it.
-	Soj *stats.Sample `json:"-"`
+	Soj *stats.LogHistogram `json:"-"`
 }
 
 // EventCount satisfies campaign.EventCounter for per-run events/sec records.
@@ -136,8 +136,8 @@ func CoexistenceSweep(o campaign.Options) []SweepPoint {
 
 // aggregateSweep folds one cell's repetitions into a banded point: rates and
 // the probability/utilization quantiles become cross-seed means, queue-delay
-// quantiles are recomputed over the reps' pooled sojourn samples
-// (Sample.Merge), and the ratio/queue-delay half-widths are 95% CIs over the
+// quantiles are recomputed over the reps' pooled sojourn histograms
+// (LogHistogram.Merge), and the ratio/queue-delay half-widths are 95% CIs over the
 // per-rep values. One rep passes through untouched (golden-stable).
 func aggregateSweep(pts []SweepPoint) SweepPoint {
 	if len(pts) == 1 {
@@ -145,7 +145,7 @@ func aggregateSweep(pts []SweepPoint) SweepPoint {
 	}
 	agg := pts[0]
 	var rateA, rateB, ratio, qmean, qp99 stats.Welford
-	pooled := &stats.Sample{}
+	pooled := stats.NewDelayHistogram()
 	var probA, probB, util quantilesWelford
 	var events uint64
 	for _, p := range pts {
@@ -227,7 +227,7 @@ func runSweepPoint(o campaign.Options, tc *campaign.TaskCtx, linkMbps float64, r
 	if pt.RateB > 0 {
 		pt.Ratio = pt.RateA / pt.RateB
 	}
-	pt.Soj, _ = res.Sojourn.(*stats.Sample)
+	pt.Soj, _ = res.Sojourn.(*stats.LogHistogram)
 	pt.ProbA = quantiles(res.ClassicProb)
 	if res.ScalableProb.N() > 0 {
 		pt.ProbB = quantiles(res.ScalableProb)
@@ -239,8 +239,6 @@ func runSweepPoint(o campaign.Options, tc *campaign.TaskCtx, linkMbps float64, r
 }
 
 // quantiles summarizes a collector into the figures' P1/P25/mean/P99 shape.
-// Percentiles evaluates the whole family in one pass (a single sort for the
-// exact Sample), instead of one copy-and-sort per quantile.
 func quantiles(s interface {
 	Percentiles(qs ...float64) []float64
 	Mean() float64

@@ -164,15 +164,15 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// sampleDamager forwards frames to w, raising the Welford count inside
-// every stats.Sample encoding it finds by one, so the count no longer
-// matches the observations, and re-checksumming the frame: the damage
-// reaches the collector's decoder, not the frame reader.
-type sampleDamager struct{ w io.Writer }
+// histDamager forwards frames to w, raising the observation count inside
+// every stats.LogHistogram encoding it finds by one, so the count no longer
+// matches the bins, and re-checksumming the frame: the damage reaches the
+// collector's decoder, not the frame reader.
+type histDamager struct{ w io.Writer }
 
-func (d sampleDamager) Write(f []byte) (int, error) {
-	if i := bytes.Index(f[8:], []byte("p2S\x01")); i >= 0 {
-		n := f[8+i+5:] // past the prefix and the sorted flag
+func (d histDamager) Write(f []byte) (int, error) {
+	if i := bytes.Index(f[8:], []byte("p2H\x01")); i >= 0 {
+		n := f[8+i+4+32:] // past the prefix and the four geometry floats
 		binary.LittleEndian.PutUint64(n, binary.LittleEndian.Uint64(n)+1)
 		binary.LittleEndian.PutUint32(f[4:], crc32.Checksum(f[8:], crcTable))
 	}
@@ -180,17 +180,17 @@ func (d sampleDamager) Write(f []byte) (int, error) {
 }
 
 // TestDamagedCollectorFailsTheLink points a pool at a worker host whose
-// record carries a stats.Sample that decodes into broken state. The
+// record carries a stats.LogHistogram that decodes into broken state. The
 // coordinator must refuse it on read and take the link-failure path:
 // the link drops, the cell is charged to its crash budget and comes back
 // as a failed record, and nothing panics in aggregation.
 func TestDamagedCollectorFailsTheLink(t *testing.T) {
-	campaign.RegisterWireType(&stats.Sample{})
+	campaign.RegisterWireType(&stats.LogHistogram{})
 	addr, _ := fakeHost(t, func(c net.Conn) {
 		w := newWire(struct {
 			io.Reader
 			io.Writer
-		}{c, sampleDamager{c}})
+		}{c, histDamager{c}})
 		if w.send(msg{Type: "hello", Proto: ProtoVersion, FP: Fingerprint()}) != nil {
 			return
 		}
@@ -202,16 +202,16 @@ func TestDamagedCollectorFailsTheLink(t *testing.T) {
 		if err != nil {
 			return
 		}
-		var s stats.Sample
-		s.Add(1)
-		s.Add(2)
-		w.send(msg{Type: "record", Index: run.Index, Rec: campaign.RunRecord{Name: "dmg", Index: run.Index, Result: &s}})
+		h := stats.NewDelayHistogram()
+		h.Add(1)
+		h.Add(2)
+		w.send(msg{Type: "record", Index: run.Index, Rec: campaign.RunRecord{Name: "dmg", Index: run.Index, Result: h}})
 	})
 	var errlog bytes.Buffer
 	p := NewPool(Config{Hosts: []Host{{Addr: addr, Workers: 1}}, Stderr: &errlog})
 	p.hooks.ReconnectBase = time.Millisecond
 	defer p.Close()
-	tasks := []campaign.Task{{Name: "dmg", Run: func(*campaign.TaskCtx) any { return &stats.Sample{} }}}
+	tasks := []campaign.Task{{Name: "dmg", Run: func(*campaign.TaskCtx) any { return stats.NewDelayHistogram() }}}
 	var recs []campaign.RunRecord
 	p.Dispatch(tasks, campaign.ExecOptions{Family: "dmg"}, func(r campaign.RunRecord) {
 		recs = append(recs, r)

@@ -43,9 +43,8 @@ type Config struct {
 	BufferPackets int
 	// AQM manages New's FIFO queue; nil means pure tail-drop.
 	AQM aqm.AQM
-	// Sojourn, if set, collects the per-packet queuing delay; nil uses the
-	// exact stats.Sample. The heavy many-flow tier passes a constant-memory
-	// stats.LogHistogram so metrics memory stays bounded at any run length.
+	// Sojourn, if set, collects the per-packet queuing delay; nil uses a
+	// constant-memory stats.NewDelayHistogram.
 	Sojourn stats.Quantiler
 }
 
@@ -126,7 +125,7 @@ func NewWithQueue(s *sim.Simulator, cfg Config, q Queue, deliver func(*packet.Pa
 	}
 	soj := cfg.Sojourn
 	if soj == nil {
-		soj = &stats.Sample{}
+		soj = stats.NewDelayHistogram()
 	}
 	l := &Link{
 		sim:     s,

@@ -127,8 +127,9 @@ func (c *Chart) Render(w io.Writer) {
 	}
 }
 
-// CDFChart renders one or more empirical CDFs on a shared axis.
-func CDFChart(w io.Writer, title, xlabel string, samples map[string]*stats.Sample, points int) {
+// CDFChart renders one or more distributions' CDFs on a shared axis, each
+// read at points evenly spaced probabilities.
+func CDFChart(w io.Writer, title, xlabel string, samples map[string]stats.Quantiler, points int) {
 	c := Chart{Title: title, XLabel: xlabel, YLabel: "P[X<=x]", YMin: 0, YMax: 1}
 	names := make([]string, 0, len(samples))
 	for name := range samples {
@@ -136,12 +137,14 @@ func CDFChart(w io.Writer, title, xlabel string, samples map[string]*stats.Sampl
 	}
 	sortStrings(names)
 	for _, name := range names {
-		pts := samples[name].CDF(points)
-		x := make([]float64, len(pts))
-		y := make([]float64, len(pts))
-		for i, p := range pts {
-			x[i] = p.X
-			y[i] = p.F
+		if samples[name].N() == 0 || points <= 0 {
+			continue
+		}
+		x := make([]float64, points)
+		y := make([]float64, points)
+		for i := range x {
+			y[i] = float64(i+1) / float64(points)
+			x[i] = samples[name].Percentile(100 * y[i])
 		}
 		c.Add(name, x, y)
 	}

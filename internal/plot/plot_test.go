@@ -57,13 +57,13 @@ func TestAddTimeSeries(t *testing.T) {
 }
 
 func TestCDFChart(t *testing.T) {
-	var a, b stats.Sample
+	a, b := stats.NewDelayHistogram(), stats.NewDelayHistogram()
 	for i := 0; i < 100; i++ {
 		a.Add(float64(i))
 		b.Add(float64(i) * 2)
 	}
 	var sb strings.Builder
-	CDFChart(&sb, "cdfs", "ms", map[string]*stats.Sample{"pie": &a, "pi2": &b}, 50)
+	CDFChart(&sb, "cdfs", "ms", map[string]stats.Quantiler{"pie": a, "pi2": b}, 50)
 	out := sb.String()
 	if !strings.Contains(out, "pie") || !strings.Contains(out, "pi2") {
 		t.Errorf("legend missing:\n%s", out)

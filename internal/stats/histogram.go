@@ -2,11 +2,9 @@ package stats
 
 import "math"
 
-// Quantiler is the shared interface of the distribution collectors: the
-// exact Sample (stores every observation, exact percentiles) and the
-// constant-memory LogHistogram (fixed bins, ~relative-width percentile
-// error). Experiment drivers program against this interface so the heavy
-// many-flow tier can swap collectors without touching the reporting code.
+// Quantiler is the interface the simulations and the reporting code share
+// for distributions. Every collector a simulation builds is a
+// LogHistogram; tests wrap it to compare against exact order statistics.
 type Quantiler interface {
 	// Add records one observation.
 	Add(x float64)
@@ -44,8 +42,8 @@ var (
 // fixed at construction. Mean, standard deviation, min and max stay exact
 // (Welford accumulator and scalar extremes). After construction it never
 // allocates: the bin array is fixed regardless of how many observations
-// arrive, which is what makes multi-minute many-thousand-flow simulations
-// feasible (the exact Sample stores one float64 per forwarded packet).
+// arrive, so a collector's memory and its wire size do not grow with
+// sim-time × flow count.
 //
 // Values below the floor (including zero — an empty queue has zero sojourn)
 // are counted in a dedicated underflow bin and reported as the exact
@@ -88,9 +86,10 @@ func NewLogHistogram(floor, ceil, relWidth float64) *LogHistogram {
 	return h
 }
 
-// NewDelayHistogram builds the collector the heavy-traffic tier uses for
+// NewDelayHistogram builds the collector every simulation uses for
 // queue-delay, FCT, probability and utilization distributions: 1 µs floor,
-// 10⁴ s ceiling, ~2% relative bin width (≈1200 bins, ~10 KB — constant).
+// 10⁴ s ceiling, ~2% relative bin width (≈1200 bins, ~9 KB in memory and
+// about one byte per bin on the wire — constant).
 func NewDelayHistogram() *LogHistogram {
 	return NewLogHistogram(1e-6, 1e4, 0.02)
 }

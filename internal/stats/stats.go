@@ -1,6 +1,6 @@
 // Package stats provides the measurement primitives the experiment harness
-// uses: streaming mean/variance, exact percentile collectors, CDFs,
-// fixed-interval time-series samplers and byte-rate meters.
+// uses: streaming mean/variance, a constant-memory percentile collector
+// (LogHistogram), fixed-interval time-series samplers and byte-rate meters.
 package stats
 
 import (
@@ -63,6 +63,11 @@ func (w *Welford) Merge(o Welford) {
 
 // Sample collects raw observations for exact percentiles.
 // The zero value is ready to use.
+//
+// Deprecated: simulations collect into LogHistogram, which holds a fixed
+// number of bins where Sample holds one float64 per observation. Sample,
+// its codec and its CDF stay only because the bench module's layer probes
+// still name them; they go when those probes do.
 //
 // Add fills fixed chunks (64 floats, doubling to 8192): a chunk is never
 // copied while it fills, where a plain append would copy every observation

@@ -184,9 +184,8 @@ const (
 // WebWorkload generates short flows and records their completion times.
 type WebWorkload struct {
 	Spec WebSpec
-	// FCT collects flow completion times in seconds. StartWeb installs an
-	// exact stats.Sample; the runner may swap in a shared constant-memory
-	// collector (before any flow completes) for heavy-scale runs.
+	// FCT collects flow completion times in seconds: StartWeb's fct
+	// argument, which several workloads may share.
 	FCT stats.Quantiler
 	// Started and Finished count generated/completed flows.
 	Started, Finished int
@@ -197,10 +196,14 @@ type WebWorkload struct {
 	nextID *int
 }
 
-// StartWeb launches a web-like workload. nextID is advanced for every
+// StartWeb launches a web-like workload whose completion times go to fct
+// (nil: a new stats.NewDelayHistogram). nextID is advanced for every
 // generated flow so callers can keep allocating unique IDs.
-func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, spec WebSpec) *WebWorkload {
-	w := &WebWorkload{Spec: spec, FCT: &stats.Sample{}, s: s, enq: l.Enqueue, d: d, nextID: nextID}
+func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, spec WebSpec, fct stats.Quantiler) *WebWorkload {
+	if fct == nil {
+		fct = stats.NewDelayHistogram()
+	}
+	w := &WebWorkload{Spec: spec, FCT: fct, s: s, enq: l.Enqueue, d: d, nextID: nextID}
 	rng := s.RNG()
 	var arrive func()
 	arrive = func() {

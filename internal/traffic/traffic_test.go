@@ -172,7 +172,7 @@ func TestWebWorkloadCompletesFlows(t *testing.T) {
 		CC:          "reno",
 		RTT:         10 * time.Millisecond,
 		StopAt:      5 * time.Second,
-	})
+	}, nil)
 	s.RunUntil(20 * time.Second)
 	if w.Started < 100 {
 		t.Errorf("started %d flows, want ~250", w.Started)
