@@ -137,14 +137,15 @@ func CDFChart(w io.Writer, title, xlabel string, samples map[string]stats.Quanti
 	}
 	sortStrings(names)
 	for _, name := range names {
-		if samples[name].N() == 0 || points <= 0 {
-			continue
+		q := samples[name]
+		n := max(points, 0)
+		if q.N() == 0 {
+			n = 0
 		}
-		x := make([]float64, points)
-		y := make([]float64, points)
+		x, y := make([]float64, n), make([]float64, n)
 		for i := range x {
-			y[i] = float64(i+1) / float64(points)
-			x[i] = samples[name].Percentile(100 * y[i])
+			y[i] = float64(i+1) / float64(n)
+			x[i] = q.Percentile(100 * y[i])
 		}
 		c.Add(name, x, y)
 	}
