@@ -6,9 +6,10 @@
 # grids and compares each tag's stdout and -json records (the wall-clock
 # and retry fields filtered). A tag must print the base's bytes unless a
 # line added to .github/declared-changes.txt since <base-commit> declares
-# it; a declared tag must then differ from the base. A golden baseline
-# changed since <base-commit> needs its experiment's tag declared. Every
-# mismatch is reported; the exit status is 1 if there was any.
+# it; a declared tag must then differ from the base, and the report names
+# the keys that moved in it. A golden baseline changed since <base-commit>
+# needs its experiment's tag declared. Every mismatch is reported; the exit
+# status is 1 if there was any.
 set -uo pipefail
 base=$1
 work=${2:-$(mktemp -d)}
@@ -32,10 +33,61 @@ declared() { # declared <tag>: whether an added line's pattern matches it
   done
   return $hit
 }
+# What moved between two outputs, as "key (count)" per key. For -json
+# records (the .filt pairs below; jq reads their unfiltered .json): the
+# record keys that differ and in how many records, a metric and the result
+# field it mirrors (util, result.Util) counting as one key. For text: the
+# table columns (named by the last header row above) and key=value tokens
+# that differ, and on how many lines; anything else is "other lines".
+flat() { # flat <file>: a .json's records as "record<TAB>key<TAB>value" lines
+  [[ $1 == *.json ]] || { cat "$1"; return; }
+  jq -r 'to_entries[] | .key as $i | .value | del(.wall_ms, .events_per_sec, .attempts) |
+    paths(scalars) as $p | "\($i)\t\($p | map(tostring) | join("."))\t\(getpath($p))"' "$1"
+}
+keysum() { # keysum <base> <head>
+  local b=$1 h=$2 prog
+  if [[ $h == *.filt ]]; then
+    b=${b%.filt}.json h=${h%.filt}.json
+    prog='
+      NR == FNR { base[$1 FS $2] = $3; next }
+      { seen[$1 FS $2] = 1 }
+      !(($1 FS $2) in base) || base[$1 FS $2] != $3 { moved($1, $2) }
+      END { for (r in base) if (!(r in seen)) { split(r, a, FS); moved(a[1], a[2]) } }'
+  else
+    prog='
+      NR == FNR { base[FNR] = $0; nb = FNR; next }
+      { head[FNR] = $0; nh = FNR }
+      END {
+        for (i = 1; i <= (nb > nh ? nb : nh); i++) {
+          nt = split(base[i], bt, FS)
+          if (nt > 1 && base[i] !~ /(^|\t)[-+]?[0-9.]+([eE][-+]?[0-9]+)?(\t|$)/) nc = split(base[i], col, FS)
+          if (base[i] == head[i]) continue
+          if (nt > 1 && nt == nc && nt == split(head[i], ht, FS)) {
+            for (j = 1; j <= nt; j++) if (bt[j] != ht[j]) moved(i, col[j])
+            continue
+          }
+          nt = split(base[i], bt, /[ \t]+/)
+          if (nt != split(head[i], ht, /[ \t]+/)) { moved(i, ""); continue }
+          for (j = 1; j <= nt; j++)
+            if (bt[j] != ht[j]) moved(i, bt[j] ~ /^[A-Za-z_]+=/ ? substr(bt[j], 1, index(bt[j], "=") - 1) : "")
+        }
+      }'
+  fi
+  awk -F'\t' "$prog"'
+    function moved(rec, key,   k) {
+      sub(/^metrics\./, "", key)
+      k = tolower(key); sub(/^result\./, "", k); gsub(/[._]/, "", k)
+      if (key == "") k = key = "other lines"
+      if (!(k in name) || name[k] ~ /^result\./) name[k] = key
+      if (!((rec, k) in hit)) { hit[rec, k] = 1; n[k]++ }
+    }
+    END { for (k in n) printf "%s (%d)\n", name[k], n[k] }' <(flat "$b") <(flat "$h") |
+    sort | paste -sd, - | sed 's/,/, /g'
+}
 verdict() { # verdict <tag> <base-file> <head-file>...: judge the pairs
-  local tag=$1 moved=""; shift
+  local tag=$1 moved="" sep=""; shift
   while [ $# -gt 0 ]; do
-    cmp -s "$1" "$2" || moved="$moved ${2##*/} ($(diff "$1" "$2" | grep -c '^>') lines)"
+    cmp -s "$1" "$2" || { moved="$moved$sep ${2##*/}: $(keysum "$1" "$2")"; sep=";"; }
     shift 2
   done
   if declared "$tag"; then

@@ -98,7 +98,7 @@ func main() {
 	flag.IntVar(&o.Shards, "shards", 1, "event-loop domains per simulation (conservative PDES); 1 = classic single loop")
 	flag.BoolVar(&o.FF, "ff", false, "fast-forward quiescent congestion-avoidance epochs analytically (hybrid fluid/packet); also enables the 10k/50k heavy cells")
 	flag.IntVar(&o.Reps, "reps", 1, "repeat heavy/sweep cells N times with perturbed seeds and print ± confidence bands")
-	flag.Var(millis{&o.Target}, "target", "AQM target delay in `ms` for heavy/sweep/chaos (0 = the paper's 20; Briscoe's PI2 Parameters report suggests 15)")
+	flag.Var(millis{&o.Target}, "target", "AQM target delay in `ms` for heavy/sweep/chaos/interop (0 = the paper's 20; Briscoe's PI2 Parameters report suggests 15)")
 	jsonPath := flag.String("json", "", "write per-run records (params, timing, events/sec) to this file")
 	verbose := flag.Bool("v", false, "report each run's completion on stderr")
 	check := flag.Bool("check", false, "compare golden-scale fingerprints against the checked-in baselines")

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"pi2/internal/campaign"
-	"pi2/internal/core"
 	"pi2/internal/faults"
-	"pi2/internal/stats"
 	"pi2/internal/traffic"
 )
 
@@ -147,9 +145,6 @@ func chaosTasks(o campaign.Options) []campaign.Task {
 				SeedIndex: si, // paired across AQMs within one scenario
 				Params:    map[string]any{"scenario": scn, "aqm": aqmName},
 				Run: func(tc *campaign.TaskCtx) any {
-					if aqmName == "dualpi2" {
-						return runChaosDual(o, tc, scn)
-					}
 					return runChaosCell(o, tc, scn, aqmName)
 				},
 			})
@@ -162,21 +157,15 @@ func chaosDuration(o campaign.Options) time.Duration {
 	return o.Scale(60 * time.Second)
 }
 
-// runChaosCell is a single-queue cell (PIE or PI2) through the scenario
-// runner with the cell's own impairment config.
+// runChaosCell is one chaos cell through the scenario runner with the
+// cell's own impairment config, its bottleneck named by aqmName.
 func runChaosCell(o campaign.Options, tc *campaign.TaskCtx, scenario, aqmName string) ChaosPoint {
-	target := o.TargetDelay()
-	factory, ok := FactoryByName(aqmName, target)
-	if !ok {
-		panic("unknown AQM " + aqmName)
-	}
 	dur := chaosDuration(o)
 	sc := Scenario{
 		Seed:        tc.Seed,
 		Watch:       tc.Watch,
 		Shards:      tc.Shards,
 		LinkRateBps: chaosLinkBps,
-		NewAQM:      factory,
 		Impair:      chaosImpair(scenario, o),
 		Bulk: []traffic.BulkFlowSpec{
 			{CC: "cubic", Count: 4, RTT: chaosRTT, Label: "cubic"},
@@ -185,6 +174,7 @@ func runChaosCell(o campaign.Options, tc *campaign.TaskCtx, scenario, aqmName st
 		Duration: dur,
 		WarmUp:   dur / 4,
 	}
+	sc.setBottleneck(aqmName, o.TargetDelay())
 	r := Run(sc)
 	return ChaosPoint{
 		Scenario:   scenario,
@@ -196,31 +186,6 @@ func runChaosCell(o campaign.Options, tc *campaign.TaskCtx, scenario, aqmName st
 		FaultDrops: r.FaultDrops,
 		Events:     r.Events,
 	}
-}
-
-// runChaosDual is the DualPI2 cell, under the same impairment config and
-// placement as the scenario runner.
-func runChaosDual(o campaign.Options, tc *campaign.TaskCtx, scenario string) ChaosPoint {
-	dur := chaosDuration(o)
-	soj := newQuantiler()
-	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, warm: dur / 4, dur: dur,
-		mix: []traffic.BulkFlowSpec{
-			{CC: "cubic", Count: 4, RTT: chaosRTT},
-			{CC: "dctcp", Count: 4, RTT: chaosRTT},
-		}}, chaosLinkBps, core.DualConfig{LSojourn: soj, CSojourn: soj}, chaosImpair(scenario, o))
-	pt := ChaosPoint{
-		Scenario: scenario,
-		AQM:      "dualpi2",
-		Jain:     stats.JainIndex(cell.rates()),
-		QMeanMs:  soj.Mean() * 1e3,
-		QP99Ms:   soj.Percentile(99) * 1e3,
-		Util:     cell.dual.Utilization(),
-		Events:   cell.s.Processed(),
-	}
-	if cell.inj != nil {
-		pt.FaultDrops = cell.inj.Dropped
-	}
-	return pt
 }
 
 // PrintChaos writes the robustness table. Failed cells (named in failed)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pi2/internal/campaign"
-	"pi2/internal/core"
 	"pi2/internal/fq"
 	"pi2/internal/link"
 	"pi2/internal/packet"
@@ -72,78 +71,68 @@ func dualqTasks(o campaign.Options, na, nb int) []campaign.Task {
 		{
 			Name: "dualq/single", SeedIndex: 0,
 			Params: map[string]any{"na": na, "nb": nb},
-			Run:    func(tc *campaign.TaskCtx) any { return dualQSingleArm(o, tc, na, nb) },
+			Run:    func(tc *campaign.TaskCtx) any { return dualQArm(o, tc, na, nb, "pi2") },
 		},
 		{
 			Name: "dualq/dual", SeedIndex: 0,
 			Params: map[string]any{"na": na, "nb": nb},
-			Run:    func(tc *campaign.TaskCtx) any { return dualQDualArm(o, tc, na, nb) },
+			Run:    func(tc *campaign.TaskCtx) any { return dualQArm(o, tc, na, nb, "dualpi2") },
 		},
 	}
 }
 
-// dualQSingleArm is the single shared queue: per-class delay comes from the
-// per-packet sample split by ECN — approximate with the shared-queue sample
-// for both classes (that is the point: in a single queue they are identical).
-func dualQSingleArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) dualArm {
-	const (
-		rate = 40e6
-		rtt  = 10 * time.Millisecond
-	)
+// dualQArm runs na Cubic + nb DCTCP flows at 40 Mb/s and 10 ms RTT through
+// one queue arrangement (see setArrangement). DualPI2 reports its L and C
+// queues' delays apart; the other two have one delay for both classes (that
+// is the point: in a shared queue they are identical).
+func dualQArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int, arrangement string) dualArm {
 	dur := o.Scale(100 * time.Second)
 	sc := Scenario{
 		Seed:        tc.Seed,
 		Watch:       tc.Watch,
-		LinkRateBps: rate,
-		NewAQM:      PI2Factory(20 * time.Millisecond),
+		LinkRateBps: 40e6,
+		Bulk:        bulkPair(na, nb, 10*time.Millisecond),
 		Duration:    dur,
 		WarmUp:      dur * 2 / 5,
 	}
-	sc.Bulk = append(sc.Bulk, bulkPair(na, nb, rtt)...)
+	lSoj := sc.setArrangement(arrangement)
 	r := Run(sc)
-	q := scaleQ(quantiles(r.Sojourn), 1e3)
+	c := scaleQ(quantiles(r.Sojourn), 1e3)
+	l := c
+	if lSoj != nil {
+		l = scaleQ(quantiles(lSoj), 1e3)
+	}
 	return dualArm{
 		Ratio:    perFlowRatio(r),
 		Jain:     jainOf(r),
-		LDelayMs: q,
-		CDelayMs: q,
+		LDelayMs: l,
+		CDelayMs: c,
 		Util:     r.Utilization,
 	}
 }
 
-// dualQDualArm is the DualPI2 arrangement, with per-queue sojourn collectors.
-func dualQDualArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) dualArm {
-	dur := o.Scale(100 * time.Second)
-	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
-		warm: dur * 2 / 5, dur: dur}, 40e6, core.DualConfig{LSojourn: newQuantiler(), CSojourn: newQuantiler()}, nil)
-	rates := cell.rates()
-	arm := dualArm{
-		Jain:     stats.JainIndex(rates),
-		LDelayMs: scaleQ(quantiles(cell.dual.LSojourn), 1e3),
-		CDelayMs: scaleQ(quantiles(cell.dual.CSojourn), 1e3),
-		Util:     cell.dual.Utilization(),
-	}
-	arm.Ratio = classRatio(rates, na)
-	return arm
-}
-
-// classRatio is the mean Classic rate (the first na flows of a bulkPair
-// mix) over the mean Scalable rate; 0 when the Scalable side is empty or idle.
-func classRatio(rates []float64, na int) float64 {
-	mean := func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
+// setArrangement sets the scenario's bottleneck to one of the queue
+// arrangements the dualq and arrangements tables compare: the single coupled
+// PI2 queue ("pi2"), DualPI2 ("dualpi2") or FQ-CoDel ("fq-codel"), each at
+// its default 20 ms or 5 ms target. For DualPI2 it returns the L queue's
+// sojourn collector; the C queue's is the run's Result.Sojourn.
+func (sc *Scenario) setArrangement(name string) (lSojourn stats.Quantiler) {
+	switch name {
+	case "pi2":
+		sc.setBottleneck("pi2", 20*time.Millisecond)
+	case "dualpi2":
+		lSojourn = newQuantiler()
+		sc.Bottleneck = dualPI2(20*time.Millisecond, lSojourn)
+	case "fq-codel":
+		sc.Bottleneck = func(s *sim.Simulator, cfg link.Config, deliver func(*packet.Packet)) (*link.Link, func()) {
+			l := fq.New(s, fq.Config{RateBps: cfg.RateBps, BufferPackets: cfg.BufferPackets}, deliver)
+			l.Sojourn = cfg.Sojourn
+			return l.Link, l.ResetStats
 		}
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		return sum / float64(len(xs))
+	default:
+		panic("unknown arrangement " + name)
 	}
-	if d := mean(rates[na:]); d > 0 {
-		return mean(rates[:na]) / d
-	}
-	return 0
+	return lSojourn
 }
 
 func bulkPair(na, nb int, rtt time.Duration) []traffic.BulkFlowSpec {
@@ -214,27 +203,11 @@ func fqTasks(o campaign.Options, na, nb int) []campaign.Task {
 	return []campaign.Task{{
 		Name: "dualq/fq-codel", SeedIndex: 0,
 		Params: map[string]any{"na": na, "nb": nb},
-		Run:    func(tc *campaign.TaskCtx) any { return fqArrangementArm(o, tc, na, nb) },
+		Run: func(tc *campaign.TaskCtx) any {
+			a := dualQArm(o, tc, na, nb, "fq-codel")
+			return FQRow{Ratio: a.Ratio, Jain: a.Jain, DelayMs: a.CDelayMs, Util: a.Util}
+		},
 	}}
-}
-
-func fqArrangementArm(o campaign.Options, tc *campaign.TaskCtx, na, nb int) FQRow {
-	dur := o.Scale(100 * time.Second)
-	var l *fq.Link
-	cell := runWired(cellSpec{seed: tc.Seed, watch: tc.Watch, mix: bulkPair(na, nb, 10*time.Millisecond),
-		warm: dur * 2 / 5, dur: dur}, func(s *sim.Simulator, deliver func(*packet.Packet)) (*link.Link, func()) {
-		l = fq.New(s, fq.Config{RateBps: 40e6}, deliver)
-		l.Sojourn = newQuantiler()
-		return l.Link, l.Sojourn.Reset
-	})
-	rates := cell.rates()
-	row := FQRow{
-		Jain:    stats.JainIndex(rates),
-		DelayMs: scaleQ(quantiles(l.Sojourn), 1e3),
-		Util:    l.Utilization(),
-	}
-	row.Ratio = classRatio(rates, na)
-	return row
 }
 
 // PrintArrangements writes the three-way comparison: coupled single queue,

@@ -6,6 +6,10 @@ import (
 
 	"pi2/internal/aqm"
 	"pi2/internal/core"
+	"pi2/internal/link"
+	"pi2/internal/packet"
+	"pi2/internal/sim"
+	"pi2/internal/stats"
 )
 
 // PI2Factory builds the paper's PI2 AQM (Table 1 defaults scaled to the
@@ -73,4 +77,39 @@ func FactoryByName(name string, target time.Duration) (AQMFactory, bool) {
 		return func(rng *rand.Rand) aqm.AQM { return aqm.TailDrop{} }, true
 	}
 	return nil, false
+}
+
+// setBottleneck sets the scenario's bottleneck discipline by name at the
+// given target delay: "dualpi2" is a core.DualLink whose two queues feed
+// one sojourn collector (the combined distribution), any other name a FIFO
+// under FactoryByName's AQM. An unknown name panics, failing the cell.
+func (sc *Scenario) setBottleneck(name string, target time.Duration) {
+	if name == "dualpi2" {
+		sc.Bottleneck = dualPI2(target, nil)
+		return
+	}
+	factory, ok := FactoryByName(name, target)
+	if !ok {
+		panic("unknown AQM " + name)
+	}
+	sc.NewAQM = factory
+}
+
+// dualPI2 is a Scenario.Bottleneck building a core.DualLink at the given
+// target. Its C queue feeds the run's sojourn collector, and its L queue
+// feeds lSojourn, or with nil the same collector.
+func dualPI2(target time.Duration, lSojourn stats.Quantiler) func(*sim.Simulator, link.Config, func(*packet.Packet)) (*link.Link, func()) {
+	return func(s *sim.Simulator, cfg link.Config, deliver func(*packet.Packet)) (*link.Link, func()) {
+		l := lSojourn
+		if l == nil {
+			l = cfg.Sojourn
+		}
+		d := core.NewDualLink(s, cfg.RateBps, core.DualConfig{
+			Config:        core.Config{Target: target},
+			BufferPackets: cfg.BufferPackets,
+			LSojourn:      l,
+			CSojourn:      cfg.Sojourn,
+		}, deliver)
+		return d.Link, d.ResetStats
+	}
 }

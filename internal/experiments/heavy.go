@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pi2/internal/campaign"
-	"pi2/internal/core"
 	"pi2/internal/packet"
 	"pi2/internal/stats"
 	"pi2/internal/traffic"
@@ -134,9 +133,6 @@ func heavyTasks(o campaign.Options) []campaign.Task {
 					SeedIndex: len(tasks),
 					Params:    map[string]any{"aqm": aqmName, "flows": n, "rep": rep},
 					Run: func(tc *campaign.TaskCtx) any {
-						if aqmName == "dualpi2" {
-							return runHeavyDual(o, tc, n)
-						}
 						return runHeavyCell(o, tc, n, aqmName)
 					},
 				})
@@ -273,14 +269,9 @@ func heavyDuration(o campaign.Options) time.Duration {
 	return o.Scale(20 * time.Second)
 }
 
-// runHeavyCell is a single-queue cell (PIE or PI2) through the standard
-// scenario runner with compact collectors.
+// runHeavyCell is one heavy cell through the scenario runner, its
+// bottleneck named by aqmName.
 func runHeavyCell(o campaign.Options, tc *campaign.TaskCtx, n int, aqmName string) HeavyPoint {
-	target := o.TargetDelay()
-	factory, ok := FactoryByName(aqmName, target)
-	if !ok {
-		panic("unknown AQM " + aqmName)
-	}
 	dur := heavyDuration(o)
 	reno, cubic, dctcp := heavyMix(n)
 	rate := heavyPerFlowBps * float64(n)
@@ -304,7 +295,6 @@ func runHeavyCell(o campaign.Options, tc *campaign.TaskCtx, n int, aqmName strin
 		FastForward:   o.FF,
 		LinkRateBps:   rate,
 		BufferPackets: buf,
-		NewAQM:        factory,
 		Bulk: []traffic.BulkFlowSpec{
 			{CC: "reno", Count: reno, RTT: heavyRTT, Label: "reno"},
 			{CC: "cubic", Count: cubic, RTT: heavyRTT, Label: "cubic"},
@@ -313,6 +303,7 @@ func runHeavyCell(o campaign.Options, tc *campaign.TaskCtx, n int, aqmName strin
 		Duration: dur,
 		WarmUp:   dur * 2 / 5,
 	}
+	sc.setBottleneck(aqmName, o.TargetDelay())
 	r := Run(sc)
 	p := HeavyPoint{
 		Flows:         n,
@@ -331,36 +322,6 @@ func runHeavyCell(o campaign.Options, tc *campaign.TaskCtx, n int, aqmName strin
 		for _, rate := range g.FlowRates {
 			p.RateW.Add(rate)
 		}
-	}
-	return p
-}
-
-// runHeavyDual is the DualPI2 cell (the scenario runner drives single-queue
-// links only), with both per-queue sojourn collectors pointed at one shared
-// histogram so the cell reports a combined queue-delay distribution.
-func runHeavyDual(o campaign.Options, tc *campaign.TaskCtx, n int) HeavyPoint {
-	dur := heavyDuration(o)
-	reno, cubic, dctcp := heavyMix(n)
-	soj := newQuantiler()
-	cell := runDual(cellSpec{seed: tc.Seed, watch: tc.Watch, warm: dur * 2 / 5, dur: dur,
-		mix: []traffic.BulkFlowSpec{
-			{CC: "reno", Count: reno, RTT: heavyRTT},
-			{CC: "cubic", Count: cubic, RTT: heavyRTT},
-			{CC: "dctcp", Count: dctcp, RTT: heavyRTT},
-		}}, heavyPerFlowBps*float64(n), core.DualConfig{LSojourn: soj, CSojourn: soj}, nil)
-	rates := cell.rates()
-	p := HeavyPoint{
-		Flows:   n,
-		AQM:     "dualpi2",
-		Jain:    stats.JainIndex(rates),
-		QMeanMs: soj.Mean() * 1e3,
-		QP99Ms:  soj.Percentile(99) * 1e3,
-		Util:    cell.dual.Utilization(),
-		Events:  cell.s.Processed(),
-	}
-	p.Soj, _ = soj.(*stats.LogHistogram)
-	for _, r := range rates {
-		p.RateW.Add(r)
 	}
 	return p
 }

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"pi2/internal/campaign"
-	"pi2/internal/core"
-	"pi2/internal/stats"
 	"pi2/internal/traffic"
 )
 
@@ -152,21 +150,12 @@ func interopDuration(o campaign.Options) time.Duration {
 // exported so the fairness-invariant tests can run a single cell (at a
 // longer horizon) without paying for the whole matrix.
 func InteropCell(o campaign.Options, seed int64, watch func(campaign.Canceler), cc, fb, aqmName string) InteropPoint {
-	if aqmName == "dualpi2" {
-		return runInteropDual(o, seed, watch, cc, fb)
-	}
-	target := o.TargetDelay()
-	factory, ok := FactoryByName(aqmName, target)
-	if !ok {
-		panic("unknown AQM " + aqmName)
-	}
 	dur := interopDuration(o)
 	sc := Scenario{
 		Seed:          seed,
 		Watch:         watch,
 		LinkRateBps:   interopLinkBps,
 		BufferPackets: interopBuffer,
-		NewAQM:        factory,
 		// Shards deliberately unset: see Interop.
 		Bulk: []traffic.BulkFlowSpec{
 			{CC: cc, Feedback: fb, Count: 2, RTT: interopRTT, Label: "test"},
@@ -175,6 +164,7 @@ func InteropCell(o campaign.Options, seed int64, watch func(campaign.Canceler), 
 		Duration: dur,
 		WarmUp:   dur / 4,
 	}
+	sc.setBottleneck(aqmName, o.TargetDelay())
 	r := Run(sc)
 	test, ref := r.Groups[0], r.Groups[1]
 	p := InteropPoint{
@@ -194,45 +184,6 @@ func InteropCell(o campaign.Options, seed int64, watch func(campaign.Canceler), 
 	}
 	if ref.Total() > 0 {
 		p.RateRatio = test.Total() / ref.Total()
-	}
-	return p
-}
-
-// runInteropDual is the DualPI2 cell. Marks and drops count from the warm-up
-// boundary, as the scenario runner's do: the paired pi2/dualpi2 columns
-// must cover the same measurement window.
-func runInteropDual(o campaign.Options, seed int64, watch func(campaign.Canceler), cc, fb string) InteropPoint {
-	dur := interopDuration(o)
-	soj := newQuantiler()
-	cell := runDual(cellSpec{seed: seed, watch: watch, warm: dur / 4, dur: dur,
-		mix: []traffic.BulkFlowSpec{
-			{CC: cc, Feedback: fb, Count: 2, RTT: interopRTT},
-			{CC: "cubic", Count: 2, RTT: interopRTT},
-		}}, interopLinkBps, core.DualConfig{
-		Config:        core.Config{Target: o.TargetDelay()},
-		BufferPackets: interopBuffer,
-		LSojourn:      soj,
-		CSojourn:      soj,
-	}, nil)
-	rates := cell.rates()
-	testTot, refTot := rates[0]+rates[1], rates[2]+rates[3]
-	p := InteropPoint{
-		CC:       cc,
-		Feedback: fb,
-		AQM:      "dualpi2",
-		Marks:    cell.dual.Link.Marks(),
-		Drops:    cell.dual.TotalDrops(),
-		QMeanMs:  soj.Mean() * 1e3,
-		QP99Ms:   soj.Percentile(99) * 1e3,
-		Util:     cell.dual.Utilization(),
-		Jain:     stats.JainIndex(rates),
-		Events:   cell.s.Processed(),
-	}
-	if tot := testTot + refTot; tot > 0 {
-		p.TestShare = testTot / tot
-	}
-	if refTot > 0 {
-		p.RateRatio = testTot / refTot
 	}
 	return p
 }

@@ -49,8 +49,13 @@ type Scenario struct {
 	LinkRateBps float64
 	// BufferPackets bounds the queue (default 40000, Table 1).
 	BufferPackets int
-	// NewAQM builds the queue manager.
+	// NewAQM builds the queue manager of the default FIFO bottleneck.
 	NewAQM AQMFactory
+	// Bottleneck, if set, builds the bottleneck instead of a FIFO under
+	// NewAQM: on the run's link simulator, from cfg's rate, buffer and
+	// sojourn collector, in front of deliver. It returns the link and the
+	// discipline's own warm-up reset (see setBottleneck).
+	Bottleneck func(s *sim.Simulator, cfg link.Config, deliver func(*packet.Packet)) (l *link.Link, resetStats func())
 	// Bulk, Staged, UDP and Web describe the offered load.
 	Bulk   []traffic.BulkFlowSpec
 	Staged *StagedSpec
@@ -300,12 +305,20 @@ func Run(sc Scenario) *Result {
 		inj = faults.NewInjector(ls, *sc.Impair, deliver)
 		deliver = inj.Deliver
 	}
-	l := link.New(ls, link.Config{
+	cfg := link.Config{
 		RateBps:       sc.LinkRateBps,
 		BufferPackets: sc.BufferPackets,
-		AQM:           sc.NewAQM(ls.RNG()),
 		Sojourn:       newQuantiler(),
-	}, deliver)
+	}
+	var l *link.Link
+	var resetLink func()
+	if sc.Bottleneck != nil {
+		l, resetLink = sc.Bottleneck(ls, cfg, deliver)
+	} else {
+		cfg.AQM = sc.NewAQM(ls.RNG())
+		l = link.New(ls, cfg, deliver)
+		resetLink = l.ResetStats
+	}
 	if sc.Impair != nil && sc.Impair.Rate != nil {
 		sc.Impair.Rate.Apply(ls, l)
 	}
@@ -325,9 +338,13 @@ func Run(sc Scenario) *Result {
 
 	// Bulk flows in creation order (group after group): the order of flow
 	// IDs, of the per-group results and of the fast-forward engine's RNG
-	// draws, whatever loop each flow lands on.
+	// draws, whatever loop each flow lands on. Each group starts (and
+	// stops) with one event per loop, over the group's run of that loop's
+	// flows in creation order: the order per-flow events at one instant
+	// would fire in.
 	nextID := 1
 	bulk := make([]*tcp.Endpoint, 0, nBulk)
+	first := make([]int, len(sub.sims))
 	for _, spec := range sc.Bulk {
 		if sc.SACK {
 			spec.SACK = true
@@ -335,15 +352,32 @@ func Run(sc Scenario) *Result {
 		if spec.AckEvery == 0 {
 			spec.AckEvery = sc.AckEvery
 		}
+		for k := range first {
+			first[k] = len(sub.flows[k])
+		}
 		for i := 0; i < spec.Count; i++ {
 			ep, k := sub.place(nextID, spec, linkEnq)
-			sub.sims[k].At(spec.StartAt, ep.Start)
-			if spec.StopAt > spec.StartAt {
-				sub.sims[k].At(spec.StopAt, ep.Stop)
-			}
 			bulk = append(bulk, ep)
 			sub.flows[k] = append(sub.flows[k], ep)
 			nextID++
+		}
+		for k, es := range sub.sims {
+			group := sub.flows[k][first[k]:]
+			if len(group) == 0 {
+				continue
+			}
+			es.At(spec.StartAt, func() {
+				for _, ep := range group {
+					ep.Start()
+				}
+			})
+			if spec.StopAt > spec.StartAt {
+				es.At(spec.StopAt, func() {
+					for _, ep := range group {
+						ep.Stop()
+					}
+				})
+			}
 		}
 	}
 	if sc.Staged != nil {
@@ -379,7 +413,7 @@ func Run(sc Scenario) *Result {
 			f.Goodput.Reset(now)
 		}
 		if k == 0 {
-			l.ResetStats()
+			resetLink()
 			for _, u := range udps {
 				u.ResetStats(now)
 			}
