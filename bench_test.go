@@ -37,6 +37,14 @@ func quickOpts(i int) campaign.Options {
 	return campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: int64(i + 1)}
 }
 
+// must returns a driver's result, panicking on its failed-cells error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // --- analytic figures (Appendix B fluid model) ---
 
 // BenchmarkFig4Bode regenerates the Figure 4 Bode margins (PIE tune
@@ -87,7 +95,7 @@ func BenchmarkFig7Bode(b *testing.B) {
 func BenchmarkFig6VaryingIntensity(b *testing.B) {
 	var r *experiments.Fig6Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig6(quickOpts(i))
+		r = must(experiments.Fig6(quickOpts(i)))
 	}
 	b.ReportMetric(r.PI.Sojourn.Mean()*1e3, "pi-meanQ-ms")
 	b.ReportMetric(r.PI2.Sojourn.Mean()*1e3, "pi2-meanQ-ms")
@@ -97,7 +105,7 @@ func BenchmarkFig6VaryingIntensity(b *testing.B) {
 func BenchmarkFig11TrafficLoads(b *testing.B) {
 	var r *experiments.Fig11Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig11(quickOpts(i))
+		r = must(experiments.Fig11(quickOpts(i)))
 	}
 	b.ReportMetric(r.Runs["50 TCP"]["pi2"].Sojourn.Mean()*1e3, "pi2-50tcp-meanQ-ms")
 	b.ReportMetric(r.Runs["50 TCP"]["pie"].Sojourn.Mean()*1e3, "pie-50tcp-meanQ-ms")
@@ -108,7 +116,7 @@ func BenchmarkFig11TrafficLoads(b *testing.B) {
 func BenchmarkFig12VaryingCapacity(b *testing.B) {
 	var r *experiments.Fig12Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig12(quickOpts(i))
+		r = must(experiments.Fig12(quickOpts(i)))
 	}
 	b.ReportMetric(r.PeakPIEms, "pie-peak-ms")
 	b.ReportMetric(r.PeakPI2ms, "pi2-peak-ms")
@@ -118,7 +126,7 @@ func BenchmarkFig12VaryingCapacity(b *testing.B) {
 func BenchmarkFig13VaryingIntensity(b *testing.B) {
 	var r *experiments.Fig13Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig13(quickOpts(i))
+		r = must(experiments.Fig13(quickOpts(i)))
 	}
 	b.ReportMetric(r.PI2.DelaySeries.Max()*1e3, "pi2-maxQ-ms")
 }
@@ -128,7 +136,7 @@ func BenchmarkFig13VaryingIntensity(b *testing.B) {
 func BenchmarkFig14DelayCDF(b *testing.B) {
 	var r *experiments.Fig14Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig14(quickOpts(i))
+		r = must(experiments.Fig14(quickOpts(i)))
 	}
 	for _, c := range r.Cases {
 		if c.Target == 5*time.Millisecond && c.Load == "20 TCP" {
@@ -142,7 +150,7 @@ func BenchmarkFig14DelayCDF(b *testing.B) {
 func BenchmarkFig15RateBalance(b *testing.B) {
 	var pie, pi2 experiments.SweepPoint
 	for i := 0; i < b.N; i++ {
-		pts := experiments.CoexistenceSweep(quickOpts(i))
+		pts := must(experiments.CoexistenceSweep(quickOpts(i)))
 		for _, p := range pts {
 			if p.LinkMbps == 40 && p.RTT == 10*time.Millisecond && p.Pair == "dctcp" {
 				if p.AQM == "pie" {
@@ -189,7 +197,7 @@ func BenchmarkFig18Utilization(b *testing.B) {
 }
 
 func sweepCell(o campaign.Options, aqmName, pair string) experiments.SweepPoint {
-	pts := experiments.CoexistenceSweep(o)
+	pts := must(experiments.CoexistenceSweep(o))
 	for _, p := range pts {
 		if p.LinkMbps == 40 && p.RTT == 10*time.Millisecond && p.AQM == aqmName && p.Pair == pair {
 			return p
@@ -204,7 +212,7 @@ func BenchmarkFig19FlowCombos(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
 		worst = 1
-		for _, p := range experiments.FlowCombos(quickOpts(i), nil) {
+		for _, p := range must(experiments.FlowCombos(quickOpts(i), nil)) {
 			if p.AQM != "pi2" || p.Pair != "dctcp" || p.NA == 0 || p.NB == 0 {
 				continue
 			}
@@ -226,7 +234,7 @@ func BenchmarkFig20NormalizedRates(b *testing.B) {
 	var p1 float64
 	for i := 0; i < b.N; i++ {
 		p1 = 1e9
-		for _, p := range experiments.FlowCombos(quickOpts(i), nil) {
+		for _, p := range must(experiments.FlowCombos(quickOpts(i), nil)) {
 			if p.AQM != "pi2" || p.Pair != "dctcp" || p.NA == 0 || p.NB == 0 {
 				continue
 			}
@@ -250,7 +258,7 @@ func BenchmarkTable1Defaults(b *testing.B) {
 func BenchmarkFCTWorkload(b *testing.B) {
 	var r *experiments.FCTResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.FigFCT(quickOpts(i))
+		r = must(experiments.FigFCT(quickOpts(i)))
 	}
 	b.ReportMetric(r.ByAQM["pi2"].Mean*1e3, "pi2-fct-ms")
 	b.ReportMetric(r.ByAQM["pie"].Mean*1e3, "pie-fct-ms")
@@ -923,11 +931,11 @@ func BenchmarkAblationHyStart(b *testing.B) {
 func BenchmarkDualQExtension(b *testing.B) {
 	var r *experiments.DualQResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.DualQ(quickOpts(i), 1, 1)
+		r = must(experiments.DualQ(quickOpts(i), 1, 1))
 	}
-	b.ReportMetric(r.SingleLDelayMs.Mean, "single-L-ms")
-	b.ReportMetric(r.DualLDelayMs.Mean, "dual-L-ms")
-	b.ReportMetric(r.DualRatio, "dual-ratio")
+	b.ReportMetric(r.Single.LDelayMs.Mean, "single-L-ms")
+	b.ReportMetric(r.Dual.LDelayMs.Mean, "dual-L-ms")
+	b.ReportMetric(r.Dual.Ratio, "dual-ratio")
 }
 
 // BenchmarkCampaignParallel measures the campaign engine's run-level

@@ -44,8 +44,10 @@
 //
 // -cell-timeout and -cell-stall arm a per-cell watchdog (wall-clock budget
 // and simulated-clock stall detection); -retries re-runs killed or panicking
-// cells with a perturbed seed. Failed cells are reported in the output and
-// the grid still completes.
+// cells with a perturbed seed. A failed cell does not stop its grid: the
+// table still prints (zeros or a FAILED row where the cell would be), the
+// experiment's error naming every failed cell goes to stderr, every later
+// experiment still runs, and pi2bench exits 1 at the end.
 //
 // -check and -update-golden run the golden-regression harness instead:
 // every named experiment (default "all" plus every registered name with a
@@ -275,11 +277,12 @@ func main() {
 		add(a)
 	}
 
+	code := 0
 	for _, name := range names {
 		e, _ := campaign.Lookup(name)
 		if err := e.Run(&o, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "pi2bench: %s: %v\n", name, err)
-			exit(1)
+			code = 1
 		}
 	}
 
@@ -291,10 +294,10 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pi2bench: writing %s: %v\n", *jsonPath, err)
-			exit(1)
+			code = 1
 		}
 	}
-	exit(0)
+	exit(code)
 }
 
 // goldenIgnored lists the flags -check and -update-golden do not honour:

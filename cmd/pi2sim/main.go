@@ -10,7 +10,8 @@
 //
 // With -reps N > 1 the scenario is replicated under N derived seeds (run
 // across -jobs workers) and a per-replication summary plus mean ± stddev
-// aggregates are printed instead of the single-run report.
+// aggregates are printed instead of the single-run report; pi2sim exits 1
+// when any replication failed.
 package main
 
 import (
@@ -31,15 +32,15 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run parses the flags and runs the scenario they describe. It returns the
-// process exit code: 2 for a bad flag or scenario.
+// process exit code: 2 for a bad flag or scenario, 1 when a replication
+// failed.
 func run(args []string, stdout, stderr io.Writer) int {
 	inv, code := parse(args, stderr)
 	if code >= 0 {
 		return code
 	}
 	if inv.reps > 1 {
-		replicate(stdout, stderr, inv.sc, inv.reps, inv.jobs, inv.label)
-		return 0
+		return replicate(stdout, stderr, inv.sc, inv.reps, inv.jobs, inv.label)
 	}
 	report(stdout, experiments.Run(inv.sc), inv.series, inv.plot, inv.label)
 	return 0
@@ -144,8 +145,10 @@ func parse(args []string, stderr io.Writer) (invocation, int) {
 }
 
 // replicate runs the scenario under reps derived seeds on a jobs-wide pool
-// and prints per-replication summaries plus mean ± stddev aggregates.
-func replicate(stdout, stderr io.Writer, sc experiments.Scenario, reps, jobs int, label string) {
+// and prints per-replication summaries plus mean ± stddev aggregates over
+// the replications that completed. It returns the exit code: 1 when any
+// replication failed.
+func replicate(stdout, stderr io.Writer, sc experiments.Scenario, reps, jobs int, label string) int {
 	base := sc.Seed
 	tasks := make([]campaign.Task, reps)
 	for i := range tasks {
@@ -166,10 +169,12 @@ func replicate(stdout, stderr io.Writer, sc experiments.Scenario, reps, jobs int
 	fmt.Fprintf(stdout, "# %s reps=%d jobs=%d base_seed=%d\n", label, reps, jobs, base)
 	fmt.Fprintln(stdout, "rep\tseed\tqdelay_mean_ms\tqdelay_p99_ms\tutil\tgoodput_mbps")
 	var qMeans, qP99s, utils, goodputs []float64
+	code := 0
 	for i, rec := range recs {
 		res, ok := rec.Result.(*experiments.Result)
 		if !ok {
 			fmt.Fprintf(stderr, "pi2sim: rep %d failed: %s\n", i, rec.Err)
+			code = 1
 			continue
 		}
 		var goodput float64
@@ -191,6 +196,7 @@ func replicate(stdout, stderr io.Writer, sc experiments.Scenario, reps, jobs int
 	fmt.Fprintf(stdout, "# aggregate over %d reps (mean ± stddev):\n", len(qMeans))
 	fmt.Fprintf(stdout, "# qdelay_mean=%.2f±%.2f ms  qdelay_p99=%.2f±%.2f ms  util=%.3f±%.3f  goodput=%.3f±%.3f Mb/s\n",
 		m1, s1, m2, s2, m3, s3, m4, s4)
+	return code
 }
 
 // meanStd returns the sample mean and (population) standard deviation.

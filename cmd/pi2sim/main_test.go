@@ -51,3 +51,21 @@ func TestParseKeepsTarget(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicateFailsOnFailedRep: -reps 2 where every replication panics
+// still prints the report header, names each failed rep on stderr and
+// exits 1.
+func TestReplicateFailsOnFailedRep(t *testing.T) {
+	inv, code := parse([]string{"-reps", "2", "-dur", "1s"}, new(bytes.Buffer))
+	if code >= 0 {
+		t.Fatalf("parse: exit %d", code)
+	}
+	inv.sc.NewAQM = func(*rand.Rand) aqm.AQM { panic("no AQM") }
+	var stdout, stderr bytes.Buffer
+	code = replicate(&stdout, &stderr, inv.sc, inv.reps, 1, inv.label)
+	if code != 1 || strings.Count(stderr.String(), "failed: panic: no AQM") != 2 ||
+		!strings.Contains(stdout.String(), "aggregate over 0 reps") {
+		t.Errorf("exit %d, stderr %q, stdout %q; want exit 1, two failed reps, an empty aggregate",
+			code, stderr.String(), stdout.String())
+	}
+}

@@ -60,11 +60,6 @@ type TaskCtx struct {
 	// Shards); cells that build shardable scenarios run them on that many
 	// event-loop domains. 0 or 1 means the classic single-loop path.
 	Shards int
-	// FastForward is the campaign-wide hybrid fluid/packet switch
-	// (ExecOptions.FastForward): cells that build eligible scenarios skip
-	// quiescent congestion-avoidance epochs analytically. Off keeps every
-	// cell byte-identical to builds without the engine.
-	FastForward bool
 
 	mu       sync.Mutex
 	watched  []Canceler
@@ -206,8 +201,11 @@ type ExecOptions struct {
 	// distinction from Jobs: Jobs parallelizes across cells, Shards
 	// parallelizes inside one cell.
 	Shards int
-	// FastForward is handed to every TaskCtx: cells with eligible
-	// scenarios run the hybrid fluid/packet main loop.
+	// FastForward has no effect: a cell takes fast-forward from its matrix
+	// (Grid.FF), which a fleet worker rebuilds from the spec.
+	//
+	// Deprecated: kept only because the bench module's heavy workloads
+	// still set it; it goes with them.
 	FastForward bool
 	// BaseSeed is the campaign's base seed; each task runs with
 	// DeriveSeed(BaseSeed, task.SeedIndex).
@@ -472,8 +470,7 @@ func runTask(t Task, index int, opt ExecOptions) RunRecord {
 // (abandoned is then true and the record marked TimedOut).
 func runAttempt(t Task, index int, seed int64, attempt int, opt ExecOptions) (RunRecord, bool) {
 	wd := opt.Watchdog
-	tc := &TaskCtx{Seed: seed, Attempt: attempt, Shards: opt.Shards,
-		FastForward: opt.FastForward}
+	tc := &TaskCtx{Seed: seed, Attempt: attempt, Shards: opt.Shards}
 	if !wd.enabled() {
 		return execAttempt(t, index, seed, attempt, tc), false
 	}

@@ -59,8 +59,8 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	serial := CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 1})
-	wide := CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 8})
+	serial := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 1}))
+	wide := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 8}))
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatal("sweep points differ between jobs=1 and jobs=8")
 	}
@@ -217,10 +217,10 @@ func TestChaosDeterministicAcrossJobs(t *testing.T) {
 		t.Skip("grid run in -short mode")
 	}
 	o := campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}}
-	serial, failedS, errS := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 1})
-	wide, failedW, errW := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 8})
+	serial, errS := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 1})
+	wide, errW := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 8})
 	if errS != nil || errW != nil {
-		t.Fatalf("chaos cells failed: %v / %v (%v %v)", errS, errW, failedS, failedW)
+		t.Fatalf("chaos cells failed: %v / %v", errS, errW)
 	}
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatal("chaos points differ between jobs=1 and jobs=8")

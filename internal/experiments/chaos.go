@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -79,6 +78,8 @@ type ChaosPoint struct {
 	FaultDrops int
 
 	Events uint64
+
+	failed bool // the cell failed: a FAILED row
 }
 
 // EventCount satisfies campaign.EventCounter for per-run events/sec records.
@@ -100,37 +101,17 @@ func (p ChaosPoint) Metrics() map[string]float64 {
 // Chaos runs the impairment grid: every scenario × AQM cell across o.Jobs
 // workers. AQM arms of one scenario share a seed index so they face the
 // identical traffic and fault randomness — the comparison is paired. A
-// non-nil error names every failed cell (CI smoke exits nonzero) while the
-// returned points still cover the cells that completed; failed cells appear
-// with Failed-style zero metrics in the table via PrintChaos.
-func Chaos(o campaign.Options) ([]ChaosPoint, []string, error) {
-	tasks := chaosTasks(o)
-	out := make([]ChaosPoint, len(tasks))
-	bad := make([]bool, len(tasks))
-	// Records stream and fold by index as they arrive; the failure list is
-	// assembled in matrix order afterwards so tables and errors stay
-	// deterministic under any completion order.
-	campaign.ExecuteStream(tasks, execFor(o, "chaos", gridSpec{}), func(rec campaign.RunRecord) {
-		scn, _ := rec.Params["scenario"].(string)
-		aqmName, _ := rec.Params["aqm"].(string)
-		p, ok := rec.Result.(ChaosPoint)
-		if rec.Err != "" || !ok {
-			bad[rec.Index] = true
-			out[rec.Index] = ChaosPoint{Scenario: scn, AQM: aqmName}
-			return
+// failed cell comes back as a point marked failed (PrintChaos prints it as
+// a FAILED row), and the error names it.
+func Chaos(o campaign.Options) ([]ChaosPoint, error) {
+	return grid(chaosTasks(o), execFor(o, "chaos", gridSpec{}), 1, func(recs []campaign.RunRecord) ChaosPoint {
+		if p, ok := recs[0].Result.(ChaosPoint); ok {
+			return p
 		}
-		out[rec.Index] = p
+		scn, _ := recs[0].Params["scenario"].(string)
+		aqmName, _ := recs[0].Params["aqm"].(string)
+		return ChaosPoint{Scenario: scn, AQM: aqmName, failed: true}
 	})
-	var failed []string
-	for i, b := range bad {
-		if b {
-			failed = append(failed, fmt.Sprintf("%s/%s", out[i].Scenario, out[i].AQM))
-		}
-	}
-	if len(failed) > 0 {
-		return out, failed, errors.New("chaos cells failed: " + fmt.Sprint(failed))
-	}
-	return out, nil, nil
 }
 
 // chaosTasks builds the scenario × AQM matrix; AQM arms of one scenario
@@ -188,20 +169,15 @@ func runChaosCell(o campaign.Options, tc *campaign.TaskCtx, scenario, aqmName st
 	}
 }
 
-// PrintChaos writes the robustness table. Failed cells (named in failed)
-// render as FAILED rows so a partially-degraded grid still reports every
-// cell it completed.
-func PrintChaos(w io.Writer, pts []ChaosPoint, failed []string) {
+// PrintChaos writes the robustness table. Failed cells render as FAILED
+// rows so a partially-degraded grid still reports every cell it completed.
+func PrintChaos(w io.Writer, pts []ChaosPoint) {
 	fmt.Fprintln(w, "# Chaos tier: 4 cubic + 4 dctcp at 40 Mb/s, RTT 10 ms, under channel faults")
 	fmt.Fprintln(w, "# burst-loss: Gilbert-Elliott bursts (~0.8% loss, mean burst 4 pkts);")
 	fmt.Fprintln(w, "# flap: capacity square wave 40<->15 Mb/s; chaos: both + reorder + dup")
 	fmt.Fprintln(w, "scenario\taqm\tjain\tq_mean_ms\tq_p99_ms\tutil\tfault_drops")
-	bad := make(map[string]bool, len(failed))
-	for _, f := range failed {
-		bad[f] = true
-	}
 	for _, p := range pts {
-		if bad[p.Scenario+"/"+p.AQM] {
+		if p.failed {
 			fmt.Fprintf(w, "%s\t%s\tFAILED\tFAILED\tFAILED\tFAILED\tFAILED\n", p.Scenario, p.AQM)
 			continue
 		}

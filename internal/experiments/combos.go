@@ -44,16 +44,8 @@ func DefaultCombos() [][2]int {
 // FlowCombos runs the Figures 19–20 experiment: the given (NA, NB) splits
 // for each pair (Cubic vs DCTCP, Cubic vs ECN-Cubic) and AQM (PIE, PI2) at
 // 40 Mb/s, 10 ms RTT.
-func FlowCombos(o campaign.Options, combos [][2]int) []ComboPoint {
-	tasks := combosTasks(o, combos)
-	recs := campaign.Execute(tasks, execFor(o, "combos", gridSpec{Combos: combos}))
-	out := make([]ComboPoint, len(recs))
-	for i, rec := range recs {
-		if p, ok := rec.Result.(ComboPoint); ok {
-			out[i] = p
-		}
-	}
-	return out
+func FlowCombos(o campaign.Options, combos [][2]int) ([]ComboPoint, error) {
+	return grid(combosTasks(o, combos), execFor(o, "combos", gridSpec{Combos: combos}), 1, cell[ComboPoint])
 }
 
 // combosTasks builds the pair × AQM × combo matrix. A nil combo list

@@ -19,17 +19,9 @@ import (
 // same coupling — the dual queue removes the Classic queuing delay from the
 // Scalable flow's path.
 type DualQResult struct {
-	// Single is the single-queue run; LDelay/CDelay there are the same
+	// Single is the single-queue run; LDelayMs/CDelayMs there are the same
 	// shared queue measured per traffic class.
-	SingleRatio                float64
-	SingleLDelayMs             Quantiles
-	SingleCDelayMs             Quantiles
-	SingleUtil                 float64
-	DualRatio                  float64
-	DualLDelayMs, DualCDelayMs Quantiles
-	DualUtil                   float64
-	// JainSingle/JainDual summarize rate fairness across all flows.
-	JainSingle, JainDual float64
+	Single, Dual dualArm
 }
 
 // dualArm holds one arrangement's metrics — the shared shape of the
@@ -45,24 +37,9 @@ type dualArm struct {
 // PI2 and (b) DualPI2, at 40 Mb/s and 10 ms RTT. Both arms share one seed
 // (SeedIndex 0) so they see identical traffic randomness; they run as two
 // engine tasks and so in parallel when o.Jobs > 1.
-func DualQ(o campaign.Options, na, nb int) *DualQResult {
-	recs := campaign.Execute(dualqTasks(o, na, nb), execFor(o, "dualq", gridSpec{NA: na, NB: nb}))
-	res := &DualQResult{}
-	if a, ok := recs[0].Result.(dualArm); ok {
-		res.SingleRatio = a.Ratio
-		res.SingleLDelayMs = a.LDelayMs
-		res.SingleCDelayMs = a.CDelayMs
-		res.SingleUtil = a.Util
-		res.JainSingle = a.Jain
-	}
-	if a, ok := recs[1].Result.(dualArm); ok {
-		res.DualRatio = a.Ratio
-		res.DualLDelayMs = a.LDelayMs
-		res.DualCDelayMs = a.CDelayMs
-		res.DualUtil = a.Util
-		res.JainDual = a.Jain
-	}
-	return res
+func DualQ(o campaign.Options, na, nb int) (*DualQResult, error) {
+	arms, err := grid(dualqTasks(o, na, nb), execFor(o, "dualq", gridSpec{NA: na, NB: nb}), 1, cell[dualArm])
+	return &DualQResult{Single: arms[0], Dual: arms[1]}, err
 }
 
 // dualqTasks builds the paired single-queue/dual-queue arms.
@@ -192,10 +169,9 @@ type FQRow struct {
 // flows their fair share with low delay, at the cost of per-flow state
 // and transport-header inspection in the network. It runs as one engine
 // task with SeedIndex 0, so it sees the same traffic seed as DualQ's arms.
-func FQArrangement(o campaign.Options, na, nb int) FQRow {
-	recs := campaign.Execute(fqTasks(o, na, nb), execFor(o, "dualq-fq", gridSpec{NA: na, NB: nb}))
-	row, _ := recs[0].Result.(FQRow)
-	return row
+func FQArrangement(o campaign.Options, na, nb int) (FQRow, error) {
+	rows, err := grid(fqTasks(o, na, nb), execFor(o, "dualq-fq", gridSpec{NA: na, NB: nb}), 1, cell[FQRow])
+	return rows[0], err
 }
 
 // fqTasks builds the FQ-CoDel arrangement's single-cell matrix.
@@ -215,10 +191,11 @@ func fqTasks(o campaign.Options, na, nb int) []campaign.Task {
 func PrintArrangements(w io.Writer, dq *DualQResult, fqr FQRow) {
 	fmt.Fprintln(w, "# Queue arrangements under 1 Cubic + 1 DCTCP (40 Mb/s, RTT 10 ms)")
 	fmt.Fprintln(w, "arrangement\tratio\tjain\tscalable_delay_ms\tclassic_delay_ms\tutil\tnetwork-needs")
+	s, d := dq.Single, dq.Dual
 	fmt.Fprintf(w, "single-pi2\t%.3f\t%.3f\t%.2f\t%.2f\t%.3f\tECN classifier only\n",
-		dq.SingleRatio, dq.JainSingle, dq.SingleLDelayMs.Mean, dq.SingleCDelayMs.Mean, dq.SingleUtil)
+		s.Ratio, s.Jain, s.LDelayMs.Mean, s.CDelayMs.Mean, s.Util)
 	fmt.Fprintf(w, "dualpi2\t%.3f\t%.3f\t%.2f\t%.2f\t%.3f\tECN classifier + 2 queues\n",
-		dq.DualRatio, dq.JainDual, dq.DualLDelayMs.Mean, dq.DualCDelayMs.Mean, dq.DualUtil)
+		d.Ratio, d.Jain, d.LDelayMs.Mean, d.CDelayMs.Mean, d.Util)
 	fmt.Fprintf(w, "fq-codel\t%.3f\t%.3f\t%.2f\t%.2f\t%.3f\tper-flow state + 5-tuple inspection\n",
 		fqr.Ratio, fqr.Jain, fqr.DelayMs.Mean, fqr.DelayMs.Mean, fqr.Util)
 }
@@ -227,14 +204,13 @@ func PrintArrangements(w io.Writer, dq *DualQResult, fqr FQRow) {
 func (r *DualQResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "# DualPI2 extension: single coupled queue vs dual queue (40 Mb/s, RTT 10 ms)")
 	fmt.Fprintln(w, "arrangement\tratio\tjain\tL_mean_ms\tL_p99_ms\tC_mean_ms\tC_p99_ms\tutil")
-	fmt.Fprintf(w, "single-queue\t%.3f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\n",
-		r.SingleRatio, r.JainSingle,
-		r.SingleLDelayMs.Mean, r.SingleLDelayMs.P99,
-		r.SingleCDelayMs.Mean, r.SingleCDelayMs.P99, r.SingleUtil)
-	fmt.Fprintf(w, "dualpi2\t%.3f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\n",
-		r.DualRatio, r.JainDual,
-		r.DualLDelayMs.Mean, r.DualLDelayMs.P99,
-		r.DualCDelayMs.Mean, r.DualCDelayMs.P99, r.DualUtil)
+	for _, a := range []struct {
+		name string
+		dualArm
+	}{{"single-queue", r.Single}, {"dualpi2", r.Dual}} {
+		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\n", a.name, a.Ratio, a.Jain,
+			a.LDelayMs.Mean, a.LDelayMs.P99, a.CDelayMs.Mean, a.CDelayMs.P99, a.Util)
+	}
 	fmt.Fprintln(w, "# the dual queue holds Scalable (L) delay near zero while the Classic (C)")
 	fmt.Fprintln(w, "# queue keeps its 20 ms target — the step the paper's conclusion points to")
 }

@@ -10,21 +10,21 @@ import (
 // queue's delay must be at least an order of magnitude below the shared
 // single-queue delay, with rate balance and utilization preserved.
 func TestDualQBeatsSingleQueueOnLatency(t *testing.T) {
-	r := DualQ(campaign.Options{Grid: campaign.Grid{Quick: true}}, 1, 1)
+	r := must(DualQ(campaign.Options{Grid: campaign.Grid{Quick: true}}, 1, 1))
 	t.Logf("single: ratio=%.2f L=%.2fms | dual: ratio=%.2f L=%.3fms C=%.2fms util=%.3f",
-		r.SingleRatio, r.SingleLDelayMs.Mean, r.DualRatio, r.DualLDelayMs.Mean, r.DualCDelayMs.Mean, r.DualUtil)
-	if r.DualLDelayMs.Mean > r.SingleLDelayMs.Mean/10 {
+		r.Single.Ratio, r.Single.LDelayMs.Mean, r.Dual.Ratio, r.Dual.LDelayMs.Mean, r.Dual.CDelayMs.Mean, r.Dual.Util)
+	if r.Dual.LDelayMs.Mean > r.Single.LDelayMs.Mean/10 {
 		t.Errorf("dual L delay %.3f ms, want <= single/10 (%.3f ms)",
-			r.DualLDelayMs.Mean, r.SingleLDelayMs.Mean/10)
+			r.Dual.LDelayMs.Mean, r.Single.LDelayMs.Mean/10)
 	}
-	if r.DualRatio < 0.2 || r.DualRatio > 5 {
-		t.Errorf("dual rate ratio %.3f: coupling broken across queues", r.DualRatio)
+	if r.Dual.Ratio < 0.2 || r.Dual.Ratio > 5 {
+		t.Errorf("dual rate ratio %.3f: coupling broken across queues", r.Dual.Ratio)
 	}
-	if r.DualUtil < 0.9 {
-		t.Errorf("dual utilization %.3f", r.DualUtil)
+	if r.Dual.Util < 0.9 {
+		t.Errorf("dual utilization %.3f", r.Dual.Util)
 	}
-	if r.JainDual < 0.7 {
-		t.Errorf("dual Jain index %.3f", r.JainDual)
+	if r.Dual.Jain < 0.7 {
+		t.Errorf("dual Jain index %.3f", r.Dual.Jain)
 	}
 }
 
@@ -38,11 +38,11 @@ func TestDualQBeatsSingleQueueOnLatency(t *testing.T) {
 //     per-flow state the paper's designs avoid
 func TestArrangementsComparison(t *testing.T) {
 	o := campaign.Options{Grid: campaign.Grid{Quick: true}}
-	dq := DualQ(o, 1, 1)
-	fqr := FQArrangement(o, 1, 1)
+	dq := must(DualQ(o, 1, 1))
+	fqr := must(FQArrangement(o, 1, 1))
 
-	if dq.SingleRatio < 0.5 || dq.SingleRatio > 2 {
-		t.Errorf("single-queue ratio %.3f", dq.SingleRatio)
+	if dq.Single.Ratio < 0.5 || dq.Single.Ratio > 2 {
+		t.Errorf("single-queue ratio %.3f", dq.Single.Ratio)
 	}
 	if fqr.Ratio < 0.8 || fqr.Ratio > 1.25 {
 		t.Errorf("fq ratio %.3f, want scheduler-enforced ~1", fqr.Ratio)
@@ -51,9 +51,9 @@ func TestArrangementsComparison(t *testing.T) {
 		t.Errorf("fq jain %.3f", fqr.Jain)
 	}
 	// Delay ordering: dual L << fq <= single shared queue.
-	if !(dq.DualLDelayMs.Mean < fqr.DelayMs.Mean && fqr.DelayMs.Mean < dq.SingleLDelayMs.Mean) {
+	if !(dq.Dual.LDelayMs.Mean < fqr.DelayMs.Mean && fqr.DelayMs.Mean < dq.Single.LDelayMs.Mean) {
 		t.Errorf("delay ordering violated: dualL=%.2f fq=%.2f single=%.2f",
-			dq.DualLDelayMs.Mean, fqr.DelayMs.Mean, dq.SingleLDelayMs.Mean)
+			dq.Dual.LDelayMs.Mean, fqr.DelayMs.Mean, dq.Single.LDelayMs.Mean)
 	}
 	if fqr.Util < 0.9 {
 		t.Errorf("fq util %.3f", fqr.Util)
@@ -64,7 +64,7 @@ func TestArrangementsComparison(t *testing.T) {
 // the Classic flow has the much longer RTT it loses ground but must not be
 // starved outright.
 func TestRTTFairSweepShape(t *testing.T) {
-	pts := RTTFairSweep(campaign.Options{Grid: campaign.Grid{Quick: true}})
+	pts := must(RTTFairSweep(campaign.Options{Grid: campaign.Grid{Quick: true}}))
 	for _, p := range pts {
 		if p.RTTA == p.RTTB && (p.Ratio < 0.3 || p.Ratio > 3) {
 			t.Errorf("equal-RTT cell %v: ratio %.3f, want near 1", p.RTTA, p.Ratio)

@@ -9,15 +9,6 @@ import (
 	"pi2/internal/traffic"
 )
 
-// resultOf extracts a run's *Result, mapping a failed (panicked) cell to an
-// empty Result so one bad cell cannot take down a whole table.
-func resultOf(rec campaign.RunRecord) *Result {
-	if r, ok := rec.Result.(*Result); ok && r != nil {
-		return r
-	}
-	return emptyResult()
-}
-
 // Fig6Result holds the Figure 6 comparison: plain PI vs PI2 queue delay
 // under the varying-intensity schedule at 100 Mb/s, 10 ms RTT.
 type Fig6Result struct {
@@ -54,9 +45,9 @@ func fig6Tasks(o campaign.Options) []campaign.Task {
 // Fig6 runs the Figure 6 experiment: 10:30:50:30:10 Reno flows over 50 s
 // stages, link 100 Mb/s, RTT 10 ms, α_PI = 0.125, β_PI = 1.25,
 // α_PI2 = 0.3125, β_PI2 = 3.125, T = 32 ms, target 20 ms.
-func Fig6(o campaign.Options) *Fig6Result {
-	recs := campaign.Execute(fig6Tasks(o), execFor(o, "fig6", gridSpec{}))
-	return &Fig6Result{PI: resultOf(recs[0]), PI2: resultOf(recs[1]), Stages: fig6Counts}
+func Fig6(o campaign.Options) (*Fig6Result, error) {
+	rs, err := results(fig6Tasks(o), execFor(o, "fig6", gridSpec{}))
+	return &Fig6Result{PI: rs[0], PI2: rs[1], Stages: fig6Counts}, err
 }
 
 // variantTask builds the common paired-arm task: the base scenario with one
@@ -141,20 +132,16 @@ func fig11Tasks(o campaign.Options) []campaign.Task {
 
 // Fig11 runs Figure 11: queuing latency and total throughput for
 // a) 5 TCP, b) 50 TCP, c) 5 TCP + 2×6 Mb/s UDP; link 10 Mb/s, RTT 100 ms.
-func Fig11(o campaign.Options) *Fig11Result {
-	cases := fig11Cases(o)
+func Fig11(o campaign.Options) (*Fig11Result, error) {
 	res := &Fig11Result{
 		Loads: []string{"5 TCP", "50 TCP", "5 TCP + 2 UDP"},
 		Runs:  make(map[string]map[string]*Result),
 	}
-	recs := campaign.Execute(fig11Tasks(o), execFor(o, "fig11", gridSpec{}))
-	for i, c := range cases {
-		res.Runs[c.load] = map[string]*Result{
-			"pie": resultOf(recs[2*i]),
-			"pi2": resultOf(recs[2*i+1]),
-		}
+	rs, err := results(fig11Tasks(o), execFor(o, "fig11", gridSpec{}))
+	for i, c := range fig11Cases(o) {
+		res.Runs[c.load] = map[string]*Result{"pie": rs[2*i], "pi2": rs[2*i+1]}
 	}
-	return res
+	return res, err
 }
 
 // Print writes per-load delay/throughput series and summaries.
@@ -176,7 +163,8 @@ func (r *Fig11Result) Print(w io.Writer) {
 			load,
 			pie.Sojourn.Mean()*1e3, pie.Sojourn.Percentile(99)*1e3, pie.Utilization,
 			pi2.Sojourn.Mean()*1e3, pi2.Sojourn.Percentile(99)*1e3, pi2.Utilization)
-		for i := range pi2.UDP {
+		// A failed arm stands in with no UDP sources: print the ones both report.
+		for i := range min(len(pie.UDP), len(pi2.UDP)) {
 			fmt.Fprintf(w, "# %s: udp[%d] %s: pie delivered=%.2f Mb/s loss=%.1f%% | pi2 delivered=%.2f Mb/s loss=%.1f%%\n",
 				load, i, fmtMbps(pi2.UDP[i].RateBps),
 				pie.UDP[i].DeliveredBps/1e6, pie.UDP[i].LossRatio*100,
@@ -219,14 +207,14 @@ func fig12Tasks(o campaign.Options) []campaign.Task {
 	}
 }
 
-func Fig12(o campaign.Options) *Fig12Result {
+func Fig12(o campaign.Options) (*Fig12Result, error) {
 	stage := o.Scale(50 * time.Second)
-	recs := campaign.Execute(fig12Tasks(o), execFor(o, "fig12", gridSpec{}))
-	r := &Fig12Result{PIE: resultOf(recs[0]), PI2: resultOf(recs[1])}
+	rs, err := results(fig12Tasks(o), execFor(o, "fig12", gridSpec{}))
+	r := &Fig12Result{PIE: rs[0], PI2: rs[1]}
 	// Peak in the window following the capacity drop.
 	r.PeakPIEms = peakBetween(r.PIE, stage, stage+stage/2) * 1e3
 	r.PeakPI2ms = peakBetween(r.PI2, stage, stage+stage/2) * 1e3
-	return r
+	return r, err
 }
 
 func peakBetween(res *Result, from, to time.Duration) float64 {
@@ -276,9 +264,9 @@ func fig13Tasks(o campaign.Options) []campaign.Task {
 	}
 }
 
-func Fig13(o campaign.Options) *Fig13Result {
-	recs := campaign.Execute(fig13Tasks(o), execFor(o, "fig13", gridSpec{}))
-	return &Fig13Result{PIE: resultOf(recs[0]), PI2: resultOf(recs[1])}
+func Fig13(o campaign.Options) (*Fig13Result, error) {
+	rs, err := results(fig13Tasks(o), execFor(o, "fig13", gridSpec{}))
+	return &Fig13Result{PIE: rs[0], PI2: rs[1]}, err
 }
 
 // Print writes the queue-delay series.
@@ -343,14 +331,13 @@ func fig14Tasks(o campaign.Options) []campaign.Task {
 	return tasks
 }
 
-func Fig14(o campaign.Options) *Fig14Result {
+func Fig14(o campaign.Options) (*Fig14Result, error) {
 	res := &Fig14Result{Cases: fig14Cases()}
-	recs := campaign.Execute(fig14Tasks(o), execFor(o, "fig14", gridSpec{}))
+	rs, err := results(fig14Tasks(o), execFor(o, "fig14", gridSpec{}))
 	for i := range res.Cases {
-		res.Cases[i].PIE = resultOf(recs[2*i])
-		res.Cases[i].PI2 = resultOf(recs[2*i+1])
+		res.Cases[i].PIE, res.Cases[i].PI2 = rs[2*i], rs[2*i+1]
 	}
-	return res
+	return res, err
 }
 
 // Print writes each case's CDF as paired columns.

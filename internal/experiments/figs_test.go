@@ -11,7 +11,7 @@ import (
 var quick = campaign.Options{Grid: campaign.Grid{Quick: true}}
 
 func TestFig6PIOvershootsMoreThanPI2(t *testing.T) {
-	r := Fig6(quick)
+	r := must(Fig6(quick))
 	// The figure's message: fixed-gain linear PI misbehaves at low load
 	// (under-utilization, oscillating queue), while PI2 with the same
 	// structure plus squaring holds the queue near target. Compare the
@@ -32,7 +32,7 @@ func TestFig6PIOvershootsMoreThanPI2(t *testing.T) {
 }
 
 func TestFig11AllLoadsControlled(t *testing.T) {
-	r := Fig11(quick)
+	r := must(Fig11(quick))
 	for _, load := range r.Loads {
 		pi2 := r.Runs[load]["pi2"]
 		pie := r.Runs[load]["pie"]
@@ -56,7 +56,7 @@ func TestFig11AllLoadsControlled(t *testing.T) {
 }
 
 func TestFig12PI2PeakBelowPIE(t *testing.T) {
-	r := Fig12(quick)
+	r := must(Fig12(quick))
 	t.Logf("peaks after capacity drop: pie=%.0fms pi2=%.0fms", r.PeakPIEms, r.PeakPI2ms)
 	if r.PeakPI2ms >= r.PeakPIEms {
 		t.Errorf("pi2 peak %.0f ms not below pie peak %.0f ms (paper: 250 vs 510)",
@@ -71,7 +71,7 @@ func TestFig12PI2PeakBelowPIE(t *testing.T) {
 }
 
 func TestFig13Controlled(t *testing.T) {
-	r := Fig13(quick)
+	r := must(Fig13(quick))
 	if m := r.PI2.Sojourn.Mean(); m > 0.060 {
 		t.Errorf("pi2 mean queue %.1f ms", m*1e3)
 	}
@@ -81,7 +81,7 @@ func TestFig13Controlled(t *testing.T) {
 }
 
 func TestFig14TargetsRespected(t *testing.T) {
-	r := Fig14(quick)
+	r := must(Fig14(quick))
 	if len(r.Cases) != 4 {
 		t.Fatalf("cases = %d", len(r.Cases))
 	}
@@ -156,7 +156,7 @@ func TestSweepProbabilityCoupling(t *testing.T) {
 }
 
 func TestFlowCombosBalanced(t *testing.T) {
-	pts := FlowCombos(campaign.Options{Grid: campaign.Grid{Quick: true}}, nil)
+	pts := must(FlowCombos(campaign.Options{Grid: campaign.Grid{Quick: true}}, nil))
 	if len(pts) == 0 {
 		t.Fatal("no points")
 	}
@@ -217,7 +217,7 @@ func TestFactoryByName(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() float64 {
-		r := Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 77})
+		r := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 77}))
 		return r.PI2.Sojourn.Mean()
 	}
 	if a, b := run(), run(); a != b {
@@ -226,8 +226,8 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunDifferentSeedsDiffer(t *testing.T) {
-	a := Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 1}).PI2.Sojourn.Mean()
-	b := Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 2}).PI2.Sojourn.Mean()
+	a := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 1})).PI2.Sojourn.Mean()
+	b := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 2})).PI2.Sojourn.Mean()
 	if a == b {
 		t.Error("different seeds produced identical results (suspicious)")
 	}

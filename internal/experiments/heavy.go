@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -144,44 +143,23 @@ func heavyTasks(o campaign.Options) []campaign.Task {
 
 // Heavy runs the flow-count scaling sweep: each count in HeavyFlowCounts
 // through PIE, PI2 and DualPI2. Cells fan out across o.Jobs workers (or a
-// worker-process fleet); a non-nil error names every failed cell (so a CI
-// smoke run exits nonzero) while the returned points still cover the cells
-// that completed. Records stream: each cell's reps aggregate the moment
-// the group completes — full RunRecords are dropped on the spot, so peak
-// memory holds one aggregated point per group plus the in-flight window,
-// not the whole grid.
+// worker-process fleet); each cell's reps aggregate the moment the group
+// completes. A cell whose every rep failed is left out of the points, and
+// the error names each failed cell.
 func Heavy(o campaign.Options) ([]HeavyPoint, error) {
-	tasks := heavyTasks(o)
-	reps := o.RepCount()
-	nGroups := len(tasks) / reps
-	type heavyGroup struct {
-		ok bool
-		pt HeavyPoint
-	}
-	groups := make([]heavyGroup, nGroups)
-	groupFails := make([][]string, nGroups)
-	groupFold(tasks, execFor(o, "heavy", gridSpec{}), reps, func(group int, recs []campaign.RunRecord) {
+	groups, err := grid(heavyTasks(o), execFor(o, "heavy", gridSpec{}), o.RepCount(), func(recs []campaign.RunRecord) []HeavyPoint {
 		var pts []HeavyPoint
 		var wallMs float64
 		var events uint64
 		for _, rec := range recs {
-			if rec.Err != "" {
-				groupFails[group] = append(groupFails[group], fmt.Sprintf("%s/%v flows=%v rep=%v: %s",
-					rec.Name, rec.Params["aqm"], rec.Params["flows"], rec.Params["rep"], rec.Err))
-				continue
+			if p, ok := rec.Result.(HeavyPoint); ok {
+				wallMs += rec.WallMs
+				events += p.Events
+				pts = append(pts, p)
 			}
-			p, ok := rec.Result.(HeavyPoint)
-			if !ok {
-				groupFails[group] = append(groupFails[group], fmt.Sprintf("%s/%v flows=%v rep=%v: no result",
-					rec.Name, rec.Params["aqm"], rec.Params["flows"], rec.Params["rep"]))
-				continue
-			}
-			wallMs += rec.WallMs
-			events += p.Events
-			pts = append(pts, p)
 		}
 		if len(pts) == 0 {
-			return
+			return nil
 		}
 		p := aggregateHeavy(pts)
 		p.WallMs = wallMs
@@ -189,21 +167,13 @@ func Heavy(o campaign.Options) ([]HeavyPoint, error) {
 			p.EventsPerSec = float64(events) / (wallMs / 1e3)
 			p.SimSecPerWallSec = heavyDuration(o).Seconds() * float64(len(pts)) / (wallMs / 1e3)
 		}
-		groups[group] = heavyGroup{ok: true, pt: p}
+		return []HeavyPoint{p}
 	})
-	// Assemble in matrix order regardless of completion order.
 	var out []HeavyPoint
-	var failed []string
-	for g := range groups {
-		if groups[g].ok {
-			out = append(out, groups[g].pt)
-		}
-		failed = append(failed, groupFails[g]...)
+	for _, g := range groups {
+		out = append(out, g...)
 	}
-	if len(failed) > 0 {
-		return out, errors.New("heavy cells failed: " + fmt.Sprint(failed))
-	}
-	return out, nil
+	return out, err
 }
 
 // aggregateHeavy folds one cell's repetitions into a banded point: scalar

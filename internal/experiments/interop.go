@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -62,6 +61,8 @@ type InteropPoint struct {
 	Util, Jain float64
 
 	Events uint64
+
+	failed bool // the cell failed: a FAILED row
 }
 
 // EventCount satisfies campaign.EventCounter for per-run events/sec records.
@@ -89,34 +90,18 @@ func (p InteropPoint) Metrics() map[string]float64 {
 // the classic single-simulator path (never sharded): conformance
 // fingerprints are byte-stable across every harness parallelism knob, which
 // the determinism tests pin (-jobs and -shards must not move a single bit).
-func Interop(o campaign.Options) ([]InteropPoint, []string, error) {
-	tasks := interopTasks(o)
-	out := make([]InteropPoint, len(tasks))
-	bad := make([]bool, len(tasks))
-	// Records fold by index as they stream in; failures are listed in
-	// matrix order afterwards (deterministic under any completion order).
-	campaign.ExecuteStream(tasks, execFor(o, "interop", gridSpec{}), func(rec campaign.RunRecord) {
-		cc, _ := rec.Params["cc"].(string)
-		fb, _ := rec.Params["fb"].(string)
-		aqmName, _ := rec.Params["aqm"].(string)
-		p, ok := rec.Result.(InteropPoint)
-		if rec.Err != "" || !ok {
-			bad[rec.Index] = true
-			out[rec.Index] = InteropPoint{CC: cc, Feedback: fb, AQM: aqmName}
-			return
+// A failed cell comes back as a point marked failed (a FAILED row), and the
+// error names it.
+func Interop(o campaign.Options) ([]InteropPoint, error) {
+	return grid(interopTasks(o), execFor(o, "interop", gridSpec{}), 1, func(recs []campaign.RunRecord) InteropPoint {
+		if p, ok := recs[0].Result.(InteropPoint); ok {
+			return p
 		}
-		out[rec.Index] = p
+		cc, _ := recs[0].Params["cc"].(string)
+		fb, _ := recs[0].Params["fb"].(string)
+		aqmName, _ := recs[0].Params["aqm"].(string)
+		return InteropPoint{CC: cc, Feedback: fb, AQM: aqmName, failed: true}
 	})
-	var failed []string
-	for i, b := range bad {
-		if b {
-			failed = append(failed, fmt.Sprintf("%s/%s/%s", out[i].CC, out[i].Feedback, out[i].AQM))
-		}
-	}
-	if len(failed) > 0 {
-		return out, failed, errors.New("interop cells failed: " + fmt.Sprint(failed))
-	}
-	return out, nil, nil
 }
 
 // interopTasks builds the cc × feedback × AQM matrix; the AQM arms of one
@@ -188,20 +173,15 @@ func InteropCell(o campaign.Options, seed int64, watch func(campaign.Canceler), 
 	return p
 }
 
-// PrintInterop writes the conformance table. Failed cells (named in failed)
-// render as FAILED rows so a partially-degraded matrix still reports every
-// cell it completed.
-func PrintInterop(w io.Writer, pts []InteropPoint, failed []string) {
+// PrintInterop writes the conformance table. Failed cells render as FAILED
+// rows so a partially-degraded matrix still reports every cell it completed.
+func PrintInterop(w io.Writer, pts []InteropPoint) {
 	fmt.Fprintln(w, "# Interop tier: 2 flows under test + 2 cubic (loss-based) refs, 40 Mb/s, RTT 10 ms")
 	fmt.Fprintln(w, "# feedback arms: classic = RFC 3168 ECE/CWR on ECT(0); accurate = per-ACK CE on ECT(1)")
 	fmt.Fprintln(w, "# (cubic/reno + accurate is the deliberately NON-CONFORMANT ECT(1)-but-ignores-CE sender)")
 	fmt.Fprintln(w, "cc\tfeedback\taqm\ttest_share\trate_ratio\tmarks\tdrops\tq_mean_ms\tq_p99_ms\tutil\tjain")
-	bad := make(map[string]bool, len(failed))
-	for _, f := range failed {
-		bad[f] = true
-	}
 	for _, p := range pts {
-		if bad[p.CC+"/"+p.Feedback+"/"+p.AQM] {
+		if p.failed {
 			fmt.Fprintf(w, "%s\t%s\t%s\tFAILED\tFAILED\tFAILED\tFAILED\tFAILED\tFAILED\tFAILED\tFAILED\n",
 				p.CC, p.Feedback, p.AQM)
 			continue

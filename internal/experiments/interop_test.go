@@ -15,9 +15,9 @@ func quickInterop(t *testing.T, o campaign.Options) []InteropPoint {
 	if o.TimeDiv == 0 {
 		o.TimeDiv = 40
 	}
-	pts, failed, err := Interop(o)
-	if err != nil || len(failed) > 0 {
-		t.Fatalf("interop failed: err=%v failed=%v", err, failed)
+	pts, err := Interop(o)
+	if err != nil {
+		t.Fatalf("interop failed: %v", err)
 	}
 	return pts
 }

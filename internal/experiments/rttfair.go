@@ -27,16 +27,8 @@ func (p RTTFairPoint) EventCount() uint64 { return p.Events }
 // Equation (14) assumes equal RTTs; this sweep shows how far coexistence
 // stretches when they differ (classic TCP RTT-unfairness compounds with
 // the coupling).
-func RTTFairSweep(o campaign.Options) []RTTFairPoint {
-	tasks := rttfairTasks(o)
-	recs := campaign.Execute(tasks, execFor(o, "rttfair", gridSpec{}))
-	out := make([]RTTFairPoint, len(recs))
-	for i, rec := range recs {
-		if p, ok := rec.Result.(RTTFairPoint); ok {
-			out[i] = p
-		}
-	}
-	return out
+func RTTFairSweep(o campaign.Options) ([]RTTFairPoint, error) {
+	return grid(rttfairTasks(o), execFor(o, "rttfair", gridSpec{}), 1, cell[RTTFairPoint])
 }
 
 // rttfairTasks builds the RTT-cross matrix.

@@ -156,9 +156,9 @@ func TestShardedGridInvariantAcrossJobs(t *testing.T) {
 		t.Skip("grid run in -short mode")
 	}
 	run := func(jobs int) []ChaosPoint {
-		pts, failed, err := Chaos(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, Shards: 4, Jobs: jobs})
+		pts, err := Chaos(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, Shards: 4, Jobs: jobs})
 		if err != nil {
-			t.Fatalf("jobs=%d: %v (%v)", jobs, err, failed)
+			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		return pts
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"pi2/internal/campaign"
@@ -34,7 +35,6 @@ func execFor(o campaign.Options, family string, spec gridSpec) campaign.ExecOpti
 	e := campaign.ExecOptions{
 		Jobs:         max(o.Jobs, 1),
 		Shards:       o.Shards,
-		FastForward:  o.FF,
 		BaseSeed:     seed,
 		Progress:     o.Progress,
 		Collector:    o.Collector,
@@ -58,16 +58,23 @@ func execFor(o campaign.Options, family string, spec gridSpec) campaign.ExecOpti
 	return e
 }
 
-// groupFold streams a campaign whose matrix is organized as consecutive
-// rep groups (indices [g*reps, (g+1)*reps) belong to group g) and calls
-// finalize once per group, with that group's records in rep order, as
-// soon as the group completes. Folding per group in rep order — not in
-// arrival order — keeps float aggregation byte-identical at any
-// parallelism, while retaining at most O(workers) complete groups.
-func groupFold(tasks []campaign.Task, opt campaign.ExecOptions, reps int, finalize func(group int, recs []campaign.RunRecord)) {
+// grid runs a matrix organized as consecutive rep groups (indices
+// [g*reps, (g+1)*reps) belong to group g) and folds each group, with its
+// records in rep order, into one point as soon as the group completes.
+// Records stream: only in-flight groups are held, and folding in rep order
+// rather than arrival order keeps float aggregates byte-identical at any
+// parallelism. fold sees failed cells too (Err set, Result nil) and decides
+// what stands in for them. The points come back in matrix order, with an
+// error naming every failed cell in matrix order.
+func grid[P any](tasks []campaign.Task, opt campaign.ExecOptions, reps int, fold func(recs []campaign.RunRecord) P) ([]P, error) {
+	out := make([]P, len(tasks)/reps)
 	pending := make(map[int][]campaign.RunRecord)
 	got := make(map[int]int)
+	failed := make(map[int]string)
 	campaign.ExecuteStream(tasks, opt, func(rec campaign.RunRecord) {
+		if rec.Err != "" {
+			failed[rec.Index] = fmt.Sprintf("%s[%d] %v: %s", rec.Name, rec.Index, rec.Params, rec.Err)
+		}
 		g := rec.Index / reps
 		buf := pending[g]
 		if buf == nil {
@@ -79,8 +86,48 @@ func groupFold(tasks []campaign.Task, opt campaign.ExecOptions, reps int, finali
 		if got[g] == reps {
 			delete(pending, g)
 			delete(got, g)
-			finalize(g, buf)
+			out[g] = fold(buf)
 		}
+	})
+	if len(failed) == 0 {
+		return out, nil
+	}
+	msg := fmt.Sprintf("%d of %d cells failed:", len(failed), len(tasks))
+	for i := range tasks {
+		if f, ok := failed[i]; ok {
+			msg += "\n  " + f
+		}
+	}
+	return out, errors.New(msg)
+}
+
+// cell folds a one-rep group to its cell's result; a failed cell folds to
+// the zero P.
+func cell[P any](recs []campaign.RunRecord) P {
+	p, _ := recs[0].Result.(P)
+	return p
+}
+
+// okResults returns the results of a group's cells that succeeded, in rep
+// order.
+func okResults[P any](recs []campaign.RunRecord) []P {
+	var out []P
+	for _, rec := range recs {
+		if p, ok := rec.Result.(P); ok {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// results runs a matrix of one-rep *Result cells; a failed cell stands in
+// as emptyResult, so the tables print zeros for it.
+func results(tasks []campaign.Task, opt campaign.ExecOptions) ([]*Result, error) {
+	return grid(tasks, opt, 1, func(recs []campaign.RunRecord) *Result {
+		if r := cell[*Result](recs); r != nil {
+			return r
+		}
+		return emptyResult()
 	})
 }
 

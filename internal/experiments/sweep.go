@@ -114,33 +114,23 @@ func sweepTasks(o campaign.Options) []campaign.Task {
 // matrix, never on scheduling. Records stream: each cell's reps aggregate
 // as soon as the group completes and the full records are dropped, so peak
 // memory holds per-group points, not the grid.
-func CoexistenceSweep(o campaign.Options) []SweepPoint {
-	tasks := sweepTasks(o)
-	reps := o.RepCount()
-	out := make([]SweepPoint, len(tasks)/reps)
-	groupFold(tasks, execFor(o, "sweep", gridSpec{}), reps, func(group int, recs []campaign.RunRecord) {
-		var pts []SweepPoint
-		for _, rec := range recs {
-			if p, ok := rec.Result.(SweepPoint); ok {
-				pts = append(pts, p)
-			}
-		}
-		if len(pts) == 0 {
-			out[group] = SweepPoint{}
-			return
-		}
-		out[group] = aggregateSweep(pts)
+func CoexistenceSweep(o campaign.Options) ([]SweepPoint, error) {
+	return grid(sweepTasks(o), execFor(o, "sweep", gridSpec{}), o.RepCount(), func(recs []campaign.RunRecord) SweepPoint {
+		return aggregateSweep(okResults[SweepPoint](recs))
 	})
-	return out
 }
 
 // aggregateSweep folds one cell's repetitions into a banded point: rates and
 // the probability/utilization quantiles become cross-seed means, queue-delay
 // quantiles are recomputed over the reps' pooled sojourn histograms
 // (LogHistogram.Merge), and the ratio/queue-delay half-widths are 95% CIs over the
-// per-rep values. One rep passes through untouched (golden-stable).
+// per-rep values. One rep passes through untouched (golden-stable); no rep
+// (every one failed) is the zero point.
 func aggregateSweep(pts []SweepPoint) SweepPoint {
-	if len(pts) == 1 {
+	switch len(pts) {
+	case 0:
+		return SweepPoint{}
+	case 1:
 		return pts[0]
 	}
 	agg := pts[0]

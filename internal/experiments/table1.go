@@ -38,15 +38,14 @@ var fctAQMs = []string{"pie", "bare-pie", "pi2"}
 // over each AQM at 40 Mb/s, 20 ms RTT and reports flow-completion-time
 // quantiles. All three AQMs share SeedIndex 0: same arrival process, same
 // flow sizes — the comparison varies only the queue.
-func FigFCT(o campaign.Options) *FCTResult {
-	recs := campaign.Execute(fctTasks(o), execFor(o, "fct", gridSpec{}))
+func FigFCT(o campaign.Options) (*FCTResult, error) {
+	rs, err := results(fctTasks(o), execFor(o, "fct", gridSpec{}))
 	res := &FCTResult{ByAQM: make(map[string]Quantiles), Flows: make(map[string]int)}
 	for i, name := range fctAQMs {
-		r := resultOf(recs[i])
-		res.ByAQM[name] = quantiles(r.WebFCT)
-		res.Flows[name] = r.WebFCT.N()
+		res.ByAQM[name] = quantiles(rs[i].WebFCT)
+		res.Flows[name] = rs[i].WebFCT.N()
 	}
-	return res
+	return res, err
 }
 
 // fctTasks builds the AQM comparison arms; all share SeedIndex 0.

@@ -13,13 +13,15 @@ import (
 
 // hostLocal names the ExecOptions fields that init deliberately does not
 // carry: the pool width, the coordinator's sinks and dispatcher, resume
-// bookkeeping, and the (family, spec) matrix identity, which travels as
-// its own message fields and is checked by the worker rebuilding the
-// matrix. Every other field is read by RunOne and must reach the worker.
+// bookkeeping, the (family, spec) matrix identity, which travels as its
+// own message fields and is checked by the worker rebuilding the matrix,
+// and the deprecated FastForward, which nothing reads (fast-forward is part
+// of the matrix spec). Every other field is read by RunOne and must reach
+// the worker.
 var hostLocal = map[string]bool{
 	"Jobs": true, "Progress": true, "Collector": true, "Dispatch": true,
 	"Journal": true, "Resume": true, "SkipDone": true,
-	"Family": true, "Spec": true,
+	"Family": true, "Spec": true, "FastForward": true,
 }
 
 // TestInitCarriesCellOptions sets every ExecOptions field that is not
@@ -78,7 +80,7 @@ func TestInitCarriesCellOptions(t *testing.T) {
 		}
 	}
 	sort.Strings(carried)
-	want := []string{"BaseSeed", "FastForward", "Retries", "RetryBackoff", "Shards", "Watchdog"}
+	want := []string{"BaseSeed", "Retries", "RetryBackoff", "Shards", "Watchdog"}
 	if !reflect.DeepEqual(carried, want) {
 		t.Errorf("init carries %v, want %v", carried, want)
 	}

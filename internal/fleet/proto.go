@@ -71,7 +71,6 @@ type msg struct {
 	Spec         []byte
 	BaseSeed     int64
 	Shards       int
-	FastForward  bool
 	Retries      int
 	RetryBackoff time.Duration
 	Watchdog     campaign.Watchdog
@@ -98,8 +97,8 @@ func initMsg(opt campaign.ExecOptions) msg {
 	return msg{
 		Type: "init", Proto: ProtoVersion, FP: Fingerprint(),
 		Family: opt.Family, Spec: opt.Spec, BaseSeed: opt.BaseSeed,
-		Shards: opt.Shards, FastForward: opt.FastForward,
-		Retries: opt.Retries, RetryBackoff: opt.RetryBackoff, Watchdog: opt.Watchdog,
+		Shards: opt.Shards, Retries: opt.Retries, RetryBackoff: opt.RetryBackoff,
+		Watchdog: opt.Watchdog,
 	}
 }
 
@@ -107,8 +106,8 @@ func initMsg(opt campaign.ExecOptions) msg {
 // run under. Progress, Collector and Dispatch stay nil: a worker is a leaf.
 func (m *msg) cellOptions() campaign.ExecOptions {
 	return campaign.ExecOptions{
-		BaseSeed: m.BaseSeed, Shards: m.Shards, FastForward: m.FastForward,
-		Retries: m.Retries, RetryBackoff: m.RetryBackoff, Watchdog: m.Watchdog,
+		BaseSeed: m.BaseSeed, Shards: m.Shards, Retries: m.Retries,
+		RetryBackoff: m.RetryBackoff, Watchdog: m.Watchdog,
 	}
 }
 

@@ -40,7 +40,7 @@ func TestBinTableMatchesFormulaRandom(t *testing.T) {
 		if h.tab == nil {
 			t.Fatalf("%s: no edge table", name)
 		}
-		ceil := h.tab.edges[len(h.bins)-1]
+		ceil := h.tab.edges[h.nbins-1]
 		lo, hi := math.Log(h.floor/10), math.Log(ceil*10)
 		rng := rand.New(rand.NewSource(1))
 		per := n / 10 // the production geometry gets the full n
@@ -58,7 +58,7 @@ func TestBinTableMatchesFormulaRandom(t *testing.T) {
 func TestBinTableMatchesFormulaAtEdges(t *testing.T) {
 	for name, h := range binTestGeometries() {
 		edges := h.tab.edges
-		for i := 1; i < len(h.bins); i++ {
+		for i := 1; i < h.nbins; i++ {
 			b := math.Float64bits(edges[i])
 			for d := -64; d <= 64; d++ {
 				if !checkBin(t, name, h, math.Float64frombits(uint64(int64(b)+int64(d)))) {

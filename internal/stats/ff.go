@@ -17,18 +17,14 @@ func (w *Welford) AddN(x float64, n int64) {
 	w.Merge(Welford{n: n, mean: x})
 }
 
-// AddN records n observations of x. The histogram stays allocation-free:
-// one bin increment, one Welford merge, one min/max update.
+// AddN records n observations of x. Past the histogram's first
+// observation it stays allocation-free: one bin increment, one Welford
+// merge, one min/max update.
 func (h *LogHistogram) AddN(x float64, n int64) {
 	if n <= 0 {
 		return
 	}
-	if h.n == 0 || x < h.min {
-		h.min = x
-	}
-	if h.n == 0 || x > h.max {
-		h.max = x
-	}
+	h.extend(x)
 	h.n += n
 	h.w.AddN(x, n)
 	h.bins[h.binOf(x)] += n

@@ -166,6 +166,9 @@ func (h LogHistogram) GobEncode() ([]byte, error) {
 	for _, c := range h.bins {
 		size += uvarintLen(uint64(c))
 	}
+	if h.bins == nil {
+		size += h.nbins // no observation yet: every bin is one zero byte
+	}
 	b := make([]byte, histHead, size)
 	putPrefix(b, histKind)
 	for i, x := range [...]float64{h.floor, h.logFloor, h.logWidth, h.invWidth} {
@@ -178,7 +181,7 @@ func (h LogHistogram) GobEncode() ([]byte, error) {
 	for _, c := range h.bins {
 		b = binary.AppendUvarint(b, uint64(c))
 	}
-	return b, nil
+	return b[:size], nil // unallocated bins: the zero bytes make wrote
 }
 
 // GobDecode implements gob.GobDecoder. The geometry must be one
@@ -233,7 +236,7 @@ func (h *LogHistogram) GobDecode(data []byte) error {
 	}
 	*h = LogHistogram{
 		floor: floor, logFloor: logFloor, logWidth: logWidth, invWidth: invWidth,
-		bins: bins, n: n, min: getFloat(data[prefixLen+40:]), max: getFloat(data[prefixLen+48:]), w: w,
+		bins: bins, nbins: nBins, n: n, min: getFloat(data[prefixLen+40:]), max: getFloat(data[prefixLen+48:]), w: w,
 	}
 	h.tab = tableFor(h.geometry())
 	return nil

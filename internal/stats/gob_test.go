@@ -202,8 +202,8 @@ func TestLogHistogramCodecBitExact(t *testing.T) {
 	if !bytes.Equal(wireOf(got), enc) {
 		t.Fatalf("re-encoding the decoded histogram changed its bytes")
 	}
-	if len(enc) > histHead+2*len(h.bins) {
-		t.Fatalf("%d-bin histogram encodes to %d bytes: empty bins must cost one byte", len(h.bins), len(enc))
+	if len(enc) > histHead+2*h.nbins {
+		t.Fatalf("%d-bin histogram encodes to %d bytes: empty bins must cost one byte", h.nbins, len(enc))
 	}
 	a, b := NewDelayHistogram(), NewDelayHistogram()
 	a.Merge(h)
@@ -396,4 +396,39 @@ func FuzzCollectorDecode(f *testing.F) {
 			h.Percentile(50)
 		}
 	})
+}
+
+// TestUnfilledHistogramHoldsNoBins: a histogram nothing fills allocates no
+// bins, yet encodes, merges and reads exactly like one whose observations
+// were all reset away.
+func TestUnfilledHistogramHoldsNoBins(t *testing.T) {
+	h := NewDelayHistogram()
+	if h.bins != nil {
+		t.Fatalf("a new histogram holds %d bins", len(h.bins))
+	}
+	reset := NewDelayHistogram()
+	reset.Add(0.01)
+	reset.Reset()
+	if !bytes.Equal(wireOf(h), wireOf(reset)) {
+		t.Fatal("an unfilled histogram encodes unlike an emptied one")
+	}
+	h.Merge(NewDelayHistogram())
+	if h.bins != nil || h.N() != 0 || h.Percentile(50) != 0 || h.Mean() != 0 {
+		t.Fatalf("merging an empty histogram filled this one: %d bins, n %d", len(h.bins), h.N())
+	}
+	full := NewDelayHistogram()
+	for i := 1; i <= 100; i++ {
+		full.Add(float64(i) * 1e-3)
+	}
+	h.Merge(full)
+	reset.Merge(full)
+	if !bytes.Equal(wireOf(h), wireOf(full)) || !bytes.Equal(wireOf(reset), wireOf(full)) {
+		t.Fatal("merging into an empty histogram does not copy the other")
+	}
+	var got LogHistogram
+	gobRoundTrip(t, NewDelayHistogram(), &got)
+	got.Add(0.5)
+	if got.N() != 1 || got.Percentile(50) != 0.5 {
+		t.Fatalf("a decoded empty histogram reads n %d, median %g after one Add", got.N(), got.Percentile(50))
+	}
 }

@@ -40,10 +40,10 @@ var (
 // observations land in geometrically-spaced bins, so the relative width of
 // every bin — and therefore the worst-case relative percentile error — is
 // fixed at construction. Mean, standard deviation, min and max stay exact
-// (Welford accumulator and scalar extremes). After construction it never
-// allocates: the bin array is fixed regardless of how many observations
-// arrive, so a collector's memory and its wire size do not grow with
-// sim-time × flow count.
+// (Welford accumulator and scalar extremes). The bin array is allocated by
+// the first observation, so a collector nothing fills costs no bins, and
+// is then fixed regardless of how many observations arrive: a collector's
+// memory and its wire size do not grow with sim-time × flow count.
 //
 // Values below the floor (including zero — an empty queue has zero sojourn)
 // are counted in a dedicated underflow bin and reported as the exact
@@ -56,9 +56,11 @@ type LogHistogram struct {
 
 	// bins[0] is the underflow bin (x < floor); bins[i] (i >= 1) covers
 	// [floor·g^(i-1), floor·g^i) with g = 1+relWidth. The last bin also
-	// absorbs overflow.
-	bins []int64
-	tab  *binTable // shared edge table of this geometry; nil keeps the formula
+	// absorbs overflow. bins is nil until the first observation; nbins is
+	// its length either way.
+	bins  []int64
+	nbins int
+	tab   *binTable // shared edge table of this geometry; nil keeps the formula
 
 	n        int64
 	min, max float64
@@ -80,7 +82,7 @@ func NewLogHistogram(floor, ceil, relWidth float64) *LogHistogram {
 		logFloor: math.Log(floor),
 		logWidth: logWidth,
 		invWidth: 1 / logWidth,
-		bins:     make([]int64, 1+nBins),
+		nbins:    1 + nBins,
 	}
 	h.tab = tableFor(h.geometry())
 	return h
@@ -94,23 +96,33 @@ func NewDelayHistogram() *LogHistogram {
 	return NewLogHistogram(1e-6, 1e4, 0.02)
 }
 
-// Add records one observation. It never allocates and takes no logarithm:
-// the bin comes from the geometry's shared edge table. +Inf counts in the
-// last (overflow) bin.
+// Add records one observation. Past the first it never allocates, and it
+// takes no logarithm: the bin comes from the geometry's shared edge table.
+// +Inf counts in the last (overflow) bin.
 func (h *LogHistogram) Add(x float64) {
-	if h.n == 0 || x < h.min {
-		h.min = x
-	}
-	if h.n == 0 || x > h.max {
-		h.max = x
-	}
+	h.extend(x)
 	h.n++
 	h.w.Add(x)
 	h.bins[h.binOf(x)]++
 }
 
+// extend widens [min, max] to x. The first observation sets both, and
+// allocates the bins if the histogram has none yet.
+func (h *LogHistogram) extend(x float64) {
+	if h.n == 0 {
+		h.min, h.max = x, x
+		if h.bins == nil {
+			h.bins = make([]int64, h.nbins)
+		}
+	} else if x < h.min {
+		h.min = x
+	} else if x > h.max {
+		h.max = x
+	}
+}
+
 func (h *LogHistogram) geometry() binGeometry {
-	return binGeometry{floor: h.floor, logFloor: h.logFloor, invWidth: h.invWidth, bins: len(h.bins)}
+	return binGeometry{floor: h.floor, logFloor: h.logFloor, invWidth: h.invWidth, bins: h.nbins}
 }
 
 // binOf returns the bin of x: the underflow bin below the floor (and for
@@ -199,7 +211,7 @@ func (h *LogHistogram) Percentiles(qs ...float64) []float64 {
 // count — e.g. two NewDelayHistogram instances); merging mismatched
 // geometries would silently misfile counts, so it panics instead.
 func (h *LogHistogram) Merge(other *LogHistogram) {
-	if other.floor != h.floor || other.logWidth != h.logWidth || len(other.bins) != len(h.bins) {
+	if other.floor != h.floor || other.logWidth != h.logWidth || other.nbins != h.nbins {
 		panic("stats: LogHistogram.Merge requires identical bin geometry")
 	}
 	if other.n == 0 {
@@ -211,6 +223,9 @@ func (h *LogHistogram) Merge(other *LogHistogram) {
 	if h.n == 0 || other.max > h.max {
 		h.max = other.max
 	}
+	if h.bins == nil {
+		h.bins = make([]int64, h.nbins)
+	}
 	for i, c := range other.bins {
 		h.bins[i] += c
 	}
@@ -218,7 +233,8 @@ func (h *LogHistogram) Merge(other *LogHistogram) {
 	h.w.Merge(other.w)
 }
 
-// Reset discards all observations; the bin array is kept and zeroed.
+// Reset discards all observations; the bin array, if any, is kept and
+// zeroed.
 func (h *LogHistogram) Reset() {
 	clear(h.bins)
 	h.n = 0
