@@ -731,6 +731,33 @@ func BenchmarkManyFlows(b *testing.B) {
 	b.ReportMetric(float64(s.Processed())/float64(b.N), "events/op")
 }
 
+// BenchmarkFlowSetUp measures what a heavy cell pays per flow before its
+// first event: building a 5 000-flow tcp.Group of Reno, Cubic and DCTCP
+// flows in turn, registering it with a dispatcher and starting every flow
+// (its IW10 burst goes to a sink that recycles the packets). One op is one
+// whole set-up on a fresh simulator; BENCH_hotpath.json budgets its allocs
+// (one RTO callback per flow plus a constant per group) and bytes.
+func BenchmarkFlowSetUp(b *testing.B) {
+	const flows = 5000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := sim.New(1)
+		pool := s.PacketPool()
+		g, err := tcp.NewGroup(s, func(p *packet.Packet) { pool.Release(p) },
+			tcp.Config{ID: 1, BaseRTT: 10 * time.Millisecond}, flows, 1, "", "reno", "cubic", "dctcp")
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := link.NewDispatcher()
+		d.Reserve(flows + 1)
+		deliver := g.DeliverData
+		for j := range g.Flows {
+			d.Register(g.Flows[j].ID(), deliver)
+			g.Flows[j].Start()
+		}
+	}
+}
+
 // BenchmarkShardedManyFlows is the sharded twin of BenchmarkManyFlows: the
 // same 1000-flow PI2 cell partitioned across 3 endpoint domains plus a link
 // domain on the conservative-PDES coordinator (10 ms RTT splits into 5 ms

@@ -482,11 +482,20 @@ func runAttempt(t Task, index int, seed int64, attempt int, opt ExecOptions) (Ru
 	start := time.Now()
 	ticker := time.NewTicker(wd.poll())
 	defer ticker.Stop()
+	// The timeout has its own timer, so a budget below the poll interval is
+	// enforced at its value, not at the first tick after it.
+	var deadline <-chan time.Time
+	if wd.Timeout > 0 {
+		tm := time.NewTimer(wd.Timeout)
+		defer tm.Stop()
+		deadline = tm.C
+	}
 	lastProgress, lastChange := int64(-1), start
 	for {
 		select {
 		case rec := <-resCh:
 			return rec, false
+		case <-deadline:
 		case <-ticker.C:
 		}
 		now := time.Now()

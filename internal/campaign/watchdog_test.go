@@ -93,6 +93,28 @@ func TestWatchdogTimeoutRetryPartialGrid(t *testing.T) {
 	}
 }
 
+// TestWatchdogTimeoutBelowPoll: a budget shorter than the poll interval is
+// enforced at its own value. The cell would finish in about 10 ms, well
+// before the first 20 ms tick, so only a deadline of its own stops it.
+func TestWatchdogTimeoutBelowPoll(t *testing.T) {
+	tasks := []Task{{Name: "slow", Run: func(tc *TaskCtx) any {
+		f := &fakeSim{}
+		tc.Watch(f)
+		for end := time.Now().Add(10 * time.Millisecond); time.Now().Before(end); {
+			if f.canceled.Load() {
+				panic(cancelPanic{reason: f.reason.Load().(string)})
+			}
+			f.now.Add(int64(time.Millisecond))
+			time.Sleep(100 * time.Microsecond)
+		}
+		return "done"
+	}}}
+	recs := Execute(tasks, ExecOptions{Jobs: 1, BaseSeed: 1, Watchdog: Watchdog{Timeout: time.Millisecond}})
+	if rec := recs[0]; !rec.TimedOut || !strings.Contains(rec.Err, "timeout") {
+		t.Fatalf("a 10 ms cell under a 1 ms budget was not timed out: %+v", rec)
+	}
+}
+
 // TestWatchdogStallDetection: a cell whose watched virtual clock stops
 // advancing is killed by stall detection even though wall time is within
 // the (absent) timeout budget.

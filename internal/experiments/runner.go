@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"pi2/internal/aqm"
@@ -252,9 +253,11 @@ type substrate struct {
 	flows [][]*tcp.Endpoint
 	// egress is the link's delivery callback.
 	egress func(*packet.Packet)
-	// place wires one bulk flow (ids run 1..nBulk in creation order) in
-	// front of the link's ingress and returns it with its loop.
-	place func(id int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) (*tcp.Endpoint, int)
+	// place wires one bulk group, ids first..first+spec.Count-1 (bulk ids
+	// run 1..nBulk in creation order), in front of the link's ingress. It
+	// appends each loop's share to flows[k] in id order and returns the
+	// group's flows in id order.
+	place func(first int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) []*tcp.Endpoint
 	// wires audits cross-loop traffic (nil on one loop).
 	wires *link.WireAuditor
 }
@@ -266,17 +269,34 @@ func newSubstrate(sc Scenario, d *link.Dispatcher, nBulk int) substrate {
 		return shardedSubstrate(sc, d, nBulk)
 	}
 	s := sim.New(sc.Seed)
+	flows := [][]*tcp.Endpoint{make([]*tcp.Endpoint, 0, nBulk)}
 	return substrate{
 		loop:   s,
 		sims:   []*sim.Simulator{s},
-		flows:  [][]*tcp.Endpoint{make([]*tcp.Endpoint, 0, nBulk)},
+		flows:  flows,
 		egress: d.Deliver,
-		place: func(id int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) (*tcp.Endpoint, int) {
-			ep := traffic.NewBulk(s, linkEnq, id, spec, false)
-			d.Register(id, ep.DeliverData)
-			return ep, 0
+		place: func(first int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) []*tcp.Endpoint {
+			g := traffic.NewBulk(s, linkEnq, first, 1, spec.Count, spec, false)
+			deliver := g.DeliverData
+			for i := range g.Flows {
+				ep := &g.Flows[i]
+				d.Register(ep.ID(), deliver)
+				flows[0] = append(flows[0], ep)
+			}
+			return flows[0][len(flows[0])-spec.Count:]
 		},
 	}
+}
+
+// newSeries returns a time series with room for every sample an Every
+// sampler at interval takes over a run of length dur.
+func newSeries(interval, dur time.Duration) stats.TimeSeries {
+	ts := stats.TimeSeries{Interval: interval}
+	if n := int(dur / interval); n > 0 {
+		ts.Times = make([]time.Duration, 0, n)
+		ts.Values = make([]float64, 0, n)
+	}
+	return ts
 }
 
 // Run executes a scenario to completion.
@@ -289,6 +309,11 @@ func Run(sc Scenario) *Result {
 		nBulk += b.Count
 	}
 	d := link.NewDispatcher()
+	ids := 1 + nBulk + len(sc.UDP)
+	if sc.Staged != nil && len(sc.Staged.Counts) > 0 {
+		ids += slices.Max(sc.Staged.Counts)
+	}
+	d.Reserve(ids)
 	sub := newSubstrate(sc, d, nBulk)
 	if sc.Watch != nil {
 		sc.Watch(sub.loop)
@@ -327,9 +352,9 @@ func Run(sc Scenario) *Result {
 	linkEnq := tcp.Enqueuer(l.Enqueue)
 
 	res := &Result{
-		DelaySeries:   stats.TimeSeries{Interval: sc.SampleEvery},
-		DelayFine:     stats.TimeSeries{Interval: 100 * time.Millisecond},
-		GoodputSeries: stats.TimeSeries{Interval: sc.SampleEvery},
+		DelaySeries:   newSeries(sc.SampleEvery, sc.Duration),
+		DelayFine:     newSeries(100*time.Millisecond, sc.Duration),
+		GoodputSeries: newSeries(sc.SampleEvery, sc.Duration),
 		ClassicProb:   newQuantiler(),
 		ScalableProb:  newQuantiler(),
 		UtilSeries:    newQuantiler(),
@@ -355,12 +380,8 @@ func Run(sc Scenario) *Result {
 		for k := range first {
 			first[k] = len(sub.flows[k])
 		}
-		for i := 0; i < spec.Count; i++ {
-			ep, k := sub.place(nextID, spec, linkEnq)
-			bulk = append(bulk, ep)
-			sub.flows[k] = append(sub.flows[k], ep)
-			nextID++
-		}
+		bulk = append(bulk, sub.place(nextID, spec, linkEnq)...)
+		nextID += spec.Count
 		for k, es := range sub.sims {
 			group := sub.flows[k][first[k]:]
 			if len(group) == 0 {
@@ -437,7 +458,7 @@ func Run(sc Scenario) *Result {
 		k, es, fl, series := k, es, sub.flows[k], &res.GoodputSeries
 		if k > 0 {
 			series = &remote[k-1]
-			series.Interval = sc.SampleEvery
+			*series = newSeries(sc.SampleEvery, sc.Duration)
 		}
 		var last int64
 		es.Every(sc.SampleEvery, func() {

@@ -117,14 +117,29 @@ func shardedSubstrate(sc Scenario, d *link.Dispatcher, nBulk int) substrate {
 			d.Deliver(p)
 		},
 		// Round-robin in creation order, so the partition is a pure
-		// function of the scenario.
-		place: func(id int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) (*tcp.Endpoint, int) {
-			k := 1 + (id-1)%nE
-			dom := co.Domain(k)
+		// function of the scenario: domain k holds one tcp.Group per bulk
+		// group, its ids stepping by nE.
+		place: func(first int, spec traffic.BulkFlowSpec, linkEnq tcp.Enqueuer) []*tcp.Endpoint {
+			out := make([]*tcp.Endpoint, spec.Count)
 			fwd := spec.RTT / 2 // sender→link wire; the rest is link→receiver
-			ep := traffic.NewBulk(sims[k], func(p *packet.Packet) { dom.Send(0, fwd, p, linkEnq) }, id, spec, true)
-			rt.owner[id], rt.dlv[id], rt.hand[id] = int32(k), spec.RTT-fwd, ep.DeliverData
-			return ep, k
+			for k := 1; k <= nE; k++ {
+				id0 := first + (k-first%nE+nE)%nE // the first id ≥ first that k owns
+				if id0 >= first+spec.Count {
+					continue
+				}
+				dom := co.Domain(k)
+				n := (first + spec.Count - id0 + nE - 1) / nE
+				g := traffic.NewBulk(sims[k], func(p *packet.Packet) { dom.Send(0, fwd, p, linkEnq) }, id0, nE, n, spec, true)
+				deliver := g.DeliverData
+				for i := range g.Flows {
+					ep := &g.Flows[i]
+					id := ep.ID()
+					rt.owner[id], rt.dlv[id], rt.hand[id] = int32(k), spec.RTT-fwd, deliver
+					flows[k] = append(flows[k], ep)
+					out[id-first] = ep
+				}
+			}
+			return out
 		},
 	}
 }

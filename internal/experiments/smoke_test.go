@@ -7,6 +7,7 @@ import (
 
 	"pi2/internal/aqm"
 	"pi2/internal/core"
+	"pi2/internal/stats"
 	"pi2/internal/traffic"
 )
 
@@ -142,4 +143,32 @@ func TestRunUnknownCCPanics(t *testing.T) {
 		NewAQM:      PI2Factory(20 * time.Millisecond),
 		Bulk:        []traffic.BulkFlowSpec{{CC: "nope", Count: 1}},
 	})
+}
+
+// TestRunSizesSeriesOnce: Run reserves each time series' samples up front,
+// exactly as many as its sampler takes, on one loop and on several.
+func TestRunSizesSeriesOnce(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		res := Run(Scenario{
+			Seed:        1,
+			LinkRateBps: 10e6,
+			NewAQM:      func(rng *rand.Rand) aqm.AQM { return core.New(core.Config{}, rng) },
+			Bulk: []traffic.BulkFlowSpec{
+				{CC: "reno", Count: 3, RTT: 40 * time.Millisecond},
+				{CC: "dctcp", Count: 2, RTT: 40 * time.Millisecond},
+			},
+			Duration:    5 * time.Second,
+			WarmUp:      time.Second,
+			SampleEvery: 500 * time.Millisecond,
+			Shards:      shards,
+		})
+		for name, ts := range map[string]*stats.TimeSeries{
+			"delay": &res.DelaySeries, "fine": &res.DelayFine, "goodput": &res.GoodputSeries,
+		} {
+			if n := int(5 * time.Second / ts.Interval); len(ts.Values) != n || cap(ts.Values) != n || cap(ts.Times) != n {
+				t.Errorf("shards %d, %s series: %d samples in %d/%d slots, want %d", shards, name,
+					len(ts.Values), cap(ts.Values), cap(ts.Times), n)
+			}
+		}
+	}
 }

@@ -18,6 +18,16 @@ func NewDispatcher() *Dispatcher {
 	return &Dispatcher{}
 }
 
+// Reserve sizes the table for flow ids below n in one allocation, so
+// registering them does not grow it id by id.
+func (d *Dispatcher) Reserve(n int) {
+	if n > cap(d.handlers) {
+		h := make([]func(*packet.Packet), len(d.handlers), n)
+		copy(h, d.handlers)
+		d.handlers = h
+	}
+}
+
 // Register installs the handler for a flow id, replacing any previous one.
 func (d *Dispatcher) Register(flowID int, h func(*packet.Packet)) {
 	if flowID < 0 {

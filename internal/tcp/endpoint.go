@@ -112,20 +112,12 @@ type Endpoint struct {
 	// keep the per-segment and per-ACK scheduling allocation-free (a fresh
 	// closure per event was a top allocation site in profiles).
 	// delAckFireFn is bound only with Config.AckEvery > 1: no other flow
-	// can arm that timer.
+	// can arm that timer. The ACK lane and its arrival callback belong to
+	// the flow's group.
 	pool         *packet.Pool
 	onRTOFn      sim.Event
 	delAckFireFn sim.Event
-	ackArriveFn  sim.Event
-
-	// ackLane carries in-flight ACKs (sent, not yet arrived at the sender),
-	// each in the ring slot of its arrival event. The reverse path is a fixed
-	// delay, so arrivals keep send order and every flow with that delay
-	// shares the one lane: ackDelay is the whole BaseRTT classically, or zero
-	// under SplitPropagation (both one-way legs are then charged on the
-	// cross-domain wires).
-	ackDelay time.Duration
-	ackLane  *sim.Lane
+	grp          *Group
 
 	// SACK scoreboard cursors and counters (used only with Config.SACK);
 	// its per-segment bits live in meta.
@@ -174,34 +166,19 @@ func BindSeq(cc CongestionControl, sndUna, sndNxt *int64) bool {
 // (*link.Link).Enqueue satisfies it, whatever the link's queue discipline.
 type Enqueuer func(*packet.Packet)
 
-// NewWithEnqueuer creates an endpoint that transmits through an arbitrary
-// bottleneck ingress. Call Start to begin transmitting.
-func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
-	if cfg.CC == nil {
-		panic("tcp: Config.CC is required")
-	}
-	if enqueue == nil {
-		panic("tcp: enqueue is required")
-	}
-	if cfg.AckEvery <= 0 {
-		cfg.AckEvery = 1
-	}
-	e := &Endpoint{
-		cfg:     cfg,
-		sim:     s,
-		enqueue: enqueue,
-		cc:      cfg.CC,
-		pool:    s.PacketPool(),
-	}
+// init sets up a group's flow in place; ring is its first sender ring.
+func (e *Endpoint) init(s *sim.Simulator, enqueue Enqueuer, g *Group, cfg Config, ring []segMeta) {
+	e.cfg = cfg
+	e.sim = s
+	e.enqueue = enqueue
+	e.cc = cfg.CC
+	e.pool = g.pool
+	e.grp = g
 	e.onRTOFn = e.onRTO
-	e.ackArriveFn = e.ackArrive
 	if cfg.AckEvery > 1 {
 		e.delAckFireFn = e.delAckFire
 	}
-	if !cfg.SplitPropagation {
-		e.ackDelay = cfg.BaseRTT
-	}
-	e.ackLane = s.Lane(e.ackDelay)
+	e.meta = segRing{buf: ring, mask: int64(len(ring) - 1)}
 	e.state = State{
 		Cwnd:     initialCwnd,
 		Ssthresh: 1 << 30,
@@ -214,7 +191,6 @@ func NewWithEnqueuer(s *sim.Simulator, enqueue Enqueuer, cfg Config) *Endpoint {
 	if h, ok := e.cc.(interface{ UseHyStart() bool }); ok {
 		e.hystart = h.UseHyStart()
 	}
-	return e
 }
 
 // ID returns the flow id.
@@ -645,6 +621,9 @@ func (e *Endpoint) insertOOO(seq int64) {
 	if lo < len(e.oooSorted) && e.oooSorted[lo] == seq {
 		return // duplicate arrival
 	}
+	if cap(e.oooSorted) == 0 {
+		e.oooSorted = e.grp.oooBuf(e)
+	}
 	e.oooSorted = append(e.oooSorted, 0)
 	copy(e.oooSorted[lo+1:], e.oooSorted[lo:])
 	e.oooSorted[lo] = seq
@@ -663,18 +642,11 @@ func (e *Endpoint) sendAckNow(ce bool) {
 	if e.cfg.SACK && len(e.oooSorted) > 0 {
 		ack.SACK = sackBlocks(e.oooSorted, e.rcvRecentSeq)
 	}
-	// The reverse path is a constant delay, so the ACK rides the shared
-	// lane in its arrival event's slot, read back by the pre-bound callback
-	// instead of a closure per ACK.
-	e.ackLane.AfterPacket(e.ackDelay, ack, e.ackArriveFn)
-}
-
-// ackArrive delivers the ACK its lane event carries to the sender and
-// recycles it.
-func (e *Endpoint) ackArrive() {
-	p := e.ackLane.Packet()
-	e.onAck(p)
-	e.pool.Release(p)
+	// The reverse path is a constant delay, so the ACK rides the group's
+	// lane in its arrival event's slot, read back by the group's pre-bound
+	// callback instead of a closure per ACK.
+	g := e.grp
+	g.lane.AfterPacket(g.ackDelay, ack, g.arrive)
 }
 
 // String implements fmt.Stringer for diagnostics.

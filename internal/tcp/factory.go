@@ -2,6 +2,33 @@ package tcp
 
 import "fmt"
 
+// ccKind is the type a congestion-control name builds.
+type ccKind int
+
+const (
+	kindReno ccKind = iota
+	kindScalable
+	kindCubic
+	kindDCTCP
+	kindPrague
+	numKinds
+)
+
+// controls is every name NewCC accepts: the type it builds and its default
+// ECN mode.
+var controls = map[string]struct {
+	kind ccKind
+	mode ECNMode
+}{
+	"reno":      {kindReno, ECNOff},
+	"cubic":     {kindCubic, ECNOff},
+	"ecn-reno":  {kindReno, ECNClassic},
+	"ecn-cubic": {kindCubic, ECNClassic},
+	"dctcp":     {kindDCTCP, ECNScalable},
+	"scalable":  {kindScalable, ECNScalable},
+	"prague":    {kindPrague, ECNScalable},
+}
+
 // NewCC builds a congestion control and its matching ECN mode by name.
 // Recognized names:
 //
@@ -13,23 +40,12 @@ import "fmt"
 //	scalable   the idealized Scalable control of Appendix B (ECT(1))
 //	prague     TCP Prague with accurate ECN feedback (ECT(1))
 func NewCC(name string) (CongestionControl, ECNMode, error) {
-	switch name {
-	case "reno":
-		return Reno{}, ECNOff, nil
-	case "cubic":
-		return &Cubic{}, ECNOff, nil
-	case "ecn-reno":
-		return Reno{}, ECNClassic, nil
-	case "ecn-cubic":
-		return &Cubic{}, ECNClassic, nil
-	case "dctcp":
-		return &DCTCP{}, ECNScalable, nil
-	case "scalable":
-		return Scalable{}, ECNScalable, nil
-	case "prague":
-		return &Prague{}, ECNScalable, nil
+	c, ok := controls[name]
+	if !ok {
+		return nil, ECNOff, fmt.Errorf("tcp: unknown congestion control %q", name)
 	}
-	return nil, ECNOff, fmt.Errorf("tcp: unknown congestion control %q", name)
+	var none ccSlab
+	return none.take(c.kind), c.mode, nil
 }
 
 // NewCCFeedback builds a congestion control with an explicit ECN-feedback
@@ -54,13 +70,66 @@ func NewCCFeedback(name, feedback string) (CongestionControl, ECNMode, error) {
 	if err != nil {
 		return nil, ECNOff, err
 	}
+	if mode, err = feedbackMode(mode, feedback); err != nil {
+		return nil, ECNOff, err
+	}
+	return cc, mode, nil
+}
+
+// feedbackMode applies an ECN-feedback arm (NewCCFeedback) to a control's
+// default mode.
+func feedbackMode(mode ECNMode, feedback string) (ECNMode, error) {
 	switch feedback {
 	case "":
-		return cc, mode, nil
+		return mode, nil
 	case "accurate":
-		return cc, ECNScalable, nil
+		return ECNScalable, nil
 	case "classic":
-		return cc, ECNClassic, nil
+		return ECNClassic, nil
 	}
-	return nil, ECNOff, fmt.Errorf("tcp: unknown ECN feedback arm %q", feedback)
+	return ECNOff, fmt.Errorf("tcp: unknown ECN feedback arm %q", feedback)
+}
+
+// ccSlab holds a group's congestion controls that carry state, one typed
+// slab per type, so n flows cost one allocation per type instead of one per
+// flow. Reno and Scalable are stateless values and need none. A spent (or
+// zero) slab allocates each further control on its own.
+type ccSlab struct {
+	cubic  []Cubic
+	dctcp  []DCTCP
+	prague []Prague
+}
+
+// newCCSlab sizes the slabs for count[k] controls of each kind.
+func newCCSlab(count [numKinds]int) ccSlab {
+	return ccSlab{
+		cubic:  make([]Cubic, count[kindCubic]),
+		dctcp:  make([]DCTCP, count[kindDCTCP]),
+		prague: make([]Prague, count[kindPrague]),
+	}
+}
+
+// take returns a fresh control of kind k.
+func (s *ccSlab) take(k ccKind) CongestionControl {
+	switch k {
+	case kindCubic:
+		return pop(&s.cubic)
+	case kindDCTCP:
+		return pop(&s.dctcp)
+	case kindPrague:
+		return pop(&s.prague)
+	case kindScalable:
+		return Scalable{}
+	}
+	return Reno{}
+}
+
+// pop hands out the slab's next element, or a new one once it is spent.
+func pop[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		return new(T)
+	}
+	c := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return c
 }

@@ -162,13 +162,13 @@ func TestAckLaneIsSharedPerDelay(t *testing.T) {
 	}
 	a, b := mk(1, 10*time.Millisecond, false), mk(2, 10*time.Millisecond, false)
 	c, d := mk(3, 20*time.Millisecond, false), mk(4, 20*time.Millisecond, true)
-	if a.ackLane != b.ackLane || a.ackLane != s.Lane(10*time.Millisecond) {
+	if a.grp.lane != b.grp.lane || a.grp.lane != s.Lane(10*time.Millisecond) {
 		t.Error("equal BaseRTTs did not share the delay's lane")
 	}
-	if c.ackLane == a.ackLane || c.ackLane != s.Lane(20*time.Millisecond) {
+	if c.grp.lane == a.grp.lane || c.grp.lane != s.Lane(20*time.Millisecond) {
 		t.Error("a different BaseRTT did not get its own lane")
 	}
-	if d.ackLane != s.Lane(0) || d.ackDelay != 0 {
+	if d.grp.lane != s.Lane(0) || d.grp.ackDelay != 0 {
 		t.Error("SplitPropagation flow is not on the zero-delay lane")
 	}
 }

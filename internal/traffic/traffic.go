@@ -94,24 +94,23 @@ func (u *UDPSource) ResetStats(now time.Duration) {
 	u.Received.Reset(now)
 }
 
-// NewBulk builds flow id of a bulk group on simulator s, sending through enq.
-// It is the one place a BulkFlowSpec becomes a tcp.Config and an endpoint;
-// the caller registers the delivery path and starts the flow. split moves
+// NewBulk builds n flows of a bulk group on simulator s as one tcp.Group,
+// sending through enq: flow i has id first+i*step. It is the one place a
+// BulkFlowSpec becomes a tcp.Config; the caller registers the delivery path
+// (Group.DeliverData, for every id) and starts the flows. split moves
 // propagation onto the caller's wires (tcp.Config.SplitPropagation).
-func NewBulk(s *sim.Simulator, enq tcp.Enqueuer, id int, spec BulkFlowSpec, split bool) *tcp.Endpoint {
-	cc, mode, err := tcp.NewCCFeedback(spec.CC, spec.Feedback)
-	if err != nil {
-		panic(err)
-	}
-	return tcp.NewWithEnqueuer(s, enq, tcp.Config{
-		ID:               id,
-		CC:               cc,
-		ECN:              mode,
+func NewBulk(s *sim.Simulator, enq tcp.Enqueuer, first, step, n int, spec BulkFlowSpec, split bool) *tcp.Group {
+	g, err := tcp.NewGroup(s, enq, tcp.Config{
+		ID:               first,
 		BaseRTT:          spec.RTT,
 		SACK:             spec.SACK,
 		AckEvery:         spec.AckEvery,
 		SplitPropagation: split,
-	})
+	}, n, step, spec.Feedback, spec.CC)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // StagedCounts builds the paper's varying-intensity schedule: counts[i]
@@ -128,14 +127,14 @@ func StagedCounts(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID in
 			maxCount = c
 		}
 	}
-	id := firstID
-	var eps []*tcp.Endpoint
-	spec := BulkFlowSpec{CC: cc, RTT: rtt}
-	enq := tcp.Enqueuer(l.Enqueue)
 	// Flow with rank r (0-based) is active during every stage with
 	// count > r. Because the paper's schedules are unimodal, each rank is
-	// active over one contiguous interval [firstStage, lastStage].
-	for r := 0; r < maxCount; r++ {
+	// active over one contiguous interval [firstStage, lastStage], and
+	// every rank below the largest count has one.
+	g := NewBulk(s, l.Enqueue, firstID, 1, maxCount, BulkFlowSpec{CC: cc, RTT: rtt}, false)
+	deliver := g.DeliverData
+	eps := make([]*tcp.Endpoint, maxCount)
+	for r := range eps {
 		first, last := -1, -1
 		for i, c := range counts {
 			if c > r {
@@ -145,20 +144,16 @@ func StagedCounts(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID in
 				last = i
 			}
 		}
-		if first < 0 {
-			continue
-		}
-		ep := NewBulk(s, enq, id, spec, false)
-		d.Register(id, ep.DeliverData)
+		ep := &g.Flows[r]
+		d.Register(ep.ID(), deliver)
 		s.At(time.Duration(first)*stageLen, ep.Start)
 		stop := time.Duration(last+1) * stageLen
-		if int(last) != len(counts)-1 {
+		if last != len(counts)-1 {
 			s.At(stop, ep.Stop)
 		}
-		eps = append(eps, ep)
-		id++
+		eps[r] = ep
 	}
-	return eps, id
+	return eps, firstID + maxCount
 }
 
 // WebSpec describes a web-like short-flow workload: flows arrive as a
@@ -220,17 +215,11 @@ func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, s
 
 func (w *WebWorkload) launch(u float64) {
 	size := boundedPareto(u, webShape, webMinSegs, webMaxSegs)
-	cc, mode, err := tcp.NewCC(w.Spec.CC)
-	if err != nil {
-		panic(err)
-	}
 	id := *w.nextID
 	*w.nextID = id + 1
 	started := w.s.Now()
-	ep := tcp.NewWithEnqueuer(w.s, w.enq, tcp.Config{
+	g, err := tcp.NewGroup(w.s, w.enq, tcp.Config{
 		ID:       id,
-		CC:       cc,
-		ECN:      mode,
 		BaseRTT:  w.Spec.RTT,
 		FlowSegs: int64(size),
 		OnComplete: func(now time.Duration) {
@@ -238,10 +227,13 @@ func (w *WebWorkload) launch(u float64) {
 			w.FCT.Add((now - started).Seconds())
 			w.d.Unregister(id)
 		},
-	})
-	w.d.Register(id, ep.DeliverData)
+	}, 1, 1, "", w.Spec.CC)
+	if err != nil {
+		panic(err)
+	}
+	w.d.Register(id, g.DeliverData)
 	w.Started++
-	ep.Start()
+	g.Flows[0].Start()
 }
 
 // expRand maps a uniform u to an exponential inter-arrival with rate λ.
