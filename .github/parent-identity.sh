@@ -137,6 +137,8 @@ GOMAXPROCS=1 same ffheavy1 -timediv 10 -jobs 2 -ff heavy
 # More cells than cores: the helper rarely gets a core, preemption moves
 # stage-B batches between it and stage A, and the bytes must not move.
 same ffheavyjobs -timediv 10 -jobs 6 -ff heavy
+# -shards reaches the heavy, sweep and chaos cells only; fig6 and fct run
+# one loop whatever it is, so here they show that it stays ignored.
 same shards -quick -timediv 20 -jobs 2 -shards 4 chaos sweep fig6 fct
 # The campaign knobs that travel from flag to cell, in process and through
 # the fleet's grid spec and init message.

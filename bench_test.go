@@ -34,7 +34,7 @@ import (
 func quickOpts(i int) campaign.Options {
 	// Vary the seed per iteration so repeated benchmark iterations are
 	// not byte-identical cached work.
-	return campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: int64(i + 1)}
+	return campaign.Options{Grid: campaign.Grid{Quick: true}, ExecOptions: campaign.ExecOptions{BaseSeed: int64(i + 1)}}
 }
 
 // must returns a driver's result, panicking on its failed-cells error.

@@ -33,11 +33,13 @@
 // crash-safe journal, and -resume replays it, skipping completed cells, so
 // a killed coordinator loses at most its in-flight cells.
 //
-// -shards N partitions each cell's simulation across N event-loop domains
-// (conservative PDES with propagation-delay lookahead; see DESIGN.md). The
+// -shards N partitions each heavy, sweep and chaos cell's simulation across
+// N event-loop domains (conservative PDES with propagation-delay lookahead;
+// see DESIGN.md); the other experiments run one loop whatever N is. The
 // default 1 is the classic single loop and stays byte-identical to older
 // builds; a fixed N > 1 is deterministic too, but produces its own (equally
-// valid) event interleaving. -reps N repeats heavy/sweep cells with
+// valid) event interleaving, so -seed and -shards are part of what a
+// -resume must match in the journal. -reps N repeats heavy/sweep cells with
 // perturbed seeds and prints cross-seed 95% confidence bands. -target
 // overrides those drivers' AQM target delay (paper default 20 ms; Briscoe's
 // "PI2 Parameters" report recommends 15 ms, the Linux dualpi2 default).
@@ -89,7 +91,7 @@ func main() {
 	var o campaign.Options
 	flag.BoolVar(&o.Quick, "quick", false, "run scaled-down experiments (~5x shorter)")
 	flag.IntVar(&o.TimeDiv, "timediv", 0, "divide experiment durations by N (overrides -quick's 5x; 0 = off)")
-	flag.Int64Var(&o.Seed, "seed", 1, "campaign base seed")
+	flag.Int64Var(&o.BaseSeed, "seed", 1, "campaign base seed")
 	flag.IntVar(&o.Jobs, "jobs", runtime.GOMAXPROCS(0), "parallel simulation runs")
 	workers := flag.Int("workers", 0, "dispatch grid cells across N worker processes (0 = in-process -jobs pool); output is byte-identical either way")
 	workerMode := flag.Bool("worker", false, "serve the fleet worker protocol on stdin/stdout (spawned by -workers; not for interactive use)")
@@ -97,8 +99,8 @@ func main() {
 	hostsPath := flag.String("hosts", "", "dispatch grid cells to the worker hosts in this inventory file (lines: addr [workers=N])")
 	journalPath := flag.String("journal", "", "append every final run record to this crash-safe journal file")
 	resume := flag.Bool("resume", false, "replay -journal before running, skipping already-completed cells")
-	flag.IntVar(&o.Shards, "shards", 1, "event-loop domains per simulation (conservative PDES); 1 = classic single loop")
-	flag.BoolVar(&o.FF, "ff", false, "fast-forward quiescent congestion-avoidance epochs analytically (hybrid fluid/packet); also enables the 10k/50k heavy cells")
+	flag.IntVar(&o.Shards, "shards", 1, "event-loop domains per heavy, sweep and chaos cell (conservative PDES; other experiments run one loop); 1 = classic single loop")
+	flag.BoolVar(&o.FF, "ff", false, "fast-forward quiescent congestion-avoidance epochs analytically (hybrid fluid/packet); also adds the 10k/50k-flow heavy cells")
 	flag.IntVar(&o.Reps, "reps", 1, "repeat heavy/sweep cells N times with perturbed seeds and print ± confidence bands")
 	flag.Var(millis{&o.Target}, "target", "AQM target delay in `ms` for heavy/sweep/chaos/interop (0 = the paper's 20; Briscoe's PI2 Parameters report suggests 15)")
 	jsonPath := flag.String("json", "", "write per-run records (params, timing, events/sec) to this file")
@@ -226,8 +228,7 @@ func main() {
 		os.Exit(code)
 	}
 	if *check || *update {
-		ex := golden.Exec{Jobs: o.Jobs, Dispatch: o.Dispatch, Journal: o.Journal, Resume: o.Resume}
-		exit(goldenMode(*check, *update, *goldenDir, ex, flag.Args()))
+		exit(goldenMode(*check, *update, *goldenDir, o.ExecOptions, flag.Args()))
 	}
 	if flag.NArg() == 0 {
 		flag.Usage()

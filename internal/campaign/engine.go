@@ -57,8 +57,8 @@ type TaskCtx struct {
 	// Attempt counts retries, starting at 0.
 	Attempt int
 	// Shards is the campaign-wide simulation shard count (ExecOptions.
-	// Shards); cells that build shardable scenarios run them on that many
-	// event-loop domains. 0 or 1 means the classic single-loop path.
+	// Shards); the heavy, sweep and chaos cells run on that many event-loop
+	// domains. 0 or 1 means the classic single-loop path.
 	Shards int
 
 	mu       sync.Mutex
@@ -194,12 +194,15 @@ type ProgressFunc func(done, total int, rec RunRecord)
 
 // ExecOptions configure one Execute call.
 type ExecOptions struct {
-	// Jobs is the worker-pool width; <= 0 means runtime.GOMAXPROCS(0).
+	// Jobs is the worker-pool width; <= 0 means runtime.GOMAXPROCS(0)
+	// here and a serial pool in the grid drivers.
 	Jobs int
 	// Shards is the per-cell simulation shard count handed to every
-	// TaskCtx; 0 or 1 selects the classic single-event-loop path. Note the
-	// distinction from Jobs: Jobs parallelizes across cells, Shards
-	// parallelizes inside one cell.
+	// TaskCtx; 0 or 1 selects the classic single-event-loop path. Only the
+	// heavy, sweep and chaos drivers set Scenario.Shards from it; every
+	// other driver ignores it (TestShardedSubstrateEdges pins the sharded
+	// substrate's staged-traffic edges). Jobs parallelizes across cells,
+	// Shards inside one cell, and a cell's records depend on Shards.
 	Shards int
 	// FastForward has no effect: a cell takes fast-forward from its matrix
 	// (Grid.FF), which a fleet worker rebuilds from the spec.
@@ -208,7 +211,7 @@ type ExecOptions struct {
 	// still set it; it goes with them.
 	FastForward bool
 	// BaseSeed is the campaign's base seed; each task runs with
-	// DeriveSeed(BaseSeed, task.SeedIndex).
+	// DeriveSeed(BaseSeed, task.SeedIndex). The drivers treat 0 as 1.
 	BaseSeed int64
 	// Progress, if set, is invoked after every completed run.
 	Progress ProgressFunc
@@ -249,6 +252,19 @@ type ExecOptions struct {
 	SkipDone map[int]bool
 }
 
+// matrixKey returns the bytes that, with Family, identify the matrix this
+// invocation runs: everything its records depend on. That is the Spec,
+// then the base seed and the shard count (0 counts as 1) unless they are
+// the defaults 1 and 1, so a journal written before they joined the key
+// still matches at the defaults. Journals and resume sets key on it.
+func (o ExecOptions) matrixKey() []byte {
+	shards := max(o.Shards, 1)
+	if o.BaseSeed == 1 && shards == 1 {
+		return o.Spec
+	}
+	return fmt.Appendf(append([]byte(nil), o.Spec...), "\x00seed=%d shards=%d", o.BaseSeed, shards)
+}
+
 // Dispatcher executes a task matrix somewhere other than the in-process
 // pool — typically a fleet of worker processes (internal/fleet). emit must
 // be invoked exactly once per cell not in opt.SkipDone; calls may come
@@ -263,22 +279,24 @@ type Dispatcher interface {
 }
 
 // JournalSink observes every final RunRecord of a matrix as it is emitted,
-// preceded by one BeginSegment identifying the matrix — enough for a
-// journal (internal/fleet) to replay a crashed campaign's completed cells.
+// preceded by one BeginSegment identifying the matrix by its family and
+// key (ExecOptions.matrixKey: spec, base seed and shard count) — enough for
+// a journal (internal/fleet) to replay a crashed campaign's completed cells.
 // Both methods are called under ExecuteStream's emit lock, so records for
 // one segment arrive serialized (in completion order, like every other
 // sink). Records resumed from a previous journal are NOT re-journaled.
 type JournalSink interface {
-	BeginSegment(family string, spec []byte, cells int)
+	BeginSegment(family string, key []byte, cells int)
 	Record(rec RunRecord)
 }
 
 // ResumeSet answers whether a cell already has a final record from a
 // previous (crashed) invocation of the same campaign. A hit must identify
-// the same matrix — implementations key on (family, spec) — and the
-// returned record is emitted verbatim instead of re-running the cell.
+// the same matrix — the family and key JournalSink.BeginSegment received —
+// and the returned record is emitted verbatim instead of re-running the
+// cell.
 type ResumeSet interface {
-	Lookup(family string, spec []byte, index int) (RunRecord, bool)
+	Lookup(family string, key []byte, index int) (RunRecord, bool)
 }
 
 // PerturbSeed maps an attempt's base seed to a retry seed: a SplitMix64
@@ -350,9 +368,10 @@ func ExecuteStream(tasks []Task, opt ExecOptions, sink func(RunRecord)) {
 	if opt.Collector != nil {
 		opt.Collector.begin(len(tasks))
 	}
+	key := opt.matrixKey()
 	journaling := opt.Journal != nil && opt.Family != ""
 	if journaling {
-		opt.Journal.BeginSegment(opt.Family, opt.Spec, len(tasks))
+		opt.Journal.BeginSegment(opt.Family, key, len(tasks))
 	}
 	// fresh distinguishes records produced by this invocation (journaled)
 	// from ones replayed out of a previous journal (already on disk).
@@ -381,7 +400,7 @@ func ExecuteStream(tasks []Task, opt ExecOptions, sink func(RunRecord)) {
 	if opt.Resume != nil && opt.Family != "" {
 		skip := make(map[int]bool)
 		for i := range tasks {
-			if rec, ok := opt.Resume.Lookup(opt.Family, opt.Spec, i); ok {
+			if rec, ok := opt.Resume.Lookup(opt.Family, key, i); ok {
 				rec.Index = i
 				skip[i] = true
 				emitWith(rec, false)
@@ -472,11 +491,11 @@ func runAttempt(t Task, index int, seed int64, attempt int, opt ExecOptions) (Ru
 	wd := opt.Watchdog
 	tc := &TaskCtx{Seed: seed, Attempt: attempt, Shards: opt.Shards}
 	if !wd.enabled() {
-		return execAttempt(t, index, seed, attempt, tc), false
+		return execAttempt(t, index, tc), false
 	}
 	resCh := make(chan RunRecord, 1) // buffered: an abandoned attempt's send must not block
 	go func() {
-		resCh <- execAttempt(t, index, seed, attempt, tc)
+		resCh <- execAttempt(t, index, tc)
 	}()
 
 	start := time.Now()
@@ -537,15 +556,12 @@ func runAttempt(t Task, index int, seed int64, attempt int, opt ExecOptions) (Ru
 // reports an error in its record instead of killing the whole grid. A
 // panic carrying a CancelReason (the simulator's cooperative-cancellation
 // unwind) marks the record TimedOut rather than failed-with-a-bug.
-func execAttempt(t Task, index int, seed int64, attempt int, tc *TaskCtx) (rec RunRecord) {
+func execAttempt(t Task, index int, tc *TaskCtx) (rec RunRecord) {
 	rec = RunRecord{
 		Name:   t.Name,
 		Index:  index,
-		Seed:   seed,
+		Seed:   tc.Seed,
 		Params: t.Params,
-	}
-	if tc == nil {
-		tc = &TaskCtx{Seed: seed, Attempt: attempt}
 	}
 	start := time.Now()
 	defer func() {

@@ -61,7 +61,7 @@ func TestSweepRepsBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	pts := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40, Reps: 2}, Jobs: 4}))
+	pts := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40, Reps: 2}, ExecOptions: campaign.ExecOptions{Jobs: 4}}))
 	if len(pts) == 0 {
 		t.Fatal("no sweep points")
 	}
@@ -86,7 +86,7 @@ func TestSweepRepsBands(t *testing.T) {
 		t.Error("PrintFig16 did not switch to the banded layout")
 	}
 	// And at reps=1 the printers keep the historical header exactly.
-	single := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, Jobs: 4}))
+	single := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, ExecOptions: campaign.ExecOptions{Jobs: 4}}))
 	var s15 strings.Builder
 	PrintFig15(&s15, single)
 	if strings.Contains(s15.String(), "ratio_ci") {
@@ -100,7 +100,7 @@ func TestHeavyRepsBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	pts, err := Heavy(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40, Reps: 2}, Jobs: 4})
+	pts, err := Heavy(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40, Reps: 2}, ExecOptions: campaign.ExecOptions{Jobs: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	serial := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 1}))
-	wide := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, Jobs: 8}))
+	serial := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, ExecOptions: campaign.ExecOptions{Jobs: 1}}))
+	wide := must(CoexistenceSweep(campaign.Options{Grid: campaign.Grid{Quick: true}, ExecOptions: campaign.ExecOptions{Jobs: 8}}))
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatal("sweep points differ between jobs=1 and jobs=8")
 	}
@@ -105,7 +105,7 @@ func TestRunRecordsIdenticalAcrossJobs(t *testing.T) {
 			t.Fatal("fig12 not registered")
 		}
 		col := &campaign.Collector{}
-		o := &campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 20}, Seed: 1, Jobs: jobs, Collector: col}
+		o := &campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 20}, ExecOptions: campaign.ExecOptions{BaseSeed: 1, Jobs: jobs, Collector: col}}
 		if err := exp.Run(o, discard{}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -217,8 +217,8 @@ func TestChaosDeterministicAcrossJobs(t *testing.T) {
 		t.Skip("grid run in -short mode")
 	}
 	o := campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}}
-	serial, errS := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 1})
-	wide, errW := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, Jobs: 8})
+	serial, errS := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, ExecOptions: campaign.ExecOptions{Jobs: 1}})
+	wide, errW := Chaos(campaign.Options{Grid: campaign.Grid{Quick: o.Quick, TimeDiv: o.TimeDiv}, ExecOptions: campaign.ExecOptions{Jobs: 8}})
 	if errS != nil || errW != nil {
 		t.Fatalf("chaos cells failed: %v / %v", errS, errW)
 	}

@@ -91,7 +91,7 @@ func runExperiment(t *testing.T, name string, grid campaign.Grid, tee bool) expe
 		}
 	}
 	col := &campaign.Collector{}
-	o := &campaign.Options{Grid: grid, Seed: 1, Jobs: 2, Collector: col}
+	o := &campaign.Options{Grid: grid, ExecOptions: campaign.ExecOptions{BaseSeed: 1, Jobs: 2, Collector: col}}
 	var out bytes.Buffer
 	if err := exp.Run(o, &out); err != nil {
 		t.Fatalf("%s: %v", name, err)

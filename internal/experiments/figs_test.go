@@ -217,7 +217,7 @@ func TestFactoryByName(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() float64 {
-		r := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 77}))
+		r := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, ExecOptions: campaign.ExecOptions{BaseSeed: 77}}))
 		return r.PI2.Sojourn.Mean()
 	}
 	if a, b := run(), run(); a != b {
@@ -226,8 +226,8 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunDifferentSeedsDiffer(t *testing.T) {
-	a := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 1})).PI2.Sojourn.Mean()
-	b := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, Seed: 2})).PI2.Sojourn.Mean()
+	a := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, ExecOptions: campaign.ExecOptions{BaseSeed: 1}})).PI2.Sojourn.Mean()
+	b := must(Fig13(campaign.Options{Grid: campaign.Grid{Quick: true}, ExecOptions: campaign.ExecOptions{BaseSeed: 2}})).PI2.Sojourn.Mean()
 	if a == b {
 		t.Error("different seeds produced identical results (suspicious)")
 	}

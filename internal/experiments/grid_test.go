@@ -80,7 +80,7 @@ func TestFailedCellsFailTheirExperiment(t *testing.T) {
 		}
 		col := &campaign.Collector{}
 		var out bytes.Buffer
-		err := exp.Run(&campaign.Options{Grid: g, Seed: 1, Jobs: 2, Collector: col}, &out)
+		err := exp.Run(&campaign.Options{Grid: g, ExecOptions: campaign.ExecOptions{BaseSeed: 1, Jobs: 2, Collector: col}}, &out)
 		return out.String(), col.Records(), err
 	}
 	healthy := map[string]string{}
@@ -128,7 +128,7 @@ func TestFailedCellsFailTheirExperiment(t *testing.T) {
 // has no UDP sources, and the table must still print when only one arm of
 // the UDP load failed.
 func TestFig11PrintsAFailedArm(t *testing.T) {
-	r := must(Fig11(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 400}, Jobs: 2}))
+	r := must(Fig11(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 400}, ExecOptions: campaign.ExecOptions{Jobs: 2}}))
 	r.Runs["5 TCP + 2 UDP"]["pie"] = emptyResult()
 	var out bytes.Buffer
 	r.Print(&out)

@@ -27,10 +27,10 @@ const (
 // HeavyFlowCounts is the flow-count axis of the heavy scaling tier.
 var HeavyFlowCounts = []int{10, 100, 1000, 5000}
 
-// HeavyFFFlowCounts extends the axis under -ff: flow populations whose
-// steady state is only tractable with the fast-forward engine. They run on
-// the single-queue AQMs only — DualPI2's coupled dual queue stays in packet
-// mode (see internal/ff), so those cells would be pure packet slog.
+// HeavyFFFlowCounts extends the axis under -ff. The cells are not ff-only:
+// at -timediv 10, seed 7, one cell took 1.7-13.8 s in packet mode and
+// 1.1-7.6 s under -ff (2-core VM). They run on the single-queue AQMs only —
+// DualPI2's coupled dual queue stays in packet mode (see internal/ff).
 var HeavyFFFlowCounts = []int{10000, 50000}
 
 // HeavyAQMs are the bottleneck disciplines compared at each flow count.

@@ -29,8 +29,8 @@ func TestInteropIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	serial := quickInterop(t, campaign.Options{Jobs: 1})
-	wide := quickInterop(t, campaign.Options{Jobs: 8})
+	serial := quickInterop(t, campaign.Options{ExecOptions: campaign.ExecOptions{Jobs: 1}})
+	wide := quickInterop(t, campaign.Options{ExecOptions: campaign.ExecOptions{Jobs: 8}})
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatal("interop points differ between jobs=1 and jobs=8")
 	}
@@ -45,8 +45,8 @@ func TestInteropIdenticalAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run in -short mode")
 	}
-	one := quickInterop(t, campaign.Options{Jobs: 4, Shards: 1})
-	four := quickInterop(t, campaign.Options{Jobs: 4, Shards: 4})
+	one := quickInterop(t, campaign.Options{ExecOptions: campaign.ExecOptions{Jobs: 4, Shards: 1}})
+	four := quickInterop(t, campaign.Options{ExecOptions: campaign.ExecOptions{Jobs: 4, Shards: 4}})
 	if !reflect.DeepEqual(one, four) {
 		t.Fatal("interop points differ between shards=1 and shards=4")
 	}

@@ -156,7 +156,7 @@ func TestShardedGridInvariantAcrossJobs(t *testing.T) {
 		t.Skip("grid run in -short mode")
 	}
 	run := func(jobs int) []ChaosPoint {
-		pts, err := Chaos(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, Shards: 4, Jobs: jobs})
+		pts, err := Chaos(campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: 40}, ExecOptions: campaign.ExecOptions{Shards: 4, Jobs: jobs}})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

@@ -77,7 +77,7 @@ func rerunsEveryCell(t *testing.T, rs *fleet.ResumeSet, records int, family stri
 	t.Helper()
 	run := func(resume campaign.ResumeSet) string {
 		exp, _ := campaign.Lookup(family)
-		o := campaign.Options{Grid: grid, Jobs: 2, Resume: resume}
+		o := campaign.Options{Grid: grid, ExecOptions: campaign.ExecOptions{Jobs: 2, Resume: resume}}
 		var out bytes.Buffer
 		if err := exp.Run(&o, &out); err != nil {
 			t.Fatal(err)

@@ -363,9 +363,9 @@ func (s *dispatchState) remaining() []int {
 }
 
 // Dispatch implements campaign.Dispatcher: init every live worker with the
-// (family, spec) matrix identity, then pull-dispatch cells until the grid
-// drains. One Dispatch runs at a time per pool (experiments within an
-// invocation are sequential; the lock makes it explicit).
+// (family, spec) it rebuilds the matrix from, then pull-dispatch cells
+// until the grid drains. One Dispatch runs at a time per pool (experiments
+// within an invocation are sequential; the lock makes it explicit).
 func (p *Pool) Dispatch(tasks []campaign.Task, opt campaign.ExecOptions, emit func(campaign.RunRecord)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

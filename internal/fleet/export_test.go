@@ -13,7 +13,7 @@ func NewHookedPool(cfg Config, set func(*Hooks)) *Pool {
 }
 
 // Raw returns a cell's journaled record bytes, whether or not they decode.
-func (rs *ResumeSet) Raw(family string, spec []byte, index int) ([]byte, bool) {
-	b, ok := rs.segs[segKey(family, sha256.Sum256(spec))][index]
+func (rs *ResumeSet) Raw(family string, key []byte, index int) ([]byte, bool) {
+	b, ok := rs.segs[segKey(family, sha256.Sum256(key))][index]
 	return b, ok
 }

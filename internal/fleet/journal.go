@@ -21,12 +21,15 @@ import (
 //
 // Each entry is one frame (frame.go) whose payload is a self-contained
 // gob journalEntry — a fresh gob stream per frame, because appends span
-// processes: either a segment header — naming the (family, SHA-256(spec),
+// processes: either a segment header — naming the (family, SHA-256(key),
 // cell count) of the matrix whose records follow — or one cell's record.
-// Keying segments on the spec hash (not invocation order) means a resumed
-// run matches cells by matrix identity: a resume with different flags
-// simply misses and re-runs everything, it never replays a record into
-// the wrong grid.
+// The key is the matrix identity campaign builds from the grid spec, the
+// base seed and the shard count (the last two only when they are not the
+// defaults 1 and 1, so older journals still match there). Keying segments
+// on it, not on invocation order, means a resume under a different grid,
+// -seed or -shards misses and re-runs every cell; it never replays another
+// run's records. The host-local flags (-jobs, -workers, -hosts, watchdog,
+// retries) are not in the key: they move no record.
 
 type journalEntry struct {
 	// Segment header fields; Family != "" marks a header.
@@ -64,10 +67,10 @@ func OpenJournal(path string, errw io.Writer) (*Journal, error) {
 // lazily with the segment's first record: a fully resumed segment emits no
 // fresh records and appending its (duplicate) header would bloat repeated
 // resumes for nothing.
-func (j *Journal) BeginSegment(family string, spec []byte, cells int) {
+func (j *Journal) BeginSegment(family string, key []byte, cells int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.cur = journalEntry{Family: family, SpecSHA: sha256.Sum256(spec), Cells: cells}
+	j.cur = journalEntry{Family: family, SpecSHA: sha256.Sum256(key), Cells: cells}
 }
 
 // Record implements campaign.JournalSink: one frame per fresh final
@@ -204,8 +207,8 @@ func segKey(family string, sha [sha256.Size]byte) string {
 // Lookup implements campaign.ResumeSet. Only clean records resume: a cell
 // that failed (crash budget, watchdog, panic) re-runs — deterministic
 // failures reproduce identically, environmental ones get another chance.
-func (rs *ResumeSet) Lookup(family string, spec []byte, index int) (campaign.RunRecord, bool) {
-	m := rs.segs[segKey(family, sha256.Sum256(spec))]
+func (rs *ResumeSet) Lookup(family string, key []byte, index int) (campaign.RunRecord, bool) {
+	m := rs.segs[segKey(family, sha256.Sum256(key))]
 	b, ok := m[index]
 	if !ok {
 		return campaign.RunRecord{}, false

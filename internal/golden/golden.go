@@ -77,20 +77,13 @@ type Fingerprint struct {
 	Runs         []Run  `json:"runs,omitempty"`
 }
 
-// Exec carries the execution-side knobs a capture can route through. The
-// zero value is a plain serial in-process run; none of the fields can
-// change a fingerprint — that invariance is precisely what the fleet,
-// chaos and resume CI jobs check by comparing captures across Execs.
-type Exec struct {
-	// Jobs is the in-process worker count (0 = serial).
-	Jobs int
-	// Dispatch routes campaigns through a fleet of worker processes.
-	Dispatch campaign.Dispatcher
-	// Journal receives every final record; Resume replays a previous
-	// journal, skipping its completed cells.
-	Journal campaign.JournalSink
-	Resume  campaign.ResumeSet
-}
+// Exec carries the execution-side knobs a capture routes through (Jobs,
+// Dispatch, Journal, Resume, ...). The zero value is a plain serial
+// in-process run. Capture fixes the two knobs a record depends on
+// (BaseSeed to Seed, Shards to one loop) and sets its own Collector, so the
+// rest change no fingerprint: internal/fleet's TestExecKnobContract holds
+// every one of them to that.
+type Exec = campaign.ExecOptions
 
 // Capture runs the named experiment at golden scale and reduces it to a
 // fingerprint. The Exec knobs affect only wall-clock time and fault
@@ -104,15 +97,8 @@ func Capture(name string, ex Exec) (*Fingerprint, error) {
 		return nil, fmt.Errorf("golden: unknown experiment %q", name)
 	}
 	col := &campaign.Collector{}
-	o := &campaign.Options{
-		Grid:      campaign.Grid{Quick: true, TimeDiv: TimeDiv},
-		Seed:      Seed,
-		Jobs:      ex.Jobs,
-		Collector: col,
-		Dispatch:  ex.Dispatch,
-		Journal:   ex.Journal,
-		Resume:    ex.Resume,
-	}
+	o := &campaign.Options{Grid: campaign.Grid{Quick: true, TimeDiv: TimeDiv}, ExecOptions: ex}
+	o.BaseSeed, o.Shards, o.Collector = Seed, 0, col
 	var buf bytes.Buffer
 	if err := exp.Run(o, &buf); err != nil {
 		return nil, fmt.Errorf("golden: %s: %w", name, err)
