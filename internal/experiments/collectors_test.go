@@ -145,10 +145,11 @@ func checkCollectors(t *testing.T, grid campaign.Grid) *collectorCheck {
 }
 
 // collectorGrids are the grids both collector tests cover: the golden
-// capture scale always, and the plain -quick scale unless -short.
+// capture scale always, and the plain -quick scale unless -short or under
+// the race detector (raceEnabled).
 func collectorGrids() map[string]campaign.Grid {
 	grids := map[string]campaign.Grid{"golden": {Quick: true, TimeDiv: 20}}
-	if !testing.Short() {
+	if !testing.Short() && !raceEnabled {
 		grids["quick"] = campaign.Grid{Quick: true}
 	}
 	return grids

@@ -10,10 +10,10 @@
 // window equations; every data segment carries one MSS.
 //
 // Flows are built in groups (group.go): NewGroup lays out a bulk group's
-// endpoints, stateful congestion controls, first sender rings and first
-// out-of-order buffers in per-group slabs, and binds the ACK-arrival and
-// delivery callbacks once per group, so the only heap object a flow adds is
-// its RTO callback. NewWithEnqueuer builds a group of one.
+// senders, receivers, stateful congestion controls, first sender rings and
+// first out-of-order buffers in per-group slabs, and binds the ACK-arrival
+// and delivery callbacks once per group, so the only heap object a flow adds
+// is its RTO callback. NewWithEnqueuer builds a group of one.
 package tcp
 
 import "time"

@@ -84,14 +84,22 @@ const (
 // the shared bottleneck. The receiver logically sits at the far end of the
 // link; ACKs return to the sender after the flow's base RTT, so the RTT a
 // sender observes is BaseRTT + queuing + serialization.
+//
+// The two halves share no field and come from separate slabs of the flow's
+// Group: an arriving ACK touches only the sender, a delivered segment only
+// the receiver. What all of a group's flows share (simulator, enqueuer,
+// packet pool, ACK lane, Config) lives once in the Group.
 type Endpoint struct {
-	cfg     Config
-	sim     *sim.Simulator
-	enqueue func(*packet.Packet)
-	cc      CongestionControl
-	state   State
+	sender
+	*receiver
+}
 
-	// Sender state (sequence numbers count whole segments).
+// sender is a flow's sending half. Sequence numbers count whole segments.
+// The fields an ACK reads come first.
+type sender struct {
+	grp        *Group
+	cc         CongestionControl
+	state      State
 	sndUna     int64
 	sndNxt     int64
 	meta       segRing
@@ -100,47 +108,51 @@ type Endpoint struct {
 	rtoGuard   int64 // RFC 6582: no fast retransmit for pre-RTO dupacks
 	inflation  float64
 	cwrEnd     int64 // classic-ECN: next ECE reaction allowed past this seq
-	cwrPend    bool  // set CWR on the next new data segment
 	rtoTimer   sim.Timer
 	rtoBackoff int
+	id         int
+	ceAcked    int
+	ect        packet.ECN // codepoint of every data segment
+	classicECE bool       // ECNClassic: react to ECE once per RTT
+	accurateCE bool       // ECNScalable: feed per-ACK CE to the control
+	cwrPend    bool       // set CWR on the next new data segment
 	hystart    bool
 	stopped    bool
 	started    bool
 	completed  bool
 
-	// pool recycles this endpoint's packets; pre-bound method values below
-	// keep the per-segment and per-ACK scheduling allocation-free (a fresh
-	// closure per event was a top allocation site in profiles).
-	// delAckFireFn is bound only with Config.AckEvery > 1: no other flow
-	// can arm that timer. The ACK lane and its arrival callback belong to
-	// the flow's group.
-	pool         *packet.Pool
-	onRTOFn      sim.Event
-	delAckFireFn sim.Event
-	grp          *Group
+	// onRTOFn is onRTO bound once, keeping RTO scheduling allocation-free
+	// (a fresh closure per event was a top allocation site in profiles).
+	onRTOFn sim.Event
 
 	// SACK scoreboard cursors and counters (used only with Config.SACK);
 	// its per-segment bits live in meta.
 	sack sackBoard
 
-	// Receiver state.
+	// Statistics. RTT estimates live in State (SRTT, RTTVar, MinRTT).
+	retransmissions, congestionEvents, rtoCount int
+
+	startedAt, completedAt time.Duration
+}
+
+// receiver is a flow's receiving half.
+type receiver struct {
+	grp          *Group
+	id           int
+	ecn          ECNMode
 	rcvNxt       int64
 	oooSorted    []int64 // out-of-order segments, ascending
-	eceLatch     bool
 	ackPending   int
-	rcvLastCE    bool
 	rcvRecentSeq int64 // segment whose arrival triggered the pending ACK
+	eceLatch     bool
+	rcvLastCE    bool
 	delAck       sim.Timer
+	// delAckFireFn is delAckFire bound once, only with Config.AckEvery > 1:
+	// no other flow can arm that timer.
+	delAckFireFn sim.Event
 
-	// Statistics. RTT estimates live in State (SRTT, RTTVar, MinRTT).
-	Goodput          stats.RateMeter // in-order payload bytes delivered
-	retransmissions  int
-	congestionEvents int
-	rtoCount         int
-	marksSeen        int
-	ceAcked          int
-	startedAt        time.Duration
-	completedAt      time.Duration
+	Goodput   stats.RateMeter // in-order payload bytes delivered
+	marksSeen int
 }
 
 // seqBinder is implemented by congestion controls that track observation
@@ -166,41 +178,41 @@ func BindSeq(cc CongestionControl, sndUna, sndNxt *int64) bool {
 // (*link.Link).Enqueue satisfies it, whatever the link's queue discipline.
 type Enqueuer func(*packet.Packet)
 
-// init sets up a group's flow in place; ring is its first sender ring.
-func (e *Endpoint) init(s *sim.Simulator, enqueue Enqueuer, g *Group, cfg Config, ring []segMeta) {
-	e.cfg = cfg
-	e.sim = s
-	e.enqueue = enqueue
-	e.cc = cfg.CC
-	e.pool = g.pool
-	e.grp = g
-	e.onRTOFn = e.onRTO
-	if cfg.AckEvery > 1 {
-		e.delAckFireFn = e.delAckFire
+// init sets up flow i of group g in place: it runs cc under mode, its
+// receiver is g's i-th and ring is its first sender ring.
+func (e *Endpoint) init(g *Group, i int, cc CongestionControl, mode ECNMode, ring []segMeta) {
+	id := g.cfg.ID + i*g.step
+	e.receiver = &g.rcv[i]
+	*e.receiver = receiver{grp: g, id: id, ecn: mode}
+	if g.cfg.AckEvery > 1 {
+		e.delAckFireFn = e.receiver.delAckFire
 	}
-	e.meta = segRing{buf: ring, mask: int64(len(ring) - 1)}
-	e.state = State{
-		Cwnd:     initialCwnd,
-		Ssthresh: 1 << 30,
-		MinCwnd:  2,
+	s := &e.sender
+	s.grp, s.id, s.cc = g, id, cc
+	switch mode {
+	case ECNClassic:
+		s.ect, s.classicECE = packet.ECT0, true
+	case ECNScalable:
+		s.ect, s.accurateCE = packet.ECT1, true
 	}
-	e.cc.Init(&e.state)
-	if sb, ok := e.cc.(seqBinder); ok {
-		sb.bindSeq(&e.sndUna, &e.sndNxt)
-	}
-	if h, ok := e.cc.(interface{ UseHyStart() bool }); ok {
-		e.hystart = h.UseHyStart()
+	s.onRTOFn = s.onRTO
+	s.meta = segRing{buf: ring, mask: int64(len(ring) - 1)}
+	s.state = State{Cwnd: initialCwnd, Ssthresh: 1 << 30, MinCwnd: 2}
+	cc.Init(&s.state)
+	BindSeq(cc, &s.sndUna, &s.sndNxt)
+	if h, ok := cc.(interface{ UseHyStart() bool }); ok {
+		s.hystart = h.UseHyStart()
 	}
 }
 
 // ID returns the flow id.
-func (e *Endpoint) ID() int { return e.cfg.ID }
+func (e *sender) ID() int { return e.id }
 
 // CCName returns the congestion control's name.
-func (e *Endpoint) CCName() string { return e.cc.Name() }
+func (e *sender) CCName() string { return e.cc.Name() }
 
 // State exposes the congestion state (read-mostly; used by tests/monitors).
-func (e *Endpoint) State() *State { return &e.state }
+func (e *sender) State() *State { return &e.state }
 
 // Start begins transmission at the current simulation time.
 func (e *Endpoint) Start() {
@@ -208,27 +220,27 @@ func (e *Endpoint) Start() {
 		return
 	}
 	e.started = true
-	e.startedAt = e.sim.Now()
-	e.Goodput.Reset(e.sim.Now())
+	e.startedAt = e.sender.grp.sim.Now()
+	e.Goodput.Reset(e.startedAt)
 	e.trySend()
 }
 
 // Stop ceases sending new data; in-flight segments drain naturally.
 // Used by the varying-intensity experiments to retire flows.
-func (e *Endpoint) Stop() {
+func (e *sender) Stop() {
 	e.stopped = true
 	e.rtoTimer.Stop()
 	e.rtoTimer = sim.Timer{}
 }
 
 // Stopped reports whether the flow has been stopped.
-func (e *Endpoint) Stopped() bool { return e.stopped }
+func (e *sender) Stopped() bool { return e.stopped }
 
 // Completed reports whether a finite flow has delivered all its data.
-func (e *Endpoint) Completed() bool { return e.completed }
+func (e *sender) Completed() bool { return e.completed }
 
 // FCT returns a completed flow's completion time (0 if not completed).
-func (e *Endpoint) FCT() time.Duration {
+func (e *sender) FCT() time.Duration {
 	if !e.completed {
 		return 0
 	}
@@ -236,49 +248,32 @@ func (e *Endpoint) FCT() time.Duration {
 }
 
 // Retransmissions returns the retransmitted-segment count.
-func (e *Endpoint) Retransmissions() int { return e.retransmissions }
+func (e *sender) Retransmissions() int { return e.retransmissions }
 
 // CongestionEvents returns how many multiplicative decreases occurred.
-func (e *Endpoint) CongestionEvents() int { return e.congestionEvents }
+func (e *sender) CongestionEvents() int { return e.congestionEvents }
 
 // MarksSeen returns how many CE-marked segments the receiver observed.
-func (e *Endpoint) MarksSeen() int { return e.marksSeen }
+func (r *receiver) MarksSeen() int { return r.marksSeen }
 
 // CEAcked returns how many CE-marked segments the sender has seen covered by
 // accurate-ECN feedback (advancing ACKs with the CE bit, counted even during
 // recovery). For a Scalable flow with no loss, reordering or duplication it
 // must equal both MarksSeen and the AQM's per-flow mark count — the
 // conformance identity the ECN-sanity tests assert.
-func (e *Endpoint) CEAcked() int { return e.ceAcked }
+func (e *sender) CEAcked() int { return e.ceAcked }
 
 // RTOCount returns how many retransmission timeouts fired.
-func (e *Endpoint) RTOCount() int { return e.rtoCount }
+func (e *sender) RTOCount() int { return e.rtoCount }
 
-// ecnCodepoint returns the codepoint for outgoing data.
-func (e *Endpoint) ecnCodepoint() packet.ECN {
-	switch e.cfg.ECN {
-	case ECNClassic:
-		return packet.ECT0
-	case ECNScalable:
-		return packet.ECT1
-	default:
-		return packet.NotECT
-	}
+func (e *sender) window() float64 { return e.state.Cwnd + e.inflation }
+
+func (e *sender) hasData(seq int64) bool {
+	return !e.stopped && (e.grp.cfg.FlowSegs == 0 || seq < e.grp.cfg.FlowSegs)
 }
 
-// --- sender ---
-
-func (e *Endpoint) window() float64 { return e.state.Cwnd + e.inflation }
-
-func (e *Endpoint) hasData(seq int64) bool {
-	if e.stopped {
-		return false
-	}
-	return e.cfg.FlowSegs == 0 || seq < e.cfg.FlowSegs
-}
-
-func (e *Endpoint) trySend() {
-	if e.cfg.SACK {
+func (e *sender) trySend() {
+	if e.grp.cfg.SACK {
 		e.sackSend()
 		return
 	}
@@ -288,9 +283,9 @@ func (e *Endpoint) trySend() {
 	}
 }
 
-func (e *Endpoint) sendSeg(seq int64, retx bool) {
-	now := e.sim.Now()
-	p := e.pool.NewData(e.cfg.ID, seq, packet.MSS, e.ecnCodepoint())
+func (e *sender) sendSeg(seq int64, retx bool) {
+	now := e.grp.sim.Now()
+	p := e.grp.pool.NewData(e.id, seq, packet.MSS, e.ect)
 	p.SentAt = now
 	p.Retransmit = retx
 	if e.cwrPend && !retx {
@@ -301,7 +296,7 @@ func (e *Endpoint) sendSeg(seq int64, retx bool) {
 	if retx {
 		e.retransmissions++
 	}
-	e.enqueue(p)
+	e.grp.enqueue(p)
 	// Arm (but never restart) the retransmission timer: restarting on
 	// every transmission would let a steady stream of new data postpone
 	// the timeout indefinitely while the ACK point is stuck.
@@ -312,14 +307,14 @@ func (e *Endpoint) sendSeg(seq int64, retx bool) {
 
 // armRTO (re)starts the retransmission timer. Nearly every call finds the
 // timer pending (each advancing ACK restarts it), so it is re-armed in place.
-func (e *Endpoint) armRTO() {
-	at := e.sim.Now() + e.rtoInterval()
+func (e *sender) armRTO() {
+	at := e.grp.sim.Now() + e.rtoInterval()
 	if !e.rtoTimer.Reset(at) {
-		e.rtoTimer = e.sim.At(at, e.onRTOFn)
+		e.rtoTimer = e.grp.sim.At(at, e.onRTOFn)
 	}
 }
 
-func (e *Endpoint) rtoInterval() time.Duration {
+func (e *sender) rtoInterval() time.Duration {
 	var d time.Duration
 	if e.state.SRTT == 0 {
 		d = initialRTO
@@ -336,7 +331,7 @@ func (e *Endpoint) rtoInterval() time.Duration {
 	return d
 }
 
-func (e *Endpoint) onRTO() {
+func (e *sender) onRTO() {
 	// Clear before anything else: the timer is firing, so Active() would
 	// still report true for the executing slot, and sendSeg below must be
 	// free to re-arm.
@@ -344,7 +339,7 @@ func (e *Endpoint) onRTO() {
 	if e.sndNxt == e.sndUna || e.stopped {
 		return
 	}
-	now := e.sim.Now()
+	now := e.grp.sim.Now()
 	e.rtoCount++
 	e.cc.OnRTO(&e.state, now)
 	e.congestionEvents++
@@ -361,7 +356,7 @@ func (e *Endpoint) onRTO() {
 		e.rtoGuard = e.sndNxt
 	}
 	// Go-back-N: rewind and retransmit from the ACK point.
-	if e.cfg.SACK {
+	if e.grp.cfg.SACK {
 		e.sack.reset(&e.meta, e.sndUna)
 	}
 	e.sndNxt = e.sndUna
@@ -370,15 +365,15 @@ func (e *Endpoint) onRTO() {
 }
 
 // onAck processes an arriving cumulative acknowledgment.
-func (e *Endpoint) onAck(p *packet.Packet) {
+func (e *sender) onAck(p *packet.Packet) {
 	if e.stopped && e.sndNxt == e.sndUna {
 		return
 	}
-	now := e.sim.Now()
+	now := e.grp.sim.Now()
 
 	// Classic-ECN echo: react at most once per RTT, like a loss but with
 	// no retransmission; tell the receiver via CWR.
-	if p.Flags.Has(packet.FlagECE) && e.cfg.ECN == ECNClassic {
+	if p.Flags.Has(packet.FlagECE) && e.classicECE {
 		if p.Ack > e.cwrEnd && !e.state.InRecovery {
 			e.cc.OnCongestionEvent(&e.state, now)
 			e.congestionEvents++
@@ -394,7 +389,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 		// Scalable control wired with classic (or no) ECN must fall back
 		// to the once-per-RTT ECE reaction above, not double-react to the
 		// per-ACK CE bit the receiver happens to copy out.
-		ackedCE := p.AckedCE && e.cfg.ECN == ECNScalable
+		ackedCE := p.AckedCE && e.accurateCE
 		if ackedCE {
 			// Count CE-marked segments even during recovery (when the
 			// congestion control is not consulted): this is the sender's
@@ -403,7 +398,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 			e.ceAcked += acked
 		}
 		e.sampleRTT(p.Ack-1, now)
-		if e.cfg.SACK {
+		if e.grp.cfg.SACK {
 			e.sack.advance(&e.meta, e.sndUna, p.Ack)
 		}
 		e.meta.ackTo(p.Ack)
@@ -415,7 +410,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 		}
 		e.dupacks = 0
 		e.rtoBackoff = 0
-		if e.cfg.SACK {
+		if e.grp.cfg.SACK {
 			e.processSACK(p)
 		}
 		if e.state.InRecovery {
@@ -423,7 +418,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 				// Full ACK: leave recovery.
 				e.state.InRecovery = false
 				e.inflation = 0
-			} else if !e.cfg.SACK {
+			} else if !e.grp.cfg.SACK {
 				// NewReno partial ACK: retransmit the next hole,
 				// deflate. (SACK recovery retransmits from its
 				// scoreboard instead.)
@@ -445,7 +440,7 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 		e.checkComplete(now)
 
 	case p.Ack == e.sndUna && e.sndNxt > e.sndUna:
-		if e.cfg.SACK {
+		if e.grp.cfg.SACK {
 			// SACK mode: the scoreboard, not dupack counting,
 			// drives recovery and retransmission.
 			e.processSACK(p)
@@ -470,14 +465,14 @@ func (e *Endpoint) onAck(p *packet.Packet) {
 
 // enterRecovery starts a fast-recovery episode, NewReno's or SACK's: one
 // congestion event, lasting until the ACK point passes what was sent so far.
-func (e *Endpoint) enterRecovery(now time.Duration) {
+func (e *sender) enterRecovery(now time.Duration) {
 	e.state.InRecovery = true
 	e.recover = e.sndNxt
 	e.cc.OnCongestionEvent(&e.state, now)
 	e.congestionEvents++
 }
 
-func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
+func (e *sender) sampleRTT(seq int64, now time.Duration) {
 	m, ok := e.meta.get(seq)
 	if !ok || m.retx {
 		return // Karn's algorithm: never sample retransmitted segments
@@ -488,7 +483,7 @@ func (e *Endpoint) sampleRTT(seq int64, now time.Duration) {
 // observeRTT applies one RTT sample: the path minimum, HyStart's delay exit
 // and the RFC 6298 smoothing. Packet mode and the fast-forward stepper both
 // feed it.
-func (e *Endpoint) observeRTT(rtt time.Duration) {
+func (e *sender) observeRTT(rtt time.Duration) {
 	s := &e.state
 	if s.MinRTT == 0 || rtt < s.MinRTT {
 		s.MinRTT = rtt
@@ -515,142 +510,140 @@ func (e *Endpoint) observeRTT(rtt time.Duration) {
 	s.SRTT = (7*s.SRTT + rtt) / 8
 }
 
-func (e *Endpoint) checkComplete(now time.Duration) {
-	if e.completed || e.cfg.FlowSegs == 0 || e.sndUna < e.cfg.FlowSegs {
+func (e *sender) checkComplete(now time.Duration) {
+	if e.completed || e.grp.cfg.FlowSegs == 0 || e.sndUna < e.grp.cfg.FlowSegs {
 		return
 	}
 	e.completed = true
 	e.completedAt = now
 	e.rtoTimer.Stop()
 	e.rtoTimer = sim.Timer{}
-	if e.cfg.OnComplete != nil {
-		e.cfg.OnComplete(now)
+	if e.grp.cfg.OnComplete != nil {
+		e.grp.cfg.OnComplete(now)
 	}
 }
-
-// --- receiver ---
 
 // DeliverData is the link-side entry point: the bottleneck hands over a data
 // segment that finished serialization. The receiver acknowledges it —
 // immediately by default, or per the delayed/stretch-ACK policy when
 // Config.AckEvery > 1 — and the ACK arrives back at the sender after the
 // flow's base RTT.
-func (e *Endpoint) DeliverData(p *packet.Packet) {
-	e.receiveData(p)
+func (r *receiver) DeliverData(p *packet.Packet) {
+	r.receiveData(p)
 	// The receiver is the data packet's terminal owner: everything needed
 	// from it has been copied out, so the slot can be recycled.
-	e.pool.Release(p)
+	r.grp.pool.Release(p)
 }
 
-func (e *Endpoint) receiveData(p *packet.Packet) {
+func (r *receiver) receiveData(p *packet.Packet) {
 	ce := p.ECN == packet.CE
 	if ce {
-		e.marksSeen++
+		r.marksSeen++
 	}
-	switch e.cfg.ECN {
+	switch r.ecn {
 	case ECNClassic:
 		if ce {
-			e.eceLatch = true
+			r.eceLatch = true
 		}
 		if p.Flags.Has(packet.FlagCWR) {
-			e.eceLatch = false
+			r.eceLatch = false
 		}
 	case ECNScalable:
 		// DCTCP's delayed-ACK rule: a change in CE state flushes the
 		// pending ACK first, so every ACK reports a uniform CE state
 		// (accurate feedback survives aggregation).
-		if e.ackPending > 0 && ce != e.rcvLastCE {
-			e.sendAckNow(e.rcvLastCE)
+		if r.ackPending > 0 && ce != r.rcvLastCE {
+			r.sendAckNow(r.rcvLastCE)
 		}
 	}
 
-	inOrder := p.Seq == e.rcvNxt
+	inOrder := p.Seq == r.rcvNxt
 	switch {
 	case inOrder:
-		e.rcvNxt++
-		e.Goodput.Add(int(p.PayloadLen))
+		r.rcvNxt++
+		r.Goodput.Add(int(p.PayloadLen))
 		// Consume the now-in-order prefix, then compact by copying down:
 		// reslicing the front (oooSorted[1:]) would slide the capacity
 		// window forward and force insertOOO to reallocate on every
 		// recovery episode.
 		k := 0
-		for k < len(e.oooSorted) && e.oooSorted[k] == e.rcvNxt {
+		for k < len(r.oooSorted) && r.oooSorted[k] == r.rcvNxt {
 			k++
-			e.rcvNxt++
-			e.Goodput.Add(packet.MSS)
+			r.rcvNxt++
+			r.Goodput.Add(packet.MSS)
 		}
 		if k > 0 {
-			n := copy(e.oooSorted, e.oooSorted[k:])
-			e.oooSorted = e.oooSorted[:n]
+			n := copy(r.oooSorted, r.oooSorted[k:])
+			r.oooSorted = r.oooSorted[:n]
 		}
-	case p.Seq > e.rcvNxt:
-		e.insertOOO(p.Seq)
+	case p.Seq > r.rcvNxt:
+		r.insertOOO(p.Seq)
 	}
 
-	e.ackPending++
-	e.rcvLastCE = ce
-	e.rcvRecentSeq = p.Seq
-	if !inOrder || len(e.oooSorted) > 0 || e.ackPending >= e.cfg.AckEvery {
-		e.sendAckNow(ce)
+	r.ackPending++
+	r.rcvLastCE = ce
+	r.rcvRecentSeq = p.Seq
+	if !inOrder || len(r.oooSorted) > 0 || r.ackPending >= r.grp.cfg.AckEvery {
+		r.sendAckNow(ce)
 		return
 	}
-	if !e.delAck.Active() {
-		e.delAck = e.sim.After(delAckTimeout, e.delAckFireFn)
+	if !r.delAck.Active() {
+		r.delAck = r.grp.sim.After(delAckTimeout, r.delAckFireFn)
 	}
 }
 
 // delAckFire flushes a withheld ACK when the delayed-ACK timer expires.
-func (e *Endpoint) delAckFire() {
-	e.delAck = sim.Timer{}
-	if e.ackPending > 0 {
-		e.sendAckNow(e.rcvLastCE)
+func (r *receiver) delAckFire() {
+	r.delAck = sim.Timer{}
+	if r.ackPending > 0 {
+		r.sendAckNow(r.rcvLastCE)
 	}
 }
 
 // insertOOO adds seq to the sorted out-of-order list (idempotent).
-func (e *Endpoint) insertOOO(seq int64) {
-	lo, hi := 0, len(e.oooSorted)
+func (r *receiver) insertOOO(seq int64) {
+	lo, hi := 0, len(r.oooSorted)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if e.oooSorted[mid] < seq {
+		if r.oooSorted[mid] < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(e.oooSorted) && e.oooSorted[lo] == seq {
+	if lo < len(r.oooSorted) && r.oooSorted[lo] == seq {
 		return // duplicate arrival
 	}
-	if cap(e.oooSorted) == 0 {
-		e.oooSorted = e.grp.oooBuf(e)
+	if cap(r.oooSorted) == 0 {
+		r.oooSorted = r.grp.oooBuf(r)
 	}
-	e.oooSorted = append(e.oooSorted, 0)
-	copy(e.oooSorted[lo+1:], e.oooSorted[lo:])
-	e.oooSorted[lo] = seq
+	r.oooSorted = append(r.oooSorted, 0)
+	copy(r.oooSorted[lo+1:], r.oooSorted[lo:])
+	r.oooSorted[lo] = seq
 }
 
 // sendAckNow emits the cumulative ACK covering everything pending.
-func (e *Endpoint) sendAckNow(ce bool) {
-	e.delAck.Stop()
-	e.delAck = sim.Timer{}
-	e.ackPending = 0
-	ack := e.pool.NewAck(e.cfg.ID, e.rcvNxt)
+func (r *receiver) sendAckNow(ce bool) {
+	r.delAck.Stop()
+	r.delAck = sim.Timer{}
+	r.ackPending = 0
+	g := r.grp
+	ack := g.pool.NewAck(r.id, r.rcvNxt)
 	ack.AckedCE = ce
-	if e.eceLatch {
+	if r.eceLatch {
 		ack.Flags |= packet.FlagECE
 	}
-	if e.cfg.SACK && len(e.oooSorted) > 0 {
-		ack.SACK = sackBlocks(e.oooSorted, e.rcvRecentSeq)
+	if g.cfg.SACK && len(r.oooSorted) > 0 {
+		ack.SACK = sackBlocks(r.oooSorted, r.rcvRecentSeq)
 	}
 	// The reverse path is a constant delay, so the ACK rides the group's
 	// lane in its arrival event's slot, read back by the group's pre-bound
 	// callback instead of a closure per ACK.
-	g := e.grp
 	g.lane.AfterPacket(g.ackDelay, ack, g.arrive)
 }
 
 // String implements fmt.Stringer for diagnostics.
 func (e *Endpoint) String() string {
 	return fmt.Sprintf("flow %d (%s, %v): cwnd=%.1f una=%d nxt=%d",
-		e.cfg.ID, e.cc.Name(), e.cfg.ECN, e.state.Cwnd, e.sndUna, e.sndNxt)
+		e.sender.id, e.cc.Name(), e.ecn, e.state.Cwnd, e.sndUna, e.sndNxt)
 }

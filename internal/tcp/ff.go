@@ -47,22 +47,22 @@ func ffSupportedCC(cc CongestionControl) bool {
 // congestion control the analytic stepper supports. Fast recovery (with its
 // frozen out-of-order receiver state) and slow start are both tolerated —
 // see the package comment above.
-func (e *Endpoint) FFEligible() bool {
+func (e *sender) FFEligible() bool {
 	return e.started && !e.stopped && !e.completed &&
-		e.cfg.FlowSegs == 0 && !e.cfg.SACK &&
+		e.grp.cfg.FlowSegs == 0 && !e.grp.cfg.SACK &&
 		ffSupportedCC(e.cc)
 }
 
 // DataECN returns the ECN codepoint this flow's data segments carry — the
 // ff engine feeds it to the AQM's FFDecideN exactly as Enqueue would see it.
-func (e *Endpoint) DataECN() packet.ECN { return e.ecnCodepoint() }
+func (e *sender) DataECN() packet.ECN { return e.ect }
 
 // BaseRTT returns the flow's two-way propagation delay.
-func (e *Endpoint) BaseRTT() time.Duration { return e.cfg.BaseRTT }
+func (e *sender) BaseRTT() time.Duration { return e.grp.cfg.BaseRTT }
 
 // FFCwnd returns the congestion window in segments — the ff engine's
 // per-flow sending rate is Cwnd/RTT, the congestion-avoidance fluid model.
-func (e *Endpoint) FFCwnd() float64 { return e.state.Cwnd }
+func (e *sender) FFCwnd() float64 { return e.state.Cwnd }
 
 // FFShift translates the endpoint's absolute-time state by delta after the
 // simulator clock jumped over an epoch: per-segment send timestamps, so
@@ -70,7 +70,7 @@ func (e *Endpoint) FFCwnd() float64 { return e.state.Cwnd }
 // (RTO, delayed-ACK) shift with the simulator's event heap; counters and
 // rate-meter epochs deliberately do not (the epoch's virtual progress is
 // patched in via FFApplyStats).
-func (e *Endpoint) FFShift(delta time.Duration) {
+func (e *sender) FFShift(delta time.Duration) {
 	if delta > 0 {
 		e.meta.shift(delta)
 	}
@@ -80,7 +80,7 @@ func (e *Endpoint) FFShift(delta time.Duration) {
 // the Euler step Cwnd += chunk/Cwnd stays within fractions of a percent of
 // the per-ACK iteration it replaces (a full-window step overshoots ~1% per
 // window on the Reno curve).
-func (e *Endpoint) ffChunk(rem int) int {
+func (e *sender) ffChunk(rem int) int {
 	if e.state.Cwnd < 8 {
 		// int(Cwnd/4) ≤ 1: one ACK per step. The early return keeps the
 		// chunk off the window's float-to-int dependency chain, which
@@ -128,7 +128,7 @@ func (w *ffWindowTick) add(chunk int, cwnd float64, rtt time.Duration) bool {
 // trajectory matches packet mode's per-ACK iteration to within chunking
 // error. Classic controls ignore marked here: their once-per-RTT reaction
 // goes through FFSignal, mirroring the ECE/loss paths.
-func (e *Endpoint) FFAdvance(acked, marked int, rtt, now time.Duration) {
+func (e *sender) FFAdvance(acked, marked int, rtt, now time.Duration) {
 	if acked <= 0 {
 		return
 	}
@@ -166,7 +166,7 @@ func (e *Endpoint) FFAdvance(acked, marked int, rtt, now time.Duration) {
 
 // ffRenoAdvance steps acked acknowledgments through renoIncrease, the
 // increase rule Reno (its OnAck) and Scalable share.
-func (e *Endpoint) ffRenoAdvance(acked int, rtt time.Duration, tick *ffWindowTick) {
+func (e *sender) ffRenoAdvance(acked int, rtt time.Duration, tick *ffWindowTick) {
 	s := &e.state
 	for rem := acked; rem > 0; {
 		chunk := e.ffChunk(rem)
@@ -186,7 +186,7 @@ func (e *Endpoint) ffRenoAdvance(acked int, rtt time.Duration, tick *ffWindowTic
 // filled window survives entry and exit and the packet-mode cadence
 // resumes seamlessly. The window grows by Prague's increase when prague is
 // set, and by DCTCP's Reno increase otherwise.
-func (e *Endpoint) ffAlphaAdvance(acked, marked int, rtt time.Duration,
+func (e *sender) ffAlphaAdvance(acked, marked int, rtt time.Duration,
 	tick *ffWindowTick, w *ecnWindow, prague *Prague) {
 	s := &e.state
 	rem, remM := acked, marked
@@ -225,14 +225,14 @@ func (e *Endpoint) ffAlphaAdvance(acked, marked int, rtt time.Duration,
 // across the epoch boundary too. A flow in frozen recovery absorbs the
 // signal, exactly as packet mode ignores further signals during recovery.
 // It reports whether a reduction was applied.
-func (e *Endpoint) FFSignal(now time.Duration) bool {
+func (e *sender) FFSignal(now time.Duration) bool {
 	if e.state.InRecovery {
 		return false
 	}
 	e.cc.OnCongestionEvent(&e.state, now)
 	e.congestionEvents++
 	e.cwrEnd = e.sndNxt
-	if e.cfg.ECN == ECNClassic {
+	if e.classicECE {
 		e.cwrPend = true
 	}
 	return true
@@ -240,7 +240,7 @@ func (e *Endpoint) FFSignal(now time.Duration) bool {
 
 // FFInRecovery exposes the fast-recovery flag to the ff engine, which
 // schedules the virtual recovery exit below.
-func (e *Endpoint) FFInRecovery() bool { return e.state.InRecovery }
+func (e *sender) FFInRecovery() bool { return e.state.InRecovery }
 
 // FFExitRecovery mirrors the packet-mode full-ACK recovery exit
 // (endpoint.onAck): recovery really lasts about one round trip — the
@@ -251,7 +251,7 @@ func (e *Endpoint) FFInRecovery() bool { return e.state.InRecovery }
 // must not re-trigger recovery when packet mode resumes (the counter only
 // fires on exactly its third increment, and any cumulative advance resets
 // it for genuinely new losses).
-func (e *Endpoint) FFExitRecovery() {
+func (e *sender) FFExitRecovery() {
 	e.state.InRecovery = false
 	e.inflation = 0
 }
@@ -265,11 +265,10 @@ func (e *Endpoint) FFApplyStats(acked, marked int) {
 		return
 	}
 	e.Goodput.Add(acked * packet.MSS)
-	switch e.cfg.ECN {
-	case ECNScalable:
+	if e.ect != packet.NotECT {
 		e.marksSeen += marked
+	}
+	if e.accurateCE {
 		e.ceAcked += marked
-	case ECNClassic:
-		e.marksSeen += marked
 	}
 }

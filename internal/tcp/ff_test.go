@@ -287,11 +287,11 @@ func TestFFEligible(t *testing.T) {
 	}
 	e.oooSorted = nil
 
-	e.cfg.FlowSegs = 100
+	e.sender.grp.cfg.FlowSegs = 100
 	if e.FFEligible() {
 		t.Fatal("finite flows must be ineligible")
 	}
-	e.cfg.FlowSegs = 0
+	e.sender.grp.cfg.FlowSegs = 0
 
 	e.stopped = true
 	if e.FFEligible() {

@@ -8,22 +8,28 @@ import (
 	"pi2/internal/sim"
 )
 
-// A Group is a run of flows built together. They share a simulator, an
-// enqueuer and a base RTT, so their ACKs ride one lane, and their per-flow
-// state comes from a few per-group slabs: the endpoints, the congestion
-// controls that carry state, each flow's first sender ring and its first
-// out-of-order buffer. The ACK-arrival and data-delivery callbacks are bound
-// once per group and find their flow by FlowID; the RTO callback is the only
-// one bound per flow, because a timer event carries no argument to route by
-// (and so is the delayed-ACK callback, for the AckEvery > 1 flows that bind
-// it).
+// A Group is a run of flows built together. What they share (simulator,
+// enqueuer, packet pool, Config and so one ACK lane) is held once here, and
+// their per-flow state comes from a few per-group slabs: the senders (Flows),
+// the receivers, the stateful congestion controls, each flow's first sender
+// ring and its first out-of-order buffer. The ACK-arrival and data-delivery
+// callbacks are bound once per group and find their flow by FlowID; only the
+// RTO callback (and, for AckEvery > 1, the delayed-ACK one) is bound per
+// flow, because a timer event carries no argument to route by.
 type Group struct {
-	// Flows are the group's endpoints, flow i with ID first+i*step. The
+	// Flows are the group's endpoints, flow i with ID cfg.ID+i*step. The
 	// slice is never appended to, so &Flows[i] stays valid for the run.
 	Flows []Endpoint
+	// rcv holds the flows' receivers, rcv[i] being Flows[i]'s.
+	rcv []receiver
 
-	first, step int
-	pool        *packet.Pool
+	sim     *sim.Simulator
+	enqueue Enqueuer
+	pool    *packet.Pool
+	// cfg is what the group's flows share: every field but CC and ECN,
+	// with ID the first flow's and AckEvery at least 1.
+	cfg  Config
+	step int
 
 	// lane carries the group's in-flight ACKs (sent, not yet arrived at the
 	// sender), each in the ring slot of its arrival event. The reverse path
@@ -104,7 +110,9 @@ func newGroup(s *sim.Simulator, enqueue Enqueuer, cfg Config, n, step int, cc fu
 	if cfg.AckEvery <= 0 {
 		cfg.AckEvery = 1
 	}
-	g := &Group{Flows: make([]Endpoint, n), first: cfg.ID, step: step, pool: s.PacketPool()}
+	cfg.CC, cfg.ECN = nil, ECNOff
+	g := &Group{Flows: make([]Endpoint, n), rcv: make([]receiver, n),
+		sim: s, enqueue: enqueue, pool: s.PacketPool(), cfg: cfg, step: step}
 	if !cfg.SplitPropagation {
 		g.ackDelay = cfg.BaseRTT
 	}
@@ -118,49 +126,47 @@ func newGroup(s *sim.Simulator, enqueue Enqueuer, cfg Config, n, step int, cc fu
 	}
 	rings := make([]segMeta, n*slot)
 	for i := range g.Flows {
-		c := cfg
-		c.ID = cfg.ID + i*step
-		c.CC, c.ECN = cc(i)
-		g.Flows[i].init(s, enqueue, g, c, rings[i*slot:(i+1)*slot:(i+1)*slot])
+		c, mode := cc(i)
+		g.Flows[i].init(g, i, c, mode, rings[i*slot:(i+1)*slot:(i+1)*slot])
 	}
 	return g
 }
 
-// flow returns the group's endpoint for a flow id. It runs twice per
-// packet, so it skips the division where ids are consecutive.
-func (g *Group) flow(id int) *Endpoint {
-	i := id - g.first
+// index returns the slab index of a flow id. It runs twice per packet, so
+// it skips the division where ids are consecutive.
+func (g *Group) index(id int) int {
+	i := id - g.cfg.ID
 	if g.step > 1 {
 		i /= g.step
 	}
-	return &g.Flows[i]
+	return i
 }
 
 // DeliverData hands a data segment to its flow's receiver
 // (Endpoint.DeliverData): the one delivery callback a dispatcher needs for
 // every id in the group.
 func (g *Group) DeliverData(p *packet.Packet) {
-	e := g.flow(p.FlowID)
-	if e.cfg.ID != p.FlowID {
-		panic(fmt.Sprintf("tcp: flow %d is not in the group of flows %d+%d·i", p.FlowID, g.first, g.step))
+	r := &g.rcv[g.index(p.FlowID)]
+	if r.id != p.FlowID {
+		panic(fmt.Sprintf("tcp: flow %d is not in the group of flows %d+%d·i", p.FlowID, g.cfg.ID, g.step))
 	}
-	e.DeliverData(p)
+	r.DeliverData(p)
 }
 
 // ackArrive delivers the ACK its lane event carries to its sender and
 // recycles it.
 func (g *Group) ackArrive() {
 	p := g.lane.Packet()
-	g.flow(p.FlowID).onAck(p)
+	g.Flows[g.index(p.FlowID)].onAck(p)
 	g.pool.Release(p)
 }
 
-// oooBuf returns e's first out-of-order buffer: an empty slot of the group's
+// oooBuf returns r's first out-of-order buffer: an empty slot of the group's
 // slab, capped so that growing past it moves the buffer to the heap.
-func (g *Group) oooBuf(e *Endpoint) []int64 {
+func (g *Group) oooBuf(r *receiver) []int64 {
 	if g.ooo == nil {
 		g.ooo = make([]int64, len(g.Flows)*oooSlot)
 	}
-	i := (e.cfg.ID - g.first) / g.step * oooSlot
+	i := g.index(r.id) * oooSlot
 	return g.ooo[i : i : i+oooSlot]
 }

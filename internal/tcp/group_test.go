@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pi2/internal/core"
 	"pi2/internal/link"
@@ -17,13 +18,14 @@ import (
 // Cubic and a DCTCP flow in turn.
 var groupMix = []string{"reno", "cubic", "dctcp"}
 
-// groupCell runs n flows of groupMix through a PI2 bottleneck, flow i with
-// id cfg.ID+i*step and starting i ms in, built either as one group or as n
+// groupCell runs n flows of the control mix through a PI2 bottleneck under
+// the ECN-feedback arm feedback (NewCCFeedback), flow i with id
+// cfg.ID+i*step and starting i ms in, built either as one group or as n
 // groups of one (NewWithEnqueuer), and returns everything behavioural the
 // cell exposes: the event count, a hash of the delivery sequence (flow, seq,
 // time of every packet the link delivered), the link's counters and every
 // flow's state.
-func groupCell(t *testing.T, n, step int, cfg Config, oneGroup bool) string {
+func groupCell(t *testing.T, n, step int, cfg Config, feedback string, mix []string, oneGroup bool) string {
 	t.Helper()
 	s := sim.New(3)
 	d := link.NewDispatcher()
@@ -40,7 +42,7 @@ func groupCell(t *testing.T, n, step int, cfg Config, oneGroup bool) string {
 		AQM: core.New(core.Config{}, s.RNG())}, deliver)
 	var flows []*Endpoint
 	if oneGroup {
-		g, err := NewGroup(s, l.Enqueue, cfg, n, step, "", groupMix...)
+		g, err := NewGroup(s, l.Enqueue, cfg, n, step, feedback, mix...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +55,7 @@ func groupCell(t *testing.T, n, step int, cfg Config, oneGroup bool) string {
 		for i := 0; i < n; i++ {
 			c := cfg
 			c.ID = cfg.ID + i*step
-			cc, mode, err := NewCC(groupMix[i%len(groupMix)])
+			cc, mode, err := NewCCFeedback(mix[i%len(mix)], feedback)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,8 +72,8 @@ func groupCell(t *testing.T, n, step int, cfg Config, oneGroup bool) string {
 	out := fmt.Sprintf("events=%d deliveries=%x enq=%d marks=%d drops=%d backlog=%d",
 		s.Processed(), h.Sum64(), l.Enqueues(), l.Marks(), l.TotalDrops(), l.BacklogPackets())
 	for _, e := range flows {
-		out += fmt.Sprintf("\n%v srtt=%v rttvar=%v retx=%d cong=%d rto=%d ce=%d marks=%d goodput=%d done=%v",
-			e, e.state.SRTT, e.state.RTTVar, e.retransmissions, e.congestionEvents, e.rtoCount,
+		out += fmt.Sprintf("\n%v ect=%v srtt=%v rttvar=%v retx=%d cong=%d rto=%d ce=%d marks=%d goodput=%d done=%v",
+			e, e.DataECN(), e.state.SRTT, e.state.RTTVar, e.retransmissions, e.congestionEvents, e.rtoCount,
 			e.ceAcked, e.marksSeen, e.Goodput.Bytes(), e.completed)
 	}
 	return out
@@ -80,23 +82,30 @@ func groupCell(t *testing.T, n, step int, cfg Config, oneGroup bool) string {
 // TestGroupMatchesGroupsOfOne: a scenario built as one group behaves exactly
 // like the same flows built one by one: same events, same deliveries in the
 // same order, same per-flow state. The cell congests its buffer, so flows
-// outgrow their first ring and out-of-order slots and move to the heap.
+// outgrow their first ring and out-of-order slots and move to the heap. The
+// arm cases cross controls with the ECN feedback they would not pick
+// themselves, which a flow's halves take at construction.
 func TestGroupMatchesGroupsOfOne(t *testing.T) {
 	cases := []struct {
-		name string
-		n    int
-		step int
-		cfg  Config
+		name     string
+		n        int
+		step     int
+		cfg      Config
+		feedback string
+		mix      []string
 	}{
-		{"bulk", 6, 1, Config{ID: 1, BaseRTT: 40 * time.Millisecond}},
-		{"sack-step3", 6, 3, Config{ID: 2, BaseRTT: 30 * time.Millisecond, SACK: true}},
-		{"delack-finite", 9, 1, Config{ID: 5, BaseRTT: 20 * time.Millisecond, AckEvery: 2, FlowSegs: 3000}},
-		{"finite-small", 9, 2, Config{ID: 1, BaseRTT: 10 * time.Millisecond, FlowSegs: 5}},
+		{"bulk", 6, 1, Config{ID: 1, BaseRTT: 40 * time.Millisecond}, "", groupMix},
+		{"sack-step3", 6, 3, Config{ID: 2, BaseRTT: 30 * time.Millisecond, SACK: true}, "", groupMix},
+		{"delack-finite", 9, 1, Config{ID: 5, BaseRTT: 20 * time.Millisecond, AckEvery: 2, FlowSegs: 3000}, "", groupMix},
+		{"finite-small", 9, 2, Config{ID: 1, BaseRTT: 10 * time.Millisecond, FlowSegs: 5}, "", groupMix},
+		{"classic-arm-scalable", 6, 1, Config{ID: 1, BaseRTT: 40 * time.Millisecond, AckEvery: 2}, "classic", []string{"dctcp", "prague"}},
+		{"accurate-arm-classic", 6, 2, Config{ID: 3, BaseRTT: 30 * time.Millisecond}, "accurate", []string{"reno", "cubic"}},
+		{"ecn-cubic-scalable", 6, 1, Config{ID: 1, BaseRTT: 20 * time.Millisecond, AckEvery: 2}, "", []string{"ecn-cubic", "scalable"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			one := groupCell(t, tc.n, tc.step, tc.cfg, false)
-			grouped := groupCell(t, tc.n, tc.step, tc.cfg, true)
+			one := groupCell(t, tc.n, tc.step, tc.cfg, tc.feedback, tc.mix, false)
+			grouped := groupCell(t, tc.n, tc.step, tc.cfg, tc.feedback, tc.mix, true)
 			if one != grouped {
 				t.Fatalf("groups of one:\n%s\none group:\n%s", one, grouped)
 			}
@@ -185,8 +194,27 @@ func TestNewGroupRejectsBadNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []string{"dctcp", "prague", "dctcp"} {
-		if e := &g.Flows[i]; e.CCName() != want || e.cfg.ECN != ECNClassic {
-			t.Errorf("flow %d: %s/%v, want %s/classic-ecn", i, e.CCName(), e.cfg.ECN, want)
+		if e := &g.Flows[i]; e.CCName() != want || e.ecn != ECNClassic {
+			t.Errorf("flow %d: %s/%v, want %s/classic-ecn", i, e.CCName(), e.ecn, want)
+		}
+	}
+}
+
+// TestFlowFootprint: a flow's halves stay within the sizes measured when
+// they were split (64-bit): the sender, which every ACK reads, and the
+// receiver, which every delivered segment reads, two cache lines. Growing
+// either is a deliberate edit of its budget here.
+func TestFlowFootprint(t *testing.T) {
+	for _, c := range []struct {
+		half         string
+		size, budget uintptr
+	}{
+		{"sender", unsafe.Sizeof(sender{}), 320},
+		{"receiver", unsafe.Sizeof(receiver{}), 128},
+		{"Endpoint (sender and receiver pointer)", unsafe.Sizeof(Endpoint{}), 328},
+	} {
+		if c.size > c.budget {
+			t.Errorf("%s is %d B, budget %d B", c.half, c.size, c.budget)
 		}
 	}
 }

@@ -169,17 +169,17 @@ func sackBlocks(sorted []int64, recentSeq int64) *packet.SACKBlocks {
 
 // processSACK ingests the blocks on an arriving ACK and enters recovery once
 // the scoreboard holds a loss not yet retransmitted.
-func (e *Endpoint) processSACK(p *packet.Packet) {
+func (e *sender) processSACK(p *packet.Packet) {
 	e.sack.record(&e.meta, p.SACK.Ranges(), e.sndUna)
 	e.sack.inferLosses(&e.meta, e.sndUna)
 	if !e.state.InRecovery && e.sack.cntLostUnretx > 0 && e.sndUna >= e.rtoGuard {
-		e.enterRecovery(e.sim.Now())
+		e.enterRecovery(e.grp.sim.Now())
 	}
 }
 
 // sackSend keeps the pipe full during SACK operation: retransmissions of
 // inferred losses take priority over new data.
-func (e *Endpoint) sackSend() {
+func (e *sender) sackSend() {
 	for e.sack.pipe(e.sndUna, e.sndNxt) < int(e.state.Cwnd) {
 		if seq, ok := e.sack.nextRetx(&e.meta, e.sndUna); ok {
 			e.sendSeg(seq, true)

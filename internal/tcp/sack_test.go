@@ -236,7 +236,7 @@ func TestDelayedAckReducesAckLoad(t *testing.T) {
 	count := func(ackEvery int) int {
 		s, ep, _ := harness(t, nil, Config{CC: Reno{}, AckEvery: ackEvery, FlowSegs: 200})
 		acks := 0
-		ep.grp.arrive = func() { acks++; ep.grp.ackArrive() }
+		ep.sender.grp.arrive = func() { acks++; ep.sender.grp.ackArrive() }
 		ep.Start()
 		s.RunUntil(5 * time.Second)
 		if !ep.Completed() {
