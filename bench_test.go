@@ -736,7 +736,7 @@ func BenchmarkManyFlows(b *testing.B) {
 // flows in turn, registering it with a dispatcher and starting every flow
 // (its IW10 burst goes to a sink that recycles the packets). One op is one
 // whole set-up on a fresh simulator; BENCH_hotpath.json budgets its allocs
-// (one RTO callback per flow plus a constant per group) and bytes.
+// (a constant per group, none per flow) and bytes.
 func BenchmarkFlowSetUp(b *testing.B) {
 	const flows = 5000
 	b.ReportAllocs()
@@ -755,6 +755,36 @@ func BenchmarkFlowSetUp(b *testing.B) {
 			d.Register(g.Flows[j].ID(), deliver)
 			g.Flows[j].Start()
 		}
+	}
+}
+
+// BenchmarkWebFlowLaunch measures what one short flow costs to set up, as
+// traffic.StartWeb launches each: a group of one Reno flow with its
+// completion callback, registered with a dispatcher and started (its first
+// window goes to a sink that recycles the packets). One op is one launch on
+// a shared simulator; BENCH_hotpath.json budgets its allocs (the group in one
+// allocation, its ACK callback, the delivery callback and the completion
+// closure) and bytes.
+func BenchmarkWebFlowLaunch(b *testing.B) {
+	s := sim.New(1)
+	pool := s.PacketPool()
+	sink := func(p *packet.Packet) { pool.Release(p) }
+	d := link.NewDispatcher()
+	d.Reserve(b.N + 1)
+	b.ReportAllocs()
+	for i := 1; i <= b.N; i++ {
+		id := i
+		g, err := tcp.NewGroup(s, sink, tcp.Config{
+			ID:         id,
+			BaseRTT:    20 * time.Millisecond,
+			FlowSegs:   12,
+			OnComplete: func(time.Duration) { d.Unregister(id) },
+		}, 1, 1, "", "reno")
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Register(id, g.DeliverData)
+		g.Flows[0].Start()
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pi2/internal/sim"
 )
 
 // fakeSim stands in for *sim.Simulator in watchdog tests: a Canceler whose
@@ -139,6 +141,49 @@ func TestWatchdogStallDetection(t *testing.T) {
 	}
 	if rec.Attempts != 1 {
 		t.Errorf("attempts %d", rec.Attempts)
+	}
+}
+
+// TestWatchdogStallOnRealSimulator: a real simulator publishes its clock
+// to NowNanos once every few hundred events, not on every one. One stuck at
+// a single instant (an event rescheduling itself at Now forever) still reads
+// as stalled and is cancelled, while one whose clock advances a nanosecond
+// per event for longer than the stall window is left to finish.
+func TestWatchdogStallOnRealSimulator(t *testing.T) {
+	const busy = 300 * time.Millisecond
+	tasks := []Task{
+		{Name: "stuck", Run: func(tc *TaskCtx) any {
+			s := sim.New(1)
+			tc.Watch(s)
+			var spin sim.Event
+			spin = func() { s.At(s.Now(), spin) }
+			s.At(5*time.Millisecond, spin)
+			s.RunUntil(time.Hour)
+			return "finished"
+		}},
+		{Name: "advancing", SeedIndex: 1, Run: func(tc *TaskCtx) any {
+			s := sim.New(1)
+			tc.Watch(s)
+			start := time.Now()
+			var tick sim.Timer
+			tick = s.Every(time.Nanosecond, func() {
+				if time.Since(start) > busy {
+					tick.Stop()
+				}
+			})
+			s.Run()
+			return "finished"
+		}},
+	}
+	recs := Execute(tasks, ExecOptions{
+		Jobs: 1, BaseSeed: 1,
+		Watchdog: Watchdog{Stall: busy / 3, Poll: 5 * time.Millisecond},
+	})
+	if rec := recs[0]; !rec.TimedOut || !strings.Contains(rec.Err, "stall") {
+		t.Errorf("simulator stuck at one instant not flagged as stalled: %+v", rec)
+	}
+	if rec := recs[1]; rec.TimedOut || rec.Result != "finished" {
+		t.Errorf("advancing simulator flagged: %+v", rec)
 	}
 }
 

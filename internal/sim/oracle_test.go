@@ -20,6 +20,12 @@ import (
 // byte strings so the same encoding feeds the seeded table test and the fuzz
 // target.
 //
+// A routed event (AtRoute) is a plain event in the reference too, one that
+// remembers its route and argument: both worlds hand (route, argument) to the
+// same fire hook, so an event routed to the wrong Router or with the wrong
+// argument diverges there. Scripts also close and reopen routes, which the
+// real scheduler refuses while the route has an event pending.
+//
 // Lanes do not change the reference's fire order: a Lane.At is a plain At
 // there. That is the contract — a lane changes where an event waits, never
 // when it fires. The reference models only which lane an event joined, which
@@ -51,6 +57,16 @@ type world interface {
 	// readPacket reads the token of the packet lane l's running event
 	// carries (-1 for none); ok is false when lane l has no running event.
 	readPacket(l int) (tok int64, ok bool)
+	// atRoute schedules at t an event routed on route k (0..oracleRoutes-1)
+	// with argument arg: when it fires, the world calls its fire hook with
+	// (k, arg).
+	atRoute(t time.Duration, k int, arg int32) int
+	// reroute closes route k and opens a new one in its place, reporting
+	// whether it could: a route with an event pending (one running
+	// included) cannot close.
+	reroute(k int) bool
+	// setFire installs the hook routed events call.
+	setFire(fn func(k int, arg int32))
 }
 
 // --- the real scheduler ---
@@ -59,7 +75,10 @@ type realWorld struct {
 	t      *testing.T
 	s      *Simulator
 	timers []Timer
+	routed []bool // routed[h]: handle h is a routed event's
 	lanes  []*Lane
+	routes [oracleRoutes]Route
+	fire   func(k int, arg int32)
 	// stepping is set around Step/RunUntil: a check made meanwhile comes from
 	// inside a callback, which is when the scheduler must report busy.
 	stepping bool
@@ -76,8 +95,19 @@ func newRealWorld(t *testing.T, s *Simulator, n int) *realWorld {
 			t.Fatalf("Lane(%v) returned two different lanes", laneDelay(l))
 		}
 	}
+	for k := range w.routes {
+		w.routes[k] = s.NewRoute(&hook{w, k})
+	}
 	return w
 }
+
+// hook is route k's Router: it hands its events to the world's fire hook.
+type hook struct {
+	w *realWorld
+	k int
+}
+
+func (h *hook) Fire(arg int32) { h.w.fire(h.k, arg) }
 
 func (w *realWorld) timer(h int) Timer {
 	if h < 0 {
@@ -88,7 +118,26 @@ func (w *realWorld) timer(h int) Timer {
 
 func (w *realWorld) keep(tm Timer) int {
 	w.timers = append(w.timers, tm)
+	w.routed = append(w.routed, false)
 	return len(w.timers) - 1
+}
+
+func (w *realWorld) setFire(fn func(k int, arg int32)) { w.fire = fn }
+
+func (w *realWorld) atRoute(t time.Duration, k int, arg int32) int {
+	h := w.keep(w.s.AtRoute(t, w.routes[k], arg))
+	w.routed[h] = true
+	w.check()
+	return h
+}
+
+func (w *realWorld) reroute(k int) bool {
+	if panicsWith(w.t, "pending", func() { w.s.CloseRoute(w.routes[k]) }) {
+		return false
+	}
+	w.routes[k] = w.s.NewRoute(&hook{w, k})
+	w.check()
+	return true
 }
 
 func (w *realWorld) now() time.Duration                    { return w.s.Now() }
@@ -209,6 +258,7 @@ func checkHeap(t *testing.T, s *Simulator) {
 	}
 
 	heapRunning := s.busy && s.firing == nil
+	routed := make([]int32, len(s.routes)) // events in the heap per route
 	if len(s.slab) != len(s.heap)+len(s.free) {
 		t.Fatalf("slab holds %d slots: %d in the heap, %d free", len(s.slab), len(s.heap), len(s.free))
 	}
@@ -216,17 +266,30 @@ func checkHeap(t *testing.T, s *Simulator) {
 		e := &s.heap[i]
 		sl := &s.slab[e.idx]
 		if i == 0 && heapRunning {
-			if sl.pos != noPos {
+			if sl.pos != noPos && sl.pos != stoppedPos {
 				t.Fatalf("running root's slot has position %d", sl.pos)
 			}
 		} else if int(sl.pos) != i {
 			t.Fatalf("heap[%d] is slot %d, whose pos is %d", i, e.idx, sl.pos)
 		}
-		if sl.fn == nil {
-			t.Fatalf("heap[%d] points at a released slot", i)
+		if (sl.fn == nil) == (sl.route == 0) {
+			t.Fatalf("heap[%d] points at a released slot, or one with both a closure and a route", i)
+		}
+		if sl.route != 0 {
+			routed[sl.route]++
 		}
 		if i > 0 && e.before(&s.heap[(i-1)/4]) {
 			t.Fatalf("heap[%d] orders before its parent", i)
+		}
+	}
+	for r := range s.routes {
+		if rt := &s.routes[r]; rt.pending != routed[r] || (rt.r == nil && rt.pending != 0) {
+			t.Fatalf("route %d (open %v) counts %d pending events, the heap holds %d", r, rt.r != nil, rt.pending, routed[r])
+		}
+	}
+	for _, r := range s.freeRoutes {
+		if s.routes[r].r != nil {
+			t.Fatalf("free route %d still holds its Router", r)
 		}
 	}
 
@@ -265,6 +328,8 @@ type refEvent struct {
 	every time.Duration
 	lane  int   // the lane whose ring it joined; -1 for the event heap
 	tok   int64 // the token of the packet it carries; -1 for none
+	route int   // the route it runs through; -1 for none (it runs fn)
+	arg   int32 // the argument it hands its route
 	fn    func()
 }
 
@@ -277,6 +342,7 @@ type refWorld struct {
 	running int      // id of the event whose callback is on the stack, or -1
 	runDead bool     // that event was stopped from inside its callback
 	run     refEvent // that event
+	fire    func(k int, arg int32)
 }
 
 func (w *refWorld) insert(e refEvent) {
@@ -303,8 +369,29 @@ func (w *refWorld) find(h int) int {
 func (w *refWorld) schedule(t, iv time.Duration, lane int, tok int64, fn func()) int {
 	id := w.nextID
 	w.nextID++
-	w.insert(refEvent{at: t, id: id, every: iv, lane: lane, tok: tok, fn: fn})
+	w.insert(refEvent{at: t, id: id, every: iv, lane: lane, tok: tok, route: -1, fn: fn})
 	return id
+}
+
+func (w *refWorld) setFire(fn func(k int, arg int32)) { w.fire = fn }
+
+func (w *refWorld) atRoute(t time.Duration, k int, arg int32) int {
+	id := w.nextID
+	w.nextID++
+	w.insert(refEvent{at: t, id: id, lane: -1, tok: -1, route: k, arg: arg})
+	return id
+}
+
+func (w *refWorld) reroute(k int) bool {
+	if w.running >= 0 && w.run.route == k {
+		return false
+	}
+	for i := range w.queue {
+		if w.queue[i].route == k {
+			return false
+		}
+	}
+	return true
 }
 
 func (w *refWorld) now() time.Duration                   { return w.clock }
@@ -388,7 +475,11 @@ func (w *refWorld) step() bool {
 	w.clock = e.at
 	w.done++
 	w.running, w.runDead, w.run = e.id, false, e
-	e.fn()
+	if e.route >= 0 {
+		w.fire(e.route, e.arg)
+	} else {
+		e.fn()
+	}
 	if e.every > 0 && !w.runDead {
 		e.at = w.clock + e.every
 		w.insert(e)
@@ -421,6 +512,7 @@ const (
 	oracleManyLanes = 80  // lanes of a script whose last byte is >= 0xc0
 	oracleMaxOps    = 400 // top-level operations per script
 	oracleMaxFires  = 3000
+	oracleRoutes    = 2 // routes a script schedules on
 )
 
 // scriptLanes is how many lanes a script runs on. The last byte picks it, so
@@ -441,6 +533,9 @@ type interp struct {
 	events int
 	fires  int
 	trace  []int64
+	// routed holds each routed event's closure, its index being the
+	// argument the event carries.
+	routed []func()
 }
 
 func (in *interp) next() int {
@@ -500,6 +595,24 @@ func (in *interp) carry(l int, d time.Duration) {
 	in.log(-3, tok, b2i(refused))
 }
 
+// atRoute schedules a routed event at t on route k into handle register
+// slot: its argument indexes the closure built for it, which the fire hook
+// runs. The closure's Stop and Reset address the event's own register, so
+// routed events often stop or move themselves.
+func (in *interp) atRoute(t time.Duration, k, slot int) {
+	arg := int32(len(in.routed))
+	in.routed = append(in.routed, nil)
+	in.routed[arg] = in.callbackOn(slot)
+	in.slots[slot] = in.w.atRoute(t, k, arg)
+}
+
+// fire is the hook routed events call: it logs the route and argument it was
+// handed, then runs the event's closure.
+func (in *interp) fire(k int, arg int32) {
+	in.log(-5, int64(k), int64(arg))
+	in.routed[arg]()
+}
+
 // read logs an attempt to read lane l's packet.
 func (in *interp) read(l int) {
 	got, ok := in.w.readPacket(l)
@@ -509,13 +622,21 @@ func (in *interp) read(l int) {
 // callback builds an event's closure. What it does when it fires — nothing,
 // Stop or Reset a handle (possibly its own), schedule a child on the heap or
 // on a lane (its own, if it is a lane event of that lane), with or without a
-// packet, or read a lane's packet — is fixed from the script at scheduling
-// time, so both worlds run the same program.
-func (in *interp) callback() func() {
+// packet, read a lane's packet, schedule a routed event, or close and reopen
+// a route (its own, if it is routed) — is fixed from the script at
+// scheduling time, so both worlds run the same program.
+func (in *interp) callback() func() { return in.callbackOn(-1) }
+
+// callbackOn is callback with its handle register fixed to own, unless own
+// is -1.
+func (in *interp) callbackOn(own int) func() {
 	id := in.events
 	in.events++
-	kind, raw, arg := in.next()%12, in.next(), in.next()
-	slot, l := raw%oracleSlots, raw%in.lanes
+	kind, raw, arg := in.next()%14, in.next(), in.next()
+	slot, l, k := raw%oracleSlots, raw%in.lanes, raw%oracleRoutes
+	if own >= 0 {
+		slot = own
+	}
 	return func() {
 		in.fires++
 		in.log(-1, int64(id), int64(in.w.now()), int64(in.w.pending()))
@@ -544,6 +665,10 @@ func (in *interp) callback() func() {
 			in.carry(l, delay(arg))
 		case 11:
 			in.read(l)
+		case 12:
+			in.atRoute(in.w.now()+delay(arg), k, slot)
+		case 13:
+			in.log(b2i(in.w.reroute(k)))
 		}
 		in.log(b2i(in.w.active(h)))
 	}
@@ -551,12 +676,13 @@ func (in *interp) callback() func() {
 
 func (in *interp) run() []int64 {
 	in.lanes = scriptLanes(in.script)
+	in.w.setFire(in.fire)
 	for i := range in.slots {
 		in.slots[i] = -1
 	}
 	for op := 0; op < oracleMaxOps && in.pc < len(in.script) && in.fires < oracleMaxFires; op++ {
-		code, raw := in.next()%17, in.next()
-		slot, l := raw%oracleSlots, raw%in.lanes
+		code, raw := in.next()%19, in.next()
+		slot, l, k := raw%oracleSlots, raw%in.lanes, raw%oracleRoutes
 		switch code {
 		case 0:
 			in.slots[slot] = in.w.at(in.w.now()+delay(in.next()), in.callback())
@@ -588,6 +714,10 @@ func (in *interp) run() []int64 {
 			in.carry(l, delay(in.next()))
 		case 16:
 			in.read(l)
+		case 17:
+			in.atRoute(in.w.now()+delay(in.next()), k, slot)
+		case 18:
+			in.log(b2i(in.w.reroute(k)))
 		}
 		in.log(int64(code), int64(in.w.now()), int64(in.w.pending()), int64(in.w.processed()),
 			b2i(in.w.active(in.slots[slot])))
@@ -634,7 +764,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 
 // TestOracleScriptsExerciseEveryPath guards the oracle itself: over the
 // table, scripts must actually hit in-place re-arms (both directions),
-// mid-heap unlinks, self-stops and stale-handle no-ops, and every lane path —
+// mid-heap unlinks, self-stops and stale-handle no-ops, every routed-event
+// path — a routed event fired, re-armed, stopped pending, stopped from its own
+// callback and addressed through a stale handle, and a route closed and
+// reopened or refused with events pending — and every lane path —
 // joining a ring behind its head, the out-of-order fallback, a lane event
 // pushing onto its own lane and onto another, a lane draining at the
 // lane-head root, a lane head and a timer tied on at (seq decides), a shift
@@ -643,7 +776,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 // nothing.
 func TestOracleScriptsExerciseEveryPath(t *testing.T) {
 	var resetOK, resetNo, fires int64
-	var lanes laneCounts
+	var paths pathCounts
 	for seed := int64(0); seed < 200; seed++ {
 		script := oracleScript(seed)
 		w := &countingWorld{refWorld: refWorld{running: -1}}
@@ -652,22 +785,27 @@ func TestOracleScriptsExerciseEveryPath(t *testing.T) {
 		resetNo += w.resetNo
 		fires += int64(w.done)
 		n := scriptLanes(script)
-		lw := &laneCountingWorld{realWorld: newRealWorld(t, New(1), n), n: &lanes}
+		lw := &pathCountingWorld{realWorld: newRealWorld(t, New(1), n), n: &paths}
 		(&interp{w: lw, script: script}).run()
 		if n >= 64 {
-			lanes.manyLanePrograms++
+			paths.manyLanePrograms++
 		}
 	}
 	if resetOK < 500 || resetNo < 500 || fires < 5000 {
 		t.Fatalf("oracle scripts too tame: %d resets moved a timer, %d were no-ops, %d events fired",
 			resetOK, resetNo, fires)
 	}
-	t.Logf("lane paths: %+v", lanes)
-	if lanes.joined < 500 || lanes.fellBack < 200 || lanes.ontoSelf < 50 || lanes.ontoOther < 50 ||
-		lanes.drainedAtRoot < 200 || lanes.shiftedQueued < 200 || lanes.deepest < 8 ||
-		lanes.tiedWithTimer < 50 || lanes.roundTrips < 200 || lanes.refusedPush < 50 ||
-		lanes.refusedRead < 50 || lanes.manyLanePrograms < 20 || lanes.mostHeads < 16 {
-		t.Fatalf("oracle scripts too tame for lanes: %+v", lanes)
+	t.Logf("paths: %+v", paths)
+	if paths.joined < 500 || paths.fellBack < 200 || paths.ontoSelf < 50 || paths.ontoOther < 50 ||
+		paths.drainedAtRoot < 200 || paths.shiftedQueued < 200 || paths.deepest < 8 ||
+		paths.tiedWithTimer < 50 || paths.roundTrips < 200 || paths.refusedPush < 50 ||
+		paths.refusedRead < 50 || paths.manyLanePrograms < 20 || paths.mostHeads < 16 {
+		t.Fatalf("oracle scripts too tame for lanes: %+v", paths)
+	}
+	if paths.routedFired < 5000 || paths.routedReset < 30 || paths.routedStopped < 80 ||
+		paths.routedSelfStop < 20 || paths.routedStale < 10000 || paths.rerouted < 9000 ||
+		paths.rerouteRefused < 1000 {
+		t.Fatalf("oracle scripts too tame for routed events: %+v", paths)
 	}
 }
 
@@ -686,8 +824,9 @@ func (w *countingWorld) reset(h int, t time.Duration) bool {
 	return ok
 }
 
-// laneCounts is how often a batch of scripts took each lane path.
-type laneCounts struct {
+// pathCounts is how often a batch of scripts took each lane and routed-event
+// path.
+type pathCounts struct {
 	joined           int // queued behind a non-empty lane's head
 	fellBack         int // below the lane's tail: went to the event heap
 	ontoSelf         int // a lane event pushed onto its own lane
@@ -701,16 +840,23 @@ type laneCounts struct {
 	manyLanePrograms int // scripts run on at least 64 lanes
 	mostHeads        int // most lanes non-empty at once
 	deepest          int // longest ring seen
+	routedFired      int // a routed event fired
+	routedReset      int // a pending routed event was re-armed in place
+	routedStopped    int // a pending routed event was stopped
+	routedSelfStop   int // a routed event stopped itself from its own callback
+	routedStale      int // Stop or Reset on a routed event's handle after it fired or was stopped
+	rerouted         int // a route with nothing pending closed and reopened
+	rerouteRefused   int // a route with an event pending refused to close
 }
 
-// laneCountingWorld classifies lane operations by looking at the real
-// scheduler's state just before each one.
-type laneCountingWorld struct {
+// pathCountingWorld classifies lane and routed-event operations by looking at
+// the real scheduler's state just before each one.
+type pathCountingWorld struct {
 	*realWorld
-	n *laneCounts
+	n *pathCounts
 }
 
-func (w *laneCountingWorld) classify(l int, t time.Duration) {
+func (w *pathCountingWorld) classify(l int, t time.Duration) {
 	ln, s := w.lanes[l], w.s
 	switch q := ln.Len(); {
 	case q > 0 && t < ln.ring[(ln.tail-1)&ln.mask].at:
@@ -725,22 +871,22 @@ func (w *laneCountingWorld) classify(l int, t time.Duration) {
 	}
 }
 
-func (w *laneCountingWorld) counted(l int) {
+func (w *pathCountingWorld) counted(l int) {
 	w.n.deepest = max(w.n.deepest, w.lanes[l].Len())
 	w.n.mostHeads = max(w.n.mostHeads, len(w.s.heads))
 }
 
-func (w *laneCountingWorld) laneAt(l int, t time.Duration, fn func()) {
+func (w *pathCountingWorld) laneAt(l int, t time.Duration, fn func()) {
 	w.classify(l, t)
 	w.realWorld.laneAt(l, t, fn)
 	w.counted(l)
 }
 
-func (w *laneCountingWorld) laneAfter(l int, d time.Duration, fn func()) {
+func (w *pathCountingWorld) laneAfter(l int, d time.Duration, fn func()) {
 	w.laneAt(l, w.s.Now()+d, fn)
 }
 
-func (w *laneCountingWorld) lanePacket(l int, d time.Duration, tok int64, fn func()) bool {
+func (w *pathCountingWorld) lanePacket(l int, d time.Duration, tok int64, fn func()) bool {
 	w.classify(l, w.s.Now()+d)
 	refused := w.realWorld.lanePacket(l, d, tok, fn)
 	if refused {
@@ -750,7 +896,7 @@ func (w *laneCountingWorld) lanePacket(l int, d time.Duration, tok int64, fn fun
 	return refused
 }
 
-func (w *laneCountingWorld) readPacket(l int) (int64, bool) {
+func (w *pathCountingWorld) readPacket(l int) (int64, bool) {
 	tok, ok := w.realWorld.readPacket(l)
 	switch {
 	case !ok:
@@ -761,8 +907,63 @@ func (w *laneCountingWorld) readPacket(l int) (int64, bool) {
 	return tok, ok
 }
 
-func (w *laneCountingWorld) step() bool {
+// routedHandle classifies an operation on handle h: whether it is a routed
+// event's, and whether that event is pending in the heap, running, or gone
+// (its handle stale).
+func (w *pathCountingWorld) routedHandle(h int) (routed, pending, running, stale bool) {
+	if h < 0 || !w.routed[h] {
+		return false, false, false, false
+	}
+	tm, s := w.timers[h], w.s
+	sl := &s.slab[tm.idx]
+	if sl.gen != tm.gen {
+		return true, false, false, true
+	}
+	running = s.busy && s.firing == nil && s.heap[0].idx == tm.idx
+	return true, !running, running, false
+}
+
+func (w *pathCountingWorld) stop(h int) {
+	if routed, pending, running, stale := w.routedHandle(h); routed {
+		switch {
+		case pending:
+			w.n.routedStopped++
+		case running:
+			w.n.routedSelfStop++
+		case stale:
+			w.n.routedStale++
+		}
+	}
+	w.realWorld.stop(h)
+}
+
+func (w *pathCountingWorld) reset(h int, t time.Duration) bool {
+	routed, _, _, stale := w.routedHandle(h)
+	ok := w.realWorld.reset(h, t)
+	switch {
+	case routed && ok:
+		w.n.routedReset++
+	case stale:
+		w.n.routedStale++
+	}
+	return ok
+}
+
+func (w *pathCountingWorld) reroute(k int) bool {
+	ok := w.realWorld.reroute(k)
+	if ok {
+		w.n.rerouted++
+	} else {
+		w.n.rerouteRefused++
+	}
+	return ok
+}
+
+func (w *pathCountingWorld) step() bool {
 	s := w.s
+	if len(s.heap) > 0 && (len(s.heads) == 0 || s.heap[0].before(&s.heads[0])) && s.slab[s.heap[0].idx].route != 0 {
+		w.n.routedFired++
+	}
 	var last *Lane
 	if len(s.heads) > 0 {
 		if len(s.heap) > 0 && s.heads[0].at == s.heap[0].at {
@@ -779,7 +980,7 @@ func (w *laneCountingWorld) step() bool {
 	return ok
 }
 
-func (w *laneCountingWorld) shift(d time.Duration) {
+func (w *pathCountingWorld) shift(d time.Duration) {
 	for _, ln := range w.lanes {
 		w.n.shiftedQueued += ln.Len()
 	}

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -508,4 +510,109 @@ func TestNowNanosTracksVirtualClock(t *testing.T) {
 	if got := s.NowNanos(); got != int64(10*time.Millisecond) {
 		t.Errorf("NowNanos after RunUntil %d, want 10ms", got)
 	}
+}
+
+// TestNowNanosPublishedWhileStuck: a simulation stuck at one instant (an
+// event that reschedules itself at Now forever, a zero-time livelock)
+// publishes that instant within publishEvery events, and then NowNanos holds
+// still, which is what the watchdog's stall detector looks for.
+func TestNowNanosPublishedWhileStuck(t *testing.T) {
+	s := New(1)
+	var spin Event
+	spin = func() { s.At(s.Now(), spin) }
+	s.At(7*time.Millisecond, spin)
+	for i := 0; i < 3*publishEvery; i++ {
+		s.Step()
+		if i >= publishEvery && s.NowNanos() != int64(7*time.Millisecond) {
+			t.Fatalf("after %d events at 7ms NowNanos is %d", i+1, s.NowNanos())
+		}
+	}
+}
+
+// TestSlotSize: a scheduler slot stays 32 bytes (64-bit), two to a cache
+// line, with a routed event's route and argument inside it.
+func TestSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 32 {
+		t.Fatalf("slot is %d B, want 32", n)
+	}
+}
+
+// TestRoutedEventsDoNotAllocate: scheduling, re-arming, stopping and firing
+// routed events allocates nothing once the slab has grown, and registering a
+// Router held by pointer allocates nothing beyond the route table's growth.
+func TestRoutedEventsDoNotAllocate(t *testing.T) {
+	s := New(1)
+	c := &countRouter{}
+	r := s.NewRoute(c)
+	cycle := func() {
+		var tm [64]Timer
+		for i := range tm {
+			tm[i] = s.AtRoute(s.Now()+time.Duration(i)*time.Microsecond, r, int32(i))
+		}
+		tm[3].Stop()
+		tm[5].Reset(s.Now() + time.Millisecond)
+		s.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("routed schedule/fire allocates %.1f per cycle, want 0", avg)
+	}
+	c.sum = 0
+	cycle()
+	if want := 63*64/2 - 3; c.sum != want {
+		t.Errorf("routed events delivered argument sum %d, want %d", c.sum, want)
+	}
+}
+
+// countRouter sums the arguments routed to it.
+type countRouter struct{ sum int }
+
+func (c *countRouter) Fire(arg int32) { c.sum += int(arg) }
+
+// TestCloseRouteRecycles: a closed route's handle is reused by the next
+// NewRoute, and the simulator drops the closed Router; closing a route with
+// an event pending, or scheduling on a closed route, panics.
+func TestCloseRouteRecycles(t *testing.T) {
+	s := New(1)
+	a, b := s.NewRoute(&countRouter{}), s.NewRoute(&countRouter{})
+	tm := s.AtRoute(time.Millisecond, a, 1)
+	if !panicsWith(t, "pending", func() { s.CloseRoute(a) }) {
+		t.Error("CloseRoute with an event pending did not panic")
+	}
+	tm.Stop()
+	s.CloseRoute(a)
+	if s.routes[a].r != nil {
+		t.Error("closed route still holds its Router")
+	}
+	if !panicsWith(t, "not open", func() { s.AtRoute(time.Millisecond, a, 1) }) {
+		t.Error("AtRoute on a closed route did not panic")
+	}
+	if c := s.NewRoute(&countRouter{}); c != a || c == b {
+		t.Errorf("NewRoute after closing route %d returned %d", a, c)
+	}
+	if !panicsWith(t, "not open", func() { s.AtRoute(time.Millisecond, 0, 1) }) {
+		t.Error("AtRoute on the zero Route did not panic")
+	}
+}
+
+// flowTimers routes each flow's timeout by its index, as one Router for a
+// whole group of flows.
+type flowTimers struct {
+	s     *Simulator
+	names []string
+}
+
+func (f *flowTimers) Fire(i int32) { fmt.Println(f.names[i], "timed out at", f.s.Now()) }
+
+func ExampleSimulator_AtRoute() {
+	s := New(1)
+	f := &flowTimers{s: s, names: []string{"flow a", "flow b"}}
+	r := s.NewRoute(f) // one registration for every flow
+	s.AtRoute(30*time.Millisecond, r, 1)
+	rto := s.AtRoute(20*time.Millisecond, r, 0)
+	rto.Reset(40 * time.Millisecond) // an ordinary Timer
+	s.Run()
+	// Output:
+	// flow b timed out at 30ms
+	// flow a timed out at 40ms
 }

@@ -50,14 +50,14 @@ type Config struct {
 	FlowSegs int64
 	// OnComplete fires when a finite flow has all data acknowledged.
 	OnComplete func(now time.Duration)
-	// SACK enables selective acknowledgments with RFC 6675-style
-	// recovery instead of NewReno dupack counting.
-	SACK bool
 	// AckEvery enables delayed/stretch ACKs: the receiver acknowledges
 	// every Nth in-order segment (default 1 = every segment). Out-of-
 	// order arrivals, CE-state changes (for Scalable flows) and the
 	// delayed-ACK timer force immediate ACKs, as in real stacks.
 	AckEvery int
+	// SACK enables selective acknowledgments with RFC 6675-style
+	// recovery instead of NewReno dupack counting.
+	SACK bool
 	// SplitPropagation moves the whole BaseRTT out of the endpoint: the
 	// sharded runner charges one-way propagation on each cross-domain wire
 	// (sender→link and link→receiver), so the internal ACK path becomes
@@ -107,8 +107,8 @@ type sender struct {
 	recover    int64
 	rtoGuard   int64 // RFC 6582: no fast retransmit for pre-RTO dupacks
 	inflation  float64
-	cwrEnd     int64 // classic-ECN: next ECE reaction allowed past this seq
-	rtoTimer   sim.Timer
+	cwrEnd     int64     // classic-ECN: next ECE reaction allowed past this seq
+	rtoTimer   sim.Timer // runs through the group's timer route
 	rtoBackoff int
 	id         int
 	ceAcked    int
@@ -120,10 +120,6 @@ type sender struct {
 	stopped    bool
 	started    bool
 	completed  bool
-
-	// onRTOFn is onRTO bound once, keeping RTO scheduling allocation-free
-	// (a fresh closure per event was a top allocation site in profiles).
-	onRTOFn sim.Event
 
 	// SACK scoreboard cursors and counters (used only with Config.SACK);
 	// its per-segment bits live in meta.
@@ -146,10 +142,7 @@ type receiver struct {
 	rcvRecentSeq int64 // segment whose arrival triggered the pending ACK
 	eceLatch     bool
 	rcvLastCE    bool
-	delAck       sim.Timer
-	// delAckFireFn is delAckFire bound once, only with Config.AckEvery > 1:
-	// no other flow can arm that timer.
-	delAckFireFn sim.Event
+	delAck       sim.Timer // with Config.AckEvery > 1; runs through the group's timer route
 
 	Goodput   stats.RateMeter // in-order payload bytes delivered
 	marksSeen int
@@ -184,9 +177,6 @@ func (e *Endpoint) init(g *Group, i int, cc CongestionControl, mode ECNMode, rin
 	id := g.cfg.ID + i*g.step
 	e.receiver = &g.rcv[i]
 	*e.receiver = receiver{grp: g, id: id, ecn: mode}
-	if g.cfg.AckEvery > 1 {
-		e.delAckFireFn = e.receiver.delAckFire
-	}
 	s := &e.sender
 	s.grp, s.id, s.cc = g, id, cc
 	switch mode {
@@ -195,7 +185,6 @@ func (e *Endpoint) init(g *Group, i int, cc CongestionControl, mode ECNMode, rin
 	case ECNScalable:
 		s.ect, s.accurateCE = packet.ECT1, true
 	}
-	s.onRTOFn = s.onRTO
 	s.meta = segRing{buf: ring, mask: int64(len(ring) - 1)}
 	s.state = State{Cwnd: initialCwnd, Ssthresh: 1 << 30, MinCwnd: 2}
 	cc.Init(&s.state)
@@ -285,7 +274,7 @@ func (e *sender) trySend() {
 
 func (e *sender) sendSeg(seq int64, retx bool) {
 	now := e.grp.sim.Now()
-	p := e.grp.pool.NewData(e.id, seq, packet.MSS, e.ect)
+	p := e.grp.sim.PacketPool().NewData(e.id, seq, packet.MSS, e.ect)
 	p.SentAt = now
 	p.Retransmit = retx
 	if e.cwrPend && !retx {
@@ -310,7 +299,7 @@ func (e *sender) sendSeg(seq int64, retx bool) {
 func (e *sender) armRTO() {
 	at := e.grp.sim.Now() + e.rtoInterval()
 	if !e.rtoTimer.Reset(at) {
-		e.rtoTimer = e.grp.sim.At(at, e.onRTOFn)
+		e.rtoTimer = e.grp.timerAt(at, e.id, false)
 	}
 }
 
@@ -518,6 +507,7 @@ func (e *sender) checkComplete(now time.Duration) {
 	e.completedAt = now
 	e.rtoTimer.Stop()
 	e.rtoTimer = sim.Timer{}
+	e.grp.flowDone()
 	if e.grp.cfg.OnComplete != nil {
 		e.grp.cfg.OnComplete(now)
 	}
@@ -532,7 +522,7 @@ func (r *receiver) DeliverData(p *packet.Packet) {
 	r.receiveData(p)
 	// The receiver is the data packet's terminal owner: everything needed
 	// from it has been copied out, so the slot can be recycled.
-	r.grp.pool.Release(p)
+	r.grp.sim.PacketPool().Release(p)
 }
 
 func (r *receiver) receiveData(p *packet.Packet) {
@@ -588,7 +578,7 @@ func (r *receiver) receiveData(p *packet.Packet) {
 		return
 	}
 	if !r.delAck.Active() {
-		r.delAck = r.grp.sim.After(delAckTimeout, r.delAckFireFn)
+		r.delAck = r.grp.timerAt(r.grp.sim.Now()+delAckTimeout, r.id, true)
 	}
 }
 
@@ -628,7 +618,7 @@ func (r *receiver) sendAckNow(ce bool) {
 	r.delAck = sim.Timer{}
 	r.ackPending = 0
 	g := r.grp
-	ack := g.pool.NewAck(r.id, r.rcvNxt)
+	ack := g.sim.PacketPool().NewAck(r.id, r.rcvNxt)
 	ack.AckedCE = ce
 	if r.eceLatch {
 		ack.Flags |= packet.FlagECE
@@ -639,7 +629,7 @@ func (r *receiver) sendAckNow(ce bool) {
 	// The reverse path is a constant delay, so the ACK rides the group's
 	// lane in its arrival event's slot, read back by the group's pre-bound
 	// callback instead of a closure per ACK.
-	g.lane.AfterPacket(g.ackDelay, ack, g.arrive)
+	g.lane.AfterPacket(g.ackDelay(), ack, g.arrive)
 }
 
 // String implements fmt.Stringer for diagnostics.

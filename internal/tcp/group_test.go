@@ -146,7 +146,7 @@ func TestGroupOutgrowsItsSlots(t *testing.T) {
 
 // TestGroupSetUpAllocs: building an N-flow group, registering it with a
 // dispatcher and starting every flow costs a constant number of heap objects
-// per group plus one per flow (its RTO callback), whatever N.
+// per group, whatever N: no callback is bound per flow.
 func TestGroupSetUpAllocs(t *testing.T) {
 	setUp := func(n int) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -168,8 +168,38 @@ func TestGroupSetUpAllocs(t *testing.T) {
 	}
 	const perGroup = 64
 	for _, n := range []int{500, 4000} {
-		if a := setUp(n); a > float64(n+perGroup) {
-			t.Errorf("%d flows: %.0f allocations, want at most %d (one per flow plus %d)", n, a, n+perGroup, perGroup)
+		if a := setUp(n); a > perGroup {
+			t.Errorf("%d flows: %.0f allocations, want at most %d", n, a, perGroup)
+		}
+	}
+}
+
+// TestLoneFlowSetUpAllocs: a group of one (a web flow, or NewWithEnqueuer)
+// costs at most three heap objects to build, register and start on a running
+// simulation: the group with its one flow and first ring, the group's ACK
+// callback, and the delivery callback the dispatcher holds. A stateful
+// control (Cubic, DCTCP, Prague) adds itself. Finished flows close their
+// timer route, so a long run of short flows reuses one route.
+func TestLoneFlowSetUpAllocs(t *testing.T) {
+	for _, segs := range []int64{0, 3, 20, 1000} {
+		s := sim.New(1)
+		pool := s.PacketPool()
+		sink := func(p *packet.Packet) { pool.Release(p) }
+		d := link.NewDispatcher()
+		d.Reserve(1 << 12)
+		id := 0
+		launch := func() {
+			id++
+			g, err := NewGroup(s, sink, Config{ID: id, BaseRTT: 10 * time.Millisecond, FlowSegs: segs}, 1, 1, "", "reno")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Register(id, g.DeliverData)
+			g.Flows[0].Start()
+		}
+		launch() // the packet pool's first chunk and the route table
+		if a := testing.AllocsPerRun(100, launch); a > 3 {
+			t.Errorf("FlowSegs %d: a lone flow costs %.2f heap objects, want at most 3", segs, a)
 		}
 	}
 }
@@ -201,20 +231,60 @@ func TestNewGroupRejectsBadNames(t *testing.T) {
 }
 
 // TestFlowFootprint: a flow's halves stay within the sizes measured when
-// they were split (64-bit): the sender, which every ACK reads, and the
-// receiver, which every delivered segment reads, two cache lines. Growing
-// either is a deliberate edit of its budget here.
+// their timers moved to the group's route (64-bit): the sender, which every
+// ACK reads, and the receiver, which every delivered segment reads, under two
+// cache lines. A group of one, with its ring of each slot size, stays within
+// the allocator size class that holds what its parts cost as separate objects
+// (the group, the endpoint, the receiver, the ring and a bound RTO callback),
+// so building it in one allocation does not raise the bytes allocated; the
+// budget is that class less the 8-byte header the Go allocator puts on a
+// pointerful object over 512 bytes. Growing any of these is a deliberate
+// edit of its budget here.
 func TestFlowFootprint(t *testing.T) {
+	const header = 8
 	for _, c := range []struct {
 		half         string
 		size, budget uintptr
 	}{
-		{"sender", unsafe.Sizeof(sender{}), 320},
-		{"receiver", unsafe.Sizeof(receiver{}), 128},
-		{"Endpoint (sender and receiver pointer)", unsafe.Sizeof(Endpoint{}), 328},
+		{"sender", unsafe.Sizeof(sender{}), 312},
+		{"receiver", unsafe.Sizeof(receiver{}), 120},
+		{"Endpoint (sender and receiver pointer)", unsafe.Sizeof(Endpoint{}), 320},
+		{"group of one, 1-entry ring", unsafe.Sizeof(lone[[1]segMeta]{}), 704 - header},
+		{"group of one, 2-entry ring", unsafe.Sizeof(lone[[2]segMeta]{}), 704 - header},
+		{"group of one, 4-entry ring", unsafe.Sizeof(lone[[4]segMeta]{}), 704 - header},
+		{"group of one, 8-entry ring", unsafe.Sizeof(lone[[8]segMeta]{}), 768 - header},
+		{"group of one, 16-entry ring", unsafe.Sizeof(lone[[16]segMeta]{}), 896 - header},
+		{"group of one, 32-entry ring", unsafe.Sizeof(lone[[ringSlot]segMeta]{}), 1152 - header},
 	} {
 		if c.size > c.budget {
 			t.Errorf("%s is %d B, budget %d B", c.half, c.size, c.budget)
+		}
+	}
+}
+
+// TestFinishedGroupClosesItsRoute: once its flows have completed a group
+// closes its timer route, and the next group reuses the route, so a run of
+// short flows does not keep each finished one reachable from the simulator.
+func TestFinishedGroupClosesItsRoute(t *testing.T) {
+	s := sim.New(1)
+	d := link.NewDispatcher()
+	l := link.New(s, link.Config{RateBps: 10e6, BufferPackets: 100}, d.Deliver)
+	var first sim.Route
+	for i := 1; i <= 3; i++ {
+		g, err := NewGroup(s, l.Enqueue, Config{ID: i, BaseRTT: 10 * time.Millisecond, FlowSegs: 40, AckEvery: 2}, 1, 1, "", "cubic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			first = g.timers
+		} else if g.timers != first {
+			t.Errorf("group %d opened route %d, want the closed route %d again", i, g.timers, first)
+		}
+		d.Register(i, g.DeliverData)
+		g.Flows[0].Start()
+		s.RunUntil(s.Now() + time.Second)
+		if !g.Flows[0].Completed() || g.timers != 0 {
+			t.Fatalf("group %d: completed %v, route %d still open", i, g.Flows[0].Completed(), g.timers)
 		}
 	}
 }

@@ -168,7 +168,7 @@ func TestAckLaneIsSharedPerDelay(t *testing.T) {
 	if c.sender.grp.lane == a.sender.grp.lane || c.sender.grp.lane != s.Lane(20*time.Millisecond) {
 		t.Error("a different BaseRTT did not get its own lane")
 	}
-	if d.sender.grp.lane != s.Lane(0) || d.sender.grp.ackDelay != 0 {
+	if d.sender.grp.lane != s.Lane(0) || d.sender.grp.ackDelay() != 0 {
 		t.Error("SplitPropagation flow is not on the zero-delay lane")
 	}
 }
